@@ -6,7 +6,6 @@ from .blackbox import (
     EvaluationResult,
     ProcessAdapter,
     SimulatedBlackbox,
-    evaluate,
     external_evaluate,
     simulate_curve,
 )
@@ -16,11 +15,7 @@ from .early_stop import (
     StoppingMonitor,
     StopVerdict,
     TrainingHistory,
-    check_default,
     check_envelope,
-    check_last_success,
-    combined_verdict,
-    scheduler_step,
     update_baseline,
 )
 from .ledger import LedgerRecord, export_convergence, read_ledger, write_ledger
@@ -55,7 +50,6 @@ from .surrogates import (
     estimate,
     rank_candidates,
     surrogate_by_name,
-    surrogate_cost,
 )
 
 __version__ = "0.1.0"

@@ -25,7 +25,7 @@ from .util import hash_u64, hash_unit
 
 logger = logging.getLogger(__name__)
 
-WORST_SCORE = 0.0
+WORST_SCORE = 0.0  # score of a failed training or estimate
 FAILED_REASON = "evaluation-failed"
 
 
@@ -239,20 +239,6 @@ class SimulatedBlackbox:
         return float(acc.max())
 
 
-def backbone_accuracy(model: SimulatedModel, epoch: float, data_fraction: float = 1.0) -> float:
-    """Noise-free, unquantized accuracy at a (possibly fractional) epoch."""
-    a_eff = model.asymptote * (0.8 + 0.2 * data_fraction)
-    value = model.chance_level + (a_eff - model.chance_level) * (
-        1.0 - math.exp(-epoch / model.time_constant)
-    )
-    if model.divergent and epoch > model.peak_epoch:
-        gain = value - model.chance_level
-        value = model.chance_level + gain * math.exp(
-            -(epoch - model.peak_epoch) / model.decay_constant
-        )
-    return value
-
-
 def curve_arrays(model: SimulatedModel, epochs: int, data_fraction: float) -> tuple[np.ndarray, np.ndarray]:
     """Accuracy and loss arrays for epochs 1..epochs."""
     if epochs < 1:
@@ -284,11 +270,6 @@ def simulate_curve(model: SimulatedModel, epochs: int, data_fraction: float = 1.
     for e in range(1, epochs + 1):
         history.append(e, float(acc[e - 1]), float(loss[e - 1]), model.initial_lr)
     return history
-
-
-def evaluate(request: EvaluationRequest) -> EvaluationResult:
-    """Evaluate with the stock simulated blackbox."""
-    return SimulatedBlackbox().evaluate(request)
 
 
 # -- coarse-lattice oracle ---------------------------------------------------

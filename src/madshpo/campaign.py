@@ -1,5 +1,10 @@
 """Campaign settings, persistence, and resume-by-replay.
 
+``CampaignSettings`` is the one table of run settings: each field carries
+its settings-file key (also its command-line flag), its parser from text
+and its ``argparse`` options, and says whether the ledger header records
+it.
+
 A campaign writes ``ledger.csv`` (with its settings as header comments)
 and ``summary.json`` into its output directory.  Resuming truncates the
 ledger back to the last completed iteration boundary and replays forward;
@@ -11,9 +16,11 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import time
-from dataclasses import dataclass
+from dataclasses import Field, dataclass, field, fields, replace
 from pathlib import Path
+from typing import Callable, Mapping
 
 from . import mads
 from .blackbox import (
@@ -26,32 +33,72 @@ from .blackbox import (
 from .early_stop import DEFAULT_MARGINS, DEFAULT_MILESTONES, BaselineEnvelope, MODES, update_baseline
 from .ledger import KIND_FULL, LedgerRecord, read_ledger, write_ledger
 from .space import Configuration, SpaceBounds, default_bounds, deserialize, preset_config, serialize, validate
-from .surrogates import SurrogateSpec, custom_surrogate, surrogate_by_name
+from .surrogates import SURROGATE_TABLE, SurrogateSpec, custom_surrogate, surrogate_by_name
 
 LEDGER_NAME = "ledger.csv"
 SUMMARY_NAME = "summary.json"
 FORMAT_VERSION = "1"
+OUT_ROOT_ENV = "MADSHPO_OUT_ROOT"
+BACKENDS = ("simulated", "external")
+
+
+def _setting(default, parse: Callable[[str], object], *, key: str | None = None,
+             flag: str | None = None, header: bool = True, **options):
+    """One campaign setting.
+
+    ``key`` (the field name if not given) is its settings-file key, and
+    ``--key`` with dashes for underscores its flag unless ``flag`` names
+    another; ``parse`` turns the text of either into a value; ``header``
+    says whether the ledger header records it; ``options`` go to argparse.
+    """
+    metadata = {"key": key, "flag": flag, "parse": parse, "header": header, "options": options}
+    return field(default=default, metadata=metadata)
+
+
+def _comma_list(kind: Callable[[str], object]) -> Callable[[str], tuple]:
+    return lambda text: tuple(kind(x) for x in text.split(","))
+
+
+def _parse_custom(text: str) -> tuple[int, float, float]:
+    epochs, fraction, cost = text.split(",")
+    return int(epochs), float(fraction), float(cost)
+
+
+def _parse_bool(text: str) -> bool:
+    if text.lower() in ("1", "true", "yes", "on"):
+        return True
+    if text.lower() in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(f"expected a boolean, got {text!r}")
 
 
 @dataclass(frozen=True)
 class CampaignSettings:
-    preset: str = "p1"
-    initial: Configuration | None = None
-    bbe_budget: int = 200
-    max_epochs: int = 200
-    stop_mode: str = "scheduler+baseline"
-    surrogate: str = "r4"
-    surrogate_custom: tuple[int, float, float] | None = None
-    seed: int = 0
-    out_dir: Path = Path("campaign-out")
-    backend: str = "simulated"
-    external_command: str | None = None
-    charge_ranking: bool = True
-    min_mesh_index: int = -50
-    max_iterations: int | None = None
-    milestones: tuple[int, ...] = DEFAULT_MILESTONES
-    margins: tuple[float, ...] = DEFAULT_MARGINS
-    noise_sigma: float = 1e-4
+    preset: str = _setting("p1", str, header=False, choices=("p1", "p2", "p3"), help="starting configuration")
+    initial: Configuration | None = _setting(
+        None, lambda path: deserialize(Path(path).read_text().strip()), header=False,
+        help="file holding a serialized configuration")
+    seed: int = _setting(0, int, help="random seed")
+    bbe_budget: int = _setting(200, int, key="budget", help="blackbox-evaluation budget")
+    max_epochs: int = _setting(200, int, help="epochs of one full training")
+    stop_mode: str = _setting("scheduler+baseline", str, key="stop", choices=MODES, help="early-stopping strategy")
+    surrogate: str = _setting("r4", str, key="rank", choices=sorted(SURROGATE_TABLE), help="ranking surrogate")
+    surrogate_custom: tuple[int, float, float] | None = _setting(
+        None, _parse_custom, key="rank_custom", header=False, help="custom surrogate: epochs,fraction,cost")
+    out_dir: Path = _setting(Path("campaign-out"), Path, key="out", header=False,
+                             help="output directory (ledger + summary)")
+    backend: str = _setting("simulated", str, choices=BACKENDS, help="trainer backend")
+    external_command: str | None = _setting(None, str, key="backend_cmd", help="external trainer command")
+    charge_ranking: bool = _setting(True, _parse_bool, flag="--no-charge-ranking", action="store_const",
+                                    const="0", help="do not charge ranking passes against the budget")
+    min_mesh_index: int = _setting(-50, int, help="stop once the mesh index falls below this")
+    max_iterations: int | None = _setting(
+        None, lambda text: None if text in ("", "-") else int(text), help="iteration cap")
+    milestones: tuple[int, ...] = _setting(
+        DEFAULT_MILESTONES, _comma_list(int), help="comma-separated milestone epochs")
+    margins: tuple[float, ...] = _setting(
+        DEFAULT_MARGINS, _comma_list(float), help="comma-separated envelope margins")
+    noise_sigma: float = _setting(1e-4, float, help="noise level of the simulated trainer")
 
     def __post_init__(self) -> None:
         if self.bbe_budget <= 0:
@@ -60,10 +107,45 @@ class CampaignSettings:
             raise ValueError("max_epochs must be >= 1")
         if self.stop_mode not in MODES:
             raise ValueError(f"unknown stop mode {self.stop_mode!r}")
-        if self.backend not in ("simulated", "external"):
+        if self.backend not in BACKENDS:
             raise ValueError(f"unknown backend {self.backend!r}")
         if self.backend == "external" and not self.external_command:
             raise ValueError("external backend needs a command")
+
+    @classmethod
+    def from_text(cls, values: Mapping[str, str]) -> "CampaignSettings":
+        """Settings from flag or settings-file text keyed by setting key.
+
+        Missing keys keep their defaults.  A relative output directory, the
+        default one included, goes under ``$MADSHPO_OUT_ROOT`` when that is set.
+        """
+        parsed = {}
+        for key, f in setting_fields():
+            if key in values:
+                try:
+                    parsed[f.name] = f.metadata["parse"](values[key])
+                except ValueError as exc:
+                    raise ValueError(f"{key}: {exc}") from None
+        settings = cls(**parsed)
+        root = os.environ.get(OUT_ROOT_ENV)
+        if root and not settings.out_dir.is_absolute():
+            settings = replace(settings, out_dir=Path(root) / settings.out_dir)
+        return settings
+
+
+def setting_fields() -> list[tuple[str, Field]]:
+    """(settings-file key, field) of every campaign setting, in field order."""
+    return [(f.metadata["key"] or f.name, f) for f in fields(CampaignSettings)]
+
+
+def _header_text(value) -> str:
+    if value is None or value == "":
+        return "-"
+    if isinstance(value, bool):
+        return "1" if value else "0"
+    if isinstance(value, tuple):
+        return " ".join(str(v) for v in value)
+    return str(value)
 
 
 def initial_config(settings: CampaignSettings) -> Configuration:
@@ -121,27 +203,15 @@ def build_plan(settings: CampaignSettings, bounds: SpaceBounds | None = None) ->
 
 def settings_header(settings: CampaignSettings) -> dict[str, str]:
     """Settings fingerprint embedded in the ledger (consistency-checked on resume)."""
-    surrogate = settings.surrogate
+    header = {"format": FORMAT_VERSION}
+    for f in fields(settings):
+        if f.metadata["header"]:
+            header[f.name] = _header_text(getattr(settings, f.name))
     if settings.surrogate_custom is not None:
         epochs, fraction, cost = settings.surrogate_custom
-        surrogate = f"custom {epochs} {fraction!r} {cost!r}"
-    return {
-        "format": FORMAT_VERSION,
-        "seed": str(settings.seed),
-        "bbe_budget": str(settings.bbe_budget),
-        "max_epochs": str(settings.max_epochs),
-        "stop_mode": settings.stop_mode,
-        "surrogate": surrogate,
-        "backend": settings.backend,
-        "external_command": settings.external_command or "-",
-        "charge_ranking": "1" if settings.charge_ranking else "0",
-        "min_mesh_index": str(settings.min_mesh_index),
-        "max_iterations": "-" if settings.max_iterations is None else str(settings.max_iterations),
-        "milestones": " ".join(str(m) for m in settings.milestones),
-        "margins": " ".join(repr(m) for m in settings.margins),
-        "noise_sigma": repr(settings.noise_sigma),
-        "initial": serialize(initial_config(settings)),
-    }
+        header["surrogate"] = f"custom {epochs} {fraction!r} {cost!r}"
+    header["initial"] = serialize(initial_config(settings))
+    return header
 
 
 def run(settings: CampaignSettings, bounds: SpaceBounds | None = None) -> mads.CampaignResult:

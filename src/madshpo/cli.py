@@ -1,7 +1,9 @@
 """Command-line interface: run, resume, and export campaigns.
 
-Settings can also be loaded from a ``key = value`` file (one pair per
-line, ``#`` comments allowed); explicit flags override file values.  The
+The flags of ``run`` and ``resume`` come from the ``CampaignSettings``
+table.  Settings can also be loaded from a ``key = value`` file (one pair
+per line, ``#`` comments allowed) whose keys are the flag names without
+the leading dashes; explicit flags override file values.  The
 ``MADSHPO_OUT_ROOT`` environment variable prefixes relative output
 directories.
 """
@@ -10,40 +12,16 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
-from .campaign import LEDGER_NAME, CampaignSettings, resume, run
-from .early_stop import MODES
+from .campaign import LEDGER_NAME, CampaignSettings, resume, run, setting_fields
 from .ledger import export_convergence, read_ledger, write_series
-from .space import deserialize
 from .surrogates import SURROGATE_TABLE
-
-OUT_ROOT_ENV = "MADSHPO_OUT_ROOT"
-
-_SETTINGS_KEYS = (
-    "preset",
-    "initial",
-    "budget",
-    "max_epochs",
-    "stop",
-    "rank",
-    "rank_custom",
-    "seed",
-    "out",
-    "backend",
-    "backend_cmd",
-    "charge_ranking",
-    "min_mesh_index",
-    "max_iterations",
-    "milestones",
-    "margins",
-    "noise_sigma",
-)
 
 
 def read_settings_file(path: Path) -> dict[str, str]:
+    keys = {key for key, _ in setting_fields()}
     values: dict[str, str] = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
         line = raw.strip()
@@ -51,96 +29,28 @@ def read_settings_file(path: Path) -> dict[str, str]:
             continue
         key, eq, value = line.partition("=")
         key = key.strip().replace("-", "_")
-        if not eq or key not in _SETTINGS_KEYS:
+        if not eq or key not in keys:
             raise ValueError(f"{path}:{lineno}: bad settings line {raw!r}")
         values[key] = value.strip()
     return values
-
-
-def _resolve_out(raw: str) -> Path:
-    path = Path(raw)
-    root = os.environ.get(OUT_ROOT_ENV)
-    if root and not path.is_absolute():
-        return Path(root) / path
-    return path
 
 
 def _merge(args: argparse.Namespace) -> dict[str, str]:
     values: dict[str, str] = {}
     if args.config_file:
         values.update(read_settings_file(Path(args.config_file)))
-    for key in _SETTINGS_KEYS:
-        flag = getattr(args, key, None)
+    for key, _ in setting_fields():
+        flag = getattr(args, key)
         if flag is not None:
-            values[key] = str(flag)
+            values[key] = flag
     return values
-
-
-def _parse_bool(raw: str) -> bool:
-    if raw.lower() in ("1", "true", "yes", "on"):
-        return True
-    if raw.lower() in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"expected a boolean, got {raw!r}")
-
-
-def settings_from_values(values: dict[str, str]) -> CampaignSettings:
-    initial = None
-    if "initial" in values:
-        initial = deserialize(Path(values["initial"]).read_text().strip())
-    custom = None
-    if "rank_custom" in values:
-        epochs, fraction, cost = values["rank_custom"].split(",")
-        custom = (int(epochs), float(fraction), float(cost))
-    max_iterations = values.get("max_iterations")
-    return CampaignSettings(
-        preset=values.get("preset", "p1"),
-        initial=initial,
-        bbe_budget=int(values.get("budget", "200")),
-        max_epochs=int(values.get("max_epochs", "200")),
-        stop_mode=values.get("stop", "scheduler+baseline"),
-        surrogate=values.get("rank", "r4"),
-        surrogate_custom=custom,
-        seed=int(values.get("seed", "0")),
-        out_dir=_resolve_out(values.get("out", "campaign-out")),
-        backend=values.get("backend", "simulated"),
-        external_command=values.get("backend_cmd"),
-        charge_ranking=_parse_bool(values.get("charge_ranking", "1")),
-        min_mesh_index=int(values.get("min_mesh_index", "-50")),
-        max_iterations=None if max_iterations in (None, "", "-") else int(max_iterations),
-        milestones=tuple(int(x) for x in values["milestones"].split(",")) if "milestones" in values else CampaignSettings.milestones,
-        margins=tuple(float(x) for x in values["margins"].split(",")) if "margins" in values else CampaignSettings.margins,
-        noise_sigma=float(values.get("noise_sigma", "0.0001")),
-    )
 
 
 def _add_settings_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config-file", help="key = value settings file (flags override)")
-    parser.add_argument("--preset", choices=("p1", "p2", "p3"), help="starting configuration")
-    parser.add_argument("--initial", help="file holding a serialized configuration")
-    parser.add_argument("--budget", type=int, help="blackbox-evaluation budget")
-    parser.add_argument("--max-epochs", type=int, dest="max_epochs")
-    parser.add_argument("--stop", choices=MODES, help="early-stopping strategy")
-    parser.add_argument("--rank", choices=sorted(SURROGATE_TABLE), help="ranking surrogate")
-    parser.add_argument(
-        "--rank-custom", dest="rank_custom", help="custom surrogate: epochs,fraction,cost"
-    )
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--out", help="output directory (ledger + summary)")
-    parser.add_argument("--backend", choices=("simulated", "external"))
-    parser.add_argument("--backend-cmd", dest="backend_cmd", help="external trainer command")
-    parser.add_argument(
-        "--no-charge-ranking",
-        dest="charge_ranking",
-        action="store_const",
-        const="0",
-        help="do not charge ranking passes against the budget",
-    )
-    parser.add_argument("--min-mesh-index", type=int, dest="min_mesh_index")
-    parser.add_argument("--max-iterations", type=int, dest="max_iterations")
-    parser.add_argument("--milestones", help="comma-separated milestone epochs")
-    parser.add_argument("--margins", help="comma-separated envelope margins")
-    parser.add_argument("--noise-sigma", type=float, dest="noise_sigma")
+    for key, f in setting_fields():
+        flag = f.metadata["flag"] or "--" + key.replace("_", "-")
+        parser.add_argument(flag, dest=key, **f.metadata["options"])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -164,7 +74,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command in ("run", "resume"):
-            settings = settings_from_values(_merge(args))
+            settings = CampaignSettings.from_text(_merge(args))
             result = run(settings) if args.command == "run" else resume(settings)
             summary_path = Path(settings.out_dir) / "summary.json"
             summary = json.loads(summary_path.read_text())

@@ -5,6 +5,11 @@ cutoff plus loss-plateau), last-success (no accuracy improvement for a
 window), a plateau learning-rate scheduler with a floor, and the
 scheduler combined with a baseline-envelope comparison against the best
 curve seen so far.
+
+Campaigns run ``StoppingMonitor``, which keeps incremental state per
+training.  The pure functions ``check_default``, ``check_last_success``,
+``scheduler_step`` and ``combined_verdict`` compute the same verdicts from
+a whole history; they are the reference the monitor is tested against.
 """
 
 from __future__ import annotations
@@ -18,6 +23,17 @@ DEFAULT_MILESTONES = (5, 10, 25, 50, 100, 125, 150)
 DEFAULT_MARGINS = (0.5, 0.6, 0.7, 0.8, 0.85, 0.9, 0.95)
 
 MODES = ("none", "default", "last-success", "scheduler", "scheduler+baseline")
+
+# Stopping-rule parameters, the same for every campaign.
+PATIENCE = 25  # flat epochs before the scheduler cuts the learning rate
+LR_FACTOR = 0.1  # learning-rate multiplier per cut
+LR_FLOOR = 1e-8  # the scheduler stops a training once its rate falls below this
+CHANCE_LEVEL = 0.1  # a baseline at or below this accuracy disables the envelope
+ACCURACY_FLOOR = 0.12  # default: stop if the best accuracy is still at or below this ...
+ARMING_EPOCH = 25  # ... from this epoch on
+PLATEAU_WINDOW = 50  # default: epochs over which the loss spread is measured
+LOSS_TOLERANCE = 1e-3  # default: stop when that spread falls below this
+LAST_SUCCESS_WINDOW = 25  # last-success: epochs allowed without a new best accuracy
 
 REASON_NONE = "none"
 REASON_LOW_ACCURACY = "default-low-accuracy"
@@ -136,30 +152,23 @@ class BaselineEnvelope:
         return self.baseline_curve.val_accuracy[-1]
 
 
-def check_default(
-    history: TrainingHistory,
-    *,
-    min_epochs: int = 25,
-    accuracy_floor: float = 0.12,
-    plateau_window: int = 50,
-    loss_std_tol: float = 1e-3,
-) -> StopVerdict:
+def check_default(history: TrainingHistory) -> StopVerdict:
     """Legacy criteria: stuck-at-low-accuracy or a flat validation loss."""
     if not len(history):
         raise ValueError("history is empty")
     epoch = len(history)
     best = max(history.val_accuracy)
-    if epoch >= min_epochs and best <= accuracy_floor:
+    if epoch >= ARMING_EPOCH and best <= ACCURACY_FLOOR:
         return StopVerdict.halt(
             REASON_LOW_ACCURACY,
-            f"best accuracy {best:.4f} <= {accuracy_floor} after {epoch} epochs",
+            f"best accuracy {best:.4f} <= {ACCURACY_FLOOR} after {epoch} epochs",
         )
-    if epoch >= plateau_window:
-        std = float(np.std(history.val_loss[-plateau_window:]))
-        if std < loss_std_tol:
+    if epoch >= PLATEAU_WINDOW:
+        std = float(np.std(history.val_loss[-PLATEAU_WINDOW:]))
+        if std < LOSS_TOLERANCE:
             return StopVerdict.halt(
                 REASON_LOSS_PLATEAU,
-                f"loss std {std:.2e} over last {plateau_window} epochs",
+                f"loss std {std:.2e} over last {PLATEAU_WINDOW} epochs",
             )
     return CONTINUE
 
@@ -175,13 +184,13 @@ def last_improvement_epoch(history: TrainingHistory) -> int:
     return epoch
 
 
-def check_last_success(history: TrainingHistory, window: int = 25) -> StopVerdict:
-    """Stop when the last accuracy improvement is more than ``window`` epochs old."""
+def check_last_success(history: TrainingHistory) -> StopVerdict:
+    """Stop when the last accuracy improvement is more than ``LAST_SUCCESS_WINDOW`` epochs old."""
     if not len(history):
         raise ValueError("history is empty")
     e_star = last_improvement_epoch(history)
     age = len(history) - e_star
-    if age > window:
+    if age > LAST_SUCCESS_WINDOW:
         return StopVerdict.halt(
             REASON_LAST_SUCCESS, f"no improvement since epoch {e_star} ({age} epochs)"
         )
@@ -213,23 +222,14 @@ def _scheduler_reduction_epoch(history: TrainingHistory) -> int:
     return 0
 
 
-def scheduler_step(
-    history: TrainingHistory,
-    patience: int = 25,
-    factor: float = 0.1,
-    lr_floor: float = 1e-8,
-) -> tuple[float, StopVerdict]:
-    """Plateau scheduler: cut the learning rate after ``patience`` flat epochs.
+def scheduler_step(history: TrainingHistory) -> tuple[float, StopVerdict]:
+    """Plateau scheduler: cut the learning rate after ``PATIENCE`` flat epochs.
 
     A plateau means no new running-maximum accuracy since the later of the
     last reduction and the last improvement; each reduction resets the
     patience counter.  Returns the rate to use from the next epoch and a
-    stop verdict that fires once the reduced rate falls below ``lr_floor``.
+    stop verdict that fires once the reduced rate falls below ``LR_FLOOR``.
     """
-    if factor <= 0:
-        raise ValueError("factor must be positive")
-    if lr_floor <= 0:
-        raise ValueError("lr_floor must be positive")
     if not len(history):
         raise ValueError("history is empty")
     current = history.learning_rate[-1]
@@ -237,21 +237,16 @@ def scheduler_step(
         _scheduler_improvement_epoch(history), _scheduler_reduction_epoch(history)
     )
     new_lr = current
-    if len(history) - reference >= patience:
-        new_lr = current * factor
-    if new_lr < lr_floor:
+    if len(history) - reference >= PATIENCE:
+        new_lr = current * LR_FACTOR
+    if new_lr < LR_FLOOR:
         return new_lr, StopVerdict.halt(
-            REASON_LR_FLOOR, f"learning rate {new_lr:.3e} below floor {lr_floor:.0e}"
+            REASON_LR_FLOOR, f"learning rate {new_lr:.3e} below floor {LR_FLOOR:.0e}"
         )
     return new_lr, CONTINUE
 
 
-def check_envelope(
-    history: TrainingHistory,
-    envelope: BaselineEnvelope,
-    *,
-    chance_level: float = 0.1,
-) -> StopVerdict:
+def check_envelope(history: TrainingHistory, envelope: BaselineEnvelope) -> StopVerdict:
     """Milestone comparison against the baseline curve.
 
     Only fires when the current epoch is a milestone and the candidate's
@@ -264,7 +259,7 @@ def check_envelope(
     if epoch not in envelope.milestones:
         return CONTINUE
     reference = envelope.baseline_at(epoch)
-    if reference is None or reference <= chance_level:
+    if reference is None or reference <= CHANCE_LEVEL:
         return CONTINUE
     margin = envelope.margins[envelope.milestones.index(epoch)]
     threshold = margin * reference
@@ -294,15 +289,7 @@ def update_baseline(
 
 
 def combined_verdict(
-    history: TrainingHistory,
-    envelope: BaselineEnvelope | None,
-    mode: str,
-    *,
-    patience: int = 25,
-    lr_factor: float = 0.1,
-    lr_floor: float = 1e-8,
-    chance_level: float = 0.1,
-    last_success_window: int = 25,
+    history: TrainingHistory, envelope: BaselineEnvelope | None, mode: str
 ) -> StopVerdict:
     """Dispatch to the checks of one stopping strategy.
 
@@ -316,12 +303,12 @@ def combined_verdict(
     if mode == "default":
         return check_default(history)
     if mode == "last-success":
-        return check_last_success(history, window=last_success_window)
+        return check_last_success(history)
     if mode == "scheduler+baseline" and envelope is not None:
-        verdict = check_envelope(history, envelope, chance_level=chance_level)
+        verdict = check_envelope(history, envelope)
         if verdict.stop:
             return verdict
-    _, verdict = scheduler_step(history, patience=patience, factor=lr_factor, lr_floor=lr_floor)
+    _, verdict = scheduler_step(history)
     return verdict
 
 
@@ -334,36 +321,11 @@ class StoppingMonitor:
     the next epoch record (``next_lr``).
     """
 
-    def __init__(
-        self,
-        mode: str,
-        envelope: BaselineEnvelope | None = None,
-        *,
-        patience: int = 25,
-        lr_factor: float = 0.1,
-        lr_floor: float = 1e-8,
-        chance_level: float = 0.1,
-        accuracy_floor: float = 0.12,
-        min_epochs: int = 25,
-        plateau_window: int = 50,
-        loss_std_tol: float = 1e-3,
-        last_success_window: int = 25,
-    ) -> None:
+    def __init__(self, mode: str, envelope: BaselineEnvelope | None = None) -> None:
         if mode not in MODES:
             raise ValueError(f"unknown stopping mode {mode!r} (expected one of {MODES})")
-        if lr_factor <= 0 or lr_floor <= 0:
-            raise ValueError("lr_factor and lr_floor must be positive")
         self.mode = mode
         self.envelope = envelope
-        self.patience = patience
-        self.lr_factor = lr_factor
-        self.lr_floor = lr_floor
-        self.chance_level = chance_level
-        self.accuracy_floor = accuracy_floor
-        self.min_epochs = min_epochs
-        self.plateau_window = plateau_window
-        self.loss_std_tol = loss_std_tol
-        self.last_success_window = last_success_window
         self._lr = float("nan")
         self._best = -math.inf
         self._best_epoch = 0
@@ -400,22 +362,22 @@ class StoppingMonitor:
         if self.mode == "none":
             return CONTINUE
         if self.mode == "default":
-            if epoch >= self.min_epochs and self._best <= self.accuracy_floor:
+            if epoch >= ARMING_EPOCH and self._best <= ACCURACY_FLOOR:
                 return StopVerdict.halt(
                     REASON_LOW_ACCURACY,
-                    f"best accuracy {self._best:.4f} <= {self.accuracy_floor} after {epoch} epochs",
+                    f"best accuracy {self._best:.4f} <= {ACCURACY_FLOOR} after {epoch} epochs",
                 )
-            if epoch >= self.plateau_window:
-                std = float(np.std(history.val_loss[-self.plateau_window:]))
-                if std < self.loss_std_tol:
+            if epoch >= PLATEAU_WINDOW:
+                std = float(np.std(history.val_loss[-PLATEAU_WINDOW:]))
+                if std < LOSS_TOLERANCE:
                     return StopVerdict.halt(
                         REASON_LOSS_PLATEAU,
-                        f"loss std {std:.2e} over last {self.plateau_window} epochs",
+                        f"loss std {std:.2e} over last {PLATEAU_WINDOW} epochs",
                     )
             return CONTINUE
         if self.mode == "last-success":
             age = epoch - self._best_epoch
-            if age > self.last_success_window:
+            if age > LAST_SUCCESS_WINDOW:
                 return StopVerdict.halt(
                     REASON_LAST_SUCCESS,
                     f"no improvement since epoch {self._best_epoch} ({age} epochs)",
@@ -424,16 +386,16 @@ class StoppingMonitor:
 
         # scheduler / scheduler+baseline
         if self.mode == "scheduler+baseline" and self.envelope is not None:
-            verdict = check_envelope(history, self.envelope, chance_level=self.chance_level)
+            verdict = check_envelope(history, self.envelope)
             if verdict.stop:
                 return verdict
         reference = max(self._sched_improve, self._last_reduce)
-        if epoch - reference >= self.patience:
-            self._lr = self._lr * self.lr_factor
+        if epoch - reference >= PATIENCE:
+            self._lr = self._lr * LR_FACTOR
             self._last_reduce = epoch
-        if self._lr < self.lr_floor:
+        if self._lr < LR_FLOOR:
             return StopVerdict.halt(
                 REASON_LR_FLOOR,
-                f"learning rate {self._lr:.3e} below floor {self.lr_floor:.0e}",
+                f"learning rate {self._lr:.3e} below floor {LR_FLOOR:.0e}",
             )
         return CONTINUE

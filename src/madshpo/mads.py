@@ -17,7 +17,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .early_stop import BaselineEnvelope, StoppingMonitor, update_baseline
+from .blackbox import FAILED_REASON, WORST_SCORE, EvaluationResult
+from .early_stop import BaselineEnvelope, StoppingMonitor, TrainingHistory, update_baseline
 from .ledger import KIND_FULL, KIND_RANKING, KIND_SURROGATE, LedgerRecord
 # serialize, with_vector, snap_array, to_vector, quantitative_slots and
 # neighbors stay module attributes here: benchmark/tracing.py wraps them
@@ -47,8 +48,6 @@ ORIGIN_DIRECTION = "poll-direction"
 ORIGIN_NEIGHBOR = "categorical-neighbor"
 ORIGIN_INITIAL = "initial"
 ORIGIN_SEARCH = "search"
-
-WORST_SCORE = 0.0
 
 
 @dataclass(frozen=True)
@@ -129,13 +128,7 @@ def poll_directions(n: int, seed: int) -> np.ndarray:
     return np.hstack([q, -q])
 
 
-def generate_poll(
-    incumbent: Configuration,
-    mesh: Mesh,
-    seed: int,
-    bounds: SpaceBounds,
-    include_neighbors: bool = True,
-) -> PollSet:
+def generate_poll(incumbent: Configuration, mesh: Mesh, seed: int, bounds: SpaceBounds) -> PollSet:
     """Poll set around the incumbent: 2n direction points plus categorical neighbors.
 
     Every candidate is projected to the current mesh and clipped into
@@ -171,9 +164,8 @@ def generate_poll(
         if raw not in snapped_seen:
             snapped_seen.add(raw)
             add(with_vector(incumbent, bounds, column.tolist()), ORIGIN_DIRECTION)
-    if include_neighbors:
-        for neighbor in neighbors(incumbent, bounds):
-            add(project_to_mesh(neighbor, mesh, bounds), ORIGIN_NEIGHBOR)
+    for neighbor in neighbors(incumbent, bounds):
+        add(project_to_mesh(neighbor, mesh, bounds), ORIGIN_NEIGHBOR)
     return PollSet(tuple(candidates), directions)
 
 
@@ -226,11 +218,7 @@ class RunPlan:
     charge_ranking: bool = True
     min_mesh_index: int = -50
     max_iterations: int | None = None
-    chance_level: float = 0.1
     search_hook: Callable | None = None
-    scheduler_patience: int = 25
-    scheduler_factor: float = 0.1
-    scheduler_floor: float = 1e-8
 
 
 @dataclass
@@ -259,29 +247,13 @@ def iteration_seed(seed: int, iteration: int) -> int:
     return hash_u64("poll-directions", seed, iteration)
 
 
-def _make_monitor(plan: RunPlan, envelope: BaselineEnvelope) -> StoppingMonitor | None:
-    if plan.stop_mode == "none":
-        return None
-    return StoppingMonitor(
-        plan.stop_mode,
-        envelope,
-        patience=plan.scheduler_patience,
-        lr_factor=plan.scheduler_factor,
-        lr_floor=plan.scheduler_floor,
-        chance_level=plan.chance_level,
-    )
-
-
 def _full_evaluation(
     state: CampaignState, plan: RunPlan, candidate: PollCandidate | RankedCandidate, iteration: int
 ) -> float:
     """Run one full evaluation of a poll or ranked candidate, charge it,
     record it, update incumbent/baseline."""
-    from .blackbox import FAILED_REASON, EvaluationResult
-    from .early_stop import TrainingHistory
-
     config = candidate.config
-    monitor = _make_monitor(plan, state.envelope)
+    monitor = None if plan.stop_mode == "none" else StoppingMonitor(plan.stop_mode, state.envelope)
     try:
         result = plan.full_eval(config, monitor)
     except Exception as exc:  # noqa: BLE001 - failed-candidate contract
@@ -446,16 +418,13 @@ def _search_step(state: CampaignState, plan: RunPlan, k: int, budget: float) -> 
 def _poll_step(state: CampaignState, plan: RunPlan, poll: PollSet, k: int, budget: float) -> IterationOutcome:
     if not poll.candidates:
         return IterationOutcome(False, 0.0)
-    if plan.surrogate.disabled:
-        ordered = tuple(RankedCandidate(c.config, c.origin, None, c.key) for c in poll.candidates)
-    else:
-        ranked = rank_candidates(poll, plan.surrogate, plan.fidelity_eval)
+    ranked = rank_candidates(poll.candidates, plan.surrogate, plan.fidelity_eval)
+    if not plan.surrogate.disabled:
         _record_ranking(state, plan, ranked, k)
-        ordered = ranked.candidates
     affordable = int(math.floor(budget - state.cumulative + 1e-9))
     start_score = state.incumbent_score
     return opportunistic_evaluate(
-        ordered[:affordable],
+        ranked.candidates[:affordable],
         start_score,
         lambda cand: _full_evaluation(state, plan, cand, k),
     )

@@ -11,11 +11,10 @@ import logging
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
+from .blackbox import WORST_SCORE
 from .space import Configuration
 
 logger = logging.getLogger(__name__)
-
-WORST_SCORE = 0.0
 
 # kind -> (epoch budget, data fraction, cost ratio relative to one full evaluation)
 SURROGATE_TABLE: dict[str, tuple[int, float, float]] = {
@@ -69,11 +68,6 @@ def custom_surrogate(epoch_budget: int, data_fraction: float, cost_ratio: float)
     return SurrogateSpec("custom", epoch_budget, data_fraction, cost_ratio)
 
 
-def surrogate_cost(spec: SurrogateSpec) -> float:
-    """Fractional blackbox-evaluation cost of one surrogate training."""
-    return spec.cost_ratio
-
-
 # Callback contract: (config, epochs, data_fraction) -> estimated accuracy.
 FidelityEval = Callable[[Configuration, int, float], float]
 
@@ -103,29 +97,24 @@ class RankedCandidate:
 
 @dataclass(frozen=True)
 class RankedPoll:
-    """Poll candidates sorted best-estimate-first, plus the charged cost."""
+    """Poll candidates sorted best-estimate-first."""
 
     candidates: tuple[RankedCandidate, ...]
-    cost: float
 
 
-def rank_candidates(poll, spec: SurrogateSpec, blackbox: FidelityEval) -> RankedPoll:
+def rank_candidates(candidates: Sequence, spec: SurrogateSpec, blackbox: FidelityEval) -> RankedPoll:
     """Estimate every candidate and sort best-first (stable on ties).
 
-    Charges ``len(poll) * cost_ratio`` fractional evaluations; the disabled
-    surrogate returns the original order at zero cost.
+    Each estimate costs ``spec.cost_ratio`` of a full evaluation; the
+    disabled surrogate keeps the original order and estimates nothing.
     """
-    items: Sequence = poll.candidates if hasattr(poll, "candidates") else poll
-    if not items:
+    if not candidates:
         raise ValueError("poll is empty")
     if spec.disabled:
-        ranked = tuple(
-            RankedCandidate(c.config, c.origin, None, c.key) for c in items
-        )
-        return RankedPoll(ranked, 0.0)
+        return RankedPoll(tuple(RankedCandidate(c.config, c.origin, None, c.key) for c in candidates))
     scored = [
         RankedCandidate(c.config, c.origin, estimate(spec, c.config, blackbox), c.key)
-        for c in items
+        for c in candidates
     ]
     order = sorted(range(len(scored)), key=lambda i: (-scored[i].estimate, i))
-    return RankedPoll(tuple(scored[i] for i in order), len(scored) * spec.cost_ratio)
+    return RankedPoll(tuple(scored[i] for i in order))

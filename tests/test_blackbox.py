@@ -4,9 +4,7 @@ import pytest
 from madshpo.blackbox import (
     EvaluationRequest,
     SimulatedBlackbox,
-    backbone_accuracy,
     curve_arrays,
-    evaluate,
     simulate_curve,
 )
 from madshpo.early_stop import BaselineEnvelope, StoppingMonitor, TrainingHistory
@@ -60,9 +58,14 @@ def random_configs(n, seed=42):
 
 
 class TestSimulatedCurves:
-    def test_backbone_starts_at_chance(self, blackbox):
-        model = blackbox.model_for(preset_config("p1"), 0)
-        assert backbone_accuracy(model, 0) == pytest.approx(0.1)
+    def test_backbone_starts_at_chance(self, clean_blackbox):
+        # epoch 1 lies at most one time constant's share of the rise above chance
+        for config in [preset_config("p1"), *random_configs(20, seed=3)]:
+            model = clean_blackbox.model_for(config, 0)
+            acc, _ = curve_arrays(model, 1, 1.0)
+            rise = (model.asymptote - model.chance_level) / model.time_constant
+            quantum = model.accuracy_quantum
+            assert model.chance_level - quantum <= acc[0] <= model.chance_level + rise + quantum
 
     def test_clean_nondivergent_monotone(self, clean_blackbox):
         for config in random_configs(20):
@@ -179,8 +182,8 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             EvaluationRequest(preset_config("p1"), 10, 1.5, 0)
 
-    def test_module_level_helper(self):
-        result = evaluate(EvaluationRequest(preset_config("p1"), 10, 1.0, 0))
+    def test_short_request_runs_every_epoch(self, blackbox):
+        result = blackbox.evaluate(EvaluationRequest(preset_config("p1"), 10, 1.0, 0))
         assert result.epochs_used == 10
 
 

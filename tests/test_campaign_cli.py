@@ -12,7 +12,7 @@ from madshpo.campaign import (
     run,
     settings_header,
 )
-from madshpo.cli import main, read_settings_file, settings_from_values
+from madshpo.cli import main, read_settings_file
 from madshpo.ledger import (
     KIND_FULL,
     KIND_SURROGATE,
@@ -247,7 +247,7 @@ class TestCli:
 
     def test_out_root_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("MADSHPO_OUT_ROOT", str(tmp_path / "root"))
-        s = settings_from_values({"out": "exp1", "budget": "5"})
+        s = CampaignSettings.from_text({"out": "exp1", "budget": "5"})
         assert s.out_dir == tmp_path / "root" / "exp1"
 
     def test_resume_and_export_commands(self, tmp_path):
@@ -268,5 +268,5 @@ class TestCli:
     def test_initial_config_file(self, tmp_path):
         init = tmp_path / "start.cfg"
         init.write_text(serialize(preset_config("p3")) + "\n")
-        s = settings_from_values({"initial": str(init), "budget": "5", "out": str(tmp_path / "o")})
+        s = CampaignSettings.from_text({"initial": str(init), "budget": "5", "out": str(tmp_path / "o")})
         assert initial_config(s).n_conv == 5

@@ -10,7 +10,6 @@ from madshpo.surrogates import (
     estimate,
     rank_candidates,
     surrogate_by_name,
-    surrogate_cost,
 )
 from tests.test_blackbox import random_configs
 
@@ -34,7 +33,7 @@ class TestCostTable:
         [("r1", 0.125), ("r2", 0.05), ("r3", 0.20), ("r4", 0.10), ("oracle", 1.0), ("none", 0.0)],
     )
     def test_cost_ratios(self, name, cost):
-        assert surrogate_cost(surrogate_by_name(name)) == cost
+        assert surrogate_by_name(name).cost_ratio == cost
 
     @pytest.mark.parametrize(
         "name,epochs,fraction",
@@ -56,7 +55,7 @@ class TestCostTable:
 
     def test_custom_triple(self):
         spec = custom_surrogate(50, 0.5, 0.25)
-        assert spec.kind == "custom" and surrogate_cost(spec) == 0.25
+        assert spec.kind == "custom" and spec.cost_ratio == 0.25
 
 
 class TestEstimate:
@@ -102,13 +101,7 @@ class TestRankCandidates:
         configs = random_configs(6, seed=37)
         ranked = rank_candidates(as_candidates(configs), surrogate_by_name("none"), fidelity)
         assert [c.config for c in ranked.candidates] == configs
-        assert ranked.cost == 0.0
         assert all(c.estimate is None for c in ranked.candidates)
-
-    def test_cost_is_poll_size_times_ratio(self, fidelity):
-        configs = random_configs(6, seed=41)
-        ranked = rank_candidates(as_candidates(configs), surrogate_by_name("r4"), fidelity)
-        assert ranked.cost == pytest.approx(0.6, abs=1e-9)
 
     def test_sorted_best_first(self, fidelity):
         configs = random_configs(12, seed=43)
