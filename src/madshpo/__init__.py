@@ -21,7 +21,6 @@ from .early_stop import (
 from .ledger import LedgerRecord, export_convergence, read_ledger, write_ledger
 from .mads import (
     CampaignResult,
-    IterationOutcome,
     Mesh,
     PollSet,
     RunPlan,

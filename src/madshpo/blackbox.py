@@ -56,6 +56,11 @@ class EvaluationResult:
     def failed(self) -> bool:
         return self.stop_reason == FAILED_REASON
 
+    @classmethod
+    def failure(cls) -> "EvaluationResult":
+        """The result of a training that could not run: no epochs, worst score."""
+        return cls(TrainingHistory(), WORST_SCORE, 0, FAILED_REASON, 0.0)
+
 
 @dataclass(frozen=True)
 class SimulatedModel:
@@ -153,26 +158,22 @@ class SimulatedBlackbox:
 
     _WEIGHTS = (0.30, 0.10, 0.08, 0.07, 0.08, 0.05, 0.04, 0.04, 0.04, 0.12, 0.08)
 
-    def quality(self, config: Configuration) -> float:
-        """Smooth landscape score in [0, 1] over the quantitative slots."""
-        scores = self._component_scores(config)
-        return sum(w * s for w, s in zip(self._WEIGHTS, scores))
+    def model_for(self, config: Configuration, seed: int) -> SimulatedModel:
+        """Curve parameters: quality (in [0, 1]) sets the asymptote, stability
+        (in (0, 1]; badly off-peak slots slow training) the pace.
 
-    def stability(self, config: Configuration) -> float:
-        """Training-pace factor in (0, 1]: badly off-peak slots slow training.
-
-        The learning-rate term is one-sided: rates above the sweet spot
-        destabilize training (slow pace), while rates below it cap the
-        reachable accuracy (through ``quality``) but still hit that low
-        ceiling quickly, which is what lets the plateau scheduler fire.
+        The stability's learning-rate term is one-sided: rates above the
+        sweet spot destabilize training (slow pace), while rates below it
+        cap the reachable accuracy (through the quality) but still hit that
+        low ceiling quickly, which is what lets the plateau scheduler fire.
         """
-        scores = self._component_scores(config)[1:]
+        scores = self._component_scores(config)
+        q = sum(w * s for w, s in zip(self._WEIGHTS, scores))
         log_lr = math.log10(config.learning_rate)
         lr_pace = _bump(log_lr, -2.2, 0.35) if log_lr > -2.2 else 1.0
-        return math.exp(0.35 * (math.log(max(lr_pace, 1e-9)) + sum(math.log(max(s, 1e-9)) for s in scores)))
-
-    def model_for(self, config: Configuration, seed: int) -> SimulatedModel:
-        q = self.quality(config)
+        stability = math.exp(
+            0.35 * (math.log(max(lr_pace, 1e-9)) + sum(math.log(max(s, 1e-9)) for s in scores[1:]))
+        )
         depth = 0.5 * (1.0 - math.exp(-0.7 * config.n_conv)) + 0.5 * (
             1.0 - math.exp(-0.5 * config.n_fc)
         )
@@ -181,7 +182,7 @@ class SimulatedBlackbox:
         asymptote = self.chance_level + (self.asymptote_cap - self.chance_level) * level
 
         pace = hash_unit("pace-offset", config.n_conv, config.n_fc, config.optimizer, seed)
-        mix = min(max(0.95 * (1.0 - self.stability(config)) + 0.05 * pace, 0.0), 1.0)
+        mix = min(max(0.95 * (1.0 - stability) + 0.05 * pace, 0.0), 1.0)
         tau = 3.0 + 90.0 * mix
 
         divergent = config.learning_rate > self.divergence_lr
@@ -203,7 +204,7 @@ class SimulatedBlackbox:
         problem = _config_problem(request.config)
         if problem is not None:
             logger.warning("evaluation failed: %s", problem)
-            return EvaluationResult(TrainingHistory(), WORST_SCORE, 0, FAILED_REASON, 0.0)
+            return EvaluationResult.failure()
         model = self.model_for(request.config, request.seed)
         acc, loss = curve_arrays(model, request.max_epochs, request.data_fraction)
         monitor = request.monitor
@@ -362,7 +363,7 @@ class _LineReader:
 
 def _failed_external(transcript: list[str], why: str) -> EvaluationResult:
     logger.warning("external evaluation failed: %s; transcript=%r", why, transcript)
-    return EvaluationResult(TrainingHistory(), WORST_SCORE, 0, FAILED_REASON, 0.0)
+    return EvaluationResult.failure()
 
 
 def external_evaluate(request: EvaluationRequest, adapter: ProcessAdapter) -> EvaluationResult:

@@ -24,15 +24,18 @@ from typing import Callable, Mapping
 
 from . import mads
 from .blackbox import (
+    FAILED_REASON,
     EvaluationRequest,
     ProcessAdapter,
     SimulatedBlackbox,
     external_evaluate,
     simulate_curve,
 )
-from .early_stop import DEFAULT_MARGINS, DEFAULT_MILESTONES, BaselineEnvelope, MODES, update_baseline
+from .early_stop import (
+    DEFAULT_MARGINS, DEFAULT_MILESTONES, MODES, BaselineEnvelope, adopts_baseline, update_baseline,
+)
 from .ledger import KIND_FULL, LedgerRecord, read_ledger, write_ledger
-from .space import Configuration, SpaceBounds, default_bounds, deserialize, preset_config, serialize, validate
+from .space import Configuration, SpaceBounds, default_bounds, deserialize, preset_config, serialize
 from .surrogates import SURROGATE_TABLE, SurrogateSpec, custom_surrogate, surrogate_by_name
 
 LEDGER_NAME = "ledger.csv"
@@ -155,9 +158,14 @@ def initial_config(settings: CampaignSettings) -> Configuration:
 
 
 def surrogate_spec(settings: CampaignSettings) -> SurrogateSpec:
+    """The ranking surrogate, which never trains longer than a full training."""
     if settings.surrogate_custom is not None:
-        return custom_surrogate(*settings.surrogate_custom)
-    return surrogate_by_name(settings.surrogate)
+        spec = custom_surrogate(*settings.surrogate_custom)
+    else:
+        spec = surrogate_by_name(settings.surrogate)
+    if spec.epoch_budget > settings.max_epochs:
+        spec = replace(spec, epoch_budget=settings.max_epochs)
+    return spec
 
 
 def build_plan(settings: CampaignSettings, bounds: SpaceBounds | None = None) -> mads.RunPlan:
@@ -216,13 +224,9 @@ def settings_header(settings: CampaignSettings) -> dict[str, str]:
 
 def run(settings: CampaignSettings, bounds: SpaceBounds | None = None) -> mads.CampaignResult:
     """Execute a campaign and persist its ledger and summary."""
-    initial = initial_config(settings)
-    problems = validate(initial, bounds or default_bounds())
-    if problems:
-        raise ValueError("invalid initial configuration: " + "; ".join(problems))
     started = time.monotonic()
     plan = build_plan(settings, bounds)
-    result = mads.run_campaign(initial, settings.bbe_budget, plan)
+    result = mads.run_campaign(initial_config(settings), settings.bbe_budget, plan)
     _persist(settings, result, wall_seconds=time.monotonic() - started)
     return result
 
@@ -248,48 +252,42 @@ def _persist(settings: CampaignSettings, result: mads.CampaignResult, wall_secon
     (out / SUMMARY_NAME).write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
 
 
-def _regenerated_history(settings: CampaignSettings, record: LedgerRecord):
-    """Rebuild the (truncated) curve of a recorded full evaluation.
+def _rebuild_state(settings: CampaignSettings, kept: list[LedgerRecord]) -> mads.CampaignState:
+    """Campaign state after the kept records, read from the ledger.
 
-    Deterministic simulated curves make this free; the learning-rate column
-    is not reconstructed, which is fine because envelope comparisons read
-    accuracies only.
+    The full evaluations give the incumbent and the baseline envelope.  Only
+    the curves the envelope adopts are regenerated, without their
+    learning-rate column, which envelope comparisons do not read.  The mesh
+    is the last record's ``mesh_index``, updated for whether its iteration
+    succeeded.
     """
     blackbox = SimulatedBlackbox(noise_sigma=settings.noise_sigma)
-    config = deserialize(record.config)
-    model = blackbox.model_for(config, settings.seed)
-    return simulate_curve(model, record.epochs_used, 1.0)
-
-
-def _rebuild_state(settings: CampaignSettings, kept: list[LedgerRecord]) -> mads.CampaignState:
     envelope = BaselineEnvelope(None, settings.milestones, settings.margins)
     incumbent = None
     incumbent_score = -math.inf
+    improved_iteration = None
     for rec in kept:
         if rec.kind != KIND_FULL:
             continue
-        if rec.stop_reason != "evaluation-failed":
-            envelope = update_baseline(
-                envelope, _regenerated_history(settings, rec), rec.score, incumbent_score
-            )
+        if rec.stop_reason != FAILED_REASON and adopts_baseline(envelope, rec.score, incumbent_score):
+            model = blackbox.model_for(deserialize(rec.config), settings.seed)
+            envelope = update_baseline(envelope, simulate_curve(model, rec.epochs_used), rec.score, incumbent_score)
         if rec.incumbent:
             incumbent = deserialize(rec.config)
             incumbent_score = rec.score
-    mesh = mads.Mesh(0, 0)
-    last_iteration = kept[-1].iteration
-    for it in range(1, last_iteration + 1):
-        success = any(r.incumbent for r in kept if r.iteration == it and r.kind == KIND_FULL)
-        mesh = mads.update_mesh(
-            mesh, mads.IterationOutcome(success, 0.0, (incumbent, incumbent_score) if success else None)
-        )
+            improved_iteration = rec.iteration
+    last = kept[-1]
+    mesh = mads.Mesh(last.mesh_index, 0)
+    if last.iteration >= 1:
+        mesh = mads.update_mesh(mesh, improved_iteration == last.iteration)
     return mads.CampaignState(
         records=list(kept),
-        cumulative=kept[-1].cumulative_cost,
+        cumulative=last.cumulative_cost,
         incumbent=incumbent,
         incumbent_score=incumbent_score,
         envelope=envelope,
         mesh=mesh,
-        next_iteration=last_iteration + 1,
+        next_iteration=last.iteration + 1,
     )
 
 

@@ -272,18 +272,23 @@ def check_envelope(history: TrainingHistory, envelope: BaselineEnvelope) -> Stop
     return CONTINUE
 
 
+def adopts_baseline(envelope: BaselineEnvelope, candidate_final: float, incumbent_final: float) -> bool:
+    """Whether a completed evaluation's curve becomes the baseline.
+
+    It does on strict improvement over the incumbent; the first completed
+    evaluation always does (there is nothing to compare against before it).
+    """
+    return envelope.baseline_curve is None or candidate_final > incumbent_final
+
+
 def update_baseline(
     envelope: BaselineEnvelope,
     candidate_history: TrainingHistory,
     candidate_final: float,
     incumbent_final: float,
 ) -> BaselineEnvelope:
-    """Adopt the candidate curve as baseline on strict improvement.
-
-    The first completed evaluation always becomes the baseline (there is
-    nothing to compare against before that).
-    """
-    if envelope.baseline_curve is None or candidate_final > incumbent_final:
+    """The envelope with the candidate curve as baseline if ``adopts_baseline``."""
+    if adopts_baseline(envelope, candidate_final, incumbent_final):
         return replace(envelope, baseline_curve=candidate_history)
     return envelope
 

@@ -17,8 +17,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .blackbox import FAILED_REASON, WORST_SCORE, EvaluationResult
-from .early_stop import BaselineEnvelope, StoppingMonitor, TrainingHistory, update_baseline
+from .blackbox import WORST_SCORE, EvaluationResult
+from .early_stop import BaselineEnvelope, StoppingMonitor, update_baseline
 from .ledger import KIND_FULL, KIND_RANKING, KIND_SURROGATE, LedgerRecord
 # serialize, with_vector, snap_array, to_vector, quantitative_slots and
 # neighbors stay module attributes here: benchmark/tracing.py wraps them
@@ -47,7 +47,6 @@ logger = logging.getLogger(__name__)
 ORIGIN_DIRECTION = "poll-direction"
 ORIGIN_NEIGHBOR = "categorical-neighbor"
 ORIGIN_INITIAL = "initial"
-ORIGIN_SEARCH = "search"
 
 
 @dataclass(frozen=True)
@@ -73,21 +72,6 @@ class Mesh:
 
     def max_delta(self, slots: Sequence[Slot]) -> float:
         return float(self.delta_vector(slots).max())
-
-
-@dataclass(frozen=True)
-class IterationOutcome:
-    success: bool
-    evaluations_spent: float
-    new_incumbent: tuple[Configuration, float] | None = None
-
-    def __post_init__(self) -> None:
-        if self.success != (self.new_incumbent is not None):
-            raise ValueError("success iff a new incumbent is present")
-
-    @property
-    def status(self) -> str:
-        return "success" if self.success else "failure"
 
 
 @dataclass(frozen=True)
@@ -169,9 +153,9 @@ def generate_poll(incumbent: Configuration, mesh: Mesh, seed: int, bounds: Space
     return PollSet(tuple(candidates), directions)
 
 
-def update_mesh(mesh: Mesh, outcome: IterationOutcome) -> Mesh:
+def update_mesh(mesh: Mesh, success: bool) -> Mesh:
     """Coarsen after a success (capped at the starting index), refine after a failure."""
-    if outcome.success:
+    if success:
         return Mesh(min(mesh.index + 1, mesh.max_index), mesh.max_index)
     return Mesh(mesh.index - 1, mesh.max_index)
 
@@ -180,24 +164,22 @@ def opportunistic_evaluate(
     candidates: Sequence,
     incumbent_score: float,
     evaluator: Callable,
-) -> IterationOutcome:
+) -> bool:
     """Evaluate candidates in order, stopping at the first strict improvement.
 
     The evaluator maps a candidate to its score; an evaluator failure marks
-    that candidate with the worst score and evaluation continues.  Each
-    call costs one full evaluation.
+    that candidate with the worst score and evaluation continues.  Returns
+    whether some candidate scored above ``incumbent_score``.
     """
-    spent = 0.0
     for candidate in candidates:
         try:
             score = float(evaluator(candidate))
         except Exception as exc:  # noqa: BLE001 - worst-score contract
             logger.warning("candidate evaluation failed: %s", exc)
             score = WORST_SCORE
-        spent += 1.0
         if score > incumbent_score:
-            return IterationOutcome(True, spent, (candidate.config, score))
-    return IterationOutcome(False, spent)
+            return True
+    return False
 
 
 # -- campaign loop -----------------------------------------------------------
@@ -218,7 +200,13 @@ class RunPlan:
     charge_ranking: bool = True
     min_mesh_index: int = -50
     max_iterations: int | None = None
-    search_hook: Callable | None = None
+
+    @property
+    def estimate_charge(self) -> float:
+        """BBE charged per surrogate estimate."""
+        if self.surrogate.disabled or not self.charge_ranking:
+            return 0.0
+        return self.surrogate.cost_ratio
 
 
 @dataclass
@@ -230,6 +218,25 @@ class CampaignState:
     envelope: BaselineEnvelope | None = None
     mesh: Mesh = field(default_factory=Mesh)
     next_iteration: int = 0
+
+    def record(self, kind: str, key: str, score: float, epochs: int, reason: str,
+               charge: float, incumbent: bool, iteration: int) -> None:
+        """Charge ``charge`` BBE and append a ledger row stamped with its
+        index, the running cost and the current mesh index."""
+        self.cumulative += charge
+        self.records.append(LedgerRecord(
+            record_index=len(self.records),
+            kind=kind,
+            config=key,
+            score=score,
+            epochs_used=epochs,
+            stop_reason=reason,
+            charged_cost=charge,
+            cumulative_cost=self.cumulative,
+            incumbent=incumbent,
+            iteration=iteration,
+            mesh_index=self.mesh.index,
+        ))
 
 
 @dataclass(frozen=True)
@@ -258,24 +265,10 @@ def _full_evaluation(
         result = plan.full_eval(config, monitor)
     except Exception as exc:  # noqa: BLE001 - failed-candidate contract
         logger.warning("full evaluation raised: %s", exc)
-        result = EvaluationResult(TrainingHistory(), WORST_SCORE, 0, FAILED_REASON, 0.0)
-    state.cumulative += 1.0
+        result = EvaluationResult.failure()
     improved = result.final_val_accuracy > state.incumbent_score
-    state.records.append(
-        LedgerRecord(
-            record_index=len(state.records),
-            kind=KIND_FULL,
-            config=candidate.key,
-            score=result.final_val_accuracy,
-            epochs_used=result.epochs_used,
-            stop_reason=result.stop_reason,
-            charged_cost=1.0,
-            cumulative_cost=state.cumulative,
-            incumbent=improved,
-            iteration=iteration,
-            mesh_index=state.mesh.index,
-        )
-    )
+    state.record(KIND_FULL, candidate.key, result.final_val_accuracy, result.epochs_used,
+                 result.stop_reason, 1.0, improved, iteration)
     if not result.failed:
         state.envelope = update_baseline(
             state.envelope, result.history, result.final_val_accuracy, state.incumbent_score
@@ -287,52 +280,11 @@ def _full_evaluation(
 
 
 def _record_ranking(state: CampaignState, plan: RunPlan, ranked, iteration: int) -> None:
-    charge = plan.surrogate.cost_ratio if plan.charge_ranking else 0.0
     for cand in ranked.candidates:
-        state.cumulative += charge
-        state.records.append(
-            LedgerRecord(
-                record_index=len(state.records),
-                kind=KIND_SURROGATE,
-                config=cand.key,
-                score=cand.estimate,
-                epochs_used=plan.surrogate.epoch_budget,
-                stop_reason="none",
-                charged_cost=charge,
-                cumulative_cost=state.cumulative,
-                incumbent=False,
-                iteration=iteration,
-                mesh_index=state.mesh.index,
-            )
-        )
+        state.record(KIND_SURROGATE, cand.key, cand.estimate, plan.surrogate.epoch_budget, "none",
+                     plan.estimate_charge, False, iteration)
     top = ranked.candidates[0]
-    state.records.append(
-        LedgerRecord(
-            record_index=len(state.records),
-            kind=KIND_RANKING,
-            config=top.key,
-            score=top.estimate,
-            epochs_used=0,
-            stop_reason="none",
-            charged_cost=0.0,
-            cumulative_cost=state.cumulative,
-            incumbent=False,
-            iteration=iteration,
-            mesh_index=state.mesh.index,
-        )
-    )
-
-
-def start_state(initial: Configuration, plan: RunPlan) -> CampaignState:
-    problems = validate(initial, plan.bounds)
-    if problems:
-        raise ValueError("invalid initial configuration: " + "; ".join(problems))
-    state = CampaignState(
-        envelope=BaselineEnvelope(None, plan.milestones, plan.margins),
-        mesh=Mesh(0, 0),
-        incumbent=initial,
-    )
-    return state
+    state.record(KIND_RANKING, top.key, top.estimate, 0, "none", 0.0, False, iteration)
 
 
 def run_campaign(initial: Configuration, budget_bbe: int, plan: RunPlan) -> CampaignResult:
@@ -340,7 +292,10 @@ def run_campaign(initial: Configuration, budget_bbe: int, plan: RunPlan) -> Camp
     budget runs out, the mesh bottoms out, or the iteration cap is hit."""
     if budget_bbe <= 0:
         raise ValueError("budget_bbe must be positive")
-    state = start_state(initial, plan)
+    problems = validate(initial, plan.bounds)
+    if problems:
+        raise ValueError("invalid initial configuration: " + "; ".join(problems))
+    state = CampaignState(incumbent=initial, envelope=BaselineEnvelope(None, plan.milestones, plan.margins))
     _full_evaluation(state, plan, PollCandidate(initial, ORIGIN_INITIAL), iteration=0)
     state.next_iteration = 1
     return continue_campaign(state, budget_bbe, plan)
@@ -358,34 +313,16 @@ def continue_campaign(state: CampaignState, budget_bbe: float, plan: RunPlan) ->
             break
         k = state.next_iteration
         poll = generate_poll(state.incumbent, state.mesh, iteration_seed(plan.seed, k), plan.bounds)
-        ranking_cost = (
-            len(poll.candidates) * plan.surrogate.cost_ratio
-            if (not plan.surrogate.disabled and plan.charge_ranking)
-            else 0.0
-        )
+        ranking_cost = len(poll.candidates) * plan.estimate_charge
         if state.cumulative + ranking_cost + 1.0 > budget_bbe + 1e-9:
             termination = "budget"
             break
-
-        outcome: IterationOutcome | None = None
-        if plan.search_hook is not None:
-            outcome = _search_step(state, plan, k, budget_bbe)
-        if outcome is None or not outcome.success:
-            poll_outcome = _poll_step(state, plan, poll, k, budget_bbe)
-            if outcome is not None:
-                poll_outcome = IterationOutcome(
-                    poll_outcome.success,
-                    poll_outcome.evaluations_spent + outcome.evaluations_spent,
-                    poll_outcome.new_incumbent,
-                )
-            outcome = poll_outcome
-        state.mesh = update_mesh(state.mesh, outcome)
+        state.mesh = update_mesh(state.mesh, _poll_step(state, plan, poll, k, budget_bbe))
         state.next_iteration += 1
 
-    best = state.incumbent
     return CampaignResult(
         records=tuple(state.records),
-        best_config=best,
+        best_config=state.incumbent,
         best_score=state.incumbent_score,
         total_cost=state.cumulative,
         iterations=state.next_iteration - 1,
@@ -394,37 +331,16 @@ def continue_campaign(state: CampaignState, budget_bbe: float, plan: RunPlan) ->
     )
 
 
-def _search_step(state: CampaignState, plan: RunPlan, k: int, budget: float) -> IterationOutcome | None:
-    """Optional search phase: evaluate hook proposals opportunistically."""
-    proposals = plan.search_hook(state.incumbent, state.mesh, k)
-    if not proposals:
-        return None
-    projected = []
-    for config in proposals:
-        config = project_to_mesh(config, state.mesh, plan.bounds)
-        if not validate(config, plan.bounds):
-            projected.append(PollCandidate(config, ORIGIN_SEARCH))
-    affordable = int(math.floor(budget - state.cumulative + 1e-9))
-    if affordable <= 0 or not projected:
-        return None
-    start_score = state.incumbent_score
-    return opportunistic_evaluate(
-        projected[:affordable],
-        start_score,
-        lambda cand: _full_evaluation(state, plan, cand, k),
-    )
-
-
-def _poll_step(state: CampaignState, plan: RunPlan, poll: PollSet, k: int, budget: float) -> IterationOutcome:
+def _poll_step(state: CampaignState, plan: RunPlan, poll: PollSet, k: int, budget: float) -> bool:
+    """Rank the poll and evaluate what the budget affords; True on an improvement."""
     if not poll.candidates:
-        return IterationOutcome(False, 0.0)
+        return False
     ranked = rank_candidates(poll.candidates, plan.surrogate, plan.fidelity_eval)
     if not plan.surrogate.disabled:
         _record_ranking(state, plan, ranked, k)
     affordable = int(math.floor(budget - state.cumulative + 1e-9))
-    start_score = state.incumbent_score
     return opportunistic_evaluate(
         ranked.candidates[:affordable],
-        start_score,
+        state.incumbent_score,
         lambda cand: _full_evaluation(state, plan, cand, k),
     )

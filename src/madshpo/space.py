@@ -153,9 +153,6 @@ class SpaceBounds:
         # equality, hashing or repr.
         object.__setattr__(self, "_layouts", {})
 
-    def scalar_slot(self, name: str) -> SlotSpec:
-        return self.scalar_slots[SCALAR_FIELDS.index(name)]
-
 
 def default_bounds() -> SpaceBounds:
     """Stock search space used by the presets and the CLI."""

@@ -40,10 +40,13 @@ class SurrogateSpec:
         if self.cost_ratio < 0.0 or self.cost_ratio > 1.0:
             raise ValueError("cost_ratio must lie in [0, 1]")
         if self.kind in SURROGATE_TABLE:
-            expected = SURROGATE_TABLE[self.kind]
-            if (self.epoch_budget, self.data_fraction, self.cost_ratio) != expected:
+            # a named surrogate trains fewer epochs when a full training is shorter
+            epochs, fraction, cost = SURROGATE_TABLE[self.kind]
+            if (self.data_fraction, self.cost_ratio) != (fraction, cost) or not (
+                self.epoch_budget == epochs or 1 <= self.epoch_budget < epochs
+            ):
                 raise ValueError(
-                    f"{self.kind} must use (epochs, fraction, cost) = {expected}"
+                    f"{self.kind} must use fraction {fraction}, cost {cost} and at most {epochs} epochs"
                 )
         elif self.kind != "custom":
             raise ValueError(f"unknown surrogate kind {self.kind!r}")

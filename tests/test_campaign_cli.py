@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import pytest
 
+from madshpo import campaign
+from madshpo.blackbox import FAILED_REASON, SimulatedBlackbox
 from madshpo.campaign import (
     LEDGER_NAME,
     SUMMARY_NAME,
@@ -13,6 +15,7 @@ from madshpo.campaign import (
     settings_header,
 )
 from madshpo.cli import main, read_settings_file
+from madshpo.early_stop import MODES
 from madshpo.ledger import (
     KIND_FULL,
     KIND_SURROGATE,
@@ -80,6 +83,17 @@ class TestRunPersistence:
         assert all(b >= a for a, b in zip(cum, cum[1:]))
         assert cum[-1] <= 40 + 1e-9
 
+    def test_surrogate_trains_no_longer_than_a_full_training(self, tmp_path):
+        s = settings(tmp_path / "out", bbe_budget=6, seed=1, max_epochs=50, surrogate="r4")
+        run(s)
+        _, records = read_ledger(tmp_path / "out" / LEDGER_NAME)
+        estimates = [r for r in records if r.kind == KIND_SURROGATE]
+        assert estimates
+        blackbox = SimulatedBlackbox(noise_sigma=s.noise_sigma)
+        for r in estimates:
+            assert r.epochs_used == 50
+            assert r.score == blackbox.final_accuracy(deserialize(r.config), s.seed, 50, 0.1)
+
     def test_incumbent_scores_monotone(self, tmp_path):
         result = run(settings(tmp_path / "out"))
         scores = [r.score for r in result.records if r.kind == KIND_FULL and r.incumbent]
@@ -103,6 +117,61 @@ class TestResume:
             write_ledger(out / LEDGER_NAME, records[:cut], header)
             resume(replace(s, out_dir=out))
             assert (out / LEDGER_NAME).read_bytes() == full_bytes, f"cut at {cut}"
+
+    @pytest.mark.parametrize("surrogate", ["none", "r4"])
+    @pytest.mark.parametrize("stop_mode", MODES)
+    @pytest.mark.parametrize("preset", ["p1", "p3"])
+    def test_replay_equivalence_every_iteration(self, tmp_path, preset, stop_mode, surrogate):
+        # cut just after the first record of each iteration: the cut in
+        # iteration 1 keeps only iteration 0, the one in iteration 0 nothing
+        s, path, full_bytes = self.run_full(
+            tmp_path, preset=preset, stop_mode=stop_mode, surrogate=surrogate, seed=1, bbe_budget=20
+        )
+        header, records = read_ledger(path)
+        firsts = [i for i, r in enumerate(records) if i == 0 or r.iteration != records[i - 1].iteration]
+        assert len(firsts) > 2
+        self.assert_resumes_from(tmp_path, s, header, records, firsts, full_bytes)
+
+    def test_replay_equivalence_after_failed_iteration(self, tmp_path):
+        # the mesh refines only after a failed iteration, which a short
+        # campaign never completes before its budget runs out
+        s, path, full_bytes = self.run_full(tmp_path, surrogate="r4", seed=2, bbe_budget=70)
+        header, records = read_ledger(path)
+        failed = min(
+            k for k in range(1, records[-1].iteration)
+            if not any(r.incumbent for r in records if r.iteration == k and r.kind == KIND_FULL)
+        )
+        firsts = [next(i for i, r in enumerate(records) if r.iteration == k) for k in (failed + 1, failed + 2)]
+        assert records[firsts[0]].mesh_index == records[firsts[0] - 1].mesh_index - 1
+        self.assert_resumes_from(tmp_path, s, header, records, firsts, full_bytes)
+
+    def assert_resumes_from(self, tmp_path, s, header, records, firsts, full_bytes):
+        """Resume from a cut just after each given record; the ledger must come out whole."""
+        for first in firsts:
+            out = tmp_path / f"cut{first}"
+            out.mkdir()
+            write_ledger(out / LEDGER_NAME, records[: first + 1], header)
+            resume(replace(s, out_dir=out))
+            assert (out / LEDGER_NAME).read_bytes() == full_bytes, f"cut after record {first}"
+
+    def test_resume_regenerates_only_adopted_baselines(self, tmp_path, monkeypatch):
+        s, path, full_bytes = self.run_full(tmp_path, surrogate="none")
+        _, records = read_ledger(path)
+        kept = [r for r in records if r.iteration < records[-1].iteration]
+        fulls = [r for r in kept if r.kind == KIND_FULL and r.stop_reason != FAILED_REASON]
+        adopted = sum(1 for i, r in enumerate(fulls) if i == 0 or r.incumbent)
+        assert adopted < len(fulls)
+        calls = []
+        real = campaign.simulate_curve
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(campaign, "simulate_curve", counting)
+        resume(s)
+        assert len(calls) == adopted
+        assert path.read_bytes() == full_bytes
 
     def test_completed_run_resume_is_noop(self, tmp_path):
         s, path, full_bytes = self.run_full(tmp_path)

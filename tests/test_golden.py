@@ -1,8 +1,11 @@
 """Golden hashes: a refactor must leave every ledger byte where it was.
 
-The hashes below were recorded from the code before the poll-construction
-speed-up.  A change that alters one of them changes behaviour, and the
-change log has to say which hash moved and why.
+The p1/p2/p3 x {none, scheduler+baseline} x {none, r4} hashes and the
+quadratic ones were recorded from the code before the poll-construction
+speed-up; the other p1 stop modes, the uncharged ranking and the custom
+surrogate were recorded before the campaign-state merge.  A change that
+alters one of them changes behaviour, and the change log has to say which
+hash moved and why.
 """
 
 import hashlib
@@ -22,6 +25,9 @@ LEDGER_SHA256 = {
     ("p1", "none", "none", 1): "d6888b7b4dc917d624baa3c92a4c27dbdbf8cf1c5390bfc08ff2f31be6b2bfac",
     ("p1", "none", "r4", 0): "1cbf72367ded4970baa6368e62b8269e931f45720bfa6bc9d4a2f74bb2964f41",
     ("p1", "none", "r4", 1): "e35bf60d9a90cfc4b41af82983c606a5120da78c7f7352604c6616746546d7a0",
+    ("p1", "default", "r4", 0): "a6cd762a18a41669eb84f6c35d5bb2379c07660ad962cd350cb4789e3611e16a",
+    ("p1", "last-success", "r4", 0): "28cfa15ad4acee5d7c798d612bfbe35408a4fc042ee49f3aa7e5e04a4a530ead",
+    ("p1", "scheduler", "r4", 0): "bb370df1b312305277e25e386a01c5d1d1db5759c3abaae62f14a3a29ff45d04",
     ("p1", "scheduler+baseline", "none", 0): "c56054076846dce7eb2e6c8c90c104e596d2e73a55901fcf5a4577bf6c0e4ee5",
     ("p1", "scheduler+baseline", "none", 1): "d7be5da359af04997de8ee7ac78c3a4cfbd17e676e6b50ee4e1cb12dc5561243",
     ("p1", "scheduler+baseline", "r4", 0): "8e87322718c460b877255bc923c5bd07f059dd6d1c1de90351a6b34858123e92",
@@ -42,6 +48,18 @@ LEDGER_SHA256 = {
     ("p3", "scheduler+baseline", "none", 1): "cd371a6109f1deb6925d258dd197ef63c50dd767fb03f538317d854083f5f9d8",
     ("p3", "scheduler+baseline", "r4", 0): "9b3af1b15e424e00200e7db85b007a23f4a3de5c06e006e6d0ae323d1e7f11f9",
     ("p3", "scheduler+baseline", "r4", 1): "95890e5aacc30782d0a8527ecbfd499fcf25e1c761f1f7015f73194a15d962a1",
+}
+
+# case -> (settings, SHA-256 of ledger.csv) for p1, seed 0, GOLDEN_BUDGET BBE
+SETTINGS_LEDGER_SHA256 = {
+    "r4-uncharged": (
+        dict(surrogate="r4", charge_ranking=False),
+        "535eb84304d61ec6ef569f97ad5d846621c5cec5d65ff687f4c6b8983abb1bbb",
+    ),
+    "custom-50-0.5-0.25": (
+        dict(surrogate_custom=(50, 0.5, 0.25)),
+        "0a77168dde9d6e5f01930e7ed5a60d69328fd7c1ecda93adce49ccc9e22c6034",
+    ),
 }
 
 # seed -> SHA-256 of repr(records) of the acceptance-criterion-5 quadratic campaign
@@ -65,6 +83,13 @@ def test_ledger_bytes_unchanged(case, tmp_path):
     ))
     digest = hashlib.sha256((tmp_path / LEDGER_NAME).read_bytes()).hexdigest()
     assert digest == LEDGER_SHA256[case]
+
+
+@pytest.mark.parametrize("case", sorted(SETTINGS_LEDGER_SHA256))
+def test_settings_ledger_bytes_unchanged(case, tmp_path):
+    overrides, expected = SETTINGS_LEDGER_SHA256[case]
+    run(CampaignSettings(preset="p1", bbe_budget=GOLDEN_BUDGET, seed=0, out_dir=tmp_path, **overrides))
+    assert hashlib.sha256((tmp_path / LEDGER_NAME).read_bytes()).hexdigest() == expected
 
 
 @pytest.mark.parametrize("seed", sorted(QUADRATIC_RECORDS_SHA256))

@@ -10,7 +10,6 @@ from madshpo.early_stop import DEFAULT_MARGINS, DEFAULT_MILESTONES, TrainingHist
 from madshpo.ledger import KIND_FULL, KIND_RANKING, KIND_SURROGATE
 from madshpo import mads
 from madshpo.mads import (
-    IterationOutcome,
     Mesh,
     PollCandidate,
     generate_poll,
@@ -66,18 +65,7 @@ class TestMesh:
         [(-3, True, -2), (0, True, 0), (-3, False, -4), (0, False, -1)],
     )
     def test_update(self, index, success, expected):
-        outcome = IterationOutcome(success, 1.0, (preset_config("p1"), 0.5) if success else None)
-        assert update_mesh(Mesh(index, 0), outcome).index == expected
-
-    def test_outcome_consistency_enforced(self):
-        with pytest.raises(ValueError):
-            IterationOutcome(True, 1.0, None)
-        with pytest.raises(ValueError):
-            IterationOutcome(False, 1.0, (preset_config("p1"), 0.5))
-
-    def test_status_strings(self):
-        assert IterationOutcome(False, 2.0).status == "failure"
-        assert IterationOutcome(True, 1.0, (preset_config("p1"), 0.5)).status == "success"
+        assert update_mesh(Mesh(index, 0), success).index == expected
 
 
 class TestPollDirections:
@@ -189,12 +177,7 @@ class TestGeneratePoll:
 
 
 class TestOpportunisticEvaluate:
-    def scores(self, values):
-        table = {serialize(c.config): v for c, v in values}
-        return lambda cand: table[serialize(cand.config)]
-
     def make_candidates(self, n):
-        rng = np.random.default_rng(0)
         out = []
         for i in range(n):
             out.append(
@@ -202,57 +185,49 @@ class TestOpportunisticEvaluate:
             )
         return out
 
-    def test_stops_at_first_improvement(self):
-        cands = self.make_candidates(4)
+    def evaluate(self, cands, incumbent_score, scores):
+        """Run opportunistic_evaluate; return its result and the candidates
+        the evaluator saw.  A score that is an exception is raised."""
         calls = []
 
         def evaluator(cand):
             calls.append(cand)
-            return [0.4, 0.6, 0.9, 0.9][len(calls) - 1]
+            score = scores[len(calls) - 1]
+            if isinstance(score, Exception):
+                raise score
+            return score
 
-        outcome = opportunistic_evaluate(cands, 0.5, evaluator)
-        assert outcome.success
-        assert outcome.evaluations_spent == 2.0
-        assert len(calls) == 2
-        assert outcome.new_incumbent[1] == 0.6
+        return opportunistic_evaluate(cands, incumbent_score, evaluator), calls
+
+    def test_stops_at_first_improvement(self):
+        cands = self.make_candidates(4)
+        improved, calls = self.evaluate(cands, 0.5, [0.4, 0.6, 0.9, 0.9])
+        assert improved is True
+        assert calls == cands[:2]
 
     def test_exhaustion_counts_all(self):
         cands = self.make_candidates(6)
-        outcome = opportunistic_evaluate(cands, 0.99, lambda c: 0.1)
-        assert not outcome.success
-        assert outcome.evaluations_spent == 6.0
+        improved, calls = self.evaluate(cands, 0.99, [0.1] * 6)
+        assert improved is False
+        assert calls == cands
 
     def test_first_candidate_wins_immediately(self):
         cands = self.make_candidates(5)
-        calls = []
-
-        def evaluator(cand):
-            calls.append(cand)
-            return 0.9
-
-        outcome = opportunistic_evaluate(cands, 0.5, evaluator)
-        assert outcome.success and outcome.evaluations_spent == 1.0
-        assert len(calls) == 1
+        improved, calls = self.evaluate(cands, 0.5, [0.9] * 5)
+        assert improved is True
+        assert calls == cands[:1]
 
     def test_tie_is_not_improvement(self):
         cands = self.make_candidates(3)
-        outcome = opportunistic_evaluate(cands, 0.5, lambda c: 0.5)
-        assert not outcome.success
-        assert outcome.evaluations_spent == 3.0
+        improved, calls = self.evaluate(cands, 0.5, [0.5] * 3)
+        assert improved is False
+        assert calls == cands
 
     def test_evaluator_failure_scores_worst_and_continues(self):
         cands = self.make_candidates(3)
-        calls = []
-
-        def evaluator(cand):
-            calls.append(cand)
-            if len(calls) == 1:
-                raise RuntimeError("crashed")
-            return 0.8
-
-        outcome = opportunistic_evaluate(cands, 0.5, evaluator)
-        assert outcome.success
-        assert outcome.evaluations_spent == 2.0
+        improved, calls = self.evaluate(cands, 0.5, [RuntimeError("crashed"), 0.8, 0.9])
+        assert improved is True
+        assert calls == cands[:2]
 
 
 def quadratic_plan(bounds, center, seed, max_iterations=500, surrogate="none"):
@@ -265,9 +240,10 @@ def quadratic_plan(bounds, center, seed, max_iterations=500, surrogate="none"):
         return 1.0 - float(np.sum(weights * (v - center) ** 2))
 
     def full_eval(config, monitor):
+        value = score(config)
         h = TrainingHistory()
-        h.append(1, min(max(score(config), 0.0), 1.0), 0.0, config.learning_rate)
-        return EvaluationResult(h, score(config), 1, "none", 1.0)
+        h.append(1, min(max(value, 0.0), 1.0), 0.0, config.learning_rate)
+        return EvaluationResult(h, value, 1, "none", 1.0)
 
     return mads.RunPlan(
         bounds=bounds,
@@ -377,16 +353,3 @@ class TestRunCampaign:
         # a ranking pass charges the poll size times the cost ratio: one ratio per estimate
         estimates = [r for r in result.records if r.kind == KIND_SURROGATE]
         assert estimates and all(r.charged_cost == plan.surrogate.cost_ratio for r in estimates)
-
-    def test_search_hook_success_skips_poll(self):
-        b = frozen_bounds()
-        start = make_config((), (), **QUAD_START)
-        center_cfg = make_config((), (), **QUAD_CENTER)
-        center = to_vector(center_cfg, b)
-        plan = quadratic_plan(b, center, 2, max_iterations=1)
-        plan.search_hook = lambda incumbent, mesh, k: [center_cfg]
-        result = mads.run_campaign(start, 10, plan)
-        fulls = [r for r in result.records if r.kind == KIND_FULL]
-        # initial eval + the single search proposal; no poll evaluations follow
-        assert len(fulls) == 2
-        assert fulls[1].incumbent

@@ -47,6 +47,8 @@ class TestCostTable:
         with pytest.raises(ValueError):
             SurrogateSpec("r1", 25, 1.0, 0.2)
         with pytest.raises(ValueError):
+            SurrogateSpec("r4", 201, 0.1, 0.1)
+        with pytest.raises(ValueError):
             SurrogateSpec("r9", 25, 1.0, 0.1)
 
     def test_unknown_name_rejected(self):
