@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .early_stop import TrainingHistory
+from .early_stop import CHANCE_LEVEL, REASON_NONE, TrainingHistory
 from .space import Configuration, ConvLayerHP, SpaceBounds, make_config, serialize
 from .util import hash_u64, hash_unit
 
@@ -27,6 +27,11 @@ logger = logging.getLogger(__name__)
 
 WORST_SCORE = 0.0  # score of a failed training or estimate
 FAILED_REASON = "evaluation-failed"
+
+# Simulated-trainer constants, the same for every campaign.
+ACCURACY_QUANTUM = 1e-4  # reported accuracies are rounded to this step
+DIVERGENCE_LR = 0.3  # above this learning rate a curve peaks and decays back to chance
+ASYMPTOTE_CAP = 0.995  # the best reachable accuracy
 
 
 @dataclass(frozen=True)
@@ -61,6 +66,11 @@ class EvaluationResult:
         """The result of a training that could not run: no epochs, worst score."""
         return cls(TrainingHistory(), WORST_SCORE, 0, FAILED_REASON, 0.0)
 
+    @classmethod
+    def of(cls, history: TrainingHistory, reason: str, data_fraction: float) -> "EvaluationResult":
+        """The result of a training that ran: its best epoch scores, each epoch costs the fraction."""
+        return cls(history, history.best_accuracy(), len(history), reason, len(history) * data_fraction)
+
 
 @dataclass(frozen=True)
 class SimulatedModel:
@@ -69,12 +79,8 @@ class SimulatedModel:
     asymptote: float
     time_constant: float
     divergent: bool
-    peak_epoch: int
-    decay_constant: float
     noise_sigma: float
     noise_seed: int
-    chance_level: float
-    accuracy_quantum: float
     initial_lr: float
 
 
@@ -112,10 +118,6 @@ class SimulatedBlackbox:
     """Deterministic stand-in trainer for a 10-class image task."""
 
     noise_sigma: float = 1e-4
-    chance_level: float = 0.1
-    accuracy_quantum: float = 1e-4
-    divergence_lr: float = 0.3
-    asymptote_cap: float = 0.995
 
     def _component_scores(self, config: Configuration) -> tuple[float, ...]:
         """Per-hyperparameter fitness bumps, each in (0, 1]."""
@@ -179,23 +181,18 @@ class SimulatedBlackbox:
         )
         offset = hash_unit("arch-offset", config.n_conv, config.n_fc, config.optimizer, seed)
         level = 0.04 + 0.60 * q + 0.16 * depth + 0.20 * offset
-        asymptote = self.chance_level + (self.asymptote_cap - self.chance_level) * level
+        asymptote = CHANCE_LEVEL + (ASYMPTOTE_CAP - CHANCE_LEVEL) * level
 
         pace = hash_unit("pace-offset", config.n_conv, config.n_fc, config.optimizer, seed)
         mix = min(max(0.95 * (1.0 - stability) + 0.05 * pace, 0.0), 1.0)
         tau = 3.0 + 90.0 * mix
 
-        divergent = config.learning_rate > self.divergence_lr
         return SimulatedModel(
             asymptote=asymptote,
             time_constant=tau,
-            divergent=divergent,
-            peak_epoch=max(2, round(0.6 * tau)),
-            decay_constant=tau,
+            divergent=config.learning_rate > DIVERGENCE_LR,
             noise_sigma=self.noise_sigma,
             noise_seed=hash_u64("noise", serialize(config), seed),
-            chance_level=self.chance_level,
-            accuracy_quantum=self.accuracy_quantum,
             initial_lr=config.learning_rate,
         )
 
@@ -210,7 +207,7 @@ class SimulatedBlackbox:
         monitor = request.monitor
         history = TrainingHistory()
         lr = model.initial_lr
-        reason = "none"
+        reason = REASON_NONE
         if monitor is not None:
             monitor.start(lr)
         for e in range(1, request.max_epochs + 1):
@@ -221,13 +218,7 @@ class SimulatedBlackbox:
                     reason = verdict.reason
                     break
                 lr = monitor.next_lr()
-        return EvaluationResult(
-            history=history,
-            final_val_accuracy=history.best_accuracy(),
-            epochs_used=len(history),
-            stop_reason=reason,
-            wall_cost=len(history) * request.data_fraction,
-        )
+        return EvaluationResult.of(history, reason, request.data_fraction)
 
     def final_accuracy(self, config: Configuration, seed: int, epochs: int, data_fraction: float) -> float:
         """Best-epoch accuracy without building a history (fast path)."""
@@ -246,10 +237,11 @@ def curve_arrays(model: SimulatedModel, epochs: int, data_fraction: float) -> tu
         raise ValueError("epochs must be >= 1")
     e = np.arange(1, epochs + 1, dtype=float)
     a_eff = model.asymptote * (0.8 + 0.2 * data_fraction)
-    acc = model.chance_level + (a_eff - model.chance_level) * (1.0 - np.exp(-e / model.time_constant))
+    tau = model.time_constant
+    acc = CHANCE_LEVEL + (a_eff - CHANCE_LEVEL) * (1.0 - np.exp(-e / tau))
     if model.divergent:
-        decay = np.exp(-np.maximum(e - model.peak_epoch, 0.0) / model.decay_constant)
-        acc = model.chance_level + (acc - model.chance_level) * decay
+        decay = np.exp(-np.maximum(e - max(2, round(0.6 * tau)), 0.0) / tau)
+        acc = CHANCE_LEVEL + (acc - CHANCE_LEVEL) * decay
     if model.noise_sigma > 0:
         rng = np.random.default_rng(model.noise_seed)
         acc = acc + rng.normal(0.0, model.noise_sigma, epochs)
@@ -257,9 +249,7 @@ def curve_arrays(model: SimulatedModel, epochs: int, data_fraction: float) -> tu
     else:
         loss_wiggle = np.ones(epochs)
     acc = np.clip(acc, 0.0, 1.0)
-    if model.accuracy_quantum > 0:
-        acc = np.round(acc / model.accuracy_quantum) * model.accuracy_quantum
-        acc = np.clip(acc, 0.0, 1.0)
+    acc = np.clip(np.round(acc / ACCURACY_QUANTUM) * ACCURACY_QUANTUM, 0.0, 1.0)
     loss = -np.log(np.maximum(acc, 1e-4)) * loss_wiggle
     return acc, np.maximum(loss, 0.0)
 
@@ -402,7 +392,7 @@ def external_evaluate(request: EvaluationRequest, adapter: ProcessAdapter) -> Ev
     reader = _LineReader(proc.stdout)
     history = TrainingHistory()
     monitor = request.monitor
-    reason = "none"
+    reason = REASON_NONE
     try:
         header = (
             f"CONFIG {serialize(request.config)} EPOCHS {request.max_epochs}"
@@ -453,10 +443,4 @@ def external_evaluate(request: EvaluationRequest, adapter: ProcessAdapter) -> Ev
         except subprocess.TimeoutExpired:
             proc.kill()
             proc.wait()
-    return EvaluationResult(
-        history=history,
-        final_val_accuracy=history.best_accuracy(),
-        epochs_used=len(history),
-        stop_reason=reason,
-        wall_cost=len(history) * request.data_fraction,
-    )
+    return EvaluationResult.of(history, reason, request.data_fraction)

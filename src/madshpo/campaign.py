@@ -222,6 +222,19 @@ def settings_header(settings: CampaignSettings) -> dict[str, str]:
     return header
 
 
+def header_data_fraction(header: Mapping[str, str]) -> float:
+    """Data fraction of the ranking surrogate in a ledger header that
+    ``settings_header`` wrote (a ledger without one ranked nothing)."""
+    text = header.get("surrogate", "none")
+    kind, _, custom = text.partition(" ")
+    try:
+        if kind == "custom":
+            return custom_surrogate(*_parse_custom(custom.replace(" ", ","))).data_fraction
+        return surrogate_by_name(text).data_fraction
+    except ValueError as exc:
+        raise ValueError(f"surrogate header {text!r}: {exc}") from None
+
+
 def run(settings: CampaignSettings, bounds: SpaceBounds | None = None) -> mads.CampaignResult:
     """Execute a campaign and persist its ledger and summary."""
     started = time.monotonic()

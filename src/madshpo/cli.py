@@ -15,9 +15,8 @@ import json
 import sys
 from pathlib import Path
 
-from .campaign import LEDGER_NAME, CampaignSettings, resume, run, setting_fields
+from .campaign import LEDGER_NAME, CampaignSettings, header_data_fraction, resume, run, setting_fields
 from .ledger import export_convergence, read_ledger, write_series
-from .surrogates import SURROGATE_TABLE
 
 
 def read_settings_file(path: Path) -> dict[str, str]:
@@ -86,13 +85,7 @@ def main(argv: list[str] | None = None) -> int:
             return 0
         if args.command == "export":
             header, records = read_ledger(Path(args.ledger))
-            fraction = 1.0
-            surrogate = header.get("surrogate", "none")
-            if surrogate.startswith("custom"):
-                fraction = float(surrogate.split()[2])
-            elif surrogate in SURROGATE_TABLE:
-                fraction = SURROGATE_TABLE[surrogate][1]
-            rows = export_convergence(records, surrogate_data_fraction=fraction)
+            rows = export_convergence(records, surrogate_data_fraction=header_data_fraction(header))
             write_series(Path(args.out), rows)
             print(f"wrote {len(rows)} rows to {args.out}")
             return 0

@@ -44,18 +44,17 @@ REASON_ENVELOPE = "envelope-breach"
 
 
 class TrainingHistory:
-    """Per-epoch validation series; epochs are contiguous from 1."""
+    """Per-epoch validation series; epochs are contiguous from 1, so epoch e is index e - 1."""
 
-    __slots__ = ("epochs", "val_accuracy", "val_loss", "learning_rate")
+    __slots__ = ("val_accuracy", "val_loss", "learning_rate")
 
     def __init__(self) -> None:
-        self.epochs: list[int] = []
         self.val_accuracy: list[float] = []
         self.val_loss: list[float] = []
         self.learning_rate: list[float] = []
 
     def append(self, epoch: int, val_accuracy: float, val_loss: float, learning_rate: float) -> None:
-        expected = len(self.epochs) + 1
+        expected = len(self) + 1
         if epoch != expected:
             raise ValueError(f"epoch {epoch} breaks contiguity (expected {expected})")
         if not 0.0 <= val_accuracy <= 1.0:
@@ -64,7 +63,6 @@ class TrainingHistory:
             raise ValueError(f"val_loss {val_loss} must be non-negative")
         if learning_rate <= 0.0:
             raise ValueError(f"learning_rate {learning_rate} must be positive")
-        self.epochs.append(epoch)
         self.val_accuracy.append(float(val_accuracy))
         self.val_loss.append(float(val_loss))
         self.learning_rate.append(float(learning_rate))
@@ -78,14 +76,13 @@ class TrainingHistory:
         return hist
 
     def __len__(self) -> int:
-        return len(self.epochs)
+        return len(self.val_accuracy)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TrainingHistory):
             return NotImplemented
         return (
-            self.epochs == other.epochs
-            and self.val_accuracy == other.val_accuracy
+            self.val_accuracy == other.val_accuracy
             and self.val_loss == other.val_loss
             and self.learning_rate == other.learning_rate
         )
@@ -99,30 +96,17 @@ class TrainingHistory:
 
 @dataclass(frozen=True)
 class StopVerdict:
-    decision: str
+    """A training stops iff its verdict has a reason other than ``REASON_NONE``."""
+
     reason: str = REASON_NONE
     detail: str = ""
 
-    def __post_init__(self) -> None:
-        if self.decision not in ("continue", "stop"):
-            raise ValueError(f"bad decision {self.decision!r}")
-        if (self.decision == "stop") != (self.reason != REASON_NONE):
-            raise ValueError("decision is stop iff reason is set")
-
     @property
     def stop(self) -> bool:
-        return self.decision == "stop"
-
-    @classmethod
-    def go(cls) -> "StopVerdict":
-        return cls("continue")
-
-    @classmethod
-    def halt(cls, reason: str, detail: str = "") -> "StopVerdict":
-        return cls("stop", reason, detail)
+        return self.reason != REASON_NONE
 
 
-CONTINUE = StopVerdict.go()
+CONTINUE = StopVerdict()
 
 
 @dataclass(frozen=True)
@@ -159,14 +143,14 @@ def check_default(history: TrainingHistory) -> StopVerdict:
     epoch = len(history)
     best = max(history.val_accuracy)
     if epoch >= ARMING_EPOCH and best <= ACCURACY_FLOOR:
-        return StopVerdict.halt(
+        return StopVerdict(
             REASON_LOW_ACCURACY,
             f"best accuracy {best:.4f} <= {ACCURACY_FLOOR} after {epoch} epochs",
         )
     if epoch >= PLATEAU_WINDOW:
         std = float(np.std(history.val_loss[-PLATEAU_WINDOW:]))
         if std < LOSS_TOLERANCE:
-            return StopVerdict.halt(
+            return StopVerdict(
                 REASON_LOSS_PLATEAU,
                 f"loss std {std:.2e} over last {PLATEAU_WINDOW} epochs",
             )
@@ -177,7 +161,7 @@ def last_improvement_epoch(history: TrainingHistory) -> int:
     """Last epoch whose accuracy set a new running maximum (epoch 1 counts)."""
     best = -math.inf
     epoch = 0
-    for e, acc in zip(history.epochs, history.val_accuracy):
+    for e, acc in enumerate(history.val_accuracy, 1):
         if acc > best:
             best = acc
             epoch = e
@@ -191,7 +175,7 @@ def check_last_success(history: TrainingHistory) -> StopVerdict:
     e_star = last_improvement_epoch(history)
     age = len(history) - e_star
     if age > LAST_SUCCESS_WINDOW:
-        return StopVerdict.halt(
+        return StopVerdict(
             REASON_LAST_SUCCESS, f"no improvement since epoch {e_star} ({age} epochs)"
         )
     return CONTINUE
@@ -202,7 +186,7 @@ def _scheduler_improvement_epoch(history: TrainingHistory) -> int:
     (it establishes the reference rather than improving on one)."""
     best = history.val_accuracy[0]
     epoch = 0
-    for e, acc in zip(history.epochs[1:], history.val_accuracy[1:]):
+    for e, acc in enumerate(history.val_accuracy[1:], 2):
         if acc > best:
             best = acc
             epoch = e
@@ -218,7 +202,7 @@ def _scheduler_reduction_epoch(history: TrainingHistory) -> int:
     lrs = history.learning_rate
     for i in range(len(lrs) - 1, 0, -1):
         if lrs[i] != lrs[i - 1]:
-            return history.epochs[i] - 1
+            return i  # index i is epoch i + 1, the first at the new rate
     return 0
 
 
@@ -240,7 +224,7 @@ def scheduler_step(history: TrainingHistory) -> tuple[float, StopVerdict]:
     if len(history) - reference >= PATIENCE:
         new_lr = current * LR_FACTOR
     if new_lr < LR_FLOOR:
-        return new_lr, StopVerdict.halt(
+        return new_lr, StopVerdict(
             REASON_LR_FLOOR, f"learning rate {new_lr:.3e} below floor {LR_FLOOR:.0e}"
         )
     return new_lr, CONTINUE
@@ -265,7 +249,7 @@ def check_envelope(history: TrainingHistory, envelope: BaselineEnvelope) -> Stop
     threshold = margin * reference
     accuracy = history.val_accuracy[-1]
     if accuracy < threshold:
-        return StopVerdict.halt(
+        return StopVerdict(
             REASON_ENVELOPE,
             f"accuracy {accuracy:.4f} < {margin} * baseline {reference:.4f} at epoch {epoch}",
         )
@@ -318,7 +302,8 @@ def combined_verdict(
 
 
 class StoppingMonitor:
-    """Stateful per-evaluation monitor; call ``verdict`` once per appended epoch.
+    """Stateful per-evaluation monitor; call ``start`` once per training, then
+    ``verdict`` once per appended epoch.
 
     Incremental bookkeeping keeps the per-epoch cost constant; the verdicts
     match the pure check functions applied to the same history.  For the
@@ -331,12 +316,6 @@ class StoppingMonitor:
             raise ValueError(f"unknown stopping mode {mode!r} (expected one of {MODES})")
         self.mode = mode
         self.envelope = envelope
-        self._lr = float("nan")
-        self._best = -math.inf
-        self._best_epoch = 0
-        self._prev_best = -math.inf
-        self._sched_improve = 0
-        self._last_reduce = 0
 
     def start(self, initial_lr: float) -> None:
         if initial_lr <= 0:
@@ -344,8 +323,6 @@ class StoppingMonitor:
         self._lr = initial_lr
         self._best = -math.inf
         self._best_epoch = 0
-        self._prev_best = -math.inf
-        self._sched_improve = 0
         self._last_reduce = 0
 
     def next_lr(self) -> float:
@@ -357,25 +334,19 @@ class StoppingMonitor:
         if accuracy > self._best:
             self._best = accuracy
             self._best_epoch = epoch
-        if epoch >= 2 and accuracy > self._prev_best:
-            self._sched_improve = epoch
-        if epoch == 1:
-            self._prev_best = accuracy
-        else:
-            self._prev_best = max(self._prev_best, accuracy)
 
         if self.mode == "none":
             return CONTINUE
         if self.mode == "default":
             if epoch >= ARMING_EPOCH and self._best <= ACCURACY_FLOOR:
-                return StopVerdict.halt(
+                return StopVerdict(
                     REASON_LOW_ACCURACY,
                     f"best accuracy {self._best:.4f} <= {ACCURACY_FLOOR} after {epoch} epochs",
                 )
             if epoch >= PLATEAU_WINDOW:
                 std = float(np.std(history.val_loss[-PLATEAU_WINDOW:]))
                 if std < LOSS_TOLERANCE:
-                    return StopVerdict.halt(
+                    return StopVerdict(
                         REASON_LOSS_PLATEAU,
                         f"loss std {std:.2e} over last {PLATEAU_WINDOW} epochs",
                     )
@@ -383,7 +354,7 @@ class StoppingMonitor:
         if self.mode == "last-success":
             age = epoch - self._best_epoch
             if age > LAST_SUCCESS_WINDOW:
-                return StopVerdict.halt(
+                return StopVerdict(
                     REASON_LAST_SUCCESS,
                     f"no improvement since epoch {self._best_epoch} ({age} epochs)",
                 )
@@ -394,12 +365,14 @@ class StoppingMonitor:
             verdict = check_envelope(history, self.envelope)
             if verdict.stop:
                 return verdict
-        reference = max(self._sched_improve, self._last_reduce)
+        # as in scheduler_step, epoch 1 sets the reference rather than improving on one
+        improved = self._best_epoch if self._best_epoch >= 2 else 0
+        reference = max(improved, self._last_reduce)
         if epoch - reference >= PATIENCE:
             self._lr = self._lr * LR_FACTOR
             self._last_reduce = epoch
         if self._lr < LR_FLOOR:
-            return StopVerdict.halt(
+            return StopVerdict(
                 REASON_LR_FLOOR,
                 f"learning rate {self._lr:.3e} below floor {LR_FLOOR:.0e}",
             )

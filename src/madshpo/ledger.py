@@ -99,16 +99,24 @@ def write_ledger(path: Path, records, header: dict[str, str]) -> None:
 
 def read_ledger(path: Path) -> tuple[dict[str, str], list[LedgerRecord]]:
     header: dict[str, str] = {}
-    body_lines: list[str] = []
-    for line in Path(path).read_text().splitlines():
+    records: list[LedgerRecord] = []
+    columns_seen = False
+    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
         if line.startswith("#"):
             key, _, value = line[1:].partition("=")
             header[key.strip()] = value.strip()
         elif line:
-            body_lines.append(line)
-    if not body_lines or tuple(next(csv.reader([body_lines[0]]))) != COLUMNS:
+            row = next(csv.reader([line]))
+            if not columns_seen:
+                if tuple(row) != COLUMNS:
+                    break
+                columns_seen = True
+            elif len(row) != len(COLUMNS):
+                raise ValueError(f"{path}:{lineno}: expected {len(COLUMNS)} fields, found {len(row)}")
+            else:
+                records.append(LedgerRecord.from_row(row))
+    if not columns_seen:
         raise ValueError(f"{path}: not a ledger file")
-    records = [LedgerRecord.from_row(row) for row in csv.reader(body_lines[1:])]
     for prev, rec in zip(records, records[1:]):
         if rec.cumulative_cost < prev.cumulative_cost:
             raise ValueError(f"{path}: cumulative cost decreases at record {rec.record_index}")

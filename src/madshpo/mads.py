@@ -39,7 +39,7 @@ from .space import (  # noqa: F401
     validate,
     with_vector,
 )
-from .surrogates import RankedCandidate, SurrogateSpec, rank_candidates
+from .surrogates import SurrogateSpec, rank_candidates
 from .util import hash_u64
 
 logger = logging.getLogger(__name__)
@@ -76,12 +76,14 @@ class Mesh:
 
 @dataclass(frozen=True)
 class PollCandidate:
-    """A configuration to evaluate, where it came from, and its serialized
-    form (computed when not given), which is also its ledger text."""
+    """A configuration to evaluate, where it came from, its serialized form
+    (computed when not given), which is also its ledger text, and its
+    surrogate estimate once ranked."""
 
     config: Configuration
     origin: str
     key: str | None = None
+    estimate: float | None = None
 
     def __post_init__(self) -> None:
         if self.key is None:
@@ -204,9 +206,7 @@ class RunPlan:
     @property
     def estimate_charge(self) -> float:
         """BBE charged per surrogate estimate."""
-        if self.surrogate.disabled or not self.charge_ranking:
-            return 0.0
-        return self.surrogate.cost_ratio
+        return self.surrogate.cost_ratio if self.charge_ranking else 0.0
 
 
 @dataclass
@@ -255,10 +255,10 @@ def iteration_seed(seed: int, iteration: int) -> int:
 
 
 def _full_evaluation(
-    state: CampaignState, plan: RunPlan, candidate: PollCandidate | RankedCandidate, iteration: int
+    state: CampaignState, plan: RunPlan, candidate: PollCandidate, iteration: int
 ) -> float:
-    """Run one full evaluation of a poll or ranked candidate, charge it,
-    record it, update incumbent/baseline."""
+    """Run one full evaluation of a poll candidate, charge it, record it,
+    update incumbent/baseline."""
     config = candidate.config
     monitor = None if plan.stop_mode == "none" else StoppingMonitor(plan.stop_mode, state.envelope)
     try:

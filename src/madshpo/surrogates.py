@@ -8,7 +8,7 @@ Rankings are static: nothing is refit during a run.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 from .blackbox import WORST_SCORE
@@ -91,33 +91,23 @@ def estimate(spec: SurrogateSpec, config: Configuration, blackbox: FidelityEval)
 
 
 @dataclass(frozen=True)
-class RankedCandidate:
-    config: Configuration
-    origin: str
-    estimate: float | None
-    key: str  # serialized config, carried over from the poll candidate
-
-
-@dataclass(frozen=True)
 class RankedPoll:
     """Poll candidates sorted best-estimate-first."""
 
-    candidates: tuple[RankedCandidate, ...]
+    candidates: tuple
 
 
 def rank_candidates(candidates: Sequence, spec: SurrogateSpec, blackbox: FidelityEval) -> RankedPoll:
-    """Estimate every candidate and sort best-first (stable on ties).
+    """Estimate every poll candidate and sort best-first (stable on ties).
 
-    Each estimate costs ``spec.cost_ratio`` of a full evaluation; the
-    disabled surrogate keeps the original order and estimates nothing.
+    Each estimate costs ``spec.cost_ratio`` of a full evaluation and is set
+    as the candidate's ``estimate``; the disabled surrogate keeps the
+    candidates and their order as they are.
     """
     if not candidates:
         raise ValueError("poll is empty")
     if spec.disabled:
-        return RankedPoll(tuple(RankedCandidate(c.config, c.origin, None, c.key) for c in candidates))
-    scored = [
-        RankedCandidate(c.config, c.origin, estimate(spec, c.config, blackbox), c.key)
-        for c in candidates
-    ]
+        return RankedPoll(tuple(candidates))
+    scored = [replace(c, estimate=estimate(spec, c.config, blackbox)) for c in candidates]
     order = sorted(range(len(scored)), key=lambda i: (-scored[i].estimate, i))
     return RankedPoll(tuple(scored[i] for i in order))

@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 from madshpo.blackbox import (
+    ACCURACY_QUANTUM,
     EvaluationRequest,
     SimulatedBlackbox,
     curve_arrays,
     simulate_curve,
 )
-from madshpo.early_stop import BaselineEnvelope, StoppingMonitor, TrainingHistory
+from madshpo.early_stop import CHANCE_LEVEL, BaselineEnvelope, StoppingMonitor, TrainingHistory
 from madshpo.space import Configuration, ConvLayerHP, make_config, preset_config
 
 
@@ -63,9 +64,8 @@ class TestSimulatedCurves:
         for config in [preset_config("p1"), *random_configs(20, seed=3)]:
             model = clean_blackbox.model_for(config, 0)
             acc, _ = curve_arrays(model, 1, 1.0)
-            rise = (model.asymptote - model.chance_level) / model.time_constant
-            quantum = model.accuracy_quantum
-            assert model.chance_level - quantum <= acc[0] <= model.chance_level + rise + quantum
+            rise = (model.asymptote - CHANCE_LEVEL) / model.time_constant
+            assert CHANCE_LEVEL - ACCURACY_QUANTUM <= acc[0] <= CHANCE_LEVEL + rise + ACCURACY_QUANTUM
 
     def test_clean_nondivergent_monotone(self, clean_blackbox):
         for config in random_configs(20):

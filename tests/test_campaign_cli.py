@@ -264,6 +264,17 @@ class TestLedgerIO:
         with pytest.raises(ValueError):
             read_ledger(path)
 
+    @pytest.mark.parametrize("edit", ["cut", "extra"])
+    def test_wrong_field_count_rejected(self, tmp_path, edit):
+        records = [LedgerRecord(i, KIND_FULL, "x=1", 0.5, 1, "none", 1.0, i + 1.0, True, i, 0) for i in range(2)]
+        path = tmp_path / "ledger.csv"
+        write_ledger(path, records, {"seed": "0"})
+        lines = path.read_text().splitlines()
+        lines[-1] = lines[-1][: len(lines[-1]) // 2] if edit == "cut" else lines[-1] + ",7"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=f"{path}:4: "):
+            read_ledger(path)
+
 
 class TestCli:
     def test_run_happy_path(self, tmp_path, capsys):
@@ -333,6 +344,35 @@ class TestCli:
         lines = series.read_text().splitlines()
         assert lines[0] == "bbe,epochs,cost_units,best_accuracy"
         assert len(lines) > 2
+
+    @pytest.mark.parametrize("command", ["export", "resume"])
+    def test_cut_ledger_row_is_a_clean_error(self, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        argv = ["--budget", "5", "--seed", "4", "--out", str(out)]
+        assert main(["run", *argv]) == 0
+        text = (out / LEDGER_NAME).read_text()
+        (out / LEDGER_NAME).write_text(text[: len(text) - 40])
+        series = ["--ledger", str(out / LEDGER_NAME), "--out", str(tmp_path / "series.csv")]
+        assert main([command, *(series if command == "export" else argv)]) == 1
+        assert "error:" in capsys.readouterr().err
+
+    def test_export_scales_custom_surrogate_epochs(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["run", "--budget", "10", "--rank-custom", "20,0.5,0.1", "--out", str(out)]) == 0
+        series = tmp_path / "series.csv"
+        assert main(["export", "--ledger", str(out / LEDGER_NAME), "--out", str(series)]) == 0
+        _, records = read_ledger(out / LEDGER_NAME)
+        assert any(r.kind == KIND_SURROGATE for r in records)
+        written = [float(line.split(",")[2]) for line in series.read_text().splitlines()[1:]]
+        assert written == [row[2] for row in export_convergence(records, surrogate_data_fraction=0.5)]
+
+    def test_truncated_surrogate_header_is_a_clean_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["run", "--budget", "5", "--rank-custom", "20,0.5,0.1", "--out", str(out)]) == 0
+        header, records = read_ledger(out / LEDGER_NAME)
+        write_ledger(out / LEDGER_NAME, records, {**header, "surrogate": "custom 20"})
+        assert main(["export", "--ledger", str(out / LEDGER_NAME), "--out", str(tmp_path / "s.csv")]) == 1
+        assert "error:" in capsys.readouterr().err
 
     def test_initial_config_file(self, tmp_path):
         init = tmp_path / "start.cfg"

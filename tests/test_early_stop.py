@@ -6,7 +6,6 @@ import pytest
 from madshpo.early_stop import (
     BaselineEnvelope,
     StoppingMonitor,
-    StopVerdict,
     TrainingHistory,
     check_default,
     check_envelope,
@@ -43,14 +42,6 @@ class TestTrainingHistory:
             h.append(1, 0.5, -1.0, 0.01)
         with pytest.raises(ValueError):
             h.append(1, 0.5, 1.0, 0.0)
-
-
-class TestStopVerdict:
-    def test_reason_consistency(self):
-        with pytest.raises(ValueError):
-            StopVerdict("stop")
-        with pytest.raises(ValueError):
-            StopVerdict("continue", "last-success")
 
 
 class TestCheckDefault:

@@ -6,15 +6,22 @@ speed-up; the other p1 stop modes, the uncharged ranking and the custom
 surrogate were recorded before the campaign-state merge.  A change that
 alters one of them changes behaviour, and the change log has to say which
 hash moved and why.
+
+The simulated curves are hashed as well, recorded before the curve model
+lost its derived fields.  No golden campaign trains at a learning rate
+above the divergence threshold, so only these hashes cover the divergent
+branch of ``curve_arrays``.
 """
 
 import hashlib
+from dataclasses import replace
 
 import pytest
 
 from madshpo import mads
+from madshpo.blackbox import SimulatedBlackbox, curve_arrays
 from madshpo.campaign import LEDGER_NAME, CampaignSettings, run
-from madshpo.space import make_config, to_vector
+from madshpo.space import make_config, preset_config, to_vector
 from tests.test_mads import QUAD_CENTER, QUAD_START, frozen_bounds, quadratic_plan
 
 GOLDEN_BUDGET = 60
@@ -69,6 +76,65 @@ QUADRATIC_RECORDS_SHA256 = {
     2: "45f848dcb208162b41aecd18260332d97ed46ea38685703dbf62d79268b4c153",
 }
 
+CURVE_CONFIGS = {
+    "p1": preset_config("p1"),
+    "p3": preset_config("p3"),
+    "p1-lr0.5": replace(preset_config("p1"), learning_rate=0.5),
+    "p1-lr0.95": replace(preset_config("p1"), learning_rate=0.95),
+}
+
+# (config, seed, noise_sigma, epochs, data fraction) -> SHA-256 of acc.tobytes() + loss.tobytes()
+CURVE_SHA256 = {
+    ("p1", 0, 0.0001, 200, 1.0): "f933a11eeaf67a578180c03e2a15719433e49d1760e427e1febfadf61a5e503c",
+    ("p1", 0, 0.0001, 200, 0.1): "ae1ad93f3ba216bacaf07892e593a937424a0bbcd92e8ea1ac658fc43bbf8c58",
+    ("p1", 0, 0.0001, 25, 1.0): "87c857519cd4c4a30c5d6d5d0186486fc3141dce461986fad17fffbf0eefffda",
+    ("p1", 0, 0.0, 200, 1.0): "ff3e9a09e79bdc66dac8b4466fc232907d3aa1cfbb4059f2946bd1a0f4826a27",
+    ("p1", 0, 0.0, 200, 0.1): "51004e6dcb8c82d8ae275f60cb6fc12104648f2b3606755eba2a2f90b2145987",
+    ("p1", 0, 0.0, 25, 1.0): "dc68a1482c748274356255c2fab907353d78fdd579c0ceb74c3d36dfdb052372",
+    ("p1", 3, 0.0001, 200, 1.0): "19c9dc81dc63c9cb631c7a4de0ef1ada23a4a7f99c6e8ec841d26a1a191f5b3e",
+    ("p1", 3, 0.0001, 200, 0.1): "dd3807453f6acf317bd8e09053ef56d4fb7dc30635811d5efa30fce5428e15b0",
+    ("p1", 3, 0.0001, 25, 1.0): "fb229f1e7d5c9995ea266a27dfda27ffec30fd5e670f5a52ef0bf50947241dd8",
+    ("p1", 3, 0.0, 200, 1.0): "fddca51a6ff28a51690383f205cf7759a0399250ee570c24c1c68844e96199f5",
+    ("p1", 3, 0.0, 200, 0.1): "6f401dd280a1dcb13615664bb36b918ceb19ec0bdbaa59a0204b2948e430ae9f",
+    ("p1", 3, 0.0, 25, 1.0): "49c3b68bf018e44f945f0f381a43d9cf46ececfc7390b3400fc36210d75d0dcd",
+    ("p3", 0, 0.0001, 200, 1.0): "61fb33f8361dee9b88210933f253caaab4fcb6e0d1a41a46048956226cdfc051",
+    ("p3", 0, 0.0001, 200, 0.1): "a02e3e905de2fdf998654d4a7e72e8d73965e2c20a121205bacca095310b5601",
+    ("p3", 0, 0.0001, 25, 1.0): "06932fcd203f3591b7302d9bd80abdac53557f944425c5be2ec728a6afd2b00e",
+    ("p3", 0, 0.0, 200, 1.0): "4cc7e292d881d24def2b8198f53d6e7219f90daf42ae53738df7d955d10562ad",
+    ("p3", 0, 0.0, 200, 0.1): "d1e3b826f54b31762fcaee6db2aff07914cbc039892bf7baaa91a0704963d972",
+    ("p3", 0, 0.0, 25, 1.0): "a3af0e879943aa12932aebab50c259d5d6ab8a363957f70ee571a95924d98296",
+    ("p3", 3, 0.0001, 200, 1.0): "9420656012d2d3df6f3adb4d46690b7841e55d953fc482d72e136e7ad4f7f3c8",
+    ("p3", 3, 0.0001, 200, 0.1): "b673ce84900d4274d106db8c050b4feb6d7a5e7f6630b15d8e0135c0fb9b39d8",
+    ("p3", 3, 0.0001, 25, 1.0): "06e920b22dc20ad46796c0f538c16cb318623e25db36b3f0e11e95ae189b32ec",
+    ("p3", 3, 0.0, 200, 1.0): "3988c581688d431a132d5f62498862a45870d04b2fa16205f8ee0486329c5cbc",
+    ("p3", 3, 0.0, 200, 0.1): "affd256deda16325a98ece35bedf74b4757f931e6d82f0d8fac0b6f759125fe4",
+    ("p3", 3, 0.0, 25, 1.0): "fac483a5ae69d8d9882fa5b80f3dff8f4ac30f0b15cef7f275b03ccb32a49744",
+    ("p1-lr0.5", 0, 0.0001, 200, 1.0): "52dee2274c2950e03f71e34a109204ba1211bfdb7f91f9a2b1fb183320cb6c1d",
+    ("p1-lr0.5", 0, 0.0001, 200, 0.1): "9afad00b69d0375c493afbbdbe9fb9d42fd30cb765aaeda9de3b300b9c29e829",
+    ("p1-lr0.5", 0, 0.0001, 25, 1.0): "f44ed1aec189c98c958657044193bab321c21eb6b4e23de9cac7ff17f8f15778",
+    ("p1-lr0.5", 0, 0.0, 200, 1.0): "74fb87230bc70278a6128068e2ea217bd603a37cc57a0b4ee1f4a8d18cda944d",
+    ("p1-lr0.5", 0, 0.0, 200, 0.1): "808d87cebc717491925d7094afdc66b34a66e5eb16adddaa67cdf9b78df36452",
+    ("p1-lr0.5", 0, 0.0, 25, 1.0): "6e360cdb8727e9cf307bd632871b8f07eff4fd531568a6d7317df9f8fdea9861",
+    ("p1-lr0.5", 3, 0.0001, 200, 1.0): "702936ac911850b5cc37d267f9137a557f0370cb33e8df400186621f7d5c2e0c",
+    ("p1-lr0.5", 3, 0.0001, 200, 0.1): "6415820c15c60e3df80cf590dd8671bfba583fe3d3206359045e3d97cdeb040f",
+    ("p1-lr0.5", 3, 0.0001, 25, 1.0): "2ce7d3e8cf75e3b867565536a95941c0424b1131efb98fa5149491ca9308c1f6",
+    ("p1-lr0.5", 3, 0.0, 200, 1.0): "6f529e03ea21cccbeb35e9bf9923ecd1783f3cadee123894f0480151ee84aaef",
+    ("p1-lr0.5", 3, 0.0, 200, 0.1): "b9ec8300ce581e534a80ca11c2c24ca58c6d33ce44da14d368ca88b2db4f7b33",
+    ("p1-lr0.5", 3, 0.0, 25, 1.0): "f66b26accefcda68f7bc5e66308b65397dc6747c5f918fdc5de921056b51baab",
+    ("p1-lr0.95", 0, 0.0001, 200, 1.0): "7b2e099561760dde9c764912f1d5fbde3395aacd32484bfbb2cb8f2314fd6546",
+    ("p1-lr0.95", 0, 0.0001, 200, 0.1): "0a4cb0890d2470071d4e957b75918b5b73a0661f3d537b361496ad8f5c9f0d67",
+    ("p1-lr0.95", 0, 0.0001, 25, 1.0): "96398e2c52566ef819f3cd7b75fc65053ec3852fcc7e397b7d0524a03bfde700",
+    ("p1-lr0.95", 0, 0.0, 200, 1.0): "d795f77c85b7a189329be1f55db3c073ffd1f4c3eb5135677a1e645e497298ec",
+    ("p1-lr0.95", 0, 0.0, 200, 0.1): "db0f12a88f037a42cffb6884c279fbc7c2255369c1486cdd2c68b2ff622ba70e",
+    ("p1-lr0.95", 0, 0.0, 25, 1.0): "f8209fcb27a956b46b3f9b9e8b5685cbc3d3f52344a7d7ac0f61ba72e139d1c9",
+    ("p1-lr0.95", 3, 0.0001, 200, 1.0): "bfb18b1da0269a0d7dfd184958714e274b1d17fff9ad463e1ee5e0d61bf95b93",
+    ("p1-lr0.95", 3, 0.0001, 200, 0.1): "08a09d509ea6cccb1098351e2d99136eb877192ffc831cebfa9f0859f207fab0",
+    ("p1-lr0.95", 3, 0.0001, 25, 1.0): "b24d3294df983971bfd0706f28996abc55a0abafd5ff570fdc66a40f2f122fe0",
+    ("p1-lr0.95", 3, 0.0, 200, 1.0): "13b2bbe7c8644d2bde61314cdce94a9f421578b54b68768bee03c8c32b0dbbc0",
+    ("p1-lr0.95", 3, 0.0, 200, 0.1): "6325f123c4202ef3e76606d8a7248d4a256025b7d33547ae2a4803f2553da3dc",
+    ("p1-lr0.95", 3, 0.0, 25, 1.0): "db8d403f79f2502697262eb692d8af2a5310fd592ea7b1a95a48094957d014af",
+}
+
 
 def _case_id(case):
     return "-".join(str(part) for part in case)
@@ -100,3 +166,11 @@ def test_quadratic_records_unchanged(seed):
     result = mads.run_campaign(start, 10**9, quadratic_plan(bounds, center, seed))
     digest = hashlib.sha256(repr(result.records).encode()).hexdigest()
     assert digest == QUADRATIC_RECORDS_SHA256[seed]
+
+
+@pytest.mark.parametrize("case", sorted(CURVE_SHA256), ids=_case_id)
+def test_curve_bytes_unchanged(case):
+    name, seed, noise_sigma, epochs, fraction = case
+    model = SimulatedBlackbox(noise_sigma=noise_sigma).model_for(CURVE_CONFIGS[name], seed)
+    acc, loss = curve_arrays(model, epochs, fraction)
+    assert hashlib.sha256(acc.tobytes() + loss.tobytes()).hexdigest() == CURVE_SHA256[case]
