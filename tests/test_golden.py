@@ -11,9 +11,14 @@ The simulated curves are hashed as well, recorded before the curve model
 lost its derived fields.  No golden campaign trains at a learning rate
 above the divergence threshold, so only these hashes cover the divergent
 branch of ``curve_arrays``.
+
+The external backend has its own pair of hashes, ledger and trainer
+transcript, recorded before the two training loops became one.
 """
 
 import hashlib
+import shlex
+import sys
 from dataclasses import replace
 
 import pytest
@@ -21,6 +26,7 @@ import pytest
 from madshpo import mads
 from madshpo.blackbox import SimulatedBlackbox, curve_arrays
 from madshpo.campaign import LEDGER_NAME, CampaignSettings, run
+from madshpo.ledger import KIND_FULL, KIND_SURROGATE
 from madshpo.space import make_config, preset_config, to_vector
 from tests.test_mads import QUAD_CENTER, QUAD_START, frozen_bounds, quadratic_plan
 
@@ -174,3 +180,87 @@ def test_curve_bytes_unchanged(case):
     model = SimulatedBlackbox(noise_sigma=noise_sigma).model_for(CURVE_CONFIGS[name], seed)
     acc, loss = curve_arrays(model, epochs, fraction)
     assert hashlib.sha256(acc.tobytes() + loss.tobytes()).hexdigest() == CURVE_SHA256[case]
+
+
+# -- external backend ---------------------------------------------------------
+
+# A line-protocol trainer for the external golden campaigns.  Standard library
+# only and deterministic: the curve is a saturating exponential whose level and
+# pace fall with the distance of learning rate, dropout and momentum from a
+# fixed optimum, so far-off candidates fall under the envelope.  A config whose
+# digest is divisible by 4 finishes with DONE after a third of its epochs,
+# before the parent asks it to stop.  Every line the trainer receives is
+# appended to the transcript file named by its first argument.
+GOLDEN_TRAINER = """\
+import hashlib, math, sys
+
+transcript = open(sys.argv[1], "a")
+
+def receive():
+    line = sys.stdin.readline()
+    transcript.write(line)
+    transcript.flush()
+    return line.split()
+
+header = receive()
+at = header.index("EPOCHS")
+config = " ".join(header[1:at])
+epochs = int(header[at + 1])
+fraction = float(header[header.index("FRACTION") + 1])
+values = dict(token.split("=", 1) for token in header[1:at])
+lr = float(values["learning_rate"])
+distance = (
+    ((math.log10(lr) + 2.5) / 1.2) ** 2
+    + ((float(values["dropout"]) - 0.4) / 0.3) ** 2
+    + ((float(values["momentum"]) - 0.85) / 0.2) ** 2
+)
+digest = hashlib.sha256((config + " " + header[-1]).encode()).digest()
+level = 0.15 + 0.8 * math.exp(-distance) * (0.8 + 0.2 * fraction) + 0.03 * digest[0] / 255
+tau = 4.0 + 30.0 * (1.0 - math.exp(-distance)) + 8.0 * digest[1] / 255
+last = -(-epochs // 3) if digest[2] % 4 == 0 else epochs
+for epoch in range(1, last + 1):
+    acc = round(0.1 + (min(level, 0.99) - 0.1) * (1.0 - math.exp(-epoch / tau)), 4)
+    print(f"EPOCH {epoch} ACC {acc!r} LOSS {-math.log(acc)!r} LR {lr!r}", flush=True)
+    if receive() != ["CONTINUE"]:
+        break
+print("DONE", flush=True)
+"""
+
+EXTERNAL_BUDGET = 6
+
+# surrogate -> SHA-256 of (ledger.csv, trainer transcript) of a p1, seed-0,
+# scheduler+baseline campaign at EXTERNAL_BUDGET BBE on GOLDEN_TRAINER
+EXTERNAL_SHA256 = {
+    "none": (
+        "283c2002e9bb167a4b787ba57745432a514b049a35c6584f523112d26eadae6d",
+        "29f9fc01f414082b856c1ab773c7f5374593a40ffcc86afc78b20964f610a106",
+    ),
+    "r2": (
+        "d75fc9ec728c0ddc70d02881ae3859fd1250d16c3e4bc22ace783d7163447fd0",
+        "d6c34d8d949f6476d24cf5bf0785db09e5978138da3e1127bc28697357e2e1ad",
+    ),
+}
+
+
+@pytest.mark.parametrize("surrogate", sorted(EXTERNAL_SHA256))
+def test_external_ledger_and_transcript_unchanged(surrogate, tmp_path):
+    trainer = tmp_path / "trainer.py"
+    trainer.write_text(GOLDEN_TRAINER)
+    transcript = tmp_path / "transcript.txt"
+    command = shlex.join([sys.executable, "-S", "-u", str(trainer), str(transcript)])
+    result = run(CampaignSettings(
+        preset="p1", bbe_budget=EXTERNAL_BUDGET, seed=0, stop_mode="scheduler+baseline",
+        surrogate=surrogate, backend="external", external_command=command, out_dir=tmp_path / "out",
+    ))
+    if surrogate == "none":
+        # a full training stopped at the envelope, another ended before EPOCHS n
+        full = [r for r in result.records if r.kind == KIND_FULL]
+        assert any(r.stop_reason == "envelope-breach" for r in full)
+        assert any(r.stop_reason == "none" and r.epochs_used < 200 for r in full)
+    else:
+        # the estimates ran over the protocol too
+        assert any(r.kind == KIND_SURROGATE for r in result.records)
+    # the header names the trainer by its path, which differs between runs
+    ledger = (tmp_path / "out" / LEDGER_NAME).read_text().replace(command, "TRAINER")
+    digests = tuple(hashlib.sha256(text.encode()).hexdigest() for text in (ledger, transcript.read_text()))
+    assert digests == EXTERNAL_SHA256[surrogate]
