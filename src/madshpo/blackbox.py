@@ -1,5 +1,18 @@
 """Evaluation backends: a deterministic simulated trainer and a subprocess adapter.
 
+Both backends train through ``train(request, epochs)``, the one loop over
+epochs.  ``epochs`` is an epoch source: a generator that yields one
+``(epoch, val_accuracy, val_loss, learning_rate)`` tuple per epoch and is
+sent the learning rate for the next epoch, or ``None`` once the training
+stops or reaches ``max_epochs``, after which it ends.  A source may also
+end early on its own.  ``train`` checks the configuration, starts the
+monitor, appends each epoch to the history and takes the monitor's
+verdict.  An empty history, a malformed epoch, or a source that raises
+``OSError`` or ``ValueError`` gives the failed result.  The source is
+closed in every case.  The simulated source is a cursor over
+``curve_arrays`` that stamps each epoch with the rate it was sent; the
+external source speaks the line protocol of ``ProcessAdapter``.
+
 The simulated trainer maps a configuration to a saturating validation
 curve whose asymptote and time constant are smooth functions of the
 quantitative hyperparameters plus a hashed offset per categorical
@@ -9,13 +22,16 @@ curves, which is what makes campaign ledgers reproducible and resumable.
 
 from __future__ import annotations
 
+import contextlib
 import logging
 import math
 import queue
 import shlex
 import subprocess
 import threading
+from collections.abc import Generator
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -113,6 +129,48 @@ def _config_problem(config: Configuration) -> str | None:
     return None
 
 
+# Yields (epoch, val_accuracy, val_loss, learning_rate); is sent the next rate or None.
+EpochSource = Generator[tuple[int, float, float, float], float | None, None]
+
+
+def train(request: EvaluationRequest, epochs: EpochSource) -> EvaluationResult:
+    """Run one training over an epoch source, invoking the monitor after each epoch.
+
+    A configuration that ``_config_problem`` rejects never starts its source.
+    """
+    history = TrainingHistory()
+    reason = REASON_NONE
+    try:
+        problem = _config_problem(request.config)
+        if problem is not None:
+            raise ValueError(problem)
+        monitor = request.monitor
+        lr = request.config.learning_rate
+        if monitor is not None:
+            monitor.start(lr)
+        epoch = next(epochs)
+        while True:
+            history.append(*epoch)
+            if monitor is not None:
+                reason = monitor.verdict(history).reason
+                lr = monitor.next_lr()
+            if reason != REASON_NONE or len(history) == request.max_epochs:
+                epochs.send(None)
+                break
+            epoch = epochs.send(lr)
+    except StopIteration:
+        pass
+    except (OSError, ValueError) as exc:
+        logger.warning("evaluation failed: %s", exc)
+        return EvaluationResult.failure()
+    finally:
+        epochs.close()
+    if not history:
+        logger.warning("evaluation failed: no epochs")
+        return EvaluationResult.failure()
+    return EvaluationResult.of(history, reason, request.data_fraction)
+
+
 @dataclass(frozen=True)
 class SimulatedBlackbox:
     """Deterministic stand-in trainer for a 10-class image task."""
@@ -197,28 +255,18 @@ class SimulatedBlackbox:
         )
 
     def evaluate(self, request: EvaluationRequest) -> EvaluationResult:
-        """Run one simulated training, invoking the monitor after each epoch."""
-        problem = _config_problem(request.config)
-        if problem is not None:
-            logger.warning("evaluation failed: %s", problem)
-            return EvaluationResult.failure()
+        """Run one simulated training."""
+        return train(request, self.epochs(request))
+
+    def epochs(self, request: EvaluationRequest) -> EpochSource:
+        """Epoch source over the simulated curve; each epoch carries the rate it was sent."""
         model = self.model_for(request.config, request.seed)
         acc, loss = curve_arrays(model, request.max_epochs, request.data_fraction)
-        monitor = request.monitor
-        history = TrainingHistory()
         lr = model.initial_lr
-        reason = REASON_NONE
-        if monitor is not None:
-            monitor.start(lr)
-        for e in range(1, request.max_epochs + 1):
-            history.append(e, float(acc[e - 1]), float(loss[e - 1]), lr)
-            if monitor is not None:
-                verdict = monitor.verdict(history)
-                if verdict.stop:
-                    reason = verdict.reason
-                    break
-                lr = monitor.next_lr()
-        return EvaluationResult.of(history, reason, request.data_fraction)
+        for e in range(request.max_epochs):
+            lr = yield e + 1, float(acc[e]), float(loss[e]), lr
+            if lr is None:
+                return
 
     def final_accuracy(self, config: Configuration, seed: int, epochs: int, data_fraction: float) -> float:
         """Best-epoch accuracy without building a history (fast path)."""
@@ -240,7 +288,7 @@ def curve_arrays(model: SimulatedModel, epochs: int, data_fraction: float) -> tu
     tau = model.time_constant
     acc = CHANCE_LEVEL + (a_eff - CHANCE_LEVEL) * (1.0 - np.exp(-e / tau))
     if model.divergent:
-        decay = np.exp(-np.maximum(e - max(2, round(0.6 * tau)), 0.0) / tau)
+        decay = np.exp(-np.maximum(e - round(0.6 * tau), 0.0) / tau)
         acc = CHANCE_LEVEL + (acc - CHANCE_LEVEL) * decay
     if model.noise_sigma > 0:
         rng = np.random.default_rng(model.noise_seed)
@@ -257,10 +305,8 @@ def curve_arrays(model: SimulatedModel, epochs: int, data_fraction: float) -> tu
 def simulate_curve(model: SimulatedModel, epochs: int, data_fraction: float = 1.0) -> TrainingHistory:
     """Full curve as a history (constant learning-rate column)."""
     acc, loss = curve_arrays(model, epochs, data_fraction)
-    history = TrainingHistory()
-    for e in range(1, epochs + 1):
-        history.append(e, float(acc[e - 1]), float(loss[e - 1]), model.initial_lr)
-    return history
+    rows = zip(range(1, epochs + 1), acc.tolist(), loss.tolist(), repeat(model.initial_lr))
+    return TrainingHistory.from_rows(rows)
 
 
 # -- coarse-lattice oracle ---------------------------------------------------
@@ -328,6 +374,66 @@ class ProcessAdapter:
     def from_command(cls, command: str, line_timeout: float = 120.0) -> "ProcessAdapter":
         return cls(tuple(shlex.split(command)), line_timeout)
 
+    def epochs(self, request: EvaluationRequest) -> EpochSource:
+        """Epoch source over the line protocol of one child process.
+
+        The parent sends one header line and the child answers one ``EPOCH``
+        line per epoch.  Sent a rate, the source answers ``CONTINUE``; sent
+        ``None``, it answers ``STOP`` and the child must reply ``DONE``.  A
+        child may also end early with ``DONE``.  A failed launch, a broken
+        pipe, a timeout, a malformed line or a missing ``DONE`` raises.  A
+        child that said ``DONE`` gets a grace period to exit; any other is
+        killed at once.
+        """
+        proc = subprocess.Popen(
+            list(self.command),
+            stdin=subprocess.PIPE,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.DEVNULL,
+            text=True,
+            bufsize=1,
+        )
+        done = False
+        try:
+            reader = _LineReader(proc.stdout)
+            _write(proc, f"CONFIG {serialize(request.config)} EPOCHS {request.max_epochs}"
+                         f" FRACTION {request.data_fraction!r} SEED {request.seed}")
+            stopped = False
+            while True:
+                line = reader.read(self.line_timeout)
+                if line.strip() == "DONE":
+                    done = True
+                    return
+                if stopped:
+                    raise ValueError(f"missing DONE after STOP, got {line!r}")
+                parts = line.split()
+                if len(parts) != 8 or parts[0] != "EPOCH" or parts[2] != "ACC" or parts[4] != "LOSS" or parts[6] != "LR":
+                    raise ValueError(f"malformed epoch line {line!r}")
+                lr = yield int(parts[1]), float(parts[3]), float(parts[5]), float(parts[7])
+                stopped = lr is None
+                _write(proc, "STOP" if stopped else "CONTINUE")
+        finally:
+            _end_child(proc, done)
+
+
+def _write(proc: subprocess.Popen, line: str) -> None:
+    proc.stdin.write(line + "\n")
+    proc.stdin.flush()
+
+
+def _end_child(proc: subprocess.Popen, done: bool) -> None:
+    """Close the child's input; wait for a child that said ``DONE``, kill any other."""
+    with contextlib.suppress(OSError):
+        proc.stdin.close()
+    if done:
+        try:
+            proc.wait(timeout=5.0)
+            return
+        except subprocess.TimeoutExpired:
+            pass
+    proc.kill()
+    proc.wait()
+
 
 class _LineReader:
     """Background reader so protocol reads can time out cleanly."""
@@ -342,105 +448,20 @@ class _LineReader:
             for line in stream:
                 self._queue.put(line.rstrip("\n"))
         finally:
+            stream.close()
             self._queue.put(None)
 
-    def read(self, timeout: float) -> str | None:
+    def read(self, timeout: float) -> str:
+        """The next line; raises once ``timeout`` seconds pass or the child closes its output."""
         try:
-            return self._queue.get(timeout=timeout)
+            line = self._queue.get(timeout=timeout)
         except queue.Empty:
-            return None
-
-
-def _failed_external(transcript: list[str], why: str) -> EvaluationResult:
-    logger.warning("external evaluation failed: %s; transcript=%r", why, transcript)
-    return EvaluationResult.failure()
+            raise TimeoutError(f"no line within {timeout} s") from None
+        if line is None:
+            raise ConnectionError("child closed its output")
+        return line
 
 
 def external_evaluate(request: EvaluationRequest, adapter: ProcessAdapter) -> EvaluationResult:
-    """Drive an external trainer over the line protocol.
-
-    Parent sends one header line, the child answers one ``EPOCH`` line per
-    epoch, the parent acknowledges each with ``CONTINUE`` or ``STOP``, and
-    the child finishes with ``DONE``.  Any crash, malformed line or timeout
-    yields an evaluation-failed result.
-    """
-    problem = _config_problem(request.config)
-    if problem is not None:
-        return _failed_external([], problem)
-    transcript: list[str] = []
-    try:
-        proc = subprocess.Popen(
-            list(adapter.command),
-            stdin=subprocess.PIPE,
-            stdout=subprocess.PIPE,
-            stderr=subprocess.DEVNULL,
-            text=True,
-            bufsize=1,
-        )
-    except OSError as exc:
-        return _failed_external(transcript, f"launch failed: {exc}")
-
-    def send(line: str) -> bool:
-        try:
-            assert proc.stdin is not None
-            proc.stdin.write(line + "\n")
-            proc.stdin.flush()
-            return True
-        except (BrokenPipeError, OSError):
-            return False
-
-    reader = _LineReader(proc.stdout)
-    history = TrainingHistory()
-    monitor = request.monitor
-    reason = REASON_NONE
-    try:
-        header = (
-            f"CONFIG {serialize(request.config)} EPOCHS {request.max_epochs}"
-            f" FRACTION {request.data_fraction!r} SEED {request.seed}"
-        )
-        if not send(header):
-            return _failed_external(transcript, "child closed stdin early")
-        if monitor is not None:
-            monitor.start(request.config.learning_rate)
-        stopped = False
-        while len(history) < request.max_epochs and not stopped:
-            line = reader.read(adapter.line_timeout)
-            if line is None:
-                return _failed_external(transcript, "timeout or child exit mid-curve")
-            transcript.append(line)
-            if line.strip() == "DONE":
-                break
-            parts = line.split()
-            try:
-                if len(parts) != 8 or parts[0] != "EPOCH" or parts[2] != "ACC" or parts[4] != "LOSS" or parts[6] != "LR":
-                    raise ValueError(f"malformed epoch line {line!r}")
-                history.append(int(parts[1]), float(parts[3]), float(parts[5]), float(parts[7]))
-            except ValueError as exc:
-                send("STOP")
-                return _failed_external(transcript, str(exc))
-            if monitor is not None:
-                verdict = monitor.verdict(history)
-                if verdict.stop:
-                    reason = verdict.reason
-                    stopped = True
-            if not send("STOP" if (stopped or len(history) >= request.max_epochs) else "CONTINUE"):
-                return _failed_external(transcript, "child closed stdin mid-curve")
-        if transcript and transcript[-1].strip() != "DONE":
-            line = reader.read(adapter.line_timeout)
-            if line is None or line.strip() != "DONE":
-                return _failed_external(transcript + ([line] if line else []), "missing DONE")
-            transcript.append(line)
-        if len(history) == 0:
-            return _failed_external(transcript, "child produced no epochs")
-    finally:
-        try:
-            if proc.stdin is not None:
-                proc.stdin.close()
-        except OSError:
-            pass
-        try:
-            proc.wait(timeout=5.0)
-        except subprocess.TimeoutExpired:
-            proc.kill()
-            proc.wait()
-    return EvaluationResult.of(history, reason, request.data_fraction)
+    """Run one training in an external trainer over the line protocol."""
+    return train(request, adapter.epochs(request))

@@ -172,11 +172,7 @@ def build_plan(settings: CampaignSettings, bounds: SpaceBounds | None = None) ->
     bounds = bounds or default_bounds()
     if settings.backend == "simulated":
         blackbox = SimulatedBlackbox(noise_sigma=settings.noise_sigma)
-
-        def full_eval(config: Configuration, monitor):
-            return blackbox.evaluate(
-                EvaluationRequest(config, settings.max_epochs, 1.0, settings.seed, monitor)
-            )
+        evaluate = blackbox.evaluate
 
         def fidelity_eval(config: Configuration, epochs: int, fraction: float) -> float:
             return blackbox.final_accuracy(config, settings.seed, epochs, fraction)
@@ -184,15 +180,14 @@ def build_plan(settings: CampaignSettings, bounds: SpaceBounds | None = None) ->
     else:
         adapter = ProcessAdapter.from_command(settings.external_command)
 
-        def full_eval(config: Configuration, monitor):
-            return external_evaluate(
-                EvaluationRequest(config, settings.max_epochs, 1.0, settings.seed, monitor),
-                adapter,
-            )
+        def evaluate(request: EvaluationRequest):
+            return external_evaluate(request, adapter)
 
         def fidelity_eval(config: Configuration, epochs: int, fraction: float) -> float:
-            request = EvaluationRequest(config, epochs, fraction, settings.seed, None)
-            return external_evaluate(request, adapter).final_val_accuracy
+            return evaluate(EvaluationRequest(config, epochs, fraction, settings.seed)).final_val_accuracy
+
+    def full_eval(config: Configuration, monitor):
+        return evaluate(EvaluationRequest(config, settings.max_epochs, 1.0, settings.seed, monitor))
 
     return mads.RunPlan(
         bounds=bounds,

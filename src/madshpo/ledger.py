@@ -114,7 +114,10 @@ def read_ledger(path: Path) -> tuple[dict[str, str], list[LedgerRecord]]:
             elif len(row) != len(COLUMNS):
                 raise ValueError(f"{path}:{lineno}: expected {len(COLUMNS)} fields, found {len(row)}")
             else:
-                records.append(LedgerRecord.from_row(row))
+                try:
+                    records.append(LedgerRecord.from_row(row))
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{lineno}: {exc}") from None
     if not columns_seen:
         raise ValueError(f"{path}: not a ledger file")
     for prev, rec in zip(records, records[1:]):

@@ -1,14 +1,24 @@
+import sys
+import time
+from dataclasses import replace
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from madshpo.blackbox import (
     ACCURACY_QUANTUM,
     EvaluationRequest,
+    ProcessAdapter,
     SimulatedBlackbox,
     curve_arrays,
+    external_evaluate,
     simulate_curve,
+    train,
 )
-from madshpo.early_stop import CHANCE_LEVEL, BaselineEnvelope, StoppingMonitor, TrainingHistory
+from madshpo.early_stop import (
+    CHANCE_LEVEL, LR_FACTOR, PATIENCE, BaselineEnvelope, StoppingMonitor, TrainingHistory,
+)
 from madshpo.space import Configuration, ConvLayerHP, make_config, preset_config
 
 
@@ -185,6 +195,92 @@ class TestEvaluate:
     def test_short_request_runs_every_epoch(self, blackbox):
         result = blackbox.evaluate(EvaluationRequest(preset_config("p1"), 10, 1.0, 0))
         assert result.epochs_used == 10
+
+
+def fake_epochs(rows, log):
+    """In-memory epoch source: yields ``rows`` (raising any exception among
+    them) and logs whether it started, each rate it is sent, and its close."""
+    log.started, log.sent, log.closed = True, [], False
+    try:
+        for row in rows:
+            if isinstance(row, Exception):
+                raise row
+            lr = yield row
+            log.sent.append(lr)
+            if lr is None:
+                return
+    finally:
+        log.closed = True
+
+
+def flat_rows(n, lr=0.01):
+    return [(e, 0.5, 1.0, lr) for e in range(1, n + 1)]
+
+
+class TestTrain:
+    def test_scheduler_cut_reaches_source_and_stop_sends_none(self):
+        log = SimpleNamespace(started=False)
+        config = preset_config("p1")
+        monitor = StoppingMonitor("scheduler")
+        result = train(EvaluationRequest(config, 200, 1.0, 0, monitor), fake_epochs(flat_rows(200), log))
+        lr = config.learning_rate
+        assert log.sent[:PATIENCE - 1] == [lr] * (PATIENCE - 1)
+        # the cut decided at epoch PATIENCE is the rate sent for the next epoch
+        assert log.sent[PATIENCE - 1] == pytest.approx(lr * LR_FACTOR)
+        assert log.sent[PATIENCE] == log.sent[PATIENCE - 1]
+        assert result.stop_reason == "scheduler-lr-floor"
+        assert log.sent[-1] is None and None not in log.sent[:-1]
+        assert len(log.sent) == result.epochs_used
+        assert log.closed
+
+    def test_max_epochs_sends_none(self):
+        log = SimpleNamespace(started=False)
+        result = train(EvaluationRequest(preset_config("p1"), 10, 1.0, 0), fake_epochs(flat_rows(50), log))
+        assert result.epochs_used == 10
+        assert result.stop_reason == "none"
+        assert log.sent == [preset_config("p1").learning_rate] * 9 + [None]
+
+    def test_source_ending_early_keeps_its_epochs(self):
+        log = SimpleNamespace(started=False)
+        monitor = StoppingMonitor("scheduler+baseline", BaselineEnvelope())
+        result = train(EvaluationRequest(preset_config("p1"), 200, 0.5, 0, monitor), fake_epochs(flat_rows(7), log))
+        assert not result.failed
+        assert result.stop_reason == "none"
+        assert result.epochs_used == 7
+        assert result.wall_cost == pytest.approx(3.5)
+        assert None not in log.sent
+
+    @pytest.mark.parametrize("rows", [
+        flat_rows(2) + [OSError("trainer lost")],
+        flat_rows(2) + [ValueError("bad line")],
+        flat_rows(2) + [(3, 1.5, 1.0, 0.01)],
+        flat_rows(2) + [(4, 0.5, 1.0, 0.01)],
+        [],
+    ], ids=["raises-oserror", "raises-valueerror", "accuracy-above-1", "skips-an-epoch", "no-epochs"])
+    def test_bad_source_fails_and_is_closed(self, rows):
+        log = SimpleNamespace(started=False)
+        monitor = StoppingMonitor("scheduler+baseline", BaselineEnvelope())
+        result = train(EvaluationRequest(preset_config("p1"), 200, 1.0, 0, monitor), fake_epochs(rows, log))
+        assert result.failed
+        assert result.final_val_accuracy == 0.0
+        assert result.epochs_used == 0
+        assert log.closed
+
+    def test_rejected_config_never_starts_source(self):
+        log = SimpleNamespace(started=False)
+        config = replace(preset_config("p1"), learning_rate=-0.01)
+        result = train(EvaluationRequest(config, 200, 1.0, 0), fake_epochs(flat_rows(10), log))
+        assert result.failed
+        assert not log.started
+
+    def test_hung_child_is_killed_at_once(self, tmp_path):
+        path = tmp_path / "sleeper.py"
+        path.write_text("import sys, time\nsys.stdin.readline()\ntime.sleep(30)\n")
+        adapter = ProcessAdapter((sys.executable, "-u", str(path)), line_timeout=0.5)
+        started = time.monotonic()
+        result = external_evaluate(EvaluationRequest(preset_config("p1"), 10, 1.0, 0), adapter)
+        assert result.failed
+        assert time.monotonic() - started < adapter.line_timeout + 1.0
 
 
 class TestFidelityMonotonicity:

@@ -264,13 +264,18 @@ class TestLedgerIO:
         with pytest.raises(ValueError):
             read_ledger(path)
 
-    @pytest.mark.parametrize("edit", ["cut", "extra"])
+    @pytest.mark.parametrize("edit", ["cut", "extra", "bad-score"])
     def test_wrong_field_count_rejected(self, tmp_path, edit):
         records = [LedgerRecord(i, KIND_FULL, "x=1", 0.5, 1, "none", 1.0, i + 1.0, True, i, 0) for i in range(2)]
         path = tmp_path / "ledger.csv"
         write_ledger(path, records, {"seed": "0"})
         lines = path.read_text().splitlines()
-        lines[-1] = lines[-1][: len(lines[-1]) // 2] if edit == "cut" else lines[-1] + ",7"
+        fields = lines[-1].split(",")
+        lines[-1] = {
+            "cut": lines[-1][: len(lines[-1]) // 2],
+            "extra": lines[-1] + ",7",
+            "bad-score": ",".join(fields[:3] + ["x"] + fields[4:]),
+        }[edit]
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match=f"{path}:4: "):
             read_ledger(path)
