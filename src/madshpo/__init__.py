@@ -39,7 +39,6 @@ from .space import (
     make_config,
     neighbors,
     preset_config,
-    project_to_mesh,
     serialize,
     validate,
 )

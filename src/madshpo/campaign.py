@@ -285,7 +285,7 @@ def _rebuild_state(settings: CampaignSettings, kept: list[LedgerRecord]) -> mads
             incumbent_score = rec.score
             improved_iteration = rec.iteration
     last = kept[-1]
-    mesh = mads.Mesh(last.mesh_index, 0)
+    mesh = mads.Mesh(last.mesh_index)
     if last.iteration >= 1:
         mesh = mads.update_mesh(mesh, improved_iteration == last.iteration)
     return mads.CampaignState(

@@ -63,6 +63,10 @@ class LedgerRecord:
 
     @classmethod
     def from_row(cls, row: list[str]) -> "LedgerRecord":
+        if row[1] not in (KIND_FULL, KIND_SURROGATE, KIND_RANKING):
+            raise ValueError(f"unknown kind {row[1]!r}")
+        if row[8] not in ("0", "1"):
+            raise ValueError(f"incumbent must be 0 or 1, found {row[8]!r}")
         return cls(
             record_index=int(row[0]),
             kind=row[1],

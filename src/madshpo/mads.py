@@ -1,11 +1,12 @@
 """Mesh adaptive direct search over the mixed hyperparameter space.
 
 Each iteration polls the incumbent along a randomized maximal positive
-basis scaled by the current mesh size, appends the categorical neighbors,
-optionally sorts the candidates with a low-fidelity surrogate, and
-evaluates them opportunistically (stop at the first improvement).  The
-mesh doubles after a success (up to its initial size) and halves after a
-failure.
+basis scaled by the poll size, snaps every point to the mesh, appends the
+categorical neighbors projected to the same mesh, optionally sorts the
+candidates with a low-fidelity surrogate, and evaluates them
+opportunistically (stop at the first improvement).  ``Mesh`` is the only
+code that knows the mesh geometry; ``update_mesh`` coarsens it after a
+success (up to ``MAX_MESH_INDEX``) and refines it after a failure.
 """
 
 from __future__ import annotations
@@ -20,21 +21,17 @@ import numpy as np
 from .blackbox import WORST_SCORE, EvaluationResult
 from .early_stop import BaselineEnvelope, StoppingMonitor, update_baseline
 from .ledger import KIND_FULL, KIND_RANKING, KIND_SURROGATE, LedgerRecord
-# serialize, with_vector, snap_array, to_vector, quantitative_slots and
-# neighbors stay module attributes here: benchmark/tracing.py wraps them
-# by these names.
+# benchmark/tracing.py wraps serialize, with_vector, to_vector,
+# quantitative_slots, neighbors and snap_array by these names in this
+# module, so they stay module attributes here and Mesh looks them up here.
 from .space import (  # noqa: F401
     Configuration,
-    Slot,
-    SlotSpec,
+    SlotLayout,
     SpaceBounds,
-    mesh_steps,
     neighbors,
-    project_to_mesh,
     quantitative_slots,
     serialize,
     slot_layout,
-    snap_array,
     to_vector,
     validate,
     with_vector,
@@ -48,30 +45,74 @@ ORIGIN_DIRECTION = "poll-direction"
 ORIGIN_NEIGHBOR = "categorical-neighbor"
 ORIGIN_INITIAL = "initial"
 
+# The coarsest mesh index: campaigns start here and never coarsen past it.
+MAX_MESH_INDEX = 0
+
+# Largest |value/step| for which mesh snapping is numerically meaningful;
+# beyond this the mesh is finer than float64 resolution and values pass
+# through untouched (keeps projection exactly idempotent).
+_SNAP_LIMIT = 2.0**52
+
+
+def snap_array(values: np.ndarray, steps: np.ndarray, lowers: np.ndarray, uppers: np.ndarray) -> np.ndarray:
+    """Snap internal-scale values to the nearest in-bounds mesh point.
+
+    The mesh multiplier is rounded and then clamped into the feasible grid
+    range, so bound-clipped values land on a mesh point and projection is
+    exactly idempotent.  Slots with no mesh point inside the bounds, and
+    values so large that the step is below float resolution, fall back to
+    plain clipping.  ``values`` may also be an (n, m) matrix of m points,
+    with the per-slot arrays given as (n, 1) columns.
+    """
+    values = np.asarray(values, dtype=float)
+    ratio = values / steps
+    k_min = np.ceil(lowers / steps - 1e-9)
+    k_max = np.floor(uppers / steps + 1e-9)
+    k = np.clip(np.round(ratio), k_min, k_max)
+    snapped = np.where((np.abs(ratio) < _SNAP_LIMIT) & (k_min <= k_max), steps * k, values)
+    return np.clip(snapped, lowers, uppers)
+
 
 @dataclass(frozen=True)
 class Mesh:
-    """Mesh size state: per-slot step = base step * 2**index.
+    """The mesh of one iteration, fixed by its index.
 
-    The base step for a slot is one tenth of its internal range (at least
-    the granularity); ``index`` never exceeds ``max_index`` (its starting
-    value) and a campaign terminates once it falls below the configured
-    minimum.
+    Per slot, the poll size is one tenth of the slot's internal range (at
+    least its granularity) times ``2**index``, and the mesh spacing is that
+    size rounded to a positive multiple of the granularity, so integer
+    slots stay on their lattice however fine the mesh gets.  ``index``
+    starts at ``MAX_MESH_INDEX``; a campaign terminates once it falls below
+    the configured minimum.
     """
 
-    index: int = 0
-    max_index: int = 0
+    index: int = MAX_MESH_INDEX
 
-    def delta_for(self, spec: SlotSpec) -> float:
-        span = spec.internal_upper - spec.internal_lower
-        base = max(spec.granularity, span / 10.0)
+    def poll_sizes(self, layout: SlotLayout) -> np.ndarray:
+        """Poll size per slot, in internal units."""
+        base = np.maximum(layout.granularity, (layout.uppers - layout.lowers) / 10.0)
         return base * 2.0**self.index
 
-    def delta_vector(self, slots: Sequence[Slot]) -> np.ndarray:
-        return np.array([self.delta_for(s.spec) for s in slots])
+    def spacing(self, layout: SlotLayout) -> np.ndarray:
+        """Mesh spacing per slot: the poll size rounded to a positive multiple of the granularity."""
+        gran = layout.granularity
+        return gran * np.maximum(1.0, np.round(self.poll_sizes(layout) / gran))
 
-    def max_delta(self, slots: Sequence[Slot]) -> float:
-        return float(self.delta_vector(slots).max())
+    def snap(self, layout: SlotLayout, values: np.ndarray) -> np.ndarray:
+        """Snap a vector in slot order, or each column of an (n, m) matrix,
+        to the nearest in-bounds point of this mesh."""
+        steps, lowers, uppers = self.spacing(layout), layout.lowers, layout.uppers
+        if np.ndim(values) == 2:
+            steps, lowers, uppers = steps[:, None], lowers[:, None], uppers[:, None]
+        return snap_array(values, steps, lowers, uppers)
+
+    def project(self, config: Configuration, bounds: SpaceBounds) -> Configuration:
+        """Snap every quantitative slot to this mesh and clip it into bounds.
+
+        Categorical slots are untouched.  Projection is idempotent: mesh
+        points map to themselves and clipped bounds stay put.
+        """
+        layout = slot_layout(bounds, config.n_conv, config.n_fc)
+        return with_vector(config, bounds, self.snap(layout, to_vector(config, bounds)))
 
 
 @dataclass(frozen=True)
@@ -123,15 +164,8 @@ def generate_poll(incumbent: Configuration, mesh: Mesh, seed: int, bounds: Space
     """
     layout = slot_layout(bounds, incumbent.n_conv, incumbent.n_fc)
     directions = poll_directions(len(layout.slots), seed)
-    deltas = mesh.delta_vector(layout.slots)
-    steps = mesh_steps(layout, deltas)
     x = to_vector(incumbent, bounds)
-    points = snap_array(
-        x[:, None] + deltas[:, None] * directions,
-        steps[:, None],
-        layout.lowers[:, None],
-        layout.uppers[:, None],
-    )
+    points = mesh.snap(layout, x[:, None] + mesh.poll_sizes(layout)[:, None] * directions)
 
     seen = {serialize(incumbent)}
     candidates: list[PollCandidate] = []
@@ -151,15 +185,15 @@ def generate_poll(incumbent: Configuration, mesh: Mesh, seed: int, bounds: Space
             snapped_seen.add(raw)
             add(with_vector(incumbent, bounds, column.tolist()), ORIGIN_DIRECTION)
     for neighbor in neighbors(incumbent, bounds):
-        add(project_to_mesh(neighbor, mesh, bounds), ORIGIN_NEIGHBOR)
+        add(mesh.project(neighbor, bounds), ORIGIN_NEIGHBOR)
     return PollSet(tuple(candidates), directions)
 
 
 def update_mesh(mesh: Mesh, success: bool) -> Mesh:
-    """Coarsen after a success (capped at the starting index), refine after a failure."""
+    """Coarsen after a success (capped at ``MAX_MESH_INDEX``), refine after a failure."""
     if success:
-        return Mesh(min(mesh.index + 1, mesh.max_index), mesh.max_index)
-    return Mesh(mesh.index - 1, mesh.max_index)
+        return Mesh(min(mesh.index + 1, MAX_MESH_INDEX))
+    return Mesh(mesh.index - 1)
 
 
 def opportunistic_evaluate(

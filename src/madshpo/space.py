@@ -34,11 +34,6 @@ SCALAR_FIELDS = (
 _conv_values = attrgetter(*CONV_FIELDS)
 _scalar_values = attrgetter(*SCALAR_FIELDS)
 
-# Largest |value/step| for which mesh snapping is numerically meaningful;
-# beyond this the mesh is finer than float64 resolution and values pass
-# through untouched (keeps projection exactly idempotent).
-_SNAP_LIMIT = 2.0**52
-
 # Slot layouts kept per SpaceBounds instance; past this many distinct
 # architecture sizes the cache starts over.
 _MAX_LAYOUTS = 256
@@ -400,48 +395,6 @@ def neighbors(config: Configuration, bounds: SpaceBounds) -> list[Configuration]
     return out
 
 
-def mesh_steps(layout: SlotLayout, deltas: np.ndarray) -> np.ndarray:
-    """Effective per-slot mesh spacing for the given mesh sizes.
-
-    The spacing is the granularity times the nearest positive integer to
-    delta/granularity, so integer slots stay on their granularity lattice
-    however fine the mesh gets.
-    """
-    gran = layout.granularity
-    return gran * np.maximum(1.0, np.round(deltas / gran))
-
-
-def snap_array(values: np.ndarray, steps: np.ndarray, lowers: np.ndarray, uppers: np.ndarray) -> np.ndarray:
-    """Snap internal-scale values to the nearest in-bounds mesh point.
-
-    The mesh multiplier is rounded and then clamped into the feasible grid
-    range, so bound-clipped values land on a mesh point and projection is
-    exactly idempotent.  Slots with no mesh point inside the bounds, and
-    values so large that the step is below float resolution, fall back to
-    plain clipping.  ``values`` may also be an (n, m) matrix of m points,
-    with the per-slot arrays given as (n, 1) columns.
-    """
-    values = np.asarray(values, dtype=float)
-    ratio = values / steps
-    k_min = np.ceil(lowers / steps - 1e-9)
-    k_max = np.floor(uppers / steps + 1e-9)
-    k = np.clip(np.round(ratio), k_min, k_max)
-    snapped = np.where((np.abs(ratio) < _SNAP_LIMIT) & (k_min <= k_max), steps * k, values)
-    return np.clip(snapped, lowers, uppers)
-
-
-def project_to_mesh(config: Configuration, mesh, bounds: SpaceBounds) -> Configuration:
-    """Snap every quantitative slot to the mesh and clip into bounds.
-
-    Categorical slots are untouched.  Projection is idempotent: mesh points
-    map to themselves and clipped bounds stay put.
-    """
-    layout = slot_layout(bounds, config.n_conv, config.n_fc)
-    steps = mesh_steps(layout, mesh.delta_vector(layout.slots))
-    vec = snap_array(to_vector(config, bounds), steps, layout.lowers, layout.uppers)
-    return with_vector(config, bounds, vec)
-
-
 def _format(value) -> str:
     kind = type(value)
     if kind is float:
@@ -474,8 +427,7 @@ def deserialize(text: str) -> Configuration:
     """Parse the output of :func:`serialize` back into a configuration."""
     conv_values: dict[int, dict[str, int]] = {}
     fc_values: dict[int, int] = {}
-    optimizer = None
-    scalars: dict[str, float] = {}
+    scalars: dict[str, float | str] = {}  # the optimizer token too, until popped
     for token in text.split():
         name, _, raw = token.partition("=")
         if not raw:
@@ -484,15 +436,19 @@ def deserialize(text: str) -> Configuration:
             head, _, field = name.partition(".")
             if field not in CONV_FIELDS:
                 raise ValueError(f"unknown conv field in {token!r}")
-            conv_values.setdefault(int(head[4:]), {})[field] = int(raw)
+            values, key, value = conv_values.setdefault(int(head[4:]), {}), field, int(raw)
         elif name.startswith("fc"):
-            fc_values[int(name[2:])] = int(raw)
+            values, key, value = fc_values, int(name[2:]), int(raw)
         elif name == "optimizer":
-            optimizer = raw
+            values, key, value = scalars, name, raw
         elif name in SCALAR_FIELDS:
-            scalars[name] = int(raw) if name == "batch_size" else float(raw)
+            values, key, value = scalars, name, int(raw) if name == "batch_size" else float(raw)
         else:
             raise ValueError(f"unknown slot {name!r}")
+        if key in values:
+            raise ValueError(f"repeated token {token!r}")
+        values[key] = value
+    optimizer = scalars.pop("optimizer", None)
     if optimizer is None:
         raise ValueError("missing optimizer token")
     missing = set(SCALAR_FIELDS) - set(scalars)

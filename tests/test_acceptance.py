@@ -27,7 +27,7 @@ from madshpo.space import (
     dimension,
     make_config,
     preset_config,
-    quantitative_slots,
+    slot_layout,
     to_vector,
 )
 from madshpo.surrogates import surrogate_by_name
@@ -125,12 +125,12 @@ def test_criterion_5_quadratic_convergence():
     bounds = frozen_bounds()
     start = make_config((), (), **QUAD_START)
     center = to_vector(make_config((), (), **QUAD_CENTER), bounds)
-    slots = quantitative_slots(bounds, 0, 0)
+    layout = slot_layout(bounds, 0, 0)
     good = 0
     for seed in range(20):
         result = mads.run_campaign(start, 10**9, quadratic_plan(bounds, center, seed))
         gap = 1.0 - result.best_score
-        delta = Mesh(result.final_mesh_index, 0).max_delta(slots)
+        delta = Mesh(result.final_mesh_index).poll_sizes(layout).max()
         good += gap <= 1e-3 and delta < 1e-6 and result.iterations <= 500
     elapsed = time.monotonic() - started
     ok = good >= 18 and elapsed < 10.0

@@ -264,7 +264,7 @@ class TestLedgerIO:
         with pytest.raises(ValueError):
             read_ledger(path)
 
-    @pytest.mark.parametrize("edit", ["cut", "extra", "bad-score"])
+    @pytest.mark.parametrize("edit", ["cut", "extra", "bad-score", "bad-kind", "bad-incumbent"])
     def test_wrong_field_count_rejected(self, tmp_path, edit):
         records = [LedgerRecord(i, KIND_FULL, "x=1", 0.5, 1, "none", 1.0, i + 1.0, True, i, 0) for i in range(2)]
         path = tmp_path / "ledger.csv"
@@ -275,6 +275,8 @@ class TestLedgerIO:
             "cut": lines[-1][: len(lines[-1]) // 2],
             "extra": lines[-1] + ",7",
             "bad-score": ",".join(fields[:3] + ["x"] + fields[4:]),
+            "bad-kind": ",".join(fields[:1] + ["fuII-eval"] + fields[2:]),
+            "bad-incumbent": ",".join(fields[:8] + ["yes"] + fields[9:]),
         }[edit]
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match=f"{path}:4: "):

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from madshpo.blackbox import EvaluationResult
+from madshpo.blackbox import FAILED_REASON, WORST_SCORE, EvaluationResult
 from madshpo.early_stop import DEFAULT_MARGINS, DEFAULT_MILESTONES, TrainingHistory
 from madshpo.ledger import KIND_FULL, KIND_RANKING, KIND_SURROGATE
 from madshpo import mads
@@ -15,19 +15,17 @@ from madshpo.mads import (
     generate_poll,
     opportunistic_evaluate,
     poll_directions,
+    snap_array,
     update_mesh,
 )
 from madshpo.space import (
     SpaceBounds,
     default_bounds,
     make_config,
-    mesh_steps,
     preset_config,
-    project_to_mesh,
     quantitative_slots,
     serialize,
     slot_layout,
-    snap_array,
     to_vector,
     validate,
     with_vector,
@@ -55,9 +53,9 @@ def frozen_bounds():
 
 class TestMesh:
     def test_delta_doubles_with_index(self, bounds):
-        slots = quantitative_slots(bounds, 1, 2)
-        fine = Mesh(-3, 0).delta_vector(slots)
-        coarse = Mesh(-2, 0).delta_vector(slots)
+        layout = slot_layout(bounds, 1, 2)
+        fine = Mesh(-3).poll_sizes(layout)
+        coarse = Mesh(-2).poll_sizes(layout)
         assert np.allclose(coarse, 2 * fine)
 
     @pytest.mark.parametrize(
@@ -65,7 +63,7 @@ class TestMesh:
         [(-3, True, -2), (0, True, 0), (-3, False, -4), (0, False, -1)],
     )
     def test_update(self, index, success, expected):
-        assert update_mesh(Mesh(index, 0), success).index == expected
+        assert update_mesh(Mesh(index), success).index == expected
 
 
 class TestPollDirections:
@@ -93,7 +91,7 @@ class TestPollDirections:
 class TestGeneratePoll:
     def test_direction_count_and_neighbors(self, bounds):
         p1 = preset_config("p1")
-        poll = generate_poll(p1, Mesh(0, 0), 42, bounds)
+        poll = generate_poll(p1, Mesh(0), 42, bounds)
         directions = [c for c in poll.candidates if c.origin == "poll-direction"]
         neighbors = [c for c in poll.candidates if c.origin == "categorical-neighbor"]
         n = len(quantitative_slots(bounds, 1, 2))
@@ -104,8 +102,8 @@ class TestGeneratePoll:
 
     def test_deterministic(self, bounds):
         p1 = preset_config("p1")
-        a = generate_poll(p1, Mesh(-2, 0), 9, bounds)
-        b = generate_poll(p1, Mesh(-2, 0), 9, bounds)
+        a = generate_poll(p1, Mesh(-2), 9, bounds)
+        b = generate_poll(p1, Mesh(-2), 9, bounds)
         assert [serialize(c.config) for c in a.candidates] == [
             serialize(c.config) for c in b.candidates
         ]
@@ -113,11 +111,11 @@ class TestGeneratePoll:
     def test_all_candidates_on_mesh_and_in_bounds(self, bounds):
         p1 = preset_config("p2")
         for seed in range(5):
-            mesh = Mesh(-seed, 0)
+            mesh = Mesh(-seed)
             poll = generate_poll(p1, mesh, seed, bounds)
             for cand in poll.candidates:
                 assert validate(cand.config, bounds) == []
-                assert cand.config == project_to_mesh(cand.config, mesh, bounds)
+                assert cand.config == mesh.project(cand.config, bounds)
 
     @pytest.mark.parametrize("preset", ["p1", "p3"])
     def test_matches_column_by_column_projection(self, bounds, preset):
@@ -126,9 +124,9 @@ class TestGeneratePoll:
         incumbent = preset_config(preset)
         layout = slot_layout(bounds, incumbent.n_conv, incumbent.n_fc)
         for index, seed in ((0, 1), (-3, 2), (-9, 3), (-40, 4)):
-            mesh = Mesh(index, 0)
-            deltas = mesh.delta_vector(layout.slots)
-            steps = mesh_steps(layout, deltas)
+            mesh = Mesh(index)
+            deltas = mesh.poll_sizes(layout)
+            steps = layout.granularity * np.maximum(1.0, np.round(deltas / layout.granularity))
             directions = poll_directions(len(layout.slots), seed)
             points = to_vector(incumbent, bounds)[:, None] + deltas[:, None] * directions
             expected, seen = [], {serialize(incumbent)}
@@ -143,7 +141,7 @@ class TestGeneratePoll:
             assert got == expected
 
     def test_candidates_carry_their_serialized_key(self, bounds):
-        poll = generate_poll(preset_config("p2"), Mesh(-2, 0), 5, bounds)
+        poll = generate_poll(preset_config("p2"), Mesh(-2), 5, bounds)
         assert all(c.key == serialize(c.config) for c in poll.candidates)
         assert PollCandidate(preset_config("p1"), "initial").key == serialize(preset_config("p1"))
 
@@ -161,7 +159,7 @@ class TestGeneratePoll:
 
     def test_no_duplicates_or_incumbent_copies(self, bounds):
         p1 = preset_config("p1")
-        poll = generate_poll(p1, Mesh(-6, 0), 3, bounds)
+        poll = generate_poll(p1, Mesh(-6), 3, bounds)
         keys = [serialize(c.config) for c in poll.candidates]
         assert len(keys) == len(set(keys))
         assert serialize(p1) not in keys
@@ -169,10 +167,10 @@ class TestGeneratePoll:
     def test_displacements_halve_with_mesh(self, bounds):
         # the pre-projection candidate displacements are delta * direction,
         # so halving delta halves every slot's displacement exactly
-        slots = quantitative_slots(bounds, 1, 2)
-        directions = poll_directions(len(slots), 77)
-        coarse = Mesh(-3, 0).delta_vector(slots)[:, None] * directions
-        fine = Mesh(-4, 0).delta_vector(slots)[:, None] * directions
+        layout = slot_layout(bounds, 1, 2)
+        directions = poll_directions(len(layout.slots), 77)
+        coarse = Mesh(-3).poll_sizes(layout)[:, None] * directions
+        fine = Mesh(-4).poll_sizes(layout)[:, None] * directions
         assert np.allclose(fine, 0.5 * coarse, rtol=1e-12)
 
 
@@ -301,12 +299,46 @@ class TestRunCampaign:
         b = frozen_bounds()
         start = make_config((), (), **QUAD_START)
         center = to_vector(make_config((), (), **QUAD_CENTER), b)
-        slots = quantitative_slots(b, 0, 0)
+        layout = slot_layout(b, 0, 0)
         for seed in (0, 1, 2):
             result = mads.run_campaign(start, 10**9, quadratic_plan(b, center, seed))
             assert 1.0 - result.best_score <= 1e-3
-            assert Mesh(result.final_mesh_index, 0).max_delta(slots) < 1e-6
+            assert Mesh(result.final_mesh_index).poll_sizes(layout).max() < 1e-6
             assert result.iterations <= 500
+
+    def test_failed_candidate_scores_worst_and_search_goes_on(self):
+        b = frozen_bounds()
+        start = make_config((), (), **QUAD_START)
+        center = to_vector(make_config((), (), **QUAD_CENTER), b)
+        plan = quadratic_plan(b, center, 2, max_iterations=60)
+        evaluate = plan.full_eval
+        best, failed = -math.inf, []
+
+        def full_eval(config, monitor):
+            # raise for the first candidate that would beat an incumbent
+            # scored above WORST_SCORE, so that opportunistic polling would
+            # otherwise have stopped on it
+            nonlocal best
+            result = evaluate(config, monitor)
+            if not failed and WORST_SCORE < best < result.final_val_accuracy:
+                failed.append(serialize(config))
+                raise RuntimeError("trainer crashed")
+            best = max(best, result.final_val_accuracy)
+            return result
+
+        plan.full_eval = full_eval
+        fulls = [r for r in mads.run_campaign(start, 10**6, plan).records if r.kind == KIND_FULL]
+        assert failed
+        i = [r.config for r in fulls].index(failed[0])
+        row = fulls[i]
+        assert (row.stop_reason, row.score, row.epochs_used, row.charged_cost, row.incumbent) == (
+            FAILED_REASON, WORST_SCORE, 0, 1.0, False
+        )
+        # the poll goes on to its next candidate, judged against the unchanged incumbent
+        incumbent_score = max(r.score for r in fulls[:i])
+        following = fulls[i + 1]
+        assert following.iteration == row.iteration
+        assert following.incumbent == (following.score > incumbent_score)
 
     def test_incumbent_monotone_and_mesh_rules(self):
         b = frozen_bounds()

@@ -15,7 +15,6 @@ from madshpo.space import (
     make_config,
     neighbors,
     preset_config,
-    project_to_mesh,
     quantitative_slots,
     serialize,
     slot_layout,
@@ -185,28 +184,28 @@ class TestProjectToMesh:
         bounds = _linear_lr_bounds()
         config = make_config((), (), learning_rate=0.01234)
         # mesh delta below granularity -> effective step is exactly 1e-3
-        projected = project_to_mesh(config, Mesh(-12, 0), bounds)
+        projected = Mesh(-12).project(config, bounds)
         assert projected.learning_rate == pytest.approx(0.012, abs=1e-12)
 
     def test_integer_slot_on_mesh_unchanged(self, bounds):
         config = make_config((), (), batch_size=128)
-        projected = project_to_mesh(config, Mesh(-3, 0), bounds)
+        projected = Mesh(-3).project(config, bounds)
         assert projected.batch_size == 128
         assert isinstance(projected.batch_size, int)
 
     def test_value_above_upper_clipped(self):
         bounds = _linear_lr_bounds()
         config = make_config((), (), learning_rate=0.9999)
-        projected = project_to_mesh(config, Mesh(0, 0), bounds)
+        projected = Mesh(0).project(config, bounds)
         assert projected.learning_rate <= 1.0
 
     def test_idempotent_and_bound_respecting(self, bounds):
         rng = np.random.default_rng(2)
         for _ in range(50):
             config = _random_config(rng, bounds, clip=False)
-            mesh = Mesh(int(rng.integers(-10, 1)), 0)
-            once = project_to_mesh(config, mesh, bounds)
-            twice = project_to_mesh(once, mesh, bounds)
+            mesh = Mesh(int(rng.integers(-10, 1)))
+            once = mesh.project(config, bounds)
+            twice = mesh.project(once, bounds)
             assert once == twice
             assert validate(once, bounds) == []
 
@@ -231,6 +230,8 @@ class TestSerialization:
             deserialize("optimizer=sgd learning_rate")
         with pytest.raises(ValueError):
             deserialize("bogus=1 " + serialize(preset_config("p1")))
+        with pytest.raises(ValueError, match="repeated token 'learning_rate=0.5'"):
+            deserialize(serialize(preset_config("p1")) + " learning_rate=0.5 fc0=999")
 
 
 def _random_config(rng, bounds, clip=True):
