@@ -3,7 +3,9 @@
 The ledger records every charged event of a campaign (full evaluations,
 surrogate estimates, ranking passes).  Files carry the campaign settings
 as ``# key = value`` header lines so a run can be resumed or audited from
-the file alone.  Identical campaigns write byte-identical files.
+the file alone.  Identical campaigns write byte-identical files.  Ledgers
+are written and read one row at a time, so the only memory that grows with
+a ledger is the records themselves.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
+from itertools import pairwise
 from pathlib import Path
 
 KIND_FULL = "full-eval"
@@ -82,49 +85,59 @@ class LedgerRecord:
         )
 
 
-def dumps_ledger(records, header: dict[str, str]) -> str:
+def encode_row(fields) -> str:
+    """One CSV line, exactly as ``csv.writer`` writes it in the excel dialect
+    with newline line ends.  Fields free of commas, quotes and line breaks
+    are joined as they are; a row with any of them goes through
+    ``csv.writer`` for its quoting."""
+    line = ",".join(fields)
+    if line.count(",") == len(fields) - 1 and '"' not in line and "\n" not in line and "\r" not in line:
+        return line + "\n"
     buf = io.StringIO()
-    for key in header:
-        buf.write(f"# {key} = {header[key]}\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(COLUMNS)
-    for record in records:
-        writer.writerow(record.row())
+    csv.writer(buf, lineterminator="\n").writerow(fields)
     return buf.getvalue()
 
 
 def write_ledger(path: Path, records, header: dict[str, str]) -> None:
-    """Write atomically (temp file + rename)."""
+    """Write one row at a time to a temp file, then rename it over ``path``."""
     path = Path(path)
     tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(dumps_ledger(records, header))
+    with tmp.open("w") as fh:
+        for key in header:
+            fh.write(f"# {key} = {header[key]}\n")
+        fh.write(encode_row(COLUMNS))
+        for record in records:
+            fh.write(encode_row(record.row()))
     tmp.replace(path)
 
 
 def read_ledger(path: Path) -> tuple[dict[str, str], list[LedgerRecord]]:
+    """Header and records of a ledger, read one line at a time."""
     header: dict[str, str] = {}
     records: list[LedgerRecord] = []
     columns_seen = False
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
-        if line.startswith("#"):
-            key, _, value = line[1:].partition("=")
-            header[key.strip()] = value.strip()
-        elif line:
-            row = next(csv.reader([line]))
-            if not columns_seen:
-                if tuple(row) != COLUMNS:
-                    break
-                columns_seen = True
-            elif len(row) != len(COLUMNS):
-                raise ValueError(f"{path}:{lineno}: expected {len(COLUMNS)} fields, found {len(row)}")
-            else:
-                try:
-                    records.append(LedgerRecord.from_row(row))
-                except ValueError as exc:
-                    raise ValueError(f"{path}:{lineno}: {exc}") from None
+    with Path(path).open() as fh:
+        for lineno, line in enumerate(fh, 1):
+            line = line.rstrip("\n")
+            if line.startswith("#"):
+                key, _, value = line[1:].partition("=")
+                header[key.strip()] = value.strip()
+            elif line:
+                row = line.split(",") if '"' not in line else next(csv.reader([line]))
+                if not columns_seen:
+                    if tuple(row) != COLUMNS:
+                        break
+                    columns_seen = True
+                elif len(row) != len(COLUMNS):
+                    raise ValueError(f"{path}:{lineno}: expected {len(COLUMNS)} fields, found {len(row)}")
+                else:
+                    try:
+                        records.append(LedgerRecord.from_row(row))
+                    except ValueError as exc:
+                        raise ValueError(f"{path}:{lineno}: {exc}") from None
     if not columns_seen:
         raise ValueError(f"{path}: not a ledger file")
-    for prev, rec in zip(records, records[1:]):
+    for prev, rec in pairwise(records):
         if rec.cumulative_cost < prev.cumulative_cost:
             raise ValueError(f"{path}: cumulative cost decreases at record {rec.record_index}")
     return header, records
@@ -160,9 +173,7 @@ def export_convergence(records, *, surrogate_data_fraction: float = 1.0) -> list
 
 
 def write_series(path: Path, rows) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(SERIES_COLUMNS)
-    for bbe, epochs, cost_units, best in rows:
-        writer.writerow([repr(float(bbe)), str(epochs), repr(float(cost_units)), repr(float(best))])
-    Path(path).write_text(buf.getvalue())
+    with Path(path).open("w") as fh:
+        fh.write(encode_row(SERIES_COLUMNS))
+        for bbe, epochs, cost_units, best in rows:
+            fh.write(encode_row([repr(float(bbe)), str(epochs), repr(float(cost_units)), repr(float(best))]))

@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .blackbox import WORST_SCORE, EvaluationResult
+from .blackbox import EvaluationResult
 from .early_stop import BaselineEnvelope, StoppingMonitor, update_baseline
 from .ledger import KIND_FULL, KIND_RANKING, KIND_SURROGATE, LedgerRecord
 # benchmark/tracing.py wraps serialize, with_vector, to_vector,
@@ -203,16 +203,17 @@ def opportunistic_evaluate(
 ) -> bool:
     """Evaluate candidates in order, stopping at the first strict improvement.
 
-    The evaluator maps a candidate to its score; an evaluator failure marks
-    that candidate with the worst score and evaluation continues.  Returns
-    whether some candidate scored above ``incumbent_score``.
+    The evaluator maps a candidate to its score.  A candidate whose
+    evaluator raises is never an improvement, whatever ``incumbent_score``
+    is, and evaluation continues.  Returns whether some candidate scored
+    above ``incumbent_score``.
     """
     for candidate in candidates:
         try:
             score = float(evaluator(candidate))
-        except Exception as exc:  # noqa: BLE001 - worst-score contract
+        except Exception as exc:  # noqa: BLE001 - failed-candidate contract
             logger.warning("candidate evaluation failed: %s", exc)
-            score = WORST_SCORE
+            continue
         if score > incumbent_score:
             return True
     return False
@@ -292,7 +293,8 @@ def _full_evaluation(
     state: CampaignState, plan: RunPlan, candidate: PollCandidate, iteration: int
 ) -> float:
     """Run one full evaluation of a poll candidate, charge it, record it,
-    update incumbent/baseline."""
+    update incumbent/baseline.  Returns the score the poll compares with the
+    incumbent: ``-inf`` for a failure, which never becomes the incumbent."""
     config = candidate.config
     monitor = None if plan.stop_mode == "none" else StoppingMonitor(plan.stop_mode, state.envelope)
     try:
@@ -300,7 +302,7 @@ def _full_evaluation(
     except Exception as exc:  # noqa: BLE001 - failed-candidate contract
         logger.warning("full evaluation raised: %s", exc)
         result = EvaluationResult.failure()
-    improved = result.final_val_accuracy > state.incumbent_score
+    improved = not result.failed and result.final_val_accuracy > state.incumbent_score
     state.record(KIND_FULL, candidate.key, result.final_val_accuracy, result.epochs_used,
                  result.stop_reason, 1.0, improved, iteration)
     if not result.failed:
@@ -310,7 +312,7 @@ def _full_evaluation(
     if improved:
         state.incumbent = config
         state.incumbent_score = result.final_val_accuracy
-    return result.final_val_accuracy
+    return -math.inf if result.failed else result.final_val_accuracy
 
 
 def _record_ranking(state: CampaignState, plan: RunPlan, ranked, iteration: int) -> None:

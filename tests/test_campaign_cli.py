@@ -1,4 +1,7 @@
+import csv
+import io
 import json
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -17,9 +20,11 @@ from madshpo.campaign import (
 from madshpo.cli import main, read_settings_file
 from madshpo.early_stop import MODES
 from madshpo.ledger import (
+    COLUMNS,
     KIND_FULL,
     KIND_SURROGATE,
     LedgerRecord,
+    encode_row,
     export_convergence,
     read_ledger,
     write_ledger,
@@ -247,6 +252,50 @@ class TestLedgerIO:
         got_header, got_records = read_ledger(path)
         assert got_header == header
         assert got_records == records
+
+    def test_quoted_fields_match_csv_writer(self, tmp_path):
+        p1 = serialize(preset_config("p1"))
+        records = [
+            LedgerRecord(0, KIND_FULL, p1, 0.5, 200, "none", 1.0, 1.0, True, 0, 0),
+            LedgerRecord(1, KIND_FULL, p1 + ',note="a, b"', 0.25, 9, 'stop, "early"', 1.0, 2.0, False, 1, -1),
+            LedgerRecord(2, KIND_SURROGATE, '"', 0.125, 25, ",", 0.125, 2.125, False, 2, -2),
+        ]
+        header = {"seed": "7", "note": 'x = "y", z'}
+        path = tmp_path / "ledger.csv"
+        write_ledger(path, records, header)
+        reference = io.StringIO()
+        for key, value in header.items():
+            reference.write(f"# {key} = {value}\n")
+        writer = csv.writer(reference, lineterminator="\n")
+        writer.writerow(COLUMNS)
+        writer.writerows(record.row() for record in records)
+        assert path.read_bytes() == reference.getvalue().encode()
+        assert read_ledger(path) == (header, records)
+        # line breaks inside a field are quoted as csv.writer quotes them
+        for fields in (["a\rb", "c"], ["a\nb", "c"], ["", ""]):
+            reference = io.StringIO()
+            csv.writer(reference, lineterminator="\n").writerow(fields)
+            assert encode_row(fields) == reference.getvalue()
+
+    def test_codec_memory_is_bounded(self, tmp_path):
+        # a p1 ledger of about 2.6k records and 1.1 MB
+        result = run(settings(tmp_path / "out", bbe_budget=1000, seed=1, surrogate="r4",
+                              stop_mode="scheduler+baseline"))
+        assert len(result.records) > 2500
+        path = tmp_path / "ledger.csv"
+        tracemalloc.start()
+        try:
+            write_ledger(path, result.records, {"seed": "1"})
+            _, write_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            header, records = read_ledger(path)
+            held, read_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        size = path.stat().st_size
+        assert records == list(result.records)
+        assert write_peak < size / 4
+        assert read_peak - held < size / 4
 
     def test_non_ledger_rejected(self, tmp_path):
         path = tmp_path / "nope.csv"

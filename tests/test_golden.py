@@ -13,7 +13,9 @@ above the divergence threshold, so only these hashes cover the divergent
 branch of ``curve_arrays``.
 
 The external backend has its own pair of hashes, ledger and trainer
-transcript, recorded before the two training loops became one.
+transcript, recorded before the two training loops became one.  One
+exported convergence series is hashed too, recorded before the export
+shared the ledger's row encoder.
 """
 
 import hashlib
@@ -26,6 +28,7 @@ import pytest
 from madshpo import mads
 from madshpo.blackbox import SimulatedBlackbox, curve_arrays
 from madshpo.campaign import LEDGER_NAME, CampaignSettings, run
+from madshpo.cli import main
 from madshpo.ledger import KIND_FULL, KIND_SURROGATE
 from madshpo.space import make_config, preset_config, to_vector
 from tests.test_mads import QUAD_CENTER, QUAD_START, frozen_bounds, quadratic_plan
@@ -155,6 +158,24 @@ def test_ledger_bytes_unchanged(case, tmp_path):
     ))
     digest = hashlib.sha256((tmp_path / LEDGER_NAME).read_bytes()).hexdigest()
     assert digest == LEDGER_SHA256[case]
+
+
+# SHA-256 of the series.csv that `madshpo export` writes for the
+# ("p1", "none", "r4", 0) golden ledger, recorded before the export shared
+# the ledger's row encoder
+EXPORT_CASE = ("p1", "none", "r4", 0)
+EXPORT_SHA256 = "9dd675c0ddb0bfb4f31140ada2e718bc1fb7f50a66d19da23d50922830f95c09"
+
+
+def test_export_series_bytes_unchanged(tmp_path):
+    preset, stop_mode, surrogate, seed = EXPORT_CASE
+    run(CampaignSettings(
+        preset=preset, bbe_budget=GOLDEN_BUDGET, seed=seed, stop_mode=stop_mode,
+        surrogate=surrogate, out_dir=tmp_path,
+    ))
+    series = tmp_path / "series.csv"
+    assert main(["export", "--ledger", str(tmp_path / LEDGER_NAME), "--out", str(series)]) == 0
+    assert hashlib.sha256(series.read_bytes()).hexdigest() == EXPORT_SHA256
 
 
 @pytest.mark.parametrize("case", sorted(SETTINGS_LEDGER_SHA256))

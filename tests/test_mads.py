@@ -21,6 +21,7 @@ from madshpo.mads import (
 from madshpo.space import (
     SpaceBounds,
     default_bounds,
+    deserialize,
     make_config,
     preset_config,
     quantitative_slots,
@@ -227,6 +228,12 @@ class TestOpportunisticEvaluate:
         assert improved is True
         assert calls == cands[:2]
 
+    def test_evaluator_failure_never_beats_a_negative_incumbent(self):
+        cands = self.make_candidates(3)
+        improved, calls = self.evaluate(cands, -0.5, [RuntimeError("crashed")] * 2 + [-0.9])
+        assert improved is False
+        assert calls == cands
+
 
 def quadratic_plan(bounds, center, seed, max_iterations=500, surrogate="none"):
     slots = quantitative_slots(bounds, 0, 0)
@@ -339,6 +346,45 @@ class TestRunCampaign:
         following = fulls[i + 1]
         assert following.iteration == row.iteration
         assert following.incumbent == (following.score > incumbent_score)
+
+    @staticmethod
+    def run_failing_at(call, max_iterations):
+        """The quadratic campaign of seed 2 from QUAD_START, whose initial
+        score is below WORST_SCORE, with a full evaluation that raises on
+        its ``call``-th call."""
+        b = frozen_bounds()
+        center = to_vector(make_config((), (), **QUAD_CENTER), b)
+        plan = quadratic_plan(b, center, 2, max_iterations=max_iterations)
+        evaluate, calls = plan.full_eval, []
+
+        def full_eval(config, monitor):
+            calls.append(config)
+            if len(calls) == call:
+                raise RuntimeError("trainer crashed")
+            return evaluate(config, monitor)
+
+        plan.full_eval = full_eval
+        return mads.run_campaign(make_config((), (), **QUAD_START), 10**6, plan)
+
+    def test_failure_never_beats_an_incumbent_below_worst_score(self):
+        result = self.run_failing_at(2, max_iterations=3)
+        initial, failed, following = result.records[:3]
+        assert initial.incumbent and initial.score < WORST_SCORE
+        assert (failed.stop_reason, failed.score, failed.incumbent) == (FAILED_REASON, WORST_SCORE, False)
+        # the poll goes on to its next candidate instead of ending on the failure
+        assert following.iteration == failed.iteration == 1
+        assert result.best_config != deserialize(failed.config)
+        assert result.best_score == max(r.score for r in result.records if r.stop_reason != FAILED_REASON)
+
+    def test_failed_initial_point_stays_the_poll_centre(self):
+        result = self.run_failing_at(1, max_iterations=2)
+        initial = result.records[0]
+        assert (initial.stop_reason, initial.incumbent) == (FAILED_REASON, False)
+        start = make_config((), (), **QUAD_START)
+        first_poll = generate_poll(start, Mesh(), mads.iteration_seed(2, 1), frozen_bounds())
+        assert result.records[1].config == first_poll.candidates[0].key
+        assert result.records[1].incumbent
+        assert result.best_score != WORST_SCORE
 
     def test_incumbent_monotone_and_mesh_rules(self):
         b = frozen_bounds()
