@@ -36,7 +36,8 @@ from itertools import repeat
 import numpy as np
 
 from .early_stop import CHANCE_LEVEL, REASON_NONE, TrainingHistory
-from .space import Configuration, ConvLayerHP, SpaceBounds, make_config, serialize
+# benchmark/tracing.py wraps serialize by this name; Configuration.key calls it.
+from .space import Configuration, ConvLayerHP, SpaceBounds, make_config, serialize  # noqa: F401
 from .util import hash_u64, hash_unit
 
 logger = logging.getLogger(__name__)
@@ -105,10 +106,6 @@ def _bump(x: float, center: float, width: float) -> float:
 
 
 def _config_problem(config: Configuration) -> str | None:
-    if len(config.conv_layers) != config.n_conv:
-        return "conv layer count mismatch"
-    if len(config.fc_sizes) != config.n_fc:
-        return "fc size count mismatch"
     if config.learning_rate <= 0:
         return "non-positive learning rate"
     if config.batch_size < 1:
@@ -250,7 +247,7 @@ class SimulatedBlackbox:
             time_constant=tau,
             divergent=config.learning_rate > DIVERGENCE_LR,
             noise_sigma=self.noise_sigma,
-            noise_seed=hash_u64("noise", serialize(config), seed),
+            noise_seed=hash_u64("noise", config.key, seed),
             initial_lr=config.learning_rate,
         )
 
@@ -396,7 +393,7 @@ class ProcessAdapter:
         done = False
         try:
             reader = _LineReader(proc.stdout)
-            _write(proc, f"CONFIG {serialize(request.config)} EPOCHS {request.max_epochs}"
+            _write(proc, f"CONFIG {request.config.key} EPOCHS {request.max_epochs}"
                          f" FRACTION {request.data_fraction!r} SEED {request.seed}")
             stopped = False
             while True:

@@ -35,7 +35,8 @@ from .early_stop import (
     DEFAULT_MARGINS, DEFAULT_MILESTONES, MODES, BaselineEnvelope, adopts_baseline, update_baseline,
 )
 from .ledger import KIND_FULL, LedgerRecord, read_ledger, write_ledger
-from .space import Configuration, SpaceBounds, default_bounds, deserialize, preset_config, serialize
+# benchmark/tracing.py wraps serialize by this name; Configuration.key calls it.
+from .space import Configuration, SpaceBounds, default_bounds, deserialize, preset_config, serialize  # noqa: F401
 from .surrogates import SURROGATE_TABLE, SurrogateSpec, custom_surrogate, surrogate_by_name
 
 LEDGER_NAME = "ledger.csv"
@@ -213,7 +214,7 @@ def settings_header(settings: CampaignSettings) -> dict[str, str]:
     if settings.surrogate_custom is not None:
         epochs, fraction, cost = settings.surrogate_custom
         header["surrogate"] = f"custom {epochs} {fraction!r} {cost!r}"
-    header["initial"] = serialize(initial_config(settings))
+    header["initial"] = initial_config(settings).key
     return header
 
 
@@ -246,7 +247,7 @@ def _persist(settings: CampaignSettings, result: mads.CampaignResult, wall_secon
     total_epochs = sum(r.epochs_used for r in result.records)
     full_evals = sum(1 for r in result.records if r.kind == KIND_FULL)
     summary = {
-        "best_config": serialize(result.best_config),
+        "best_config": result.best_config.key,
         "best_score": result.best_score,
         "total_charged_bbe": result.total_cost,
         "total_epochs": total_epochs,

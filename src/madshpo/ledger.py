@@ -85,29 +85,44 @@ class LedgerRecord:
         )
 
 
+def _refuse_line_break(name: str, value: str) -> None:
+    if "\n" in value or "\r" in value:
+        raise ValueError(f"{name} holds a line break: {value!r}")
+
+
 def encode_row(fields) -> str:
     """One CSV line, exactly as ``csv.writer`` writes it in the excel dialect
     with newline line ends.  Fields free of commas, quotes and line breaks
-    are joined as they are; a row with any of them goes through
-    ``csv.writer`` for its quoting."""
+    are joined as they are; a row with commas or quotes goes through
+    ``csv.writer`` for its quoting.  A field that holds a line break raises
+    ``ValueError`` naming its ledger column, because ``read_ledger`` reads
+    one row per line."""
     line = ",".join(fields)
     if line.count(",") == len(fields) - 1 and '"' not in line and "\n" not in line and "\r" not in line:
         return line + "\n"
+    for name, value in zip(COLUMNS, fields):
+        _refuse_line_break(name, value)
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerow(fields)
     return buf.getvalue()
 
 
 def write_ledger(path: Path, records, header: dict[str, str]) -> None:
-    """Write one row at a time to a temp file, then rename it over ``path``."""
+    """Write one row at a time to a temp file, then rename it over ``path``.
+    On an error, such as a line break in a header value, ``path`` is untouched."""
     path = Path(path)
     tmp = path.with_suffix(path.suffix + ".tmp")
-    with tmp.open("w") as fh:
-        for key in header:
-            fh.write(f"# {key} = {header[key]}\n")
-        fh.write(encode_row(COLUMNS))
-        for record in records:
-            fh.write(encode_row(record.row()))
+    try:
+        with tmp.open("w") as fh:
+            for key in header:
+                _refuse_line_break(f"header {key}", header[key])
+                fh.write(f"# {key} = {header[key]}\n")
+            fh.write(encode_row(COLUMNS))
+            for record in records:
+                fh.write(encode_row(record.row()))
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     tmp.replace(path)
 
 

@@ -117,18 +117,12 @@ class Mesh:
 
 @dataclass(frozen=True)
 class PollCandidate:
-    """A configuration to evaluate, where it came from, its serialized form
-    (computed when not given), which is also its ledger text, and its
-    surrogate estimate once ranked."""
+    """A configuration to evaluate, where it came from, and its surrogate
+    estimate once ranked."""
 
     config: Configuration
     origin: str
-    key: str | None = None
     estimate: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.key is None:
-            object.__setattr__(self, "key", serialize(self.config))
 
 
 @dataclass(frozen=True)
@@ -167,14 +161,13 @@ def generate_poll(incumbent: Configuration, mesh: Mesh, seed: int, bounds: Space
     x = to_vector(incumbent, bounds)
     points = mesh.snap(layout, x[:, None] + mesh.poll_sizes(layout)[:, None] * directions)
 
-    seen = {serialize(incumbent)}
+    seen = {incumbent.key}
     candidates: list[PollCandidate] = []
 
     def add(config: Configuration, origin: str) -> None:
-        key = serialize(config)
-        if key not in seen:
-            seen.add(key)
-            candidates.append(PollCandidate(config, origin, key))
+        if config.key not in seen:
+            seen.add(config.key)
+            candidates.append(PollCandidate(config, origin))
 
     # Equal snapped columns give equal configurations, so only the first
     # of each is built; the serialized key still decides what is new.
@@ -303,7 +296,7 @@ def _full_evaluation(
         logger.warning("full evaluation raised: %s", exc)
         result = EvaluationResult.failure()
     improved = not result.failed and result.final_val_accuracy > state.incumbent_score
-    state.record(KIND_FULL, candidate.key, result.final_val_accuracy, result.epochs_used,
+    state.record(KIND_FULL, config.key, result.final_val_accuracy, result.epochs_used,
                  result.stop_reason, 1.0, improved, iteration)
     if not result.failed:
         state.envelope = update_baseline(
@@ -317,10 +310,10 @@ def _full_evaluation(
 
 def _record_ranking(state: CampaignState, plan: RunPlan, ranked, iteration: int) -> None:
     for cand in ranked.candidates:
-        state.record(KIND_SURROGATE, cand.key, cand.estimate, plan.surrogate.epoch_budget, "none",
+        state.record(KIND_SURROGATE, cand.config.key, cand.estimate, plan.surrogate.epoch_budget, "none",
                      plan.estimate_charge, False, iteration)
     top = ranked.candidates[0]
-    state.record(KIND_RANKING, top.key, top.estimate, 0, "none", 0.0, False, iteration)
+    state.record(KIND_RANKING, top.config.key, top.estimate, 0, "none", 0.0, False, iteration)
 
 
 def run_campaign(initial: Configuration, budget_bbe: int, plan: RunPlan) -> CampaignResult:

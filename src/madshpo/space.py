@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from operator import attrgetter
 
 import numpy as np
@@ -103,14 +104,14 @@ class ConvLayerHP:
 class Configuration:
     """One point of the mixed search space.
 
-    ``n_conv``/``n_fc`` are stored explicitly (they are categorical
-    decision variables); ``validate`` reports any mismatch with the list
-    lengths.
+    The layer counts ``n_conv``/``n_fc`` (categorical decision variables)
+    are the lengths of the layer tuples, so they cannot disagree with them.
+    ``key`` is the canonical text of :func:`serialize`, computed once per
+    object; it is not a field, so it takes no part in equality, hashing or
+    repr.
     """
 
-    n_conv: int
     conv_layers: tuple[ConvLayerHP, ...]
-    n_fc: int
     fc_sizes: tuple[int, ...]
     optimizer: str
     learning_rate: float
@@ -122,6 +123,19 @@ class Configuration:
     grad_clip: float
     label_smoothing: float
     epoch_scale: float
+
+    @property
+    def n_conv(self) -> int:
+        return len(self.conv_layers)
+
+    @property
+    def n_fc(self) -> int:
+        return len(self.fc_sizes)
+
+    @cached_property
+    def key(self) -> str:
+        """Canonical text: the ledger text, dedup key and noise-seed input."""
+        return serialize(self)
 
 
 @dataclass(frozen=True)
@@ -204,9 +218,7 @@ def make_config(
     values.update(scalars)
     values["batch_size"] = int(values["batch_size"])
     return Configuration(
-        n_conv=len(conv_layers),
         conv_layers=tuple(conv_layers),
-        n_fc=len(fc_sizes),
         fc_sizes=tuple(int(s) for s in fc_sizes),
         optimizer=optimizer,
         **values,
@@ -304,12 +316,10 @@ def with_vector(config: Configuration, bounds: SpaceBounds, vec: np.ndarray | li
     n_conv_values = 5 * config.n_conv
     n_quant = n_conv_values + config.n_fc
     return Configuration(
-        n_conv=config.n_conv,
         conv_layers=tuple(
             ConvLayerHP(**dict(zip(CONV_FIELDS, values[i:i + 5])))
             for i in range(0, n_conv_values, 5)
         ),
-        n_fc=config.n_fc,
         fc_sizes=tuple(values[n_conv_values:n_quant]),
         optimizer=config.optimizer,
         **dict(zip(SCALAR_FIELDS, values[n_quant:])),
@@ -325,14 +335,6 @@ def validate(config: Configuration, bounds: SpaceBounds) -> list[str]:
     lo, hi = bounds.n_fc_range
     if not lo <= config.n_fc <= hi:
         problems.append(f"n_fc={config.n_fc} outside [{lo}, {hi}]")
-    if len(config.conv_layers) != config.n_conv:
-        problems.append(
-            f"conv_layers length {len(config.conv_layers)} does not match n_conv={config.n_conv}"
-        )
-    if len(config.fc_sizes) != config.n_fc:
-        problems.append(
-            f"fc_sizes length {len(config.fc_sizes)} does not match n_fc={config.n_fc}"
-        )
     if config.optimizer not in bounds.optimizers:
         problems.append(f"optimizer={config.optimizer!r} not in {bounds.optimizers}")
 
@@ -367,27 +369,13 @@ def neighbors(config: Configuration, bounds: SpaceBounds) -> list[Configuration]
         new_layer = ConvLayerHP(
             **{f: s.midpoint() for f, s in zip(CONV_FIELDS, bounds.conv_slots)}
         )
-        out.append(
-            replace(
-                config,
-                n_conv=config.n_conv + 1,
-                conv_layers=config.conv_layers + (new_layer,),
-            )
-        )
+        out.append(replace(config, conv_layers=config.conv_layers + (new_layer,)))
     if config.n_conv - 1 >= bounds.n_conv_range[0]:
-        out.append(
-            replace(config, n_conv=config.n_conv - 1, conv_layers=config.conv_layers[:-1])
-        )
+        out.append(replace(config, conv_layers=config.conv_layers[:-1]))
     if config.n_fc + 1 <= bounds.n_fc_range[1]:
-        out.append(
-            replace(
-                config,
-                n_fc=config.n_fc + 1,
-                fc_sizes=config.fc_sizes + (int(bounds.fc_slot.midpoint()),),
-            )
-        )
+        out.append(replace(config, fc_sizes=config.fc_sizes + (int(bounds.fc_slot.midpoint()),)))
     if config.n_fc - 1 >= bounds.n_fc_range[0]:
-        out.append(replace(config, n_fc=config.n_fc - 1, fc_sizes=config.fc_sizes[:-1]))
+        out.append(replace(config, fc_sizes=config.fc_sizes[:-1]))
     if len(bounds.optimizers) > 1:
         idx = bounds.optimizers.index(config.optimizer)
         successor = bounds.optimizers[(idx + 1) % len(bounds.optimizers)]
@@ -424,7 +412,9 @@ def serialize(config: Configuration) -> str:
 
 
 def deserialize(text: str) -> Configuration:
-    """Parse the output of :func:`serialize` back into a configuration."""
+    """Parse the output of :func:`serialize` back into a configuration.
+
+    The text need not be canonical, so it does not become the result's ``key``."""
     conv_values: dict[int, dict[str, int]] = {}
     fc_values: dict[int, int] = {}
     scalars: dict[str, float | str] = {}  # the optimizer token too, until popped
@@ -465,9 +455,7 @@ def deserialize(text: str) -> Configuration:
             raise ValueError(f"fc slot {i} missing")
         fcs.append(fc_values[i])
     return Configuration(
-        n_conv=len(layers),
         conv_layers=tuple(layers),
-        n_fc=len(fcs),
         fc_sizes=tuple(fcs),
         optimizer=optimizer,
         **scalars,  # type: ignore[arg-type]

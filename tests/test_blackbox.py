@@ -19,7 +19,7 @@ from madshpo.blackbox import (
 from madshpo.early_stop import (
     CHANCE_LEVEL, LR_FACTOR, PATIENCE, BaselineEnvelope, StoppingMonitor, TrainingHistory,
 )
-from madshpo.space import Configuration, ConvLayerHP, make_config, preset_config
+from madshpo.space import ConvLayerHP, make_config, preset_config
 
 
 @pytest.fixture(scope="module")
@@ -163,22 +163,7 @@ class TestEvaluate:
 
     def test_invalid_config_fails_with_worst_score(self, blackbox):
         p1 = preset_config("p1")
-        broken = Configuration(
-            n_conv=2,
-            conv_layers=p1.conv_layers,
-            n_fc=p1.n_fc,
-            fc_sizes=p1.fc_sizes,
-            optimizer=p1.optimizer,
-            learning_rate=p1.learning_rate,
-            batch_size=p1.batch_size,
-            dropout=p1.dropout,
-            weight_decay=p1.weight_decay,
-            momentum=p1.momentum,
-            lr_decay=p1.lr_decay,
-            grad_clip=p1.grad_clip,
-            label_smoothing=p1.label_smoothing,
-            epoch_scale=p1.epoch_scale,
-        )
+        broken = replace(p1, conv_layers=(replace(p1.conv_layers[0], padding=-1),))
         result = blackbox.evaluate(EvaluationRequest(broken, 200, 1.0, 0))
         assert result.failed
         assert result.final_val_accuracy == 0.0

@@ -271,11 +271,32 @@ class TestLedgerIO:
         writer.writerows(record.row() for record in records)
         assert path.read_bytes() == reference.getvalue().encode()
         assert read_ledger(path) == (header, records)
-        # line breaks inside a field are quoted as csv.writer quotes them
-        for fields in (["a\rb", "c"], ["a\nb", "c"], ["", ""]):
+        for fields in (["", ""], ['a"b', "c,d"]):
             reference = io.StringIO()
             csv.writer(reference, lineterminator="\n").writerow(fields)
             assert encode_row(fields) == reference.getvalue()
+
+    @pytest.mark.parametrize("line_break", ["\n", "\r"], ids=["lf", "cr"])
+    def test_line_breaks_refused_and_ledger_untouched(self, tmp_path, line_break):
+        # read_ledger reads one row per line, so a line break in a field
+        # would write a file that cannot be read back
+        p1 = serialize(preset_config("p1"))
+        good = [LedgerRecord(0, KIND_FULL, p1, 0.5, 200, "none", 1.0, 1.0, True, 0, 0)]
+        path = tmp_path / "ledger.csv"
+        write_ledger(path, good, {"seed": "7"})
+        before = path.read_bytes()
+        broken_config = [replace(good[0], config=f"a{line_break}b")]
+        broken_reason = good + [replace(good[0], record_index=1, stop_reason=f"stop{line_break}", incumbent=False)]
+        for records, header, match in (
+            (broken_config, {"seed": "7"}, "config holds a line break"),
+            (broken_reason, {"seed": "7"}, "stop_reason holds a line break"),
+            (good, {"backend_cmd": f"python{line_break}trainer.py"}, "header backend_cmd holds a line break"),
+        ):
+            with pytest.raises(ValueError, match=match):
+                write_ledger(path, records, header)
+            assert path.read_bytes() == before
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["ledger.csv"]
+        assert read_ledger(path) == ({"seed": "7"}, good)
 
     def test_codec_memory_is_bounded(self, tmp_path):
         # a p1 ledger of about 2.6k records and 1.1 MB

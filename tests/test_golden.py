@@ -16,6 +16,11 @@ The external backend has its own pair of hashes, ledger and trainer
 transcript, recorded before the two training loops became one.  One
 exported convergence series is hashed too, recorded before the export
 shared the ledger's row encoder.
+
+The best point of the coarse-lattice sweep is hashed for two seeds,
+recorded before configurations derived their layer counts and canonical
+text; it guards the simulated trainer's per-config path that a batched
+trainer would replace.
 """
 
 import hashlib
@@ -26,11 +31,11 @@ from dataclasses import replace
 import pytest
 
 from madshpo import mads
-from madshpo.blackbox import SimulatedBlackbox, curve_arrays
+from madshpo.blackbox import SimulatedBlackbox, curve_arrays, lattice_sweep
 from madshpo.campaign import LEDGER_NAME, CampaignSettings, run
 from madshpo.cli import main
 from madshpo.ledger import KIND_FULL, KIND_SURROGATE
-from madshpo.space import make_config, preset_config, to_vector
+from madshpo.space import default_bounds, make_config, preset_config, serialize, to_vector
 from tests.test_mads import QUAD_CENTER, QUAD_START, frozen_bounds, quadratic_plan
 
 GOLDEN_BUDGET = 60
@@ -201,6 +206,21 @@ def test_curve_bytes_unchanged(case):
     model = SimulatedBlackbox(noise_sigma=noise_sigma).model_for(CURVE_CONFIGS[name], seed)
     acc, loss = curve_arrays(model, epochs, fraction)
     assert hashlib.sha256(acc.tobytes() + loss.tobytes()).hexdigest() == CURVE_SHA256[case]
+
+
+# seed -> SHA-256 of f"{serialize(config)} {score!r}" for the best point of
+# lattice_sweep at 200 epochs
+LATTICE_SHA256 = {
+    0: "92c6f3ecb16d4b76e60e04b2ec741f377d6718a1dee064159a807c6cf501b112",
+    1: "dd0a2dc9bd5ecd840ff14a38dd3fe47cc7fdd2bc251d22de8e388c6a3879a6f2",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(LATTICE_SHA256))
+def test_lattice_sweep_best_unchanged(seed):
+    config, score = lattice_sweep(SimulatedBlackbox(), default_bounds(), seed)
+    digest = hashlib.sha256(f"{serialize(config)} {score!r}".encode()).hexdigest()
+    assert digest == LATTICE_SHA256[seed]
 
 
 # -- external backend ---------------------------------------------------------

@@ -138,13 +138,13 @@ class TestGeneratePoll:
                     seen.add(key)
                     expected.append(key)
             poll = generate_poll(incumbent, mesh, seed, bounds)
-            got = [c.key for c in poll.candidates if c.origin == mads.ORIGIN_DIRECTION]
+            got = [c.config.key for c in poll.candidates if c.origin == mads.ORIGIN_DIRECTION]
             assert got == expected
 
     def test_candidates_carry_their_serialized_key(self, bounds):
         poll = generate_poll(preset_config("p2"), Mesh(-2), 5, bounds)
-        assert all(c.key == serialize(c.config) for c in poll.candidates)
-        assert PollCandidate(preset_config("p1"), "initial").key == serialize(preset_config("p1"))
+        assert all(c.config.key == serialize(c.config) for c in poll.candidates)
+        assert "key" not in PollCandidate.__dataclass_fields__
 
     def test_traced_names_stay_module_attributes(self):
         # benchmark/tracing.py replaces each (owner, attribute) of TARGETS by a
@@ -382,7 +382,7 @@ class TestRunCampaign:
         assert (initial.stop_reason, initial.incumbent) == (FAILED_REASON, False)
         start = make_config((), (), **QUAD_START)
         first_poll = generate_poll(start, Mesh(), mads.iteration_seed(2, 1), frozen_bounds())
-        assert result.records[1].config == first_poll.candidates[0].key
+        assert result.records[1].config == first_poll.candidates[0].config.key
         assert result.records[1].incumbent
         assert result.best_score != WORST_SCORE
 

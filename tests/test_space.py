@@ -1,11 +1,15 @@
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 
-from madshpo.mads import Mesh
+from madshpo import blackbox, campaign, mads, space
+from madshpo.blackbox import EvaluationRequest, SimulatedBlackbox
+from madshpo.mads import Mesh, generate_poll
+from madshpo.util import hash_u64
 from madshpo.space import (
     CONV_FIELDS,
     SCALAR_FIELDS,
-    Configuration,
     ConvLayerHP,
     SlotSpec,
     SpaceBounds,
@@ -142,27 +146,6 @@ class TestValidate:
         problems = validate(make_config((), (), dropout=1.5), bounds)
         assert any("dropout" in p for p in problems)
 
-    def test_length_mismatch_named(self, bounds):
-        p1 = preset_config("p1")
-        broken = Configuration(
-            n_conv=1,
-            conv_layers=p1.conv_layers + p1.conv_layers,
-            n_fc=p1.n_fc,
-            fc_sizes=p1.fc_sizes,
-            optimizer=p1.optimizer,
-            learning_rate=p1.learning_rate,
-            batch_size=p1.batch_size,
-            dropout=p1.dropout,
-            weight_decay=p1.weight_decay,
-            momentum=p1.momentum,
-            lr_decay=p1.lr_decay,
-            grad_clip=p1.grad_clip,
-            label_smoothing=p1.label_smoothing,
-        epoch_scale=p1.epoch_scale,
-        )
-        problems = validate(broken, bounds)
-        assert any("n_conv" in p and "length" in p for p in problems)
-
 
 def _linear_lr_bounds():
     """Bounds whose learning-rate slot is linear with 1e-3 granularity."""
@@ -232,6 +215,73 @@ class TestSerialization:
             deserialize("bogus=1 " + serialize(preset_config("p1")))
         with pytest.raises(ValueError, match="repeated token 'learning_rate=0.5'"):
             deserialize(serialize(preset_config("p1")) + " learning_rate=0.5 fc0=999")
+
+
+class TestConfigurationOwnsDerivedValues:
+    def test_key_and_counts_are_not_fields(self):
+        config = preset_config("p1")
+        fresh = preset_config("p1")
+        assert config.key == serialize(config)
+        assert {"key", "n_conv", "n_fc"}.isdisjoint(f.name for f in fields(config))
+        assert config == fresh and hash(config) == hash(fresh) and repr(config) == repr(fresh)
+        assert "key" in vars(config) and "key" not in vars(fresh)
+
+    def test_replace_computes_a_new_key(self):
+        config = preset_config("p1")
+        old = config.key
+        changed = replace(config, dropout=0.4)
+        assert changed.key == serialize(changed) != old
+        assert config.key == old
+
+    def test_counts_follow_the_layer_tuples(self, bounds):
+        config = preset_config("p2")
+        outputs = [
+            deserialize(serialize(config)),
+            with_vector(config, bounds, to_vector(config, bounds)),
+            *neighbors(config, bounds),
+        ]
+        for out in outputs:
+            assert out.n_conv == len(out.conv_layers)
+            assert out.n_fc == len(out.fc_sizes)
+        assert [out.n_conv for out in outputs] == [2, 2, 3, 1, 2, 2, 2]
+        assert [out.n_fc for out in outputs] == [2, 2, 2, 2, 3, 1, 2]
+
+
+@pytest.fixture
+def serialize_calls(monkeypatch):
+    """Count calls of serialize through every module that binds the name."""
+    calls = []
+    original = space.serialize
+
+    def counting(config):
+        calls.append(config)
+        return original(config)
+
+    for module in (space, mads, blackbox, campaign):
+        monkeypatch.setattr(module, "serialize", counting)
+    return calls
+
+
+class TestSerializeCalls:
+    def test_trainer_reuses_the_key(self, serialize_calls):
+        config = preset_config("p3")
+        key = config.key
+        assert serialize_calls == [config]
+        trainer = SimulatedBlackbox()
+        trainer.evaluate(EvaluationRequest(config, 30, 1.0, 2))
+        trainer.final_accuracy(config, 2, 30, 0.1)
+        assert trainer.model_for(config, 2).noise_seed == hash_u64("noise", key, 2)
+        assert serialize_calls == [config]
+
+    @pytest.mark.parametrize("preset,index,seed", [("p1", 0, 42), ("p3", -3, 7)])
+    def test_poll_serializes_each_candidate_once(self, bounds, serialize_calls, preset, index, seed):
+        incumbent = preset_config(preset)
+        poll = generate_poll(incumbent, Mesh(index), seed, bounds)
+        # every configuration built is serialized once, including any the
+        # dedup drops, so these polls are ones in which nothing is dropped
+        assert len(serialize_calls) == len(poll.candidates) + 1
+        assert serialize_calls[0] is incumbent
+        assert [c.config for c in poll.candidates] == serialize_calls[1:]
 
 
 def _random_config(rng, bounds, clip=True):
