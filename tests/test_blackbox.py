@@ -218,6 +218,16 @@ class TestTrain:
         assert len(log.sent) == result.epochs_used
         assert log.closed
 
+    def test_external_floor_counts_the_monitors_own_cuts(self):
+        # the protocol never sends the rate, so an external child reports its
+        # own; the scheduler still stops at the floor after its seventh cut
+        log = SimpleNamespace(started=False)
+        request = EvaluationRequest(preset_config("p1"), 300, monitor=StoppingMonitor("scheduler"))
+        result = train(request, fake_epochs(flat_rows(300, lr=0.01), log))
+        assert result.epochs_used == 7 * PATIENCE == 175
+        assert result.stop_reason == "scheduler-lr-floor"
+        assert set(result.history.learning_rate) == {0.01}
+
     def test_max_epochs_sends_none(self):
         log = SimpleNamespace(started=False)
         result = train(EvaluationRequest(preset_config("p1"), 10, 1.0, 0), fake_epochs(flat_rows(50), log))

@@ -257,27 +257,91 @@ class TestStoppingMonitor:
                     final = monitor.verdict(h)
                 assert final is not None and not final.stop
 
-    def test_matches_pure_functions(self):
-        rng = np.random.default_rng(3)
-        envelope = BaselineEnvelope(history_from_acc(np.clip(rng.uniform(0.4, 0.9, 200), 0, 1)))
-        for mode in ("default", "last-success", "scheduler", "scheduler+baseline"):
-            for _ in range(5):
-                accs = np.clip(np.cumsum(rng.uniform(-0.01, 0.02, 150)) + 0.3, 0, 1)
-                losses = rng.uniform(0.5, 1.5, 150)
-                monitor = StoppingMonitor(mode, envelope)
-                monitor.start(0.01)
-                h = TrainingHistory()
-                for e in range(1, 151):
-                    h.append(e, float(accs[e - 1]), float(losses[e - 1]), monitor.next_lr())
-                    got = monitor.verdict(h)
-                    want = combined_verdict(h, envelope, mode)
-                    assert got.stop == want.stop and got.reason == want.reason, (mode, e)
-                    if got.stop:
-                        break
-
     def test_bad_mode_rejected(self):
         with pytest.raises(ValueError):
             StoppingMonitor("hyperband")
+
+
+def _baseline_curve():
+    # a smooth 200-epoch rise from chance towards 0.9, on the accuracy quantum
+    e = np.arange(1, 201)
+    acc = np.round(0.1 + 0.8 * (1.0 - np.exp(-e / 15.0)), 4)
+    return TrainingHistory.from_rows((int(i), float(a), 1.0, 0.01) for i, a in zip(e, acc))
+
+
+TABLE_ENVELOPE = BaselineEnvelope(_baseline_curve())
+
+
+def seeded_curves(kind, seed, epochs=150):
+    """Accuracy and loss series of one seeded kind of training.
+
+    ``walk`` drifts upward from a seeded start with a noisy loss; ``settling``
+    has the same accuracies, and its loss noise dies out at a seeded epoch;
+    ``stuck`` stays at or below the default accuracy floor; ``flat`` never moves.
+    """
+    rng = np.random.default_rng(seed)
+    if kind == "flat":
+        return [0.5] * epochs, [1.0] * epochs
+    if kind == "stuck":
+        return list(rng.uniform(0.0, 0.12, epochs)), list(rng.uniform(0.5, 1.5, epochs))
+    accs = np.clip(rng.uniform(0.05, 0.6) + np.cumsum(rng.uniform(-0.01, 0.02, epochs)), 0, 1)
+    if kind == "walk":
+        losses = rng.uniform(0.5, 1.5, epochs)
+    else:
+        calm = int(rng.integers(1, 100))
+        losses = 1.0 + np.where(np.arange(epochs) < calm, 0.05, 1e-5) * rng.standard_normal(epochs)
+    return [float(a) for a in accs], [float(x) for x in losses]
+
+
+# (mode, kind, seed, initial rate, rate the trainer reports, stop epoch, reason).
+# A reported rate of None stamps each epoch with ``monitor.next_lr()``, as the
+# simulated trainer does; a number is the rate an external child reports for
+# itself, since the protocol never sends it one.  The low-accuracy rule can
+# only fire at ARMING_EPOCH: the best accuracy never falls once it is above
+# the floor.
+VERDICT_TABLE = [
+    ("none", "stuck", 0, 1e-6, None, None, "none"),
+    ("default", "stuck", 0, 0.01, None, 25, "default-low-accuracy"),
+    ("default", "stuck", 5, 1e-6, None, 25, "default-low-accuracy"),
+    ("default", "settling", 0, 0.01, None, 61, "default-loss-plateau"),
+    ("default", "settling", 7, 0.01, None, 128, "default-loss-plateau"),
+    ("default", "walk", 0, 0.01, None, None, "none"),
+    ("last-success", "stuck", 6, 0.01, None, 31, "last-success"),
+    ("last-success", "walk", 4, 0.01, None, 87, "last-success"),
+    ("last-success", "walk", 7, 0.01, None, 149, "last-success"),
+    ("last-success", "walk", 1, 0.01, None, None, "none"),
+    ("scheduler", "walk", 0, 0.01, None, None, "none"),
+    ("scheduler", "flat", 0, 1e-6, None, 75, "scheduler-lr-floor"),
+    ("scheduler", "stuck", 5, 1e-6, None, 85, "scheduler-lr-floor"),
+    ("scheduler", "walk", 4, 1e-6, None, 136, "scheduler-lr-floor"),
+    ("scheduler", "flat", 0, 0.01, None, 175, "scheduler-lr-floor"),
+    ("scheduler", "flat", 0, 0.01, 0.01, 175, "scheduler-lr-floor"),
+    ("scheduler+baseline", "stuck", 0, 0.01, None, 5, "envelope-breach"),
+    ("scheduler+baseline", "walk", 2, 0.01, None, 10, "envelope-breach"),
+    ("scheduler+baseline", "walk", 0, 0.01, None, 25, "envelope-breach"),
+    ("scheduler+baseline", "walk", 4, 1e-6, None, 136, "scheduler-lr-floor"),
+    ("scheduler+baseline", "walk", 5, 0.01, None, None, "none"),
+]
+
+
+@pytest.mark.parametrize("mode,kind,seed,initial_lr,reported_lr,stop_epoch,reason", VERDICT_TABLE)
+def test_verdict_table(mode, kind, seed, initial_lr, reported_lr, stop_epoch, reason):
+    # flat rows run long enough for a 0.01 rate to reach the floor
+    accs, losses = seeded_curves(kind, seed, 300 if kind == "flat" else 150)
+    monitor = StoppingMonitor(mode, TABLE_ENVELOPE)
+    monitor.start(initial_lr)
+    h = TrainingHistory()
+    got = (None, "none")
+    for e, (acc, loss) in enumerate(zip(accs, losses), 1):
+        h.append(e, acc, loss, reported_lr or monitor.next_lr())
+        verdict = monitor.verdict(h)
+        if reported_lr is None:
+            reference = combined_verdict(h, TABLE_ENVELOPE, mode)
+            assert (verdict.stop, verdict.reason) == (reference.stop, reference.reason), e
+        if verdict.stop:
+            got = (e, verdict.reason)
+            break
+    assert got == (stop_epoch, reason)
 
 
 def test_mode_resource_ordering_on_simulated_corpus():
