@@ -6,10 +6,9 @@ window), a plateau learning-rate scheduler with a floor, and the
 scheduler combined with a baseline-envelope comparison against the best
 curve seen so far.
 
-Campaigns run ``StoppingMonitor``, which keeps incremental state per
-training.  The pure functions ``check_default``, ``check_last_success``,
-``scheduler_step`` and ``combined_verdict`` compute the same verdicts from
-a whole history; they are the reference the monitor is tested against.
+``StoppingMonitor`` is the one implementation of these rules; campaigns
+run one per training.  ``update_baseline`` moves the envelope's baseline
+between trainings.
 """
 
 from __future__ import annotations
@@ -136,100 +135,6 @@ class BaselineEnvelope:
         return self.baseline_curve.val_accuracy[-1]
 
 
-def check_default(history: TrainingHistory) -> StopVerdict:
-    """Legacy criteria: stuck-at-low-accuracy or a flat validation loss."""
-    if not len(history):
-        raise ValueError("history is empty")
-    epoch = len(history)
-    best = max(history.val_accuracy)
-    if epoch >= ARMING_EPOCH and best <= ACCURACY_FLOOR:
-        return StopVerdict(
-            REASON_LOW_ACCURACY,
-            f"best accuracy {best:.4f} <= {ACCURACY_FLOOR} after {epoch} epochs",
-        )
-    if epoch >= PLATEAU_WINDOW:
-        std = float(np.std(history.val_loss[-PLATEAU_WINDOW:]))
-        if std < LOSS_TOLERANCE:
-            return StopVerdict(
-                REASON_LOSS_PLATEAU,
-                f"loss std {std:.2e} over last {PLATEAU_WINDOW} epochs",
-            )
-    return CONTINUE
-
-
-def last_improvement_epoch(history: TrainingHistory) -> int:
-    """Last epoch whose accuracy set a new running maximum (epoch 1 counts)."""
-    best = -math.inf
-    epoch = 0
-    for e, acc in enumerate(history.val_accuracy, 1):
-        if acc > best:
-            best = acc
-            epoch = e
-    return epoch
-
-
-def check_last_success(history: TrainingHistory) -> StopVerdict:
-    """Stop when the last accuracy improvement is more than ``LAST_SUCCESS_WINDOW`` epochs old."""
-    if not len(history):
-        raise ValueError("history is empty")
-    e_star = last_improvement_epoch(history)
-    age = len(history) - e_star
-    if age > LAST_SUCCESS_WINDOW:
-        return StopVerdict(
-            REASON_LAST_SUCCESS, f"no improvement since epoch {e_star} ({age} epochs)"
-        )
-    return CONTINUE
-
-
-def _scheduler_improvement_epoch(history: TrainingHistory) -> int:
-    """Last epoch that beat all earlier epochs; the first epoch never counts
-    (it establishes the reference rather than improving on one)."""
-    best = history.val_accuracy[0]
-    epoch = 0
-    for e, acc in enumerate(history.val_accuracy[1:], 2):
-        if acc > best:
-            best = acc
-            epoch = e
-    return epoch
-
-
-def _scheduler_reduction_epoch(history: TrainingHistory) -> int:
-    """Epoch at which the last LR reduction was decided.
-
-    A reduction decided at epoch e takes effect from epoch e+1 onward, so
-    the decision epoch is one before the first epoch carrying the new rate.
-    """
-    lrs = history.learning_rate
-    for i in range(len(lrs) - 1, 0, -1):
-        if lrs[i] != lrs[i - 1]:
-            return i  # index i is epoch i + 1, the first at the new rate
-    return 0
-
-
-def scheduler_step(history: TrainingHistory) -> tuple[float, StopVerdict]:
-    """Plateau scheduler: cut the learning rate after ``PATIENCE`` flat epochs.
-
-    A plateau means no new running-maximum accuracy since the later of the
-    last reduction and the last improvement; each reduction resets the
-    patience counter.  Returns the rate to use from the next epoch and a
-    stop verdict that fires once the reduced rate falls below ``LR_FLOOR``.
-    """
-    if not len(history):
-        raise ValueError("history is empty")
-    current = history.learning_rate[-1]
-    reference = max(
-        _scheduler_improvement_epoch(history), _scheduler_reduction_epoch(history)
-    )
-    new_lr = current
-    if len(history) - reference >= PATIENCE:
-        new_lr = current * LR_FACTOR
-    if new_lr < LR_FLOOR:
-        return new_lr, StopVerdict(
-            REASON_LR_FLOOR, f"learning rate {new_lr:.3e} below floor {LR_FLOOR:.0e}"
-        )
-    return new_lr, CONTINUE
-
-
 def check_envelope(history: TrainingHistory, envelope: BaselineEnvelope) -> StopVerdict:
     """Milestone comparison against the baseline curve.
 
@@ -277,38 +182,16 @@ def update_baseline(
     return envelope
 
 
-def combined_verdict(
-    history: TrainingHistory, envelope: BaselineEnvelope | None, mode: str
-) -> StopVerdict:
-    """Dispatch to the checks of one stopping strategy.
-
-    ``scheduler+baseline`` stops if either the envelope or the scheduler
-    floor triggers; the envelope is consulted first.
-    """
-    if mode not in MODES:
-        raise ValueError(f"unknown stopping mode {mode!r} (expected one of {MODES})")
-    if mode == "none":
-        return CONTINUE
-    if mode == "default":
-        return check_default(history)
-    if mode == "last-success":
-        return check_last_success(history)
-    if mode == "scheduler+baseline" and envelope is not None:
-        verdict = check_envelope(history, envelope)
-        if verdict.stop:
-            return verdict
-    _, verdict = scheduler_step(history)
-    return verdict
-
-
 class StoppingMonitor:
     """Stateful per-evaluation monitor; call ``start`` once per training, then
     ``verdict`` once per appended epoch.
 
-    Incremental bookkeeping keeps the per-epoch cost constant; the verdicts
-    match the pure check functions applied to the same history.  For the
-    scheduler modes the monitor also manages the learning rate to stamp on
-    the next epoch record (``next_lr``).
+    Incremental bookkeeping keeps the per-epoch cost constant.  The
+    scheduler cuts the rate after ``PATIENCE`` epochs without a new best
+    accuracy since the later of the last improvement and the last cut.  It
+    counts its own cuts and ignores the history's rate column, so a trainer
+    that reports a rate of its own still stops at the floor.  ``next_lr`` is
+    the rate for the next epoch.
     """
 
     def __init__(self, mode: str, envelope: BaselineEnvelope | None = None) -> None:
@@ -365,7 +248,7 @@ class StoppingMonitor:
             verdict = check_envelope(history, self.envelope)
             if verdict.stop:
                 return verdict
-        # as in scheduler_step, epoch 1 sets the reference rather than improving on one
+        # epoch 1 sets the reference rather than improving on one
         improved = self._best_epoch if self._best_epoch >= 2 else 0
         reference = max(improved, self._last_reduce)
         if epoch - reference >= PATIENCE:

@@ -13,7 +13,6 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
-from itertools import pairwise
 from pathlib import Path
 
 KIND_FULL = "full-eval"
@@ -126,10 +125,26 @@ def write_ledger(path: Path, records, header: dict[str, str]) -> None:
     tmp.replace(path)
 
 
+def _check_sequence(record: LedgerRecord, index: int, total: float) -> None:
+    """Refuse a record that disagrees with the rows before it: ``record_index``
+    runs 0, 1, 2, ... in file order, and ``cumulative_cost`` is ``total``, the
+    running sum of ``charged_cost``.  The writer adds the charges in the same
+    order, so the sum is exact."""
+    if record.record_index != index:
+        raise ValueError(f"record_index {record.record_index}, expected {index}")
+    if record.charged_cost < 0:
+        raise ValueError(f"negative charged_cost {record.charged_cost!r}")
+    if record.cumulative_cost != total:
+        raise ValueError(f"cumulative_cost {record.cumulative_cost!r} is not the running sum {total!r} of charged_cost")
+
+
 def read_ledger(path: Path) -> tuple[dict[str, str], list[LedgerRecord]]:
-    """Header and records of a ledger, read one line at a time."""
+    """Header and records of a ledger, read one line at a time.  A malformed
+    row, or one that disagrees with the rows before it, raises ``ValueError``
+    naming ``path:line``."""
     header: dict[str, str] = {}
     records: list[LedgerRecord] = []
+    total = 0.0
     columns_seen = False
     with Path(path).open() as fh:
         for lineno, line in enumerate(fh, 1):
@@ -147,14 +162,14 @@ def read_ledger(path: Path) -> tuple[dict[str, str], list[LedgerRecord]]:
                     raise ValueError(f"{path}:{lineno}: expected {len(COLUMNS)} fields, found {len(row)}")
                 else:
                     try:
-                        records.append(LedgerRecord.from_row(row))
+                        record = LedgerRecord.from_row(row)
+                        total += record.charged_cost
+                        _check_sequence(record, len(records), total)
                     except ValueError as exc:
                         raise ValueError(f"{path}:{lineno}: {exc}") from None
+                    records.append(record)
     if not columns_seen:
         raise ValueError(f"{path}: not a ledger file")
-    for prev, rec in pairwise(records):
-        if rec.cumulative_cost < prev.cumulative_cost:
-            raise ValueError(f"{path}: cumulative cost decreases at record {rec.record_index}")
     return header, records
 
 

@@ -433,6 +433,31 @@ class TestCli:
         assert main([command, *(series if command == "export" else argv)]) == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("edit", ["deleted-row", "edited-cumulative"])
+    @pytest.mark.parametrize("command", ["export", "resume"])
+    def test_rows_that_disagree_are_a_clean_error(self, tmp_path, capsys, command, edit):
+        out = tmp_path / "out"
+        argv = ["--preset", "p1", "--budget", "30", "--seed", "3", "--out", str(out)]
+        assert main(["run", *argv]) == 0
+        capsys.readouterr()
+        ledger = out / LEDGER_NAME
+        lines = ledger.read_text().splitlines(keepends=True)
+        at = lines.index(encode_row(COLUMNS)) + 1 + 117
+        fields = lines[at].rstrip("\n").split(",")
+        assert fields[:2] == ["117", KIND_FULL]  # a full evaluation mid-run
+        if edit == "deleted-row":
+            # each row is whole, but record 118 now follows record 116
+            del lines[at]
+        else:
+            cum = COLUMNS.index("cumulative_cost")
+            fields[cum] = repr(float(fields[cum]) + 0.5)
+            lines[at] = encode_row(fields)
+        ledger.write_text("".join(lines))
+        series = ["--ledger", str(ledger), "--out", str(tmp_path / "series.csv")]
+        assert main([command, *(series if command == "export" else argv)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {ledger}:{at + 1}: ") and err.count("\n") == 1
+
     def test_export_scales_custom_surrogate_epochs(self, tmp_path):
         out = tmp_path / "out"
         assert main(["run", "--budget", "10", "--rank-custom", "20,0.5,0.1", "--out", str(out)]) == 0

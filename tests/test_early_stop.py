@@ -7,11 +7,7 @@ from madshpo.early_stop import (
     BaselineEnvelope,
     StoppingMonitor,
     TrainingHistory,
-    check_default,
     check_envelope,
-    check_last_success,
-    combined_verdict,
-    scheduler_step,
     update_baseline,
 )
 
@@ -25,6 +21,20 @@ def history_from_acc(accs, lr=0.01):
     for e, a in enumerate(accs, 1):
         h.append(e, a, -math.log(max(a, 1e-4)), lr)
     return h
+
+
+def replay(mode, history, envelope=None):
+    """Feed ``history`` epoch by epoch to a fresh monitor started at its first
+    rate, as a training would; return the last verdict and ``next_lr()``."""
+    monitor = StoppingMonitor(mode, envelope)
+    monitor.start(history.learning_rate[0])
+    fed = TrainingHistory()
+    for row in zip(history.val_accuracy, history.val_loss, history.learning_rate):
+        fed.append(len(fed) + 1, *row)
+        verdict = monitor.verdict(fed)
+        if verdict.stop:
+            break
+    return verdict, monitor.next_lr()
 
 
 class TestTrainingHistory:
@@ -46,60 +56,60 @@ class TestTrainingHistory:
 
 class TestCheckDefault:
     def test_low_accuracy_at_25(self):
-        verdict = check_default(flat_history(25, acc=0.10))
+        verdict, _ = replay("default", flat_history(25, acc=0.10))
         assert verdict.stop and verdict.reason == "default-low-accuracy"
 
     def test_identical_losses_plateau(self):
         h = TrainingHistory.from_rows((e, 0.5, 1.234, 0.01) for e in range(1, 51))
-        verdict = check_default(h)
+        verdict, _ = replay("default", h)
         assert verdict.stop and verdict.reason == "default-loss-plateau"
 
     def test_not_yet_armed(self):
-        assert not check_default(flat_history(24, acc=0.10)).stop
+        assert not replay("default", flat_history(24, acc=0.10))[0].stop
 
     def test_accuracy_above_floor_survives(self):
-        assert not check_default(flat_history(25, acc=0.13)).stop
+        assert not replay("default", flat_history(25, acc=0.13))[0].stop
 
     def test_noisy_loss_survives(self):
         rng = np.random.default_rng(0)
         h = TrainingHistory.from_rows(
             (e, 0.5, 1.0 + 0.01 * rng.standard_normal(), 0.01) for e in range(1, 80)
         )
-        assert not check_default(h).stop
+        assert not replay("default", h)[0].stop
 
 
 class TestCheckLastSuccess:
     def test_monotone_rise_continues(self):
         h = history_from_acc([0.3 + 0.005 * e for e in range(100)])
-        assert not check_last_success(h).stop
+        assert not replay("last-success", h)[0].stop
 
     def test_stop_after_window_exceeded(self):
         accs = [0.3 + 0.01 * e for e in range(10)] + [0.3] * 26
-        verdict = check_last_success(history_from_acc(accs))
+        verdict, _ = replay("last-success", history_from_acc(accs))
         assert verdict.stop and verdict.reason == "last-success"
 
     def test_boundary_not_strictly_greater(self):
         accs = [0.3 + 0.01 * e for e in range(10)] + [0.3] * 25
         assert len(accs) == 35
-        assert not check_last_success(history_from_acc(accs)).stop
+        assert not replay("last-success", history_from_acc(accs))[0].stop
 
 
 class TestSchedulerStep:
     def test_plateau_reduces_to_floor_boundary(self):
         h = flat_history(25, acc=0.5, lr=1e-7)
-        new_lr, verdict = scheduler_step(h)
+        verdict, new_lr = replay("scheduler", h)
         assert new_lr == pytest.approx(1e-8)
         assert not verdict.stop
 
     def test_one_more_reduction_crosses_floor(self):
         h = flat_history(25, acc=0.5, lr=1e-8)
-        new_lr, verdict = scheduler_step(h)
+        verdict, new_lr = replay("scheduler", h)
         assert new_lr < 1e-8
         assert verdict.stop and verdict.reason == "scheduler-lr-floor"
 
     def test_improving_accuracy_keeps_lr(self):
         h = history_from_acc([0.3 + 0.005 * e for e in range(40)], lr=0.01)
-        new_lr, verdict = scheduler_step(h)
+        verdict, new_lr = replay("scheduler", h)
         assert new_lr == 0.01 and not verdict.stop
 
     def test_reduction_epoch_resets_patience(self):
@@ -108,10 +118,10 @@ class TestSchedulerStep:
         for e in range(1, 50):
             h.append(e, 0.5, 1.0, 0.01 if e <= 25 else 0.001)
         # decision epoch was 25; at epoch 49 only 24 quiet epochs have passed
-        new_lr, verdict = scheduler_step(h)
+        verdict, new_lr = replay("scheduler", h)
         assert new_lr == 0.001 and not verdict.stop
         h.append(50, 0.5, 1.0, 0.001)
-        new_lr, _ = scheduler_step(h)
+        _, new_lr = replay("scheduler", h)
         assert new_lr == pytest.approx(1e-4)
 
     def test_closed_form_chain(self):
@@ -206,23 +216,14 @@ class TestUpdateBaseline:
 class TestCombinedVerdict:
     def test_envelope_breach_reported_first(self):
         envelope = BaselineEnvelope(flat_history(150, acc=0.90))
-        verdict = combined_verdict(flat_history(5, acc=0.44), envelope, "scheduler+baseline")
+        verdict, _ = replay("scheduler+baseline", flat_history(5, acc=0.44), envelope)
         assert verdict.stop and verdict.reason == "envelope-breach"
 
     def test_default_mode_short_history_continues(self):
-        assert not combined_verdict(flat_history(10), None, "default").stop
-
-    def test_last_success_delegates(self):
-        accs = [0.3 + 0.01 * e for e in range(10)] + [0.3] * 26
-        h = history_from_acc(accs)
-        assert combined_verdict(h, None, "last-success") == check_last_success(h)
+        assert not replay("default", flat_history(10))[0].stop
 
     def test_none_mode_never_stops(self):
-        assert not combined_verdict(flat_history(200, acc=0.0, lr=1e-9), None, "none").stop
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
-            combined_verdict(flat_history(5), None, "bogus")
+        assert not replay("none", flat_history(200, acc=0.0, lr=1e-9))[0].stop
 
 
 class TestStoppingMonitor:
@@ -272,7 +273,7 @@ def _baseline_curve():
 TABLE_ENVELOPE = BaselineEnvelope(_baseline_curve())
 
 
-def seeded_curves(kind, seed, epochs=150):
+def seeded_curves(kind, seed, epochs):
     """Accuracy and loss series of one seeded kind of training.
 
     ``walk`` drifts upward from a seeded start with a noisy loss; ``settling``
@@ -335,9 +336,6 @@ def test_verdict_table(mode, kind, seed, initial_lr, reported_lr, stop_epoch, re
     for e, (acc, loss) in enumerate(zip(accs, losses), 1):
         h.append(e, acc, loss, reported_lr or monitor.next_lr())
         verdict = monitor.verdict(h)
-        if reported_lr is None:
-            reference = combined_verdict(h, TABLE_ENVELOPE, mode)
-            assert (verdict.stop, verdict.reason) == (reference.stop, reference.reason), e
         if verdict.stop:
             got = (e, verdict.reason)
             break

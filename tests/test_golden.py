@@ -34,7 +34,7 @@ from madshpo import mads
 from madshpo.blackbox import SimulatedBlackbox, curve_arrays, lattice_sweep
 from madshpo.campaign import LEDGER_NAME, CampaignSettings, run
 from madshpo.cli import main
-from madshpo.ledger import KIND_FULL, KIND_SURROGATE
+from madshpo.ledger import KIND_FULL, KIND_SURROGATE, read_ledger
 from madshpo.space import default_bounds, make_config, preset_config, serialize, to_vector
 from tests.test_mads import QUAD_CENTER, QUAD_START, frozen_bounds, quadratic_plan
 
@@ -157,12 +157,14 @@ def _case_id(case):
 @pytest.mark.parametrize("case", sorted(LEDGER_SHA256), ids=_case_id)
 def test_ledger_bytes_unchanged(case, tmp_path):
     preset, stop_mode, surrogate, seed = case
-    run(CampaignSettings(
+    result = run(CampaignSettings(
         preset=preset, bbe_budget=GOLDEN_BUDGET, seed=seed, stop_mode=stop_mode,
         surrogate=surrogate, out_dir=tmp_path,
     ))
     digest = hashlib.sha256((tmp_path / LEDGER_NAME).read_bytes()).hexdigest()
     assert digest == LEDGER_SHA256[case]
+    # every golden ledger passes read_ledger's checks across rows
+    assert read_ledger(tmp_path / LEDGER_NAME)[1] == list(result.records)
 
 
 # SHA-256 of the series.csv that `madshpo export` writes for the
@@ -186,8 +188,9 @@ def test_export_series_bytes_unchanged(tmp_path):
 @pytest.mark.parametrize("case", sorted(SETTINGS_LEDGER_SHA256))
 def test_settings_ledger_bytes_unchanged(case, tmp_path):
     overrides, expected = SETTINGS_LEDGER_SHA256[case]
-    run(CampaignSettings(preset="p1", bbe_budget=GOLDEN_BUDGET, seed=0, out_dir=tmp_path, **overrides))
+    result = run(CampaignSettings(preset="p1", bbe_budget=GOLDEN_BUDGET, seed=0, out_dir=tmp_path, **overrides))
     assert hashlib.sha256((tmp_path / LEDGER_NAME).read_bytes()).hexdigest() == expected
+    assert read_ledger(tmp_path / LEDGER_NAME)[1] == list(result.records)
 
 
 @pytest.mark.parametrize("seed", sorted(QUADRATIC_RECORDS_SHA256))
@@ -305,3 +308,4 @@ def test_external_ledger_and_transcript_unchanged(surrogate, tmp_path):
     ledger = (tmp_path / "out" / LEDGER_NAME).read_text().replace(command, "TRAINER")
     digests = tuple(hashlib.sha256(text.encode()).hexdigest() for text in (ledger, transcript.read_text()))
     assert digests == EXTERNAL_SHA256[surrogate]
+    assert read_ledger(tmp_path / "out" / LEDGER_NAME)[1] == list(result.records)
