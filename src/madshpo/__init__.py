@@ -44,7 +44,6 @@ from .space import (
 )
 from .surrogates import (
     SurrogateSpec,
-    custom_surrogate,
     estimate,
     rank_candidates,
     surrogate_by_name,

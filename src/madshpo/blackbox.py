@@ -37,7 +37,7 @@ import numpy as np
 
 from .early_stop import CHANCE_LEVEL, REASON_NONE, TrainingHistory
 # benchmark/tracing.py wraps serialize by this name; Configuration.key calls it.
-from .space import Configuration, ConvLayerHP, SpaceBounds, make_config, serialize  # noqa: F401
+from .space import Configuration, SpaceBounds, make_config, preset_config, serialize  # noqa: F401
 from .util import hash_u64, hash_unit
 
 logger = logging.getLogger(__name__)
@@ -315,8 +315,7 @@ LATTICE_LOG_WD = (-7.0, -5.0, -3.0)
 LATTICE_MOMENTUM = (0.5, 0.8, 0.95)
 LATTICE_ARCH = ((1, 1), (1, 2), (2, 2), (3, 1), (5, 1))
 
-
-LATTICE_CONV = ConvLayerHP(16, 5, 1, 2, 2)
+LATTICE_CONV = preset_config("p1").conv_layers[0]
 
 
 def coarse_lattice(bounds: SpaceBounds):

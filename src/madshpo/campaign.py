@@ -37,7 +37,7 @@ from .early_stop import (
 from .ledger import KIND_FULL, LedgerRecord, read_ledger, write_ledger
 # benchmark/tracing.py wraps serialize by this name; Configuration.key calls it.
 from .space import Configuration, SpaceBounds, default_bounds, deserialize, preset_config, serialize  # noqa: F401
-from .surrogates import SURROGATE_TABLE, SurrogateSpec, custom_surrogate, surrogate_by_name
+from .surrogates import SurrogateSpec, surrogate_by_name
 
 LEDGER_NAME = "ledger.csv"
 SUMMARY_NAME = "summary.json"
@@ -63,11 +63,6 @@ def _comma_list(kind: Callable[[str], object]) -> Callable[[str], tuple]:
     return lambda text: tuple(kind(x) for x in text.split(","))
 
 
-def _parse_custom(text: str) -> tuple[int, float, float]:
-    epochs, fraction, cost = text.split(",")
-    return int(epochs), float(fraction), float(cost)
-
-
 def _parse_bool(text: str) -> bool:
     if text.lower() in ("1", "true", "yes", "on"):
         return True
@@ -86,9 +81,8 @@ class CampaignSettings:
     bbe_budget: int = _setting(200, int, key="budget", help="blackbox-evaluation budget")
     max_epochs: int = _setting(200, int, help="epochs of one full training")
     stop_mode: str = _setting("scheduler+baseline", str, key="stop", choices=MODES, help="early-stopping strategy")
-    surrogate: str = _setting("r4", str, key="rank", choices=sorted(SURROGATE_TABLE), help="ranking surrogate")
-    surrogate_custom: tuple[int, float, float] | None = _setting(
-        None, _parse_custom, key="rank_custom", header=False, help="custom surrogate: epochs,fraction,cost")
+    surrogate: str = _setting("r4", lambda text: surrogate_by_name(text).text, key="rank",
+                              help="ranking surrogate: r1..r4, oracle, none, or epochs,fraction,cost")
     out_dir: Path = _setting(Path("campaign-out"), Path, key="out", header=False,
                              help="output directory (ledger + summary)")
     backend: str = _setting("simulated", str, choices=BACKENDS, help="trainer backend")
@@ -109,6 +103,8 @@ class CampaignSettings:
             raise ValueError("bbe_budget must be positive")
         if self.max_epochs < 1:
             raise ValueError("max_epochs must be >= 1")
+        # checked and normalised to the header form of SurrogateSpec.text
+        object.__setattr__(self, "surrogate", surrogate_by_name(self.surrogate).text)
         if self.stop_mode not in MODES:
             raise ValueError(f"unknown stop mode {self.stop_mode!r}")
         if self.backend not in BACKENDS:
@@ -160,10 +156,7 @@ def initial_config(settings: CampaignSettings) -> Configuration:
 
 def surrogate_spec(settings: CampaignSettings) -> SurrogateSpec:
     """The ranking surrogate, which never trains longer than a full training."""
-    if settings.surrogate_custom is not None:
-        spec = custom_surrogate(*settings.surrogate_custom)
-    else:
-        spec = surrogate_by_name(settings.surrogate)
+    spec = surrogate_by_name(settings.surrogate)
     if spec.epoch_budget > settings.max_epochs:
         spec = replace(spec, epoch_budget=settings.max_epochs)
     return spec
@@ -211,9 +204,6 @@ def settings_header(settings: CampaignSettings) -> dict[str, str]:
     for f in fields(settings):
         if f.metadata["header"]:
             header[f.name] = _header_text(getattr(settings, f.name))
-    if settings.surrogate_custom is not None:
-        epochs, fraction, cost = settings.surrogate_custom
-        header["surrogate"] = f"custom {epochs} {fraction!r} {cost!r}"
     header["initial"] = initial_config(settings).key
     return header
 
@@ -222,10 +212,7 @@ def header_data_fraction(header: Mapping[str, str]) -> float:
     """Data fraction of the ranking surrogate in a ledger header that
     ``settings_header`` wrote (a ledger without one ranked nothing)."""
     text = header.get("surrogate", "none")
-    kind, _, custom = text.partition(" ")
     try:
-        if kind == "custom":
-            return custom_surrogate(*_parse_custom(custom.replace(" ", ","))).data_fraction
         return surrogate_by_name(text).data_fraction
     except ValueError as exc:
         raise ValueError(f"surrogate header {text!r}: {exc}") from None
@@ -261,34 +248,47 @@ def _persist(settings: CampaignSettings, result: mads.CampaignResult, wall_secon
     (out / SUMMARY_NAME).write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
 
 
-def _rebuild_state(settings: CampaignSettings, kept: list[LedgerRecord]) -> mads.CampaignState:
-    """Campaign state after the kept records, read from the ledger.
+def _rebuild_state(settings: CampaignSettings, kept: list[LedgerRecord], path: Path) -> mads.CampaignState:
+    """Campaign state after the kept records of the ledger at ``path``.
 
     The full evaluations give the incumbent and the baseline envelope.  Only
     the curves the envelope adopts are regenerated, without their
     learning-rate column, which envelope comparisons do not read.  The mesh
-    is the last record's ``mesh_index``, updated for whether its iteration
-    succeeded.
+    is replayed: iterations 0 and 1 use ``Mesh()``, and each later one the
+    ``update_mesh`` of the one before, where an iteration without rows
+    failed.  A row whose ``mesh_index`` or ``incumbent`` flag is not the
+    replayed one is refused, naming its ``record_index``.
     """
     blackbox = SimulatedBlackbox(noise_sigma=settings.noise_sigma)
     envelope = BaselineEnvelope(None, settings.milestones, settings.margins)
-    incumbent = None
+    incumbent = initial_config(settings)
     incumbent_score = -math.inf
-    improved_iteration = None
+    mesh, iteration, succeeded = mads.Mesh(), 0, False  # the mesh and outcome of `iteration`
     for rec in kept:
+        while iteration < rec.iteration:
+            if iteration >= 1:
+                mesh = mads.update_mesh(mesh, succeeded)
+            iteration, succeeded = iteration + 1, False
+        if rec.mesh_index != mesh.index:
+            raise ValueError(f"{path}: record {rec.record_index}: mesh_index {rec.mesh_index}, "
+                             f"expected {mesh.index}")
         if rec.kind != KIND_FULL:
             continue
-        if rec.stop_reason != FAILED_REASON and adopts_baseline(envelope, rec.score, incumbent_score):
+        failed = rec.stop_reason == FAILED_REASON
+        improved = mads.improves(failed, rec.score, incumbent_score)
+        if rec.incumbent != improved:
+            raise ValueError(f"{path}: record {rec.record_index}: incumbent {int(rec.incumbent)}, "
+                             f"expected {int(improved)}")
+        if not failed and adopts_baseline(envelope, rec.score, incumbent_score):
             model = blackbox.model_for(deserialize(rec.config), settings.seed)
             envelope = update_baseline(envelope, simulate_curve(model, rec.epochs_used), rec.score, incumbent_score)
-        if rec.incumbent:
+        if improved:
             incumbent = deserialize(rec.config)
             incumbent_score = rec.score
-            improved_iteration = rec.iteration
+            succeeded = True
     last = kept[-1]
-    mesh = mads.Mesh(last.mesh_index)
     if last.iteration >= 1:
-        mesh = mads.update_mesh(mesh, improved_iteration == last.iteration)
+        mesh = mads.update_mesh(mesh, succeeded)
     return mads.CampaignState(
         records=list(kept),
         cumulative=last.cumulative_cost,
@@ -326,7 +326,7 @@ def resume(settings: CampaignSettings, bounds: SpaceBounds | None = None) -> mad
     if not kept:
         result = mads.run_campaign(initial_config(settings), settings.bbe_budget, plan)
     else:
-        state = _rebuild_state(settings, kept)
+        state = _rebuild_state(settings, kept, path)
         result = mads.continue_campaign(state, settings.bbe_budget, plan)
     _persist(settings, result, wall_seconds=time.monotonic() - started)
     return result

@@ -282,6 +282,12 @@ def iteration_seed(seed: int, iteration: int) -> int:
     return hash_u64("poll-directions", seed, iteration)
 
 
+def improves(failed: bool, score: float, incumbent_score: float) -> bool:
+    """Whether a full evaluation becomes the incumbent: it did not fail and
+    scored above the incumbent."""
+    return not failed and score > incumbent_score
+
+
 def _full_evaluation(
     state: CampaignState, plan: RunPlan, candidate: PollCandidate, iteration: int
 ) -> float:
@@ -295,7 +301,7 @@ def _full_evaluation(
     except Exception as exc:  # noqa: BLE001 - failed-candidate contract
         logger.warning("full evaluation raised: %s", exc)
         result = EvaluationResult.failure()
-    improved = not result.failed and result.final_val_accuracy > state.incumbent_score
+    improved = improves(result.failed, result.final_val_accuracy, state.incumbent_score)
     state.record(KIND_FULL, config.key, result.final_val_accuracy, result.epochs_used,
                  result.stop_reason, 1.0, improved, iteration)
     if not result.failed:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 from operator import attrgetter
 
 import numpy as np
@@ -35,8 +35,8 @@ SCALAR_FIELDS = (
 _conv_values = attrgetter(*CONV_FIELDS)
 _scalar_values = attrgetter(*SCALAR_FIELDS)
 
-# Slot layouts kept per SpaceBounds instance; past this many distinct
-# architecture sizes the cache starts over.
+# Architecture sizes whose slot layouts each SpaceBounds instance keeps (the
+# cache then starts over), and whose slot names the module keeps.
 _MAX_LAYOUTS = 256
 
 
@@ -91,7 +91,7 @@ class SlotSpec:
 
 @dataclass(frozen=True)
 class ConvLayerHP:
-    """Per-convolutional-layer hyperparameters (pooling 1 = no pooling)."""
+    """Per-convolutional-layer hyperparameters in ``CONV_FIELDS`` order (pooling 1 = no pooling)."""
 
     out_channels: int
     kernel_size: int
@@ -243,6 +243,34 @@ def dimension(n_conv: int, n_fc: int) -> int:
     return 5 * n_conv + n_fc + 10
 
 
+@lru_cache(maxsize=_MAX_LAYOUTS)
+def slot_names(n_conv: int, n_fc: int) -> tuple[str, ...]:
+    """Names of the quantitative slots in canonical order: each conv layer's
+    fields by layer index, then the FC sizes, then the trainer scalars."""
+    convs = [f"conv{i}.{field}" for i in range(n_conv) for field in CONV_FIELDS]
+    return (*convs, *(f"fc{i}" for i in range(n_fc)), *SCALAR_FIELDS)
+
+
+def _raw_values(config: Configuration) -> list:
+    """Stored values of the quantitative slots, in slot order."""
+    values = [value for layer in config.conv_layers for value in _conv_values(layer)]
+    values.extend(config.fc_sizes)
+    values.extend(_scalar_values(config))
+    return values
+
+
+def _from_values(optimizer: str, n_conv: int, values: list) -> Configuration:
+    """The configuration whose quantitative slots hold ``values`` in slot order."""
+    n_conv_values = 5 * n_conv
+    n_quant = len(values) - len(SCALAR_FIELDS)
+    return Configuration(
+        conv_layers=tuple(ConvLayerHP(*values[i:i + 5]) for i in range(0, n_conv_values, 5)),
+        fc_sizes=tuple(values[n_conv_values:n_quant]),
+        optimizer=optimizer,
+        **dict(zip(SCALAR_FIELDS, values[n_quant:])),
+    )
+
+
 @dataclass(frozen=True)
 class Slot:
     """One quantitative slot of a concrete configuration."""
@@ -270,16 +298,10 @@ def slot_layout(bounds: SpaceBounds, n_conv: int, n_fc: int) -> SlotLayout:
     layout = layouts.get((n_conv, n_fc))
     if layout is not None:
         return layout
-    slots: list[Slot] = []
-    for i in range(n_conv):
-        for field, spec in zip(CONV_FIELDS, bounds.conv_slots):
-            slots.append(Slot(f"conv{i}.{field}", spec))
-    for i in range(n_fc):
-        slots.append(Slot(f"fc{i}", bounds.fc_slot))
-    for field, spec in zip(SCALAR_FIELDS, bounds.scalar_slots):
-        slots.append(Slot(field, spec))
+    specs = bounds.conv_slots * n_conv + (bounds.fc_slot,) * n_fc + bounds.scalar_slots
+    slots = tuple(map(Slot, slot_names(n_conv, n_fc), specs))
     layout = SlotLayout(
-        tuple(slots),
+        slots,
         np.array([s.spec.granularity for s in slots]),
         np.array([s.spec.internal_lower for s in slots]),
         np.array([s.spec.internal_upper for s in slots]),
@@ -298,11 +320,8 @@ def quantitative_slots(bounds: SpaceBounds, n_conv: int, n_fc: int) -> tuple[Slo
 
 def to_vector(config: Configuration, bounds: SpaceBounds) -> np.ndarray:
     """Quantitative slots as an internal-scale vector (slot order)."""
-    values = [value for layer in config.conv_layers for value in _conv_values(layer)]
-    values.extend(config.fc_sizes)
-    values.extend(_scalar_values(config))
-    layout = slot_layout(bounds, len(config.conv_layers), len(config.fc_sizes))
-    for i in layout.log10_positions:
+    values = _raw_values(config)
+    for i in slot_layout(bounds, config.n_conv, config.n_fc).log10_positions:
         values[i] = math.log10(values[i])
     return np.array(values, dtype=float)
 
@@ -313,17 +332,7 @@ def with_vector(config: Configuration, bounds: SpaceBounds, vec: np.ndarray | li
     if len(vec) != len(slots):
         raise ValueError(f"vector length {len(vec)} != slot count {len(slots)}")
     values = [slot.spec.from_internal(v) for slot, v in zip(slots, vec)]
-    n_conv_values = 5 * config.n_conv
-    n_quant = n_conv_values + config.n_fc
-    return Configuration(
-        conv_layers=tuple(
-            ConvLayerHP(**dict(zip(CONV_FIELDS, values[i:i + 5])))
-            for i in range(0, n_conv_values, 5)
-        ),
-        fc_sizes=tuple(values[n_conv_values:n_quant]),
-        optimizer=config.optimizer,
-        **dict(zip(SCALAR_FIELDS, values[n_quant:])),
-    )
+    return _from_values(config.optimizer, config.n_conv, values)
 
 
 def validate(config: Configuration, bounds: SpaceBounds) -> list[str]:
@@ -337,20 +346,12 @@ def validate(config: Configuration, bounds: SpaceBounds) -> list[str]:
         problems.append(f"n_fc={config.n_fc} outside [{lo}, {hi}]")
     if config.optimizer not in bounds.optimizers:
         problems.append(f"optimizer={config.optimizer!r} not in {bounds.optimizers}")
-
-    def check(name: str, value: float, spec: SlotSpec) -> None:
+    for slot, value in zip(slot_layout(bounds, config.n_conv, config.n_fc).slots, _raw_values(config)):
+        spec = slot.spec
         if spec.integer and value != int(value):
-            problems.append(f"{name}={value} must be an integer")
+            problems.append(f"{slot.name}={value} must be an integer")
         if not spec.lower <= value <= spec.upper:
-            problems.append(f"{name}={value} outside [{spec.lower}, {spec.upper}]")
-
-    for i, layer in enumerate(config.conv_layers):
-        for field, spec in zip(CONV_FIELDS, bounds.conv_slots):
-            check(f"conv{i}.{field}", getattr(layer, field), spec)
-    for i, size in enumerate(config.fc_sizes):
-        check(f"fc{i}", size, bounds.fc_slot)
-    for field, spec in zip(SCALAR_FIELDS, bounds.scalar_slots):
-        check(field, getattr(config, field), spec)
+            problems.append(f"{slot.name}={value} outside [{spec.lower}, {spec.upper}]")
     return problems
 
 
@@ -397,66 +398,41 @@ def _format(value) -> str:
 
 
 def serialize(config: Configuration) -> str:
-    """Flat ``name=value`` tokens, space separated, in canonical slot order."""
-    tokens = [
-        f"conv{i}.{field}={_format(value)}"
-        for i, layer in enumerate(config.conv_layers)
-        for field, value in zip(CONV_FIELDS, _conv_values(layer))
-    ]
-    tokens += [f"fc{i}={_format(size)}" for i, size in enumerate(config.fc_sizes)]
-    tokens.append(f"optimizer={config.optimizer}")
-    tokens += [
-        f"{field}={_format(value)}" for field, value in zip(SCALAR_FIELDS, _scalar_values(config))
-    ]
+    """Flat ``name=value`` tokens, space separated, in canonical slot order
+    with the optimizer before the trainer scalars."""
+    names = slot_names(config.n_conv, config.n_fc)
+    tokens = [f"{name}={_format(value)}" for name, value in zip(names, _raw_values(config))]
+    tokens.insert(len(tokens) - len(SCALAR_FIELDS), f"optimizer={config.optimizer}")
     return " ".join(tokens)
 
 
 def deserialize(text: str) -> Configuration:
     """Parse the output of :func:`serialize` back into a configuration.
 
-    The text need not be canonical, so it does not become the result's ``key``."""
-    conv_values: dict[int, dict[str, int]] = {}
-    fc_values: dict[int, int] = {}
-    scalars: dict[str, float | str] = {}  # the optimizer token too, until popped
+    The layer counts come from the ``conv<i>.`` and ``fc<i>`` names, and the
+    tokens must then name exactly the slots of :func:`slot_names` plus the
+    optimizer, in any order.  The text need not be canonical, so it does not
+    become the result's ``key``."""
+    raw: dict[str, str] = {}
     for token in text.split():
-        name, _, raw = token.partition("=")
-        if not raw:
+        name, _, value = token.partition("=")
+        if not value:
             raise ValueError(f"malformed token {token!r}")
-        if name.startswith("conv"):
-            head, _, field = name.partition(".")
-            if field not in CONV_FIELDS:
-                raise ValueError(f"unknown conv field in {token!r}")
-            values, key, value = conv_values.setdefault(int(head[4:]), {}), field, int(raw)
-        elif name.startswith("fc"):
-            values, key, value = fc_values, int(name[2:]), int(raw)
-        elif name == "optimizer":
-            values, key, value = scalars, name, raw
-        elif name in SCALAR_FIELDS:
-            values, key, value = scalars, name, int(raw) if name == "batch_size" else float(raw)
-        else:
-            raise ValueError(f"unknown slot {name!r}")
-        if key in values:
+        if name in raw:
             raise ValueError(f"repeated token {token!r}")
-        values[key] = value
-    optimizer = scalars.pop("optimizer", None)
+        raw[name] = value
+    optimizer = raw.pop("optimizer", None)
     if optimizer is None:
         raise ValueError("missing optimizer token")
-    missing = set(SCALAR_FIELDS) - set(scalars)
-    if missing:
-        raise ValueError(f"missing scalar tokens: {sorted(missing)}")
-    layers = []
-    for i in range(len(conv_values)):
-        if i not in conv_values or set(conv_values[i]) != set(CONV_FIELDS):
-            raise ValueError(f"conv layer {i} incomplete")
-        layers.append(ConvLayerHP(**conv_values[i]))
-    fcs = []
-    for i in range(len(fc_values)):
-        if i not in fc_values:
-            raise ValueError(f"fc slot {i} missing")
-        fcs.append(fc_values[i])
-    return Configuration(
-        conv_layers=tuple(layers),
-        fc_sizes=tuple(fcs),
-        optimizer=optimizer,
-        **scalars,  # type: ignore[arg-type]
-    )
+    n_conv = len({name.partition(".")[0] for name in raw if name.startswith("conv")})
+    n_fc = sum(name.startswith("fc") for name in raw)
+    names = slot_names(n_conv, n_fc)
+    if raw.keys() != set(names):
+        unknown = sorted(raw.keys() - set(names))
+        missing = [name for name in names if name not in raw]
+        raise ValueError(f"slots do not match {n_conv} conv and {n_fc} FC layers: "
+                         f"unknown {unknown}, missing {missing}")
+    n_int = 5 * n_conv + n_fc
+    values = [int(raw[name]) if i < n_int or name == "batch_size" else float(raw[name])
+              for i, name in enumerate(names)]
+    return _from_values(optimizer, n_conv, values)

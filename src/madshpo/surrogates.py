@@ -50,25 +50,35 @@ class SurrogateSpec:
                 )
         elif self.kind != "custom":
             raise ValueError(f"unknown surrogate kind {self.kind!r}")
+        elif self.epoch_budget < 1:
+            raise ValueError("epoch_budget must be >= 1")
 
     @property
     def disabled(self) -> bool:
         return self.kind == "none"
 
-
-def surrogate_by_name(name: str) -> SurrogateSpec:
-    """Look up one of the named surrogates (r1..r4, oracle, none)."""
-    key = name.lower()
-    if key not in SURROGATE_TABLE:
-        raise ValueError(f"unknown surrogate {name!r} (expected one of {sorted(SURROGATE_TABLE)})")
-    epochs, fraction, cost = SURROGATE_TABLE[key]
-    return SurrogateSpec(key, epochs, fraction, cost)
+    @property
+    def text(self) -> str:
+        """The ledger-header form, which :func:`surrogate_by_name` reads back."""
+        if self.kind == "custom":
+            return f"custom {self.epoch_budget} {self.data_fraction!r} {self.cost_ratio!r}"
+        return self.kind
 
 
-def custom_surrogate(epoch_budget: int, data_fraction: float, cost_ratio: float) -> SurrogateSpec:
-    if epoch_budget < 1:
-        raise ValueError("epoch_budget must be >= 1")
-    return SurrogateSpec("custom", epoch_budget, data_fraction, cost_ratio)
+def surrogate_by_name(text: str) -> SurrogateSpec:
+    """The surrogate a text names: r1..r4, oracle or none; a custom
+    ``epochs,fraction,cost`` triple; or the header form of a custom one,
+    ``custom epochs fraction cost``."""
+    key = text.lower()
+    if key in SURROGATE_TABLE:
+        return SurrogateSpec(key, *SURROGATE_TABLE[key])
+    kind, _, rest = key.partition(" ")
+    parts = rest.split(" ") if kind == "custom" else key.split(",")
+    if len(parts) != 3:
+        raise ValueError(
+            f"unknown surrogate {text!r} (expected one of {sorted(SURROGATE_TABLE)} or epochs,fraction,cost)"
+        )
+    return SurrogateSpec("custom", int(parts[0]), float(parts[1]), float(parts[2]))
 
 
 # Callback contract: (config, epochs, data_fraction) -> estimated accuracy.

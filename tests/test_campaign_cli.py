@@ -29,7 +29,7 @@ from madshpo.ledger import (
     read_ledger,
     write_ledger,
 )
-from madshpo.space import deserialize, dimension, preset_config, serialize
+from madshpo.space import SlotSpec, default_bounds, deserialize, dimension, preset_config, serialize
 
 
 def settings(out_dir, **overrides):
@@ -54,8 +54,16 @@ class TestSettings:
         with pytest.raises(ValueError):
             CampaignSettings(preset="p9").__class__ and initial_config(CampaignSettings(preset="p9"))
 
+    def test_surrogate_is_checked_and_written_in_header_form(self, tmp_path):
+        with pytest.raises(ValueError, match="unknown surrogate 'bogus'"):
+            CampaignSettings(surrogate="bogus")
+        for text in ("12,0.5,0.25", "custom 12 0.5 0.25"):
+            s = settings(tmp_path, surrogate=text)
+            assert s.surrogate == settings_header(s)["surrogate"] == "custom 12 0.5 0.25"
+        assert settings(tmp_path, surrogate="R2").surrogate == "r2"
+
     def test_header_round_trip_strings(self, tmp_path):
-        s = settings(tmp_path, max_iterations=7, surrogate_custom=(50, 0.5, 0.25))
+        s = settings(tmp_path, max_iterations=7, surrogate="50,0.5,0.25")
         header = settings_header(s)
         assert header["max_iterations"] == "7"
         assert header["surrogate"].startswith("custom 50")
@@ -177,6 +185,23 @@ class TestResume:
         resume(s)
         assert len(calls) == adopted
         assert path.read_bytes() == full_bytes
+
+    def test_replay_equivalence_after_failed_start_point(self, tmp_path):
+        # a failed first evaluation leaves the start point the incumbent;
+        # a linear learning-rate slot lets the simulator refuse rate 0
+        default = default_bounds()
+        bounds = replace(default, scalar_slots=(SlotSpec(0.0, 1.0, granularity=1e-3), *default.scalar_slots[1:]))
+        start = replace(preset_config("p1"), learning_rate=0.0)
+        s = settings(tmp_path / "full", initial=start, bbe_budget=12, seed=1, surrogate="none")
+        run(s, bounds)
+        full_bytes = (tmp_path / "full" / LEDGER_NAME).read_bytes()
+        header, records = read_ledger(tmp_path / "full" / LEDGER_NAME)
+        assert records[0].stop_reason == FAILED_REASON and records[1].iteration == 1
+        out = tmp_path / "cut"
+        out.mkdir()
+        write_ledger(out / LEDGER_NAME, records[:2], header)
+        resume(replace(s, out_dir=out), bounds)
+        assert (out / LEDGER_NAME).read_bytes() == full_bytes
 
     def test_completed_run_resume_is_noop(self, tmp_path):
         s, path, full_bytes = self.run_full(tmp_path)
@@ -458,9 +483,29 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {ledger}:{at + 1}: ") and err.count("\n") == 1
 
-    def test_export_scales_custom_surrogate_epochs(self, tmp_path):
+    @pytest.mark.parametrize("edit,first", [("raised-mesh-index", 79), ("cleared-incumbent", 117)])
+    def test_kept_rows_against_the_campaign_rules_are_a_clean_error(self, tmp_path, capsys, edit, first):
         out = tmp_path / "out"
-        assert main(["run", "--budget", "10", "--rank-custom", "20,0.5,0.1", "--out", str(out)]) == 0
+        argv = ["--preset", "p1", "--budget", "30", "--seed", "3", "--out", str(out)]
+        assert main(["run", *argv]) == 0
+        capsys.readouterr()
+        ledger = out / LEDGER_NAME
+        header, records = read_ledger(ledger)
+        kept = records[:156]
+        if edit == "raised-mesh-index":
+            assert {r.mesh_index for r in kept if r.iteration == 3} == {0}
+            kept = [replace(r, mesh_index=1) if r.iteration == 3 else r for r in kept]
+        else:
+            assert kept[117].kind == KIND_FULL and kept[117].incumbent
+            kept[117] = replace(kept[117], incumbent=False)
+        write_ledger(ledger, kept, header)
+        assert main(["resume", *argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {ledger}: record {first}: ") and err.count("\n") == 1
+
+    def test_export_scales_custom_triple_epochs(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["run", "--budget", "10", "--rank", "20,0.5,0.1", "--out", str(out)]) == 0
         series = tmp_path / "series.csv"
         assert main(["export", "--ledger", str(out / LEDGER_NAME), "--out", str(series)]) == 0
         _, records = read_ledger(out / LEDGER_NAME)
@@ -470,7 +515,7 @@ class TestCli:
 
     def test_truncated_surrogate_header_is_a_clean_error(self, tmp_path, capsys):
         out = tmp_path / "out"
-        assert main(["run", "--budget", "5", "--rank-custom", "20,0.5,0.1", "--out", str(out)]) == 0
+        assert main(["run", "--budget", "5", "--rank", "20,0.5,0.1", "--out", str(out)]) == 0
         header, records = read_ledger(out / LEDGER_NAME)
         write_ledger(out / LEDGER_NAME, records, {**header, "surrogate": "custom 20"})
         assert main(["export", "--ledger", str(out / LEDGER_NAME), "--out", str(tmp_path / "s.csv")]) == 1

@@ -36,7 +36,7 @@ STUB = textwrap.dedent(
 RUN_OPTIONS = [
     "--backend", "--backend-cmd", "--budget", "--config-file", "--initial", "--margins",
     "--max-epochs", "--max-iterations", "--milestones", "--min-mesh-index",
-    "--no-charge-ranking", "--noise-sigma", "--out", "--preset", "--rank", "--rank-custom",
+    "--no-charge-ranking", "--noise-sigma", "--out", "--preset", "--rank",
     "--seed", "--stop", "-h", "--help",
 ]
 
@@ -74,8 +74,7 @@ def setup(tmp_path):
         "budget": "4",
         "max-epochs": "30",
         "stop": "last-success",
-        "rank": "r2",
-        "rank-custom": "12,0.5,0.25",
+        "rank": "12,0.5,0.25",
         "seed": "5",
         "backend": "external",
         "backend-cmd": command,
@@ -134,14 +133,21 @@ def test_run_option_strings():
 
 @pytest.mark.parametrize(
     "argv",
-    [["--budget", "abc"], ["--rank-custom", "1,2"], ["--milestones", "5,x"]],
-    ids=["budget", "rank-custom", "milestones"],
+    [["--budget", "abc"], ["--rank", "1,2"], ["--milestones", "5,x"]],
+    ids=["budget", "rank", "milestones"],
 )
 def test_bad_flag_value_is_an_error(argv, tmp_path, capsys):
     code, err = run_cli(["run", *argv, "--out", str(tmp_path / "out")], capsys)
     assert code != 0
     assert "error" in err and "Traceback" not in err
     assert not (tmp_path / "out" / LEDGER_NAME).exists()
+
+
+@pytest.mark.parametrize("rank", ["bogus", "1,2"])
+def test_bad_rank_names_the_setting(rank, tmp_path, capsys):
+    code, err = run_cli(["run", "--rank", rank, "--out", str(tmp_path / "out")], capsys)
+    assert code == 1
+    assert err.startswith("error: rank: ") and err.count("\n") == 1
 
 
 def test_bad_settings_file_value_is_an_error(tmp_path, capsys):

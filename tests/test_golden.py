@@ -78,7 +78,7 @@ SETTINGS_LEDGER_SHA256 = {
         "535eb84304d61ec6ef569f97ad5d846621c5cec5d65ff687f4c6b8983abb1bbb",
     ),
     "custom-50-0.5-0.25": (
-        dict(surrogate_custom=(50, 0.5, 0.25)),
+        dict(surrogate="50,0.5,0.25"),
         "0a77168dde9d6e5f01930e7ed5a60d69328fd7c1ecda93adce49ccc9e22c6034",
     ),
 }

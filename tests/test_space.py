@@ -216,6 +216,91 @@ class TestSerialization:
         with pytest.raises(ValueError, match="repeated token 'learning_rate=0.5'"):
             deserialize(serialize(preset_config("p1")) + " learning_rate=0.5 fc0=999")
 
+    @pytest.mark.parametrize("preset", ["p1", "p2", "p3"])
+    def test_presets_and_neighbors_round_trip(self, bounds, preset):
+        start = preset_config(preset)
+        for config in [start, *neighbors(start, bounds)]:
+            text = serialize(config)
+            back = deserialize(text)
+            assert back == config and back.key == text
+            assert with_vector(config, bounds, to_vector(config, bounds)) == config
+
+
+# Recorded from the code before the slot order had one owner: texts that
+# deserialize refuses, each one edit away from the p1 text.
+_P1_TEXT = (
+    "conv0.out_channels=16 conv0.kernel_size=5 conv0.stride=1 conv0.padding=2 conv0.pooling=2 "
+    "fc0=128 fc1=64 optimizer=sgd learning_rate=0.01 batch_size=128 dropout=0.2 "
+    "weight_decay=1e-05 momentum=0.9 lr_decay=0.5 grad_clip=2.0 label_smoothing=0.05 epoch_scale=1.0"
+)
+REFUSED_TEXTS = {
+    "no-equals": _P1_TEXT + " learning_rate",
+    "empty-value": _P1_TEXT.replace("dropout=0.2", "dropout="),
+    "unknown-slot": "bogus=1 " + _P1_TEXT,
+    "no-optimizer": _P1_TEXT.replace("optimizer=sgd ", ""),
+    "missing-scalar": _P1_TEXT.replace("dropout=0.2 ", ""),
+    "incomplete-conv": _P1_TEXT.replace("conv0.pooling=2 ", ""),
+    "fc-gap": _P1_TEXT.replace("fc1=64", "fc2=64"),
+    "conv-from-1": _P1_TEXT.replace("conv0.", "conv1."),
+    "unknown-conv-field": _P1_TEXT.replace("conv0.pooling", "conv0.pool"),
+    "float-kernel": _P1_TEXT.replace("conv0.kernel_size=5", "conv0.kernel_size=5.0"),
+    "float-fc": _P1_TEXT.replace("fc0=128", "fc0=128.0"),
+    "float-batch": _P1_TEXT.replace("batch_size=128", "batch_size=128.0"),
+}
+
+
+@pytest.mark.parametrize("text", list(REFUSED_TEXTS.values()), ids=list(REFUSED_TEXTS))
+def test_deserialize_refuses(text):
+    with pytest.raises(ValueError):
+        deserialize(text)
+
+
+def test_repeated_token_refused_by_name():
+    with pytest.raises(ValueError, match="repeated token 'fc0=1'"):
+        deserialize(_P1_TEXT + " fc0=1")
+
+
+# Recorded from the code before the slot order had one owner: the exact
+# problem list validate returns for each invalid configuration.
+_P1_CONV = ConvLayerHP(16, 5, 1, 2, 2)
+INVALID_CONFIGS = {
+    "float-batch": (
+        replace(preset_config("p1"), batch_size=100.5),
+        ["batch_size=100.5 must be an integer"],
+    ),
+    "float-batch-too-large": (
+        replace(preset_config("p1"), batch_size=600.5),
+        ["batch_size=600.5 must be an integer", "batch_size=600.5 outside [16, 512]"],
+    ),
+    "dropout": (make_config((), (), dropout=1.5), ["dropout=1.5 outside [0.0, 0.95]"]),
+    "fc-2000": (make_config((), (2000, 64)), ["fc0=2000 outside [16, 1024]"]),
+    "out-channels-0": (
+        make_config((ConvLayerHP(0, 5, 1, 2, 2),), (128,)),
+        ["conv0.out_channels=0 outside [4, 128]"],
+    ),
+    "nine-conv": (make_config((_P1_CONV,) * 9, ()), ["n_conv=9 outside [0, 8]"]),
+    "optimizer": (
+        make_config((), (), optimizer="lbfgs"),
+        ["optimizer='lbfgs' not in ('sgd', 'adam', 'adagrad', 'rmsprop')"],
+    ),
+    "several": (
+        make_config((_P1_CONV, ConvLayerHP(16, 9, 1, 2, 2)), (64, 2000), optimizer="lbfgs",
+                    dropout=1.5, batch_size=8),
+        [
+            "optimizer='lbfgs' not in ('sgd', 'adam', 'adagrad', 'rmsprop')",
+            "conv1.kernel_size=9 outside [1, 7]",
+            "fc1=2000 outside [16, 1024]",
+            "batch_size=8 outside [16, 512]",
+            "dropout=1.5 outside [0.0, 0.95]",
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("config,problems", list(INVALID_CONFIGS.values()), ids=list(INVALID_CONFIGS))
+def test_validate_problem_lists(bounds, config, problems):
+    assert validate(config, bounds) == problems
+
 
 class TestConfigurationOwnsDerivedValues:
     def test_key_and_counts_are_not_fields(self):

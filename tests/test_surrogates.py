@@ -1,12 +1,11 @@
+import numpy as np
 import pytest
-from scipy import stats
 
 from madshpo.blackbox import EvaluationRequest, SimulatedBlackbox
 from madshpo.mads import PollCandidate
 from madshpo.space import make_config, preset_config
 from madshpo.surrogates import (
     SurrogateSpec,
-    custom_surrogate,
     estimate,
     rank_candidates,
     surrogate_by_name,
@@ -56,8 +55,20 @@ class TestCostTable:
             surrogate_by_name("hyperband")
 
     def test_custom_triple(self):
-        spec = custom_surrogate(50, 0.5, 0.25)
+        spec = surrogate_by_name("50,0.5,0.25")
         assert spec.kind == "custom" and spec.cost_ratio == 0.25
+        assert (spec.epoch_budget, spec.data_fraction) == (50, 0.5)
+        assert spec.text == "custom 50 0.5 0.25"
+
+    @pytest.mark.parametrize("text", ["r2", "none", "custom 12 0.5 0.25", "custom 7 1.0 0.03"])
+    def test_text_reads_back(self, text):
+        spec = surrogate_by_name(text)
+        assert spec.text == text and surrogate_by_name(spec.text) == spec
+
+    @pytest.mark.parametrize("text", ["1,2", "0,0.5,0.25", "12,0,0.25", "12,0.5,2", "12,0.5,x", "custom 20", ""])
+    def test_bad_text_rejected(self, text):
+        with pytest.raises(ValueError):
+            surrogate_by_name(text)
 
 
 class TestEstimate:
@@ -134,12 +145,31 @@ class TestRankCandidates:
             rank_candidates([], surrogate_by_name("r4"), fidelity)
 
 
+def average_ranks(values):
+    """Ranks 1..n, with tied values sharing the mean of their ranks."""
+    values = np.asarray(values)
+    ranks = np.empty(len(values))
+    ranks[np.argsort(values, kind="stable")] = np.arange(1, len(values) + 1)
+    _, tie_group, tie_counts = np.unique(values, return_inverse=True, return_counts=True)
+    return (np.bincount(tie_group, weights=ranks) / tie_counts)[tie_group]
+
+
+def spearman_rho(a, b):
+    """Spearman's rank correlation: Pearson's r of the average ranks."""
+    return float(np.corrcoef(average_ranks(a), average_ranks(b))[0, 1])
+
+
+def test_average_ranks_share_ties():
+    assert average_ranks([0.3, 0.1, 0.3, 0.2, 0.3]).tolist() == [4.0, 1.0, 4.0, 2.0, 4.0]
+    assert spearman_rho([1, 2, 3], [30, 20, 10]) == pytest.approx(-1.0)
+
+
 def test_r4_rank_correlation_pinned(blackbox):
     """Spearman correlation between R4 estimates and true final accuracies
     over 100 random configurations (regression-pinned brute-force value)."""
     configs = random_configs(100, seed=42)
     truth = [blackbox.final_accuracy(c, 0, 200, 1.0) for c in configs]
     approx = [blackbox.final_accuracy(c, 0, 200, 0.1) for c in configs]
-    rho = float(stats.spearmanr(truth, approx).statistic)
+    rho = spearman_rho(truth, approx)
     assert rho >= 0.8
     assert rho == pytest.approx(0.9999, abs=2e-3)
