@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import pytest
 
-from madshpo import campaign
+from madshpo import campaign, mads
 from madshpo.blackbox import FAILED_REASON, SimulatedBlackbox
 from madshpo.campaign import (
     LEDGER_NAME,
@@ -186,12 +186,17 @@ class TestResume:
         assert len(calls) == adopted
         assert path.read_bytes() == full_bytes
 
-    def test_replay_equivalence_after_failed_start_point(self, tmp_path):
-        # a failed first evaluation leaves the start point the incumbent;
-        # a linear learning-rate slot lets the simulator refuse rate 0
+    @staticmethod
+    def failing_start_point():
+        """Bounds and a p1 start point whose evaluation fails: a linear
+        learning-rate slot lets the simulator refuse rate 0."""
         default = default_bounds()
         bounds = replace(default, scalar_slots=(SlotSpec(0.0, 1.0, granularity=1e-3), *default.scalar_slots[1:]))
-        start = replace(preset_config("p1"), learning_rate=0.0)
+        return bounds, replace(preset_config("p1"), learning_rate=0.0)
+
+    def test_replay_equivalence_after_failed_start_point(self, tmp_path):
+        # a failed first evaluation leaves the start point the incumbent
+        bounds, start = self.failing_start_point()
         s = settings(tmp_path / "full", initial=start, bbe_budget=12, seed=1, surrogate="none")
         run(s, bounds)
         full_bytes = (tmp_path / "full" / LEDGER_NAME).read_bytes()
@@ -202,6 +207,44 @@ class TestResume:
         write_ledger(out / LEDGER_NAME, records[:2], header)
         resume(replace(s, out_dir=out), bounds)
         assert (out / LEDGER_NAME).read_bytes() == full_bytes
+
+    @staticmethod
+    def assert_rebuilds_the_live_end_state(monkeypatch, s, bounds=None):
+        """The state rebuilt from the whole ledger is the live run's end state."""
+        live = []
+        real = mads.continue_campaign
+
+        def capturing(state, *args):
+            live.append(state)
+            return real(state, *args)
+
+        monkeypatch.setattr(mads, "continue_campaign", capturing)
+        result = run(s, bounds)
+        [end] = live
+        path = s.out_dir / LEDGER_NAME
+        _, records = read_ledger(path)
+        rebuilt = campaign._rebuild_state(s, records, path)
+        assert (rebuilt.incumbent.key, rebuilt.incumbent_score) == (result.best_config.key, result.best_score)
+        assert rebuilt.mesh.index == result.final_mesh_index
+        assert rebuilt.next_iteration == result.iterations + 1
+        # the baseline is the incumbent's curve
+        incumbent_row = [r for r in records if r.incumbent][-1]
+        assert len(end.envelope.baseline_curve) == incumbent_row.epochs_used
+        assert rebuilt.envelope.baseline_curve.val_accuracy == end.envelope.baseline_curve.val_accuracy
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("surrogate", ["none", "r4"])
+    @pytest.mark.parametrize("stop_mode", MODES)
+    @pytest.mark.parametrize("preset", ["p1", "p3"])
+    def test_rebuilt_state_is_the_live_end_state(self, tmp_path, monkeypatch, preset, stop_mode, surrogate, seed):
+        s = settings(tmp_path / "full", preset=preset, stop_mode=stop_mode, surrogate=surrogate, seed=seed,
+                     bbe_budget=60)
+        self.assert_rebuilds_the_live_end_state(monkeypatch, s)
+
+    def test_rebuilt_state_is_the_live_end_state_after_failed_start_point(self, tmp_path, monkeypatch):
+        bounds, start = self.failing_start_point()
+        s = settings(tmp_path / "full", initial=start, bbe_budget=12, seed=1, surrogate="none")
+        self.assert_rebuilds_the_live_end_state(monkeypatch, s, bounds)
 
     def test_completed_run_resume_is_noop(self, tmp_path):
         s, path, full_bytes = self.run_full(tmp_path)
