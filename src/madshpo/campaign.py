@@ -15,7 +15,6 @@ file is byte-identical to an uninterrupted run.
 from __future__ import annotations
 
 import json
-import math
 import os
 import time
 from dataclasses import Field, dataclass, field, fields, replace
@@ -24,16 +23,13 @@ from typing import Callable, Mapping
 
 from . import mads
 from .blackbox import (
-    FAILED_REASON,
     EvaluationRequest,
     ProcessAdapter,
     SimulatedBlackbox,
     external_evaluate,
     simulate_curve,
 )
-from .early_stop import (
-    DEFAULT_MARGINS, DEFAULT_MILESTONES, MODES, BaselineEnvelope, adopts_baseline, update_baseline,
-)
+from .early_stop import DEFAULT_MARGINS, DEFAULT_MILESTONES, MODES, BaselineEnvelope, update_baseline
 from .ledger import KIND_FULL, LedgerRecord, read_ledger, write_ledger
 # benchmark/tracing.py wraps serialize by this name; Configuration.key calls it.
 from .space import Configuration, SpaceBounds, default_bounds, deserialize, preset_config, serialize  # noqa: F401
@@ -251,53 +247,18 @@ def _persist(settings: CampaignSettings, result: mads.CampaignResult, wall_secon
 def _rebuild_state(settings: CampaignSettings, kept: list[LedgerRecord], path: Path) -> mads.CampaignState:
     """Campaign state after the kept records of the ledger at ``path``.
 
-    The full evaluations give the incumbent and the baseline envelope.  Only
-    the curves the envelope adopts are regenerated, without their
-    learning-rate column, which envelope comparisons do not read.  The mesh
-    is replayed: iterations 0 and 1 use ``Mesh()``, and each later one the
-    ``update_mesh`` of the one before, where an iteration without rows
-    failed.  A row whose ``mesh_index`` or ``incumbent`` flag is not the
-    replayed one is refused, naming its ``record_index``.
+    ``mads.replay`` checks the rows and rebuilds the state from them; only
+    the incumbent's curve is regenerated, as the baseline, without its
+    learning-rate column, which envelope comparisons do not read.
     """
-    blackbox = SimulatedBlackbox(noise_sigma=settings.noise_sigma)
-    envelope = BaselineEnvelope(None, settings.milestones, settings.margins)
-    incumbent = initial_config(settings)
-    incumbent_score = -math.inf
-    mesh, iteration, succeeded = mads.Mesh(), 0, False  # the mesh and outcome of `iteration`
-    for rec in kept:
-        while iteration < rec.iteration:
-            if iteration >= 1:
-                mesh = mads.update_mesh(mesh, succeeded)
-            iteration, succeeded = iteration + 1, False
-        if rec.mesh_index != mesh.index:
-            raise ValueError(f"{path}: record {rec.record_index}: mesh_index {rec.mesh_index}, "
-                             f"expected {mesh.index}")
-        if rec.kind != KIND_FULL:
-            continue
-        failed = rec.stop_reason == FAILED_REASON
-        improved = mads.improves(failed, rec.score, incumbent_score)
-        if rec.incumbent != improved:
-            raise ValueError(f"{path}: record {rec.record_index}: incumbent {int(rec.incumbent)}, "
-                             f"expected {int(improved)}")
-        if not failed and adopts_baseline(envelope, rec.score, incumbent_score):
-            model = blackbox.model_for(deserialize(rec.config), settings.seed)
-            envelope = update_baseline(envelope, simulate_curve(model, rec.epochs_used), rec.score, incumbent_score)
-        if improved:
-            incumbent = deserialize(rec.config)
-            incumbent_score = rec.score
-            succeeded = True
-    last = kept[-1]
-    if last.iteration >= 1:
-        mesh = mads.update_mesh(mesh, succeeded)
-    return mads.CampaignState(
-        records=list(kept),
-        cumulative=last.cumulative_cost,
-        incumbent=incumbent,
-        incumbent_score=incumbent_score,
-        envelope=envelope,
-        mesh=mesh,
-        next_iteration=last.iteration + 1,
-    )
+    state, best = mads.replay(kept, path)
+    state.incumbent = initial_config(settings)
+    state.envelope = BaselineEnvelope(None, settings.milestones, settings.margins)
+    if best is not None:
+        state.incumbent = deserialize(best.config)
+        model = SimulatedBlackbox(noise_sigma=settings.noise_sigma).model_for(state.incumbent, settings.seed)
+        state.envelope = update_baseline(state.envelope, simulate_curve(model, best.epochs_used))
+    return state
 
 
 def resume(settings: CampaignSettings, bounds: SpaceBounds | None = None) -> mads.CampaignResult:

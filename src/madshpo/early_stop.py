@@ -7,8 +7,9 @@ scheduler combined with a baseline-envelope comparison against the best
 curve seen so far.
 
 ``StoppingMonitor`` is the one implementation of these rules; campaigns
-run one per training.  ``update_baseline`` moves the envelope's baseline
-between trainings.
+run one per training.  The baseline is the incumbent's curve:
+``update_baseline`` swaps it in unconditionally, and campaigns call it
+only when the incumbent changes, so a tie or a failure keeps the old one.
 """
 
 from __future__ import annotations
@@ -161,25 +162,9 @@ def check_envelope(history: TrainingHistory, envelope: BaselineEnvelope) -> Stop
     return CONTINUE
 
 
-def adopts_baseline(envelope: BaselineEnvelope, candidate_final: float, incumbent_final: float) -> bool:
-    """Whether a completed evaluation's curve becomes the baseline.
-
-    It does on strict improvement over the incumbent; the first completed
-    evaluation always does (there is nothing to compare against before it).
-    """
-    return envelope.baseline_curve is None or candidate_final > incumbent_final
-
-
-def update_baseline(
-    envelope: BaselineEnvelope,
-    candidate_history: TrainingHistory,
-    candidate_final: float,
-    incumbent_final: float,
-) -> BaselineEnvelope:
-    """The envelope with the candidate curve as baseline if ``adopts_baseline``."""
-    if adopts_baseline(envelope, candidate_final, incumbent_final):
-        return replace(envelope, baseline_curve=candidate_history)
-    return envelope
+def update_baseline(envelope: BaselineEnvelope, history: TrainingHistory) -> BaselineEnvelope:
+    """The envelope with ``history``, the new incumbent's curve, as its baseline."""
+    return replace(envelope, baseline_curve=history)
 
 
 class StoppingMonitor:

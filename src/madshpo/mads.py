@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .blackbox import EvaluationResult
+from .blackbox import FAILED_REASON, EvaluationResult
 from .early_stop import BaselineEnvelope, StoppingMonitor, update_baseline
 from .ledger import KIND_FULL, KIND_RANKING, KIND_SURROGATE, LedgerRecord
 # benchmark/tracing.py wraps serialize, with_vector, to_vector,
@@ -266,6 +266,18 @@ class CampaignState:
             mesh_index=self.mesh.index,
         ))
 
+    def improves(self, failed: bool, score: float) -> bool:
+        """Whether a full evaluation becomes the incumbent: it did not fail
+        and scored above the incumbent."""
+        return not failed and score > self.incumbent_score
+
+    def close_iteration(self, success: bool) -> None:
+        """End iteration ``next_iteration``: the mesh coarsens after a success
+        and refines after a failure, except after iteration 0, the start point."""
+        if self.next_iteration >= 1:
+            self.mesh = update_mesh(self.mesh, success)
+        self.next_iteration += 1
+
 
 @dataclass(frozen=True)
 class CampaignResult:
@@ -282,18 +294,13 @@ def iteration_seed(seed: int, iteration: int) -> int:
     return hash_u64("poll-directions", seed, iteration)
 
 
-def improves(failed: bool, score: float, incumbent_score: float) -> bool:
-    """Whether a full evaluation becomes the incumbent: it did not fail and
-    scored above the incumbent."""
-    return not failed and score > incumbent_score
-
-
 def _full_evaluation(
     state: CampaignState, plan: RunPlan, candidate: PollCandidate, iteration: int
 ) -> float:
-    """Run one full evaluation of a poll candidate, charge it, record it,
-    update incumbent/baseline.  Returns the score the poll compares with the
-    incumbent: ``-inf`` for a failure, which never becomes the incumbent."""
+    """Run one full evaluation of a poll candidate, charge it and record it;
+    if it improves, it becomes the incumbent and its curve the baseline.
+    Returns the score the poll compares with the incumbent: ``-inf`` for a
+    failure, which never becomes the incumbent."""
     config = candidate.config
     monitor = None if plan.stop_mode == "none" else StoppingMonitor(plan.stop_mode, state.envelope)
     try:
@@ -301,16 +308,13 @@ def _full_evaluation(
     except Exception as exc:  # noqa: BLE001 - failed-candidate contract
         logger.warning("full evaluation raised: %s", exc)
         result = EvaluationResult.failure()
-    improved = improves(result.failed, result.final_val_accuracy, state.incumbent_score)
+    improved = state.improves(result.failed, result.final_val_accuracy)
     state.record(KIND_FULL, config.key, result.final_val_accuracy, result.epochs_used,
                  result.stop_reason, 1.0, improved, iteration)
-    if not result.failed:
-        state.envelope = update_baseline(
-            state.envelope, result.history, result.final_val_accuracy, state.incumbent_score
-        )
     if improved:
         state.incumbent = config
         state.incumbent_score = result.final_val_accuracy
+        state.envelope = update_baseline(state.envelope, result.history)
     return -math.inf if result.failed else result.final_val_accuracy
 
 
@@ -332,7 +336,7 @@ def run_campaign(initial: Configuration, budget_bbe: int, plan: RunPlan) -> Camp
         raise ValueError("invalid initial configuration: " + "; ".join(problems))
     state = CampaignState(incumbent=initial, envelope=BaselineEnvelope(None, plan.milestones, plan.margins))
     _full_evaluation(state, plan, PollCandidate(initial, ORIGIN_INITIAL), iteration=0)
-    state.next_iteration = 1
+    state.close_iteration(False)
     return continue_campaign(state, budget_bbe, plan)
 
 
@@ -352,8 +356,7 @@ def continue_campaign(state: CampaignState, budget_bbe: float, plan: RunPlan) ->
         if state.cumulative + ranking_cost + 1.0 > budget_bbe + 1e-9:
             termination = "budget"
             break
-        state.mesh = update_mesh(state.mesh, _poll_step(state, plan, poll, k, budget_bbe))
-        state.next_iteration += 1
+        state.close_iteration(_poll_step(state, plan, poll, k, budget_bbe))
 
     return CampaignResult(
         records=tuple(state.records),
@@ -364,6 +367,35 @@ def continue_campaign(state: CampaignState, budget_bbe: float, plan: RunPlan) ->
         termination=termination,
         final_mesh_index=state.mesh.index,
     )
+
+
+def replay(records: list[LedgerRecord], source: object) -> tuple[CampaignState, LedgerRecord | None]:
+    """The state after ``records``, rebuilt without configurations or curves
+    by the live loop's transitions, and the row that made the incumbent
+    (None while a failed start point is).  The state holds ``records``
+    itself; its incumbent and envelope are left to the caller.
+
+    Iterations without rows failed.  The first row whose ``mesh_index`` or
+    ``incumbent`` flag is not the replayed one raises ``ValueError`` naming
+    ``source`` and its ``record_index``.
+    """
+    state = CampaignState(records=records)
+    best, succeeded = None, False
+    for rec in records:
+        while state.next_iteration < rec.iteration:
+            state.close_iteration(succeeded)
+            succeeded = False
+        improved = rec.kind == KIND_FULL and state.improves(rec.stop_reason == FAILED_REASON, rec.score)
+        for column, expected in (("mesh_index", state.mesh.index), ("incumbent", improved)):
+            if getattr(rec, column) != expected:
+                raise ValueError(f"{source}: record {rec.record_index}: "
+                                 f"{column} {int(getattr(rec, column))}, expected {int(expected)}")
+        if improved:
+            state.incumbent_score, best, succeeded = rec.score, rec, True
+    if records:
+        state.close_iteration(succeeded)
+        state.cumulative = records[-1].cumulative_cost
+    return state, best
 
 
 def _poll_step(state: CampaignState, plan: RunPlan, poll: PollSet, k: int, budget: float) -> bool:

@@ -167,13 +167,12 @@ class TestResume:
             resume(replace(s, out_dir=out))
             assert (out / LEDGER_NAME).read_bytes() == full_bytes, f"cut after record {first}"
 
-    def test_resume_regenerates_only_adopted_baselines(self, tmp_path, monkeypatch):
+    def test_resume_regenerates_only_the_incumbents_curve(self, tmp_path, monkeypatch):
         s, path, full_bytes = self.run_full(tmp_path, surrogate="none")
         _, records = read_ledger(path)
         kept = [r for r in records if r.iteration < records[-1].iteration]
-        fulls = [r for r in kept if r.kind == KIND_FULL and r.stop_reason != FAILED_REASON]
-        adopted = sum(1 for i, r in enumerate(fulls) if i == 0 or r.incumbent)
-        assert adopted < len(fulls)
+        assert sum(r.incumbent for r in kept) > 1
+        incumbent = [r for r in kept if r.incumbent][-1]
         calls = []
         real = campaign.simulate_curve
 
@@ -183,7 +182,8 @@ class TestResume:
 
         monkeypatch.setattr(campaign, "simulate_curve", counting)
         resume(s)
-        assert len(calls) == adopted
+        model = SimulatedBlackbox(noise_sigma=s.noise_sigma).model_for(deserialize(incumbent.config), s.seed)
+        assert calls == [(model, incumbent.epochs_used)]
         assert path.read_bytes() == full_bytes
 
     @staticmethod

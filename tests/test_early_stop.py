@@ -3,13 +3,18 @@ import math
 import numpy as np
 import pytest
 
+from madshpo import mads
+from madshpo.blackbox import EvaluationResult
 from madshpo.early_stop import (
+    DEFAULT_MARGINS,
+    DEFAULT_MILESTONES,
     BaselineEnvelope,
     StoppingMonitor,
     TrainingHistory,
     check_envelope,
-    update_baseline,
 )
+from madshpo.space import default_bounds, preset_config
+from madshpo.surrogates import surrogate_by_name
 
 
 def flat_history(epochs, acc=0.10, loss=2.3, lr=0.01):
@@ -196,21 +201,54 @@ class TestEnvelope:
             BaselineEnvelope(None, (5, 10), (0.5,))
 
 
+def scripted_campaign(scores):
+    """A p1 campaign whose full evaluations score ``scores`` in order, each
+    with a one-epoch curve of its own, where ``None`` raises; returns the
+    result, each evaluation's curve and the baseline its monitor saw."""
+    curves, seen = [], []
+
+    def full_eval(config, monitor):
+        seen.append(monitor.envelope.baseline_curve)
+        score = scores[len(seen) - 1]
+        curves.append(flat_history(1, acc=0.5))
+        if score is None:
+            raise RuntimeError("trainer crashed")
+        return EvaluationResult(curves[-1], score, 1, "none", 1.0)
+
+    plan = mads.RunPlan(
+        bounds=default_bounds(), seed=0, surrogate=surrogate_by_name("none"), stop_mode="scheduler+baseline",
+        milestones=DEFAULT_MILESTONES, margins=DEFAULT_MARGINS, full_eval=full_eval,
+        fidelity_eval=lambda config, epochs, fraction: 0.0,
+    )
+    result = mads.run_campaign(preset_config("p1"), len(scores), plan)
+    assert len(seen) == len(scores)
+    return result, curves, seen
+
+
 class TestUpdateBaseline:
+    """The campaign loop moves the baseline exactly when the incumbent changes."""
+
     def test_strict_improvement_replaces(self):
-        env = BaselineEnvelope(flat_history(10, acc=0.99))
-        better = flat_history(10, acc=0.995)
-        assert update_baseline(env, better, 0.995, 0.99).baseline_curve is better
+        result, curves, seen = scripted_campaign([0.5, 0.4, 0.6, 0.55])
+        assert [r.incumbent for r in result.records] == [True, False, True, False]
+        assert seen == [None, curves[0], curves[0], curves[2]]
+        assert all(a is b for a, b in zip(seen[1:], [curves[0], curves[0], curves[2]]))
+        assert (result.best_config.key, result.best_score) == (result.records[2].config, 0.6)
 
     def test_tie_keeps_baseline(self):
-        old = flat_history(10, acc=0.99)
-        env = BaselineEnvelope(old)
-        assert update_baseline(env, flat_history(10, acc=0.99), 0.99, 0.99).baseline_curve is old
+        result, curves, seen = scripted_campaign([0.5, 0.5, 0.45])
+        assert [r.incumbent for r in result.records] == [True, False, False]
+        assert seen[2] is curves[0]
+        assert (result.best_config, result.best_score) == (preset_config("p1"), 0.5)
 
-    def test_bootstrap_unconditional(self):
-        first = flat_history(10, acc=0.2)
-        env = update_baseline(BaselineEnvelope(), first, 0.2, math.inf)
-        assert env.baseline_curve is first
+    def test_first_completed_evaluation_is_the_baseline(self):
+        # a failed start point leaves no baseline; the first completed
+        # evaluation scores above it and becomes incumbent and baseline, but
+        # a NaN or -inf score improves on nothing and is neither
+        result, curves, seen = scripted_campaign([None, math.nan, -math.inf, 0.2, 0.1])
+        assert [r.incumbent for r in result.records] == [False, False, False, True, False]
+        assert seen[:4] == [None, None, None, None]
+        assert seen[4] is curves[3]
 
 
 class TestCombinedVerdict:
