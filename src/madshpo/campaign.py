@@ -251,11 +251,11 @@ def _rebuild_state(settings: CampaignSettings, kept: list[LedgerRecord], path: P
     the incumbent's curve is regenerated, as the baseline, without its
     learning-rate column, which envelope comparisons do not read.
     """
-    state, best = mads.replay(kept, path)
-    state.incumbent = initial_config(settings)
+    initial = initial_config(settings)
+    state, best = mads.replay(kept, initial.key, path)
+    state.incumbent = initial if best is None else deserialize(best.config)
     state.envelope = BaselineEnvelope(None, settings.milestones, settings.margins)
     if best is not None:
-        state.incumbent = deserialize(best.config)
         model = SimulatedBlackbox(noise_sigma=settings.noise_sigma).model_for(state.incumbent, settings.seed)
         state.envelope = update_baseline(state.envelope, simulate_curve(model, best.epochs_used))
     return state
@@ -282,12 +282,13 @@ def resume(settings: CampaignSettings, bounds: SpaceBounds | None = None) -> mad
 
     started = time.monotonic()
     plan = build_plan(settings, bounds)
+    # the last iteration may be incomplete: the rows from its first on are
+    # dropped and run again, and the ones before it are kept
     last_iteration = max((r.iteration for r in records), default=0)
-    kept = [r for r in records if r.iteration < last_iteration]
-    if not kept:
+    del records[next((i for i, r in enumerate(records) if r.iteration == last_iteration), 0):]
+    if not records:
         result = mads.run_campaign(initial_config(settings), settings.bbe_budget, plan)
     else:
-        state = _rebuild_state(settings, kept, path)
-        result = mads.continue_campaign(state, settings.bbe_budget, plan)
+        result = mads.continue_campaign(_rebuild_state(settings, records, path), settings.bbe_budget, plan)
     _persist(settings, result, wall_seconds=time.monotonic() - started)
     return result

@@ -17,6 +17,7 @@ from pathlib import Path
 
 from .campaign import LEDGER_NAME, CampaignSettings, header_data_fraction, resume, run, setting_fields
 from .ledger import export_convergence, read_ledger, write_series
+from .mads import replay
 
 
 def read_settings_file(path: Path) -> dict[str, str]:
@@ -85,6 +86,7 @@ def main(argv: list[str] | None = None) -> int:
             return 0
         if args.command == "export":
             header, records = read_ledger(Path(args.ledger))
+            replay(records, header.get("initial"), args.ledger)
             rows = export_convergence(records, surrogate_data_fraction=header_data_fraction(header))
             write_series(Path(args.out), rows)
             print(f"wrote {len(rows)} rows to {args.out}")

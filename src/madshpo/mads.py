@@ -7,6 +7,9 @@ candidates with a low-fidelity surrogate, and evaluates them
 opportunistically (stop at the first improvement).  ``Mesh`` is the only
 code that knows the mesh geometry; ``update_mesh`` coarsens it after a
 success (up to ``MAX_MESH_INDEX``) and refines it after a failure.
+``CampaignState`` owns the incumbent rule and the end of an iteration;
+``replay`` walks ledger rows through the same transitions, which is how
+resume and export check a ledger.
 """
 
 from __future__ import annotations
@@ -369,29 +372,65 @@ def continue_campaign(state: CampaignState, budget_bbe: float, plan: RunPlan) ->
     )
 
 
-def replay(records: list[LedgerRecord], source: object) -> tuple[CampaignState, LedgerRecord | None]:
+def _misplaced(rec: LedgerRecord, previous: LedgerRecord | None, top: LedgerRecord | None,
+               initial_key: str | None) -> str | None:
+    """Why the live loop never writes ``rec`` after ``previous``, if it
+    does not.  Iteration 0 is one full evaluation of the start point, whose
+    key is ``initial_key`` when that is known; iterations never go back; an
+    iteration's estimates come first, and its ranking pass directly follows
+    them and repeats ``top``, the first of them."""
+    if previous is None:
+        if (rec.iteration, rec.kind) != (0, KIND_FULL):
+            return f"{rec.kind} of iteration {rec.iteration} is not the start point's full evaluation"
+        if initial_key is not None and rec.config != initial_key:
+            return "config is not the initial configuration"
+    elif rec.iteration == 0:
+        return "iteration 0 holds more than the start point"
+    elif rec.iteration < previous.iteration:
+        return f"iteration {rec.iteration} after iteration {previous.iteration}"
+    elif previous.kind == KIND_SURROGATE and rec.kind != KIND_RANKING and (
+            rec.kind, rec.iteration) != (KIND_SURROGATE, previous.iteration):
+        return f"{rec.kind} after estimates without their ranking pass"
+    elif rec.kind == KIND_SURROGATE and previous.kind != KIND_SURROGATE and rec.iteration == previous.iteration:
+        return f"estimate after a {previous.kind} of its iteration"
+    elif rec.kind == KIND_RANKING and (previous.kind, previous.iteration) != (KIND_SURROGATE, rec.iteration):
+        return "ranking pass does not follow its iteration's estimates"
+    elif rec.kind == KIND_RANKING and (rec.config, rec.score) != (top.config, top.score):
+        return f"ranking pass does not repeat the first estimate, record {top.record_index}"
+    return None
+
+
+def replay(records: list[LedgerRecord], initial_key: str | None,
+           source: object) -> tuple[CampaignState, LedgerRecord | None]:
     """The state after ``records``, rebuilt without configurations or curves
     by the live loop's transitions, and the row that made the incumbent
     (None while a failed start point is).  The state holds ``records``
     itself; its incumbent and envelope are left to the caller.
 
-    Iterations without rows failed.  The first row whose ``mesh_index`` or
-    ``incumbent`` flag is not the replayed one raises ``ValueError`` naming
-    ``source`` and its ``record_index``.
+    Iterations without rows failed.  The first row that is out of place
+    (see ``_misplaced``) or whose ``mesh_index`` or ``incumbent`` flag is
+    not the replayed one raises ``ValueError`` naming ``source`` and its
+    ``record_index``.
     """
     state = CampaignState(records=records)
-    best, succeeded = None, False
+    best, succeeded, previous, top = None, False, None, None
     for rec in records:
         while state.next_iteration < rec.iteration:
             state.close_iteration(succeeded)
             succeeded = False
+        if rec.kind == KIND_SURROGATE and (top is None or top.iteration != rec.iteration):
+            top = rec
         improved = rec.kind == KIND_FULL and state.improves(rec.stop_reason == FAILED_REASON, rec.score)
-        for column, expected in (("mesh_index", state.mesh.index), ("incumbent", improved)):
-            if getattr(rec, column) != expected:
-                raise ValueError(f"{source}: record {rec.record_index}: "
-                                 f"{column} {int(getattr(rec, column))}, expected {int(expected)}")
+        problem = _misplaced(rec, previous, top, initial_key)
+        if problem is None and rec.mesh_index != state.mesh.index:
+            problem = f"mesh_index {rec.mesh_index}, expected {state.mesh.index}"
+        if problem is None and rec.incumbent != improved:
+            problem = f"incumbent {int(rec.incumbent)}, expected {int(improved)}"
+        if problem is not None:
+            raise ValueError(f"{source}: record {rec.record_index}: {problem}")
         if improved:
             state.incumbent_score, best, succeeded = rec.score, rec, True
+        previous = rec
     if records:
         state.close_iteration(succeeded)
         state.cumulative = records[-1].cumulative_cost

@@ -22,6 +22,7 @@ from madshpo.early_stop import MODES
 from madshpo.ledger import (
     COLUMNS,
     KIND_FULL,
+    KIND_RANKING,
     KIND_SURROGATE,
     LedgerRecord,
     encode_row,
@@ -526,25 +527,58 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {ledger}:{at + 1}: ") and err.count("\n") == 1
 
-    @pytest.mark.parametrize("edit,first", [("raised-mesh-index", 79), ("cleared-incumbent", 117)])
-    def test_kept_rows_against_the_campaign_rules_are_a_clean_error(self, tmp_path, capsys, edit, first):
+    @pytest.mark.parametrize("command", ["export", "resume"])
+    @pytest.mark.parametrize("edit,first", [
+        ("raised-mesh-index", 79), ("cleared-incumbent", 117), ("iteration-out-of-order", 123),
+        ("replaced-start-point", 0), ("lowered-ranking-pass", 77), ("deleted-ranking-pass", 77),
+    ])
+    def test_kept_rows_against_the_campaign_rules_are_a_clean_error(self, tmp_path, capsys, edit, first, command):
+        # each edit keeps the ledger readable, and read alone every edited
+        # row could have been written by some campaign
         out = tmp_path / "out"
         argv = ["--preset", "p1", "--budget", "30", "--seed", "3", "--out", str(out)]
         assert main(["run", *argv]) == 0
         capsys.readouterr()
         ledger = out / LEDGER_NAME
         header, records = read_ledger(ledger)
-        kept = records[:156]
+        assert (len(records), records[-1].iteration) == (235, 6)
         if edit == "raised-mesh-index":
-            assert {r.mesh_index for r in kept if r.iteration == 3} == {0}
-            kept = [replace(r, mesh_index=1) if r.iteration == 3 else r for r in kept]
+            assert {r.mesh_index for r in records if r.iteration == 3} == {0}
+            records = [replace(r, mesh_index=1) if r.iteration == 3 else r for r in records]
+        elif edit == "cleared-incumbent":
+            assert records[117].kind == KIND_FULL and records[117].incumbent
+            records[117] = replace(records[117], incumbent=False)
+        elif edit == "iteration-out-of-order":
+            assert (records[123].kind, records[123].iteration) == (KIND_SURROGATE, 4)
+            records[123] = replace(records[123], iteration=3)
+        elif edit == "replaced-start-point":
+            assert records[1].iteration == 1
+            records[0] = replace(records[0], config=records[1].config)
+        elif edit == "lowered-ranking-pass":
+            assert (records[77].kind, records[77].iteration, records[77].score) == (KIND_RANKING, 2, 0.6541)
+            records[77] = replace(records[77], score=records[77].score - 0.01)
         else:
-            assert kept[117].kind == KIND_FULL and kept[117].incumbent
-            kept[117] = replace(kept[117], incumbent=False)
-        write_ledger(ledger, kept, header)
-        assert main(["resume", *argv]) == 1
+            # a ranking pass charges nothing, so only the record indices move
+            assert (records[77].kind, records[77].charged_cost) == (KIND_RANKING, 0.0)
+            records = [replace(r, record_index=i) for i, r in enumerate(records[:77] + records[78:])]
+        write_ledger(ledger, records, header)
+        series = ["--ledger", str(ledger), "--out", str(tmp_path / "series.csv")]
+        assert main([command, *(series if command == "export" else argv)]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {ledger}: record {first}: ") and err.count("\n") == 1
+        assert not (tmp_path / "series.csv").exists()
+
+    def test_export_without_initial_header_skips_only_the_start_point_check(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["run", "--budget", "10", "--out", str(out)]) == 0
+        header, records = read_ledger(out / LEDGER_NAME)
+        del header["initial"]
+        records[0] = replace(records[0], config=records[1].config)
+        write_ledger(out / LEDGER_NAME, records, header)
+        series = ["export", "--ledger", str(out / LEDGER_NAME), "--out", str(tmp_path / "series.csv")]
+        assert main(series) == 0
+        write_ledger(out / LEDGER_NAME, [replace(records[0], iteration=1), *records[1:]], header)
+        assert main(series) == 1
 
     def test_export_scales_custom_triple_epochs(self, tmp_path):
         out = tmp_path / "out"

@@ -231,7 +231,7 @@ class TestUpdateBaseline:
     def test_strict_improvement_replaces(self):
         result, curves, seen = scripted_campaign([0.5, 0.4, 0.6, 0.55])
         assert [r.incumbent for r in result.records] == [True, False, True, False]
-        assert seen == [None, curves[0], curves[0], curves[2]]
+        assert seen[0] is None
         assert all(a is b for a, b in zip(seen[1:], [curves[0], curves[0], curves[2]]))
         assert (result.best_config.key, result.best_score) == (result.records[2].config, 0.6)
 

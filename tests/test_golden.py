@@ -154,6 +154,15 @@ def _case_id(case):
     return "-".join(str(part) for part in case)
 
 
+def assert_reads_back(path, result):
+    """The ledger at ``path`` passes read_ledger's checks across rows, reads
+    back as the campaign's records, and keeps the campaign rules that resume
+    and export replay."""
+    header, records = read_ledger(path)
+    assert records == list(result.records)
+    mads.replay(records, header["initial"], path)
+
+
 @pytest.mark.parametrize("case", sorted(LEDGER_SHA256), ids=_case_id)
 def test_ledger_bytes_unchanged(case, tmp_path):
     preset, stop_mode, surrogate, seed = case
@@ -163,8 +172,7 @@ def test_ledger_bytes_unchanged(case, tmp_path):
     ))
     digest = hashlib.sha256((tmp_path / LEDGER_NAME).read_bytes()).hexdigest()
     assert digest == LEDGER_SHA256[case]
-    # every golden ledger passes read_ledger's checks across rows
-    assert read_ledger(tmp_path / LEDGER_NAME)[1] == list(result.records)
+    assert_reads_back(tmp_path / LEDGER_NAME, result)
 
 
 # SHA-256 of the series.csv that `madshpo export` writes for the
@@ -190,7 +198,7 @@ def test_settings_ledger_bytes_unchanged(case, tmp_path):
     overrides, expected = SETTINGS_LEDGER_SHA256[case]
     result = run(CampaignSettings(preset="p1", bbe_budget=GOLDEN_BUDGET, seed=0, out_dir=tmp_path, **overrides))
     assert hashlib.sha256((tmp_path / LEDGER_NAME).read_bytes()).hexdigest() == expected
-    assert read_ledger(tmp_path / LEDGER_NAME)[1] == list(result.records)
+    assert_reads_back(tmp_path / LEDGER_NAME, result)
 
 
 @pytest.mark.parametrize("seed", sorted(QUADRATIC_RECORDS_SHA256))
@@ -201,6 +209,7 @@ def test_quadratic_records_unchanged(seed):
     result = mads.run_campaign(start, 10**9, quadratic_plan(bounds, center, seed))
     digest = hashlib.sha256(repr(result.records).encode()).hexdigest()
     assert digest == QUADRATIC_RECORDS_SHA256[seed]
+    mads.replay(list(result.records), start.key, "quadratic campaign")
 
 
 @pytest.mark.parametrize("case", sorted(CURVE_SHA256), ids=_case_id)
@@ -308,4 +317,4 @@ def test_external_ledger_and_transcript_unchanged(surrogate, tmp_path):
     ledger = (tmp_path / "out" / LEDGER_NAME).read_text().replace(command, "TRAINER")
     digests = tuple(hashlib.sha256(text.encode()).hexdigest() for text in (ledger, transcript.read_text()))
     assert digests == EXTERNAL_SHA256[surrogate]
-    assert read_ledger(tmp_path / "out" / LEDGER_NAME)[1] == list(result.records)
+    assert_reads_back(tmp_path / "out" / LEDGER_NAME, result)
