@@ -105,6 +105,18 @@ def _bump(x: float, center: float, width: float) -> float:
     return math.exp(-0.5 * ((x - center) / width) ** 2)
 
 
+def _mean(values: list[float]) -> float:
+    """``float(np.mean(values))`` to the last bit, without an array for short
+    lists: numpy adds fewer than 8 values one by one from 0.0, as this loop
+    does (``sum`` would compensate the rounding from Python 3.12 on)."""
+    if len(values) >= 8:
+        return float(np.mean(values))
+    total = 0.0
+    for value in values:
+        total += value
+    return total / len(values)
+
+
 def _config_problem(config: Configuration) -> str | None:
     if config.learning_rate <= 0:
         return "non-positive learning rate"
@@ -177,28 +189,19 @@ class SimulatedBlackbox:
     def _component_scores(self, config: Configuration) -> tuple[float, ...]:
         """Per-hyperparameter fitness bumps, each in (0, 1]."""
         if config.conv_layers:
-            conv = float(
-                np.mean(
-                    [
-                        np.mean(
-                            [
-                                _bump(math.log2(l.out_channels), 6.0, 1.1),
-                                _bump(l.kernel_size, 4.0, 1.5),
-                                _bump(l.stride, 1.0, 0.8),
-                                _bump(l.padding, 1.0, 1.1),
-                                _bump(l.pooling, 2.0, 0.8),
-                            ]
-                        )
-                        for l in config.conv_layers
-                    ]
-                )
-            )
+            conv = _mean([
+                _mean([
+                    _bump(math.log2(l.out_channels), 6.0, 1.1),
+                    _bump(l.kernel_size, 4.0, 1.5),
+                    _bump(l.stride, 1.0, 0.8),
+                    _bump(l.padding, 1.0, 1.1),
+                    _bump(l.pooling, 2.0, 0.8),
+                ])
+                for l in config.conv_layers
+            ])
         else:
             conv = 0.5
-        if config.fc_sizes:
-            fc = float(np.mean([_bump(math.log2(s), 8.0, 1.1) for s in config.fc_sizes]))
-        else:
-            fc = 0.5
+        fc = _mean([_bump(math.log2(s), 8.0, 1.1) for s in config.fc_sizes]) if config.fc_sizes else 0.5
         return (
             _bump(math.log10(config.learning_rate), -2.2, 0.35),
             _bump(config.dropout, 0.3, 0.13),

@@ -1,41 +1,32 @@
-"""Append-only run ledger: CSV persistence and convergence-series export.
+"""Append-only run ledger: persistence and convergence-series export.
 
 The ledger records every charged event of a campaign (full evaluations,
-surrogate estimates, ranking passes).  Files carry the campaign settings
-as ``# key = value`` header lines so a run can be resumed or audited from
-the file alone.  Identical campaigns write byte-identical files.  Ledgers
-are written and read one row at a time, so the only memory that grows with
-a ledger is the records themselves.
+surrogate estimates, ranking passes).  A file starts with the campaign
+settings as ``# key = value`` header lines, so a run can be resumed or
+audited from the file alone.  Then come the column line and one line per
+record.  Each line is one row, its fields joined by commas.  Fields are
+plain tokens: configurations are ``name=value`` tokens, and kinds and stop
+reasons are constants.  So nothing is quoted, and a field holding a comma,
+a quote or a line break is refused on writing and reading.  Identical
+campaigns write byte-identical files.  Ledgers are written and read one row
+at a time, so the only memory that grows with a ledger is the records
+themselves.
 """
 
 from __future__ import annotations
 
-import csv
-import io
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 KIND_FULL = "full-eval"
 KIND_SURROGATE = "surrogate-eval"
 KIND_RANKING = "ranking-pass"
 
-COLUMNS = (
-    "record_index",
-    "kind",
-    "config",
-    "score",
-    "epochs_used",
-    "stop_reason",
-    "charged_cost",
-    "cumulative_cost",
-    "incumbent",
-    "iteration",
-    "mesh_index",
-)
-
 
 @dataclass(frozen=True)
 class LedgerRecord:
+    """One ledger row; the fields are the columns, in file order."""
+
     record_index: int
     kind: str
     config: str
@@ -84,26 +75,25 @@ class LedgerRecord:
         )
 
 
+COLUMNS = tuple(field.name for field in fields(LedgerRecord))
+
+
 def _refuse_line_break(name: str, value: str) -> None:
     if "\n" in value or "\r" in value:
         raise ValueError(f"{name} holds a line break: {value!r}")
 
 
-def encode_row(fields) -> str:
-    """One CSV line, exactly as ``csv.writer`` writes it in the excel dialect
-    with newline line ends.  Fields free of commas, quotes and line breaks
-    are joined as they are; a row with commas or quotes goes through
-    ``csv.writer`` for its quoting.  A field that holds a line break raises
-    ``ValueError`` naming its ledger column, because ``read_ledger`` reads
-    one row per line."""
-    line = ",".join(fields)
-    if line.count(",") == len(fields) - 1 and '"' not in line and "\n" not in line and "\r" not in line:
-        return line + "\n"
-    for name, value in zip(COLUMNS, fields):
-        _refuse_line_break(name, value)
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow(fields)
-    return buf.getvalue()
+def encode_row(row) -> str:
+    """One ledger line: the fields joined by commas.  ``read_ledger`` splits
+    each line on commas and reads one row per line, so a field that holds a
+    comma, a quote or a line break raises ``ValueError`` naming its column."""
+    line = ",".join(row)
+    if line.count(",") != len(row) - 1 or '"' in line or "\n" in line or "\r" in line:
+        for name, value in zip(COLUMNS, row):
+            _refuse_line_break(name, value)
+            if "," in value or '"' in value:
+                raise ValueError(f"{name} holds a comma or quote: {value!r}")
+    return line + "\n"
 
 
 def write_ledger(path: Path, records, header: dict[str, str]) -> None:
@@ -127,21 +117,24 @@ def write_ledger(path: Path, records, header: dict[str, str]) -> None:
 
 def _check_sequence(record: LedgerRecord, index: int, total: float) -> None:
     """Refuse a record that disagrees with the rows before it: ``record_index``
-    runs 0, 1, 2, ... in file order, and ``cumulative_cost`` is ``total``, the
-    running sum of ``charged_cost``.  The writer adds the charges in the same
-    order, so the sum is exact."""
+    runs 0, 1, 2, ... in file order, charges and epochs are not negative,
+    and ``cumulative_cost`` is ``total``, the running sum of
+    ``charged_cost``.  The writer adds the charges in the same order, so the
+    sum is exact."""
     if record.record_index != index:
         raise ValueError(f"record_index {record.record_index}, expected {index}")
     if record.charged_cost < 0:
         raise ValueError(f"negative charged_cost {record.charged_cost!r}")
+    if record.epochs_used < 0:
+        raise ValueError(f"negative epochs_used {record.epochs_used}")
     if record.cumulative_cost != total:
         raise ValueError(f"cumulative_cost {record.cumulative_cost!r} is not the running sum {total!r} of charged_cost")
 
 
 def read_ledger(path: Path) -> tuple[dict[str, str], list[LedgerRecord]]:
-    """Header and records of a ledger, read one line at a time.  A malformed
-    row, or one that disagrees with the rows before it, raises ``ValueError``
-    naming ``path:line``."""
+    """Header and records of a ledger, read one line at a time.  A header
+    line after the column line, a malformed row, or one that disagrees with
+    the rows before it, raises ``ValueError`` naming ``path:line``."""
     header: dict[str, str] = {}
     records: list[LedgerRecord] = []
     total = 0.0
@@ -150,16 +143,20 @@ def read_ledger(path: Path) -> tuple[dict[str, str], list[LedgerRecord]]:
         for lineno, line in enumerate(fh, 1):
             line = line.rstrip("\n")
             if line.startswith("#"):
+                if columns_seen:
+                    raise ValueError(f"{path}:{lineno}: header line after the column line")
                 key, _, value = line[1:].partition("=")
                 header[key.strip()] = value.strip()
             elif line:
-                row = line.split(",") if '"' not in line else next(csv.reader([line]))
+                row = line.split(",")
                 if not columns_seen:
                     if tuple(row) != COLUMNS:
                         break
                     columns_seen = True
                 elif len(row) != len(COLUMNS):
                     raise ValueError(f"{path}:{lineno}: expected {len(COLUMNS)} fields, found {len(row)}")
+                elif '"' in line:
+                    raise ValueError(f"{path}:{lineno}: a field holds a quote")
                 else:
                     try:
                         record = LedgerRecord.from_row(row)

@@ -156,6 +156,10 @@ class SpaceBounds:
             raise ValueError(f"bad n_fc range {self.n_fc_range}")
         if len(self.optimizers) < 1:
             raise ValueError("need at least one optimizer")
+        for name in self.optimizers:
+            # the name is a token of the configuration text and a ledger field
+            if name.split() != [name] or "," in name or '"' in name:
+                raise ValueError(f"optimizer name {name!r} is empty or holds whitespace, a comma or a quote")
         if len(self.scalar_slots) != len(SCALAR_FIELDS):
             raise ValueError(f"expected {len(SCALAR_FIELDS)} scalar slots")
         # (n_conv, n_fc) -> SlotLayout; not a field, so it takes no part in

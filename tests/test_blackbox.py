@@ -6,6 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from madshpo import blackbox as bb
 from madshpo.blackbox import (
     ACCURACY_QUANTUM,
     EvaluationRequest,
@@ -116,6 +117,14 @@ class TestSimulatedCurves:
             model = blackbox.model_for(config, 0)
             _, loss = curve_arrays(model, 200, 1.0)
             assert np.all(loss >= 0)
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_mean_is_numpys_to_the_last_bit(self, n):
+        # the simulator's curve parameters depend on these bits
+        rng = np.random.default_rng(n)
+        for values in rng.uniform(0.0, 1.0, (500, n)) ** rng.uniform(0.5, 8.0, (500, 1)):
+            values = values.tolist()
+            assert bb._mean(values) == float(np.mean(values))
 
     def test_model_parameter_ranges(self, blackbox):
         for config in random_configs(40, seed=13):

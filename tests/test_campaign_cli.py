@@ -322,28 +322,29 @@ class TestLedgerIO:
         assert got_header == header
         assert got_records == records
 
-    def test_quoted_fields_match_csv_writer(self, tmp_path):
-        p1 = serialize(preset_config("p1"))
-        records = [
-            LedgerRecord(0, KIND_FULL, p1, 0.5, 200, "none", 1.0, 1.0, True, 0, 0),
-            LedgerRecord(1, KIND_FULL, p1 + ',note="a, b"', 0.25, 9, 'stop, "early"', 1.0, 2.0, False, 1, -1),
-            LedgerRecord(2, KIND_SURROGATE, '"', 0.125, 25, ",", 0.125, 2.125, False, 2, -2),
-        ]
-        header = {"seed": "7", "note": 'x = "y", z'}
-        path = tmp_path / "ledger.csv"
-        write_ledger(path, records, header)
-        reference = io.StringIO()
-        for key, value in header.items():
-            reference.write(f"# {key} = {value}\n")
-        writer = csv.writer(reference, lineterminator="\n")
-        writer.writerow(COLUMNS)
-        writer.writerows(record.row() for record in records)
-        assert path.read_bytes() == reference.getvalue().encode()
-        assert read_ledger(path) == (header, records)
-        for fields in (["", ""], ['a"b', "c,d"]):
+    def test_plain_fields_match_csv_writer(self):
+        for fields in (list(COLUMNS), ["", ""], [serialize(preset_config("p1")), "none", "0.5"]):
             reference = io.StringIO()
             csv.writer(reference, lineterminator="\n").writerow(fields)
             assert encode_row(fields) == reference.getvalue()
+
+    @pytest.mark.parametrize("column,value", [
+        ("config", "a=1,b=2"), ("config", 'a="1"'), ("stop_reason", "stop, early"), ("stop_reason", '"early"'),
+    ], ids=["config-comma", "config-quote", "stop_reason-comma", "stop_reason-quote"])
+    def test_commas_and_quotes_refused_and_ledger_untouched(self, tmp_path, column, value):
+        # read_ledger splits each line on commas and quotes nothing, so such
+        # a field would write a row that cannot be read back
+        p1 = serialize(preset_config("p1"))
+        good = [LedgerRecord(0, KIND_FULL, p1, 0.5, 200, "none", 1.0, 1.0, True, 0, 0)]
+        path = tmp_path / "ledger.csv"
+        write_ledger(path, good, {"seed": "7"})
+        before = path.read_bytes()
+        broken = good + [replace(good[0], record_index=1, incumbent=False, **{column: value})]
+        with pytest.raises(ValueError, match=f"^{column} holds a comma or quote: "):
+            write_ledger(path, broken, {"seed": "7"})
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ledger.csv"]
+        assert read_ledger(path) == ({"seed": "7"}, good)
 
     @pytest.mark.parametrize("line_break", ["\n", "\r"], ids=["lf", "cr"])
     def test_line_breaks_refused_and_ledger_untouched(self, tmp_path, line_break):
@@ -403,7 +404,8 @@ class TestLedgerIO:
         with pytest.raises(ValueError):
             read_ledger(path)
 
-    @pytest.mark.parametrize("edit", ["cut", "extra", "bad-score", "bad-kind", "bad-incumbent"])
+    @pytest.mark.parametrize("edit", ["cut", "extra", "bad-score", "bad-kind", "bad-incumbent", "negative-epochs", "quote",
+                                      "header-after-columns"])
     def test_wrong_field_count_rejected(self, tmp_path, edit):
         records = [LedgerRecord(i, KIND_FULL, "x=1", 0.5, 1, "none", 1.0, i + 1.0, True, i, 0) for i in range(2)]
         path = tmp_path / "ledger.csv"
@@ -416,6 +418,9 @@ class TestLedgerIO:
             "bad-score": ",".join(fields[:3] + ["x"] + fields[4:]),
             "bad-kind": ",".join(fields[:1] + ["fuII-eval"] + fields[2:]),
             "bad-incumbent": ",".join(fields[:8] + ["yes"] + fields[9:]),
+            "negative-epochs": ",".join(fields[:4] + ["-1"] + fields[5:]),
+            "quote": ",".join(fields[:2] + ['"x=1"'] + fields[3:]),
+            "header-after-columns": "# seed = 1",
         }[edit]
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match=f"{path}:4: "):
@@ -502,7 +507,7 @@ class TestCli:
         assert main([command, *(series if command == "export" else argv)]) == 1
         assert "error:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("edit", ["deleted-row", "edited-cumulative"])
+    @pytest.mark.parametrize("edit", ["deleted-row", "edited-cumulative", "negative-epochs", "header-after-columns"])
     @pytest.mark.parametrize("command", ["export", "resume"])
     def test_rows_that_disagree_are_a_clean_error(self, tmp_path, capsys, command, edit):
         out = tmp_path / "out"
@@ -511,16 +516,27 @@ class TestCli:
         capsys.readouterr()
         ledger = out / LEDGER_NAME
         lines = ledger.read_text().splitlines(keepends=True)
-        at = lines.index(encode_row(COLUMNS)) + 1 + 117
+        first = lines.index(encode_row(COLUMNS)) + 1
+        at = first + 117
         fields = lines[at].rstrip("\n").split(",")
         assert fields[:2] == ["117", KIND_FULL]  # a full evaluation mid-run
         if edit == "deleted-row":
             # each row is whole, but record 118 now follows record 116
             del lines[at]
-        else:
+        elif edit == "edited-cumulative":
             cum = COLUMNS.index("cumulative_cost")
             fields[cum] = repr(float(fields[cum]) + 0.5)
             lines[at] = encode_row(fields)
+        elif edit == "negative-epochs":
+            # export's epochs axis would start at -200
+            at = first
+            fields = lines[at].rstrip("\n").split(",")
+            fields[COLUMNS.index("epochs_used")] = "-200"
+            lines[at] = encode_row(fields)
+        else:
+            # export would scale the cost_units axis by r2's data fraction
+            at = len(lines)
+            lines.append("# surrogate = r2\n")
         ledger.write_text("".join(lines))
         series = ["--ledger", str(ledger), "--out", str(tmp_path / "series.csv")]
         assert main([command, *(series if command == "export" else argv)]) == 1

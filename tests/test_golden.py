@@ -10,7 +10,10 @@ hash moved and why.
 The simulated curves are hashed as well, recorded before the curve model
 lost its derived fields.  No golden campaign trains at a learning rate
 above the divergence threshold, so only these hashes cover the divergent
-branch of ``curve_arrays``.
+branch of ``curve_arrays``.  The curves of p3's categorical neighbours and
+of an eight-layer config, and the exact curve parameters of every curve
+config, were recorded before the simulator stopped averaging short lists
+with numpy.
 
 The external backend has its own pair of hashes, ledger and trainer
 transcript, recorded before the two training loops became one.  One
@@ -35,7 +38,7 @@ from madshpo.blackbox import SimulatedBlackbox, curve_arrays, lattice_sweep
 from madshpo.campaign import LEDGER_NAME, CampaignSettings, run
 from madshpo.cli import main
 from madshpo.ledger import KIND_FULL, KIND_SURROGATE, read_ledger
-from madshpo.space import default_bounds, make_config, preset_config, serialize, to_vector
+from madshpo.space import ConvLayerHP, default_bounds, make_config, neighbors, preset_config, serialize, to_vector
 from tests.test_mads import QUAD_CENTER, QUAD_START, frozen_bounds, quadratic_plan
 
 GOLDEN_BUDGET = 60
@@ -95,6 +98,12 @@ CURVE_CONFIGS = {
     "p3": preset_config("p3"),
     "p1-lr0.5": replace(preset_config("p1"), learning_rate=0.5),
     "p1-lr0.95": replace(preset_config("p1"), learning_rate=0.95),
+    # p3's categorical neighbours in move order, and eight conv layers, the
+    # shortest list the simulator still averages with np.mean
+    **dict(zip(("p3+conv", "p3-conv", "p3+fc", "p3-fc", "p3-adam"), neighbors(preset_config("p3"), default_bounds()))),
+    "conv8": make_config(
+        tuple(ConvLayerHP(4 + 17 * i, 1 + i % 7, 1 + i % 3, i % 4, 1 + i % 4) for i in range(8)), (256, 32),
+    ),
 }
 
 # (config, seed, noise_sigma, epochs, data fraction) -> SHA-256 of acc.tobytes() + loss.tobytes()
@@ -147,6 +156,18 @@ CURVE_SHA256 = {
     ("p1-lr0.95", 3, 0.0, 200, 1.0): "13b2bbe7c8644d2bde61314cdce94a9f421578b54b68768bee03c8c32b0dbbc0",
     ("p1-lr0.95", 3, 0.0, 200, 0.1): "6325f123c4202ef3e76606d8a7248d4a256025b7d33547ae2a4803f2553da3dc",
     ("p1-lr0.95", 3, 0.0, 25, 1.0): "db8d403f79f2502697262eb692d8af2a5310fd592ea7b1a95a48094957d014af",
+    ("p3+conv", 0, 0.0001, 200, 1.0): "c47666b54c2c1d3a399b30c116cfc82565eb81cd626a85c8dfd50807b97c9f74",
+    ("p3+conv", 3, 0.0, 200, 1.0): "6dc2256441e711e0af6b94c35af0b313c11536836883c1ed51a5767e6fe75e7e",
+    ("p3-conv", 0, 0.0001, 200, 1.0): "ddfa27771802af7fb400616448fecbddc24e6e76e9b6ce9224df8052d6892c34",
+    ("p3-conv", 3, 0.0, 200, 1.0): "c50d37592c550abd5e4b2c4fa745b68f7e2f528766865e7e4cb7dd3b500be221",
+    ("p3+fc", 0, 0.0001, 200, 1.0): "bd14bfa4c1892cbc0535c4326a43065e5ff506bc6e4374966fc1756988ccf370",
+    ("p3+fc", 3, 0.0, 200, 1.0): "ef9f94d2f0b4f70b98ce6ba8ff534eaadefaa23c1a4d2280612d25fd62d22b10",
+    ("p3-fc", 0, 0.0001, 200, 1.0): "5147454958e315ca1ab78a8c2eff38a9637ebabdc7891c518369bef2cfeacae6",
+    ("p3-fc", 3, 0.0, 200, 1.0): "e5962a4e10f0d822d345540326d0d850f0034688a7a534f73a8955aa962dc05c",
+    ("p3-adam", 0, 0.0001, 200, 1.0): "db73de9a09c04a356446532c3d95e71fcd48f32001253806f83cb652929bb05c",
+    ("p3-adam", 3, 0.0, 200, 1.0): "1c9452b2689d57b8527decdd7a670045326fc9d0ce5fd6731f4cdab406c022cd",
+    ("conv8", 0, 0.0001, 200, 1.0): "21a8f4a726cdcc7ff98cb05449b29a1b30f44e7072069a26e40f2d11144bd360",
+    ("conv8", 3, 0.0, 200, 1.0): "36b01c481dc9bea1c7aee9be59486292bae919de9170f3ee34a2e32584ae2d4f",
 }
 
 
@@ -218,6 +239,40 @@ def test_curve_bytes_unchanged(case):
     model = SimulatedBlackbox(noise_sigma=noise_sigma).model_for(CURVE_CONFIGS[name], seed)
     acc, loss = curve_arrays(model, epochs, fraction)
     assert hashlib.sha256(acc.tobytes() + loss.tobytes()).hexdigest() == CURVE_SHA256[case]
+
+
+# (config, seed) -> SHA-256 of repr(model_for(config, seed)).  Accuracies are
+# rounded to ACCURACY_QUANTUM, so a curve hash can miss a last-bit change in
+# the model's parameters; this one cannot.
+MODEL_SHA256 = {
+    ("p1", 0): "cdd7c9b681ef37631c163a0b5ca89c8fc059e7541ea0ed154e5c0e9469e6264b",
+    ("p1", 3): "f89388a9391fcc6fab05438fb3285a8844ab7145289d3654ca22fde5392577fe",
+    ("p3", 0): "42932a731a199fad4a208e527325832df093be6b0418794c9fac7e406bfd403b",
+    ("p3", 3): "bd3dc49f19af5922d2b06b26cfe8b5b22fc874312db7ebc6df0528303f2b5b74",
+    ("p1-lr0.5", 0): "541a5e344f9c922e483d6c5da3f4fa4e77a8578341f686b09d8d6c9445f5875d",
+    ("p1-lr0.5", 3): "11e7969b775e1a292c2896f2adbf73211c80a96cf46c659f21146fbca9bf2418",
+    ("p1-lr0.95", 0): "6f0ff12dfa17dc64b8b6924df2b72326585671e96135b6ed20bb66a43f81597b",
+    ("p1-lr0.95", 3): "59be52d82511702459c0e54ffdcdca163892017bbf2240a91e461441fef16a4e",
+    ("p3+conv", 0): "455ac55bfb338ded144cfe6b1aa4effbd2a486fd30bea3b20f32aa4d44b540b0",
+    ("p3+conv", 3): "262214b278eae8b8022c45856a7f99bc3286e998236cb5db0d423155cda69552",
+    ("p3-conv", 0): "a74d3ba682ee26ed0a68ab4b1d4dd635694fbef652f4811c92d474c4e1471765",
+    ("p3-conv", 3): "6db5ca38df4239c06e97cffc46b858a7974efeffec01681e5e9d64fd574c428d",
+    ("p3+fc", 0): "cb07f2277415d1a0a5b03ea18ebd807f93309c5dfa9c21e962254bb5cf61999e",
+    ("p3+fc", 3): "4d671c41417610b4d6e281cc7382f553fcfb13ce9b0f86bc074157bf5a90790b",
+    ("p3-fc", 0): "ad1042d6ff45cf5a7570760b172ad99f1ec716f50fb2ae751d0716d2d7717609",
+    ("p3-fc", 3): "8b6c433b6002e7e6344120df4da11323d5513575d1aa2eebd305f0970fe7b1cd",
+    ("p3-adam", 0): "be169104a3463dc8ad82d22366d15d622b34e2b7d082ac27911ca2e86e740137",
+    ("p3-adam", 3): "fd837a14f47797ea511ea21779225d5fcafd5ea3b242ec74556c4b21fabd6549",
+    ("conv8", 0): "3ea41c0d319e5b8ab3488e6e0697948f72d5960b358757810faded8c7ffc6720",
+    ("conv8", 3): "3a8153d96bc0666ed3f56bb9c1965564ac5a14faa6f9bb4c602eb2a2a6d312e8",
+}
+
+
+@pytest.mark.parametrize("case", sorted(MODEL_SHA256), ids=_case_id)
+def test_model_params_unchanged(case):
+    name, seed = case
+    model = SimulatedBlackbox().model_for(CURVE_CONFIGS[name], seed)
+    assert hashlib.sha256(repr(model).encode()).hexdigest() == MODEL_SHA256[case]
 
 
 # seed -> SHA-256 of f"{serialize(config)} {score!r}" for the best point of

@@ -1,3 +1,4 @@
+import re
 from dataclasses import fields, replace
 
 import numpy as np
@@ -224,6 +225,14 @@ class TestSerialization:
             back = deserialize(text)
             assert back == config and back.key == text
             assert with_vector(config, bounds, to_vector(config, bounds)) == config
+
+
+@pytest.mark.parametrize("name", ["", "my opt", "adam\t", "sgd,w", 'a"b'])
+def test_optimizer_names_the_text_cannot_carry_are_refused(bounds, name):
+    # deserialize splits the text on whitespace, and read_ledger splits a row
+    # on commas and refuses quotes
+    with pytest.raises(ValueError, match=re.escape(f"optimizer name {name!r} is empty or holds whitespace")):
+        replace(bounds, optimizers=("sgd", name))
 
 
 # Recorded from the code before the slot order had one owner: texts that
