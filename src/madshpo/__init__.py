@@ -25,7 +25,6 @@ from .mads import (
     PollSet,
     RunPlan,
     generate_poll,
-    opportunistic_evaluate,
     run_campaign,
     update_mesh,
 )

@@ -105,16 +105,22 @@ def _bump(x: float, center: float, width: float) -> float:
     return math.exp(-0.5 * ((x - center) / width) ** 2)
 
 
-def _mean(values: list[float]) -> float:
-    """``float(np.mean(values))`` to the last bit, without an array for short
-    lists: numpy adds fewer than 8 values one by one from 0.0, as this loop
-    does (``sum`` would compensate the rounding from Python 3.12 on)."""
-    if len(values) >= 8:
-        return float(np.mean(values))
+def _sum(values) -> float:
+    """The values added one by one from 0.0, left to right.  ``sum`` is not
+    used because it compensates the rounding from Python 3.12 on, so the
+    bits would depend on the interpreter."""
     total = 0.0
     for value in values:
         total += value
-    return total / len(values)
+    return total
+
+
+def _mean(values: list[float]) -> float:
+    """``float(np.mean(values))`` to the last bit, without an array for short
+    lists: numpy adds fewer than 8 values one by one from 0.0, as ``_sum`` does."""
+    if len(values) >= 8:
+        return float(np.mean(values))
+    return _sum(values) / len(values)
 
 
 def _config_problem(config: Configuration) -> str | None:
@@ -228,11 +234,11 @@ class SimulatedBlackbox:
         low ceiling quickly, which is what lets the plateau scheduler fire.
         """
         scores = self._component_scores(config)
-        q = sum(w * s for w, s in zip(self._WEIGHTS, scores))
+        q = _sum(w * s for w, s in zip(self._WEIGHTS, scores))
         log_lr = math.log10(config.learning_rate)
         lr_pace = _bump(log_lr, -2.2, 0.35) if log_lr > -2.2 else 1.0
         stability = math.exp(
-            0.35 * (math.log(max(lr_pace, 1e-9)) + sum(math.log(max(s, 1e-9)) for s in scores[1:]))
+            0.35 * (math.log(max(lr_pace, 1e-9)) + _sum(math.log(max(s, 1e-9)) for s in scores[1:]))
         )
         depth = 0.5 * (1.0 - math.exp(-0.7 * config.n_conv)) + 0.5 * (
             1.0 - math.exp(-0.5 * config.n_fc)

@@ -249,7 +249,8 @@ def _rebuild_state(settings: CampaignSettings, kept: list[LedgerRecord], path: P
 
     ``mads.replay`` checks the rows and rebuilds the state from them; only
     the incumbent's curve is regenerated, as the baseline, without its
-    learning-rate column, which envelope comparisons do not read.
+    learning-rate column, which envelope comparisons do not read.  Of no
+    records, it is the fresh state of ``mads.run_campaign``.
     """
     initial = initial_config(settings)
     state, best = mads.replay(kept, initial.key, path)
@@ -286,9 +287,6 @@ def resume(settings: CampaignSettings, bounds: SpaceBounds | None = None) -> mad
     # dropped and run again, and the ones before it are kept
     last_iteration = max((r.iteration for r in records), default=0)
     del records[next((i for i, r in enumerate(records) if r.iteration == last_iteration), 0):]
-    if not records:
-        result = mads.run_campaign(initial_config(settings), settings.bbe_budget, plan)
-    else:
-        result = mads.continue_campaign(_rebuild_state(settings, records, path), settings.bbe_budget, plan)
+    result = mads.continue_campaign(_rebuild_state(settings, records, path), settings.bbe_budget, plan)
     _persist(settings, result, wall_seconds=time.monotonic() - started)
     return result

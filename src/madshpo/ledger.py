@@ -23,7 +23,7 @@ KIND_SURROGATE = "surrogate-eval"
 KIND_RANKING = "ranking-pass"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LedgerRecord:
     """One ledger row; the fields are the columns, in file order."""
 
@@ -76,6 +76,8 @@ class LedgerRecord:
 
 
 COLUMNS = tuple(field.name for field in fields(LedgerRecord))
+# positions of the text columns, whose values repeat from row to row
+_TEXT_COLUMNS = tuple(i for i, field in enumerate(fields(LedgerRecord)) if field.type == "str")
 
 
 def _refuse_line_break(name: str, value: str) -> None:
@@ -83,16 +85,22 @@ def _refuse_line_break(name: str, value: str) -> None:
         raise ValueError(f"{name} holds a line break: {value!r}")
 
 
+def check_plain(name: str, value: str) -> None:
+    """Refuse a field that one ledger line cannot carry: ``read_ledger``
+    splits each line on commas and reads one row per line, so a value that
+    holds a comma, a quote or a line break raises ``ValueError`` naming
+    column ``name``."""
+    _refuse_line_break(name, value)
+    if "," in value or '"' in value:
+        raise ValueError(f"{name} holds a comma or quote: {value!r}")
+
+
 def encode_row(row) -> str:
-    """One ledger line: the fields joined by commas.  ``read_ledger`` splits
-    each line on commas and reads one row per line, so a field that holds a
-    comma, a quote or a line break raises ``ValueError`` naming its column."""
+    """One ledger line: the fields joined by commas; each must pass ``check_plain``."""
     line = ",".join(row)
     if line.count(",") != len(row) - 1 or '"' in line or "\n" in line or "\r" in line:
         for name, value in zip(COLUMNS, row):
-            _refuse_line_break(name, value)
-            if "," in value or '"' in value:
-                raise ValueError(f"{name} holds a comma or quote: {value!r}")
+            check_plain(name, value)
     return line + "\n"
 
 
@@ -134,9 +142,11 @@ def _check_sequence(record: LedgerRecord, index: int, total: float) -> None:
 def read_ledger(path: Path) -> tuple[dict[str, str], list[LedgerRecord]]:
     """Header and records of a ledger, read one line at a time.  A header
     line after the column line, a malformed row, or one that disagrees with
-    the rows before it, raises ``ValueError`` naming ``path:line``."""
+    the rows before it, raises ``ValueError`` naming ``path:line``.  Rows
+    with equal text in a text column share one ``str``."""
     header: dict[str, str] = {}
     records: list[LedgerRecord] = []
+    texts: dict[str, str] = {}
     total = 0.0
     columns_seen = False
     with Path(path).open() as fh:
@@ -158,6 +168,8 @@ def read_ledger(path: Path) -> tuple[dict[str, str], list[LedgerRecord]]:
                 elif '"' in line:
                     raise ValueError(f"{path}:{lineno}: a field holds a quote")
                 else:
+                    for i in _TEXT_COLUMNS:
+                        row[i] = texts.setdefault(row[i], row[i])
                     try:
                         record = LedgerRecord.from_row(row)
                         total += record.charged_cost

@@ -7,9 +7,13 @@ candidates with a low-fidelity surrogate, and evaluates them
 opportunistically (stop at the first improvement).  ``Mesh`` is the only
 code that knows the mesh geometry; ``update_mesh`` coarsens it after a
 success (up to ``MAX_MESH_INDEX``) and refines it after a failure.
-``CampaignState`` owns the incumbent rule and the end of an iteration;
-``replay`` walks ledger rows through the same transitions, which is how
-resume and export check a ledger.
+``CampaignState`` owns the incumbent rule and the end of an iteration.
+``continue_campaign`` is the one campaign loop: ``run_campaign`` enters it
+with a fresh state, and resume with the state that ``replay`` rebuilds by
+walking ledger rows through the same transitions (export checks a ledger
+that way too).  ``_full_evaluation`` is the only place a candidate's
+failure is handled: a raising trainer becomes a charged failure row, and
+any other error ends the campaign.
 """
 
 from __future__ import annotations
@@ -17,13 +21,13 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from .blackbox import FAILED_REASON, EvaluationResult
 from .early_stop import BaselineEnvelope, StoppingMonitor, update_baseline
-from .ledger import KIND_FULL, KIND_RANKING, KIND_SURROGATE, LedgerRecord
+from .ledger import KIND_FULL, KIND_RANKING, KIND_SURROGATE, LedgerRecord, check_plain
 # benchmark/tracing.py wraps serialize, with_vector, to_vector,
 # quantitative_slots, neighbors and snap_array by these names in this
 # module, so they stay module attributes here and Mesh looks them up here.
@@ -192,29 +196,6 @@ def update_mesh(mesh: Mesh, success: bool) -> Mesh:
     return Mesh(mesh.index - 1)
 
 
-def opportunistic_evaluate(
-    candidates: Sequence,
-    incumbent_score: float,
-    evaluator: Callable,
-) -> bool:
-    """Evaluate candidates in order, stopping at the first strict improvement.
-
-    The evaluator maps a candidate to its score.  A candidate whose
-    evaluator raises is never an improvement, whatever ``incumbent_score``
-    is, and evaluation continues.  Returns whether some candidate scored
-    above ``incumbent_score``.
-    """
-    for candidate in candidates:
-        try:
-            score = float(evaluator(candidate))
-        except Exception as exc:  # noqa: BLE001 - failed-candidate contract
-            logger.warning("candidate evaluation failed: %s", exc)
-            continue
-        if score > incumbent_score:
-            return True
-    return False
-
-
 # -- campaign loop -----------------------------------------------------------
 
 
@@ -303,7 +284,8 @@ def _full_evaluation(
     """Run one full evaluation of a poll candidate, charge it and record it;
     if it improves, it becomes the incumbent and its curve the baseline.
     Returns the score the poll compares with the incumbent: ``-inf`` for a
-    failure, which never becomes the incumbent."""
+    failure, which never becomes the incumbent.  A stop reason that one
+    ledger line cannot carry raises ``ValueError`` before the row is kept."""
     config = candidate.config
     monitor = None if plan.stop_mode == "none" else StoppingMonitor(plan.stop_mode, state.envelope)
     try:
@@ -311,6 +293,7 @@ def _full_evaluation(
     except Exception as exc:  # noqa: BLE001 - failed-candidate contract
         logger.warning("full evaluation raised: %s", exc)
         result = EvaluationResult.failure()
+    check_plain("stop_reason", result.stop_reason)
     improved = state.improves(result.failed, result.final_val_accuracy)
     state.record(KIND_FULL, config.key, result.final_val_accuracy, result.epochs_used,
                  result.stop_reason, 1.0, improved, iteration)
@@ -330,21 +313,27 @@ def _record_ranking(state: CampaignState, plan: RunPlan, ranked, iteration: int)
 
 
 def run_campaign(initial: Configuration, budget_bbe: int, plan: RunPlan) -> CampaignResult:
-    """Full campaign: initial evaluation, then poll iterations until the
-    budget runs out, the mesh bottoms out, or the iteration cap is hit."""
-    if budget_bbe <= 0:
-        raise ValueError("budget_bbe must be positive")
-    problems = validate(initial, plan.bounds)
-    if problems:
-        raise ValueError("invalid initial configuration: " + "; ".join(problems))
+    """Full campaign from ``initial``: ``continue_campaign`` of a fresh state."""
     state = CampaignState(incumbent=initial, envelope=BaselineEnvelope(None, plan.milestones, plan.margins))
-    _full_evaluation(state, plan, PollCandidate(initial, ORIGIN_INITIAL), iteration=0)
-    state.close_iteration(False)
     return continue_campaign(state, budget_bbe, plan)
 
 
 def continue_campaign(state: CampaignState, budget_bbe: float, plan: RunPlan) -> CampaignResult:
-    """Iterate from an existing state (used directly by resume)."""
+    """The campaign loop, from a fresh state or one rebuilt from a ledger.
+
+    Before iteration 0, the state's incumbent is the start point: it is
+    validated and evaluated, and iteration 0 ends.  Then poll iterations run
+    until the budget runs out, the mesh bottoms out, or the iteration cap
+    is hit.
+    """
+    if state.next_iteration == 0:
+        if budget_bbe <= 0:
+            raise ValueError("budget_bbe must be positive")
+        problems = validate(state.incumbent, plan.bounds)
+        if problems:
+            raise ValueError("invalid initial configuration: " + "; ".join(problems))
+        _full_evaluation(state, plan, PollCandidate(state.incumbent, ORIGIN_INITIAL), iteration=0)
+        state.close_iteration(False)
     termination = "budget"
     while True:
         if state.mesh.index < plan.min_mesh_index:
@@ -445,8 +434,6 @@ def _poll_step(state: CampaignState, plan: RunPlan, poll: PollSet, k: int, budge
     if not plan.surrogate.disabled:
         _record_ranking(state, plan, ranked, k)
     affordable = int(math.floor(budget - state.cumulative + 1e-9))
-    return opportunistic_evaluate(
-        ranked.candidates[:affordable],
-        state.incumbent_score,
-        lambda cand: _full_evaluation(state, plan, cand, k),
-    )
+    # opportunistic: stop at the first candidate that beats the poll's incumbent
+    target = state.incumbent_score
+    return any(_full_evaluation(state, plan, cand, k) > target for cand in ranked.candidates[:affordable])

@@ -368,6 +368,17 @@ class TestLedgerIO:
             assert sorted(p.name for p in tmp_path.iterdir()) == ["ledger.csv"]
         assert read_ledger(path) == ({"seed": "7"}, good)
 
+    def test_rows_share_equal_text_and_records_have_no_dict(self, tmp_path):
+        p1 = serialize(preset_config("p1"))
+        path = tmp_path / "ledger.csv"
+        write_ledger(path, [LedgerRecord(i, KIND_FULL, p1, 0.5, 1, "none", 1.0, i + 1.0, i == 0, i, 0)
+                            for i in range(3)], {})
+        _, records = read_ledger(path)
+        assert records[1].config == p1
+        for column in ("kind", "config", "stop_reason"):
+            assert len({id(getattr(r, column)) for r in records}) == 1, column
+        assert not hasattr(records[0], "__dict__")
+
     def test_codec_memory_is_bounded(self, tmp_path):
         # a p1 ledger of about 2.6k records and 1.1 MB
         result = run(settings(tmp_path / "out", bbe_budget=1000, seed=1, surrogate="r4",

@@ -33,7 +33,7 @@ from dataclasses import replace
 
 import pytest
 
-from madshpo import mads
+from madshpo import blackbox, mads
 from madshpo.blackbox import SimulatedBlackbox, curve_arrays, lattice_sweep
 from madshpo.campaign import LEDGER_NAME, CampaignSettings, run
 from madshpo.cli import main
@@ -273,6 +273,32 @@ def test_model_params_unchanged(case):
     name, seed = case
     model = SimulatedBlackbox().model_for(CURVE_CONFIGS[name], seed)
     assert hashlib.sha256(repr(model).encode()).hexdigest() == MODEL_SHA256[case]
+
+
+def _compensated_sum(values, start=0):
+    """Neumaier's compensated sum, as ``sum`` of floats rounds from Python 3.12 on."""
+    total, compensation = float(start), 0.0
+    for value in values:
+        t = total + value
+        if abs(total) >= abs(value):
+            compensation += (total - t) + value
+        else:
+            compensation += (value - t) + total
+        total = t
+    return total + compensation
+
+
+def test_model_params_do_not_depend_on_how_sum_rounds(monkeypatch):
+    # the MODEL_SHA256 configs and poll candidates around p1 and p3: with
+    # sum() compensated as on Python 3.12, model_for must give the same bits
+    cases = [(CURVE_CONFIGS[name], seed) for name, seed in sorted(MODEL_SHA256)]
+    for preset, seed in (("p1", 0), ("p3", 3)):
+        for index in (0, -2, -5):
+            poll = mads.generate_poll(preset_config(preset), mads.Mesh(index), seed, default_bounds())
+            cases += [(cand.config, seed) for cand in poll.candidates]
+    plain = [repr(SimulatedBlackbox().model_for(config, seed)) for config, seed in cases]
+    monkeypatch.setattr(blackbox, "sum", _compensated_sum, raising=False)
+    assert [repr(SimulatedBlackbox().model_for(config, seed)) for config, seed in cases] == plain
 
 
 # seed -> SHA-256 of f"{serialize(config)} {score!r}" for the best point of

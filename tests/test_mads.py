@@ -1,5 +1,6 @@
 import importlib.util
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,6 @@ from madshpo.mads import (
     Mesh,
     PollCandidate,
     generate_poll,
-    opportunistic_evaluate,
     poll_directions,
     snap_array,
     update_mesh,
@@ -173,66 +173,6 @@ class TestGeneratePoll:
         coarse = Mesh(-3).poll_sizes(layout)[:, None] * directions
         fine = Mesh(-4).poll_sizes(layout)[:, None] * directions
         assert np.allclose(fine, 0.5 * coarse, rtol=1e-12)
-
-
-class TestOpportunisticEvaluate:
-    def make_candidates(self, n):
-        out = []
-        for i in range(n):
-            out.append(
-                PollCandidate(make_config((), (), learning_rate=10.0 ** (-1 - i)), "poll-direction")
-            )
-        return out
-
-    def evaluate(self, cands, incumbent_score, scores):
-        """Run opportunistic_evaluate; return its result and the candidates
-        the evaluator saw.  A score that is an exception is raised."""
-        calls = []
-
-        def evaluator(cand):
-            calls.append(cand)
-            score = scores[len(calls) - 1]
-            if isinstance(score, Exception):
-                raise score
-            return score
-
-        return opportunistic_evaluate(cands, incumbent_score, evaluator), calls
-
-    def test_stops_at_first_improvement(self):
-        cands = self.make_candidates(4)
-        improved, calls = self.evaluate(cands, 0.5, [0.4, 0.6, 0.9, 0.9])
-        assert improved is True
-        assert calls == cands[:2]
-
-    def test_exhaustion_counts_all(self):
-        cands = self.make_candidates(6)
-        improved, calls = self.evaluate(cands, 0.99, [0.1] * 6)
-        assert improved is False
-        assert calls == cands
-
-    def test_first_candidate_wins_immediately(self):
-        cands = self.make_candidates(5)
-        improved, calls = self.evaluate(cands, 0.5, [0.9] * 5)
-        assert improved is True
-        assert calls == cands[:1]
-
-    def test_tie_is_not_improvement(self):
-        cands = self.make_candidates(3)
-        improved, calls = self.evaluate(cands, 0.5, [0.5] * 3)
-        assert improved is False
-        assert calls == cands
-
-    def test_evaluator_failure_scores_worst_and_continues(self):
-        cands = self.make_candidates(3)
-        improved, calls = self.evaluate(cands, 0.5, [RuntimeError("crashed"), 0.8, 0.9])
-        assert improved is True
-        assert calls == cands[:2]
-
-    def test_evaluator_failure_never_beats_a_negative_incumbent(self):
-        cands = self.make_candidates(3)
-        improved, calls = self.evaluate(cands, -0.5, [RuntimeError("crashed")] * 2 + [-0.9])
-        assert improved is False
-        assert calls == cands
 
 
 def quadratic_plan(bounds, center, seed, max_iterations=500, surrogate="none"):
@@ -431,3 +371,88 @@ class TestRunCampaign:
         # a ranking pass charges the poll size times the cost ratio: one ratio per estimate
         estimates = [r for r in result.records if r.kind == KIND_SURROGATE]
         assert estimates and all(r.charged_cost == plan.surrogate.cost_ratio for r in estimates)
+
+
+CRASH = RuntimeError("trainer crashed")
+
+
+class TestOpportunisticPoll:
+    """Iteration 1 of a quadratic campaign whose full evaluations return
+    scripted scores, the start point's first, with budget for every
+    scripted candidate.  A score that is an exception is raised."""
+
+    # rule: (start point's score, candidates' scores, improved, candidates evaluated)
+    CASES = {
+        "strict-improvement-stops-the-poll": (0.5, [0.4, 0.6, 0.9, 0.9], True, 2),
+        "first-candidate-wins-at-once": (0.5, [0.9] * 5, True, 1),
+        "no-improvement-evaluates-every-affordable-candidate": (0.99, [0.1] * 6, False, 6),
+        "tie-is-not-an-improvement": (0.5, [0.5] * 3, False, 3),
+        "failure-is-a-row-and-the-poll-goes-on": (0.5, [CRASH, 0.8, 0.9], True, 2),
+        "failure-never-beats-a-negative-incumbent": (-0.5, [CRASH, CRASH, -0.9], False, 3),
+    }
+
+    @staticmethod
+    def quadratic(max_iterations):
+        """Frozen bounds, the quadratic start point, and its plan at seed 0."""
+        b = frozen_bounds()
+        center = to_vector(make_config((), (), **QUAD_CENTER), b)
+        return b, make_config((), (), **QUAD_START), quadratic_plan(b, center, 0, max_iterations=max_iterations)
+
+    @pytest.mark.parametrize("rule", list(CASES))
+    def test_poll_rule(self, rule):
+        start_score, scores, improved, evaluated = self.CASES[rule]
+        b, start, plan = self.quadratic(max_iterations=1)
+        script = iter([start_score, *scores])
+
+        def full_eval(config, monitor):
+            score = next(script)
+            if isinstance(score, Exception):
+                raise score
+            h = TrainingHistory()
+            h.append(1, min(max(score, 0.0), 1.0), 0.0, config.learning_rate)
+            return EvaluationResult(h, score, 1, "none", 1.0)
+
+        plan.full_eval = full_eval
+        result = mads.run_campaign(start, 1 + len(scores), plan)
+        poll = generate_poll(start, Mesh(), mads.iteration_seed(0, 1), b)
+        assert len(poll.candidates) >= len(scores)
+        first, *rows = result.records
+        assert (first.config, first.score, first.incumbent) == (start.key, start_score, True)
+        assert [r.config for r in rows] == [c.config.key for c in poll.candidates[:evaluated]]
+        assert [r.stop_reason == FAILED_REASON for r in rows] == [
+            isinstance(score, Exception) for score in scores[:evaluated]]
+        assert all(r.charged_cost == 1.0 and r.iteration == 1 for r in rows)
+        assert [r.incumbent for r in rows] == [False] * (evaluated - 1) + [improved]
+        assert result.best_score == (scores[evaluated - 1] if improved else start_score)
+        # the mesh stays after a success and refines after a failure
+        assert result.final_mesh_index == (0 if improved else -1)
+
+    def test_a_result_of_the_wrong_type_raises(self):
+        # a full_eval that returns a bare score instead of an EvaluationResult
+        # after its first call is a programming error, not a failed training
+        _, start, plan = self.quadratic(max_iterations=30)
+        evaluate, calls = plan.full_eval, []
+
+        def full_eval(config, monitor):
+            calls.append(config)
+            result = evaluate(config, monitor)
+            return result if len(calls) == 1 else result.final_val_accuracy
+
+        plan.full_eval = full_eval
+        with pytest.raises(AttributeError):
+            mads.run_campaign(start, 10**6, plan)
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("reason", ["stop, early", 'stop "early"', "stop\nearly"])
+    def test_a_stop_reason_the_ledger_cannot_carry_raises_at_once(self, reason):
+        _, start, plan = self.quadratic(max_iterations=50)
+        evaluate, calls = plan.full_eval, []
+
+        def full_eval(config, monitor):
+            calls.append(config)
+            return replace(evaluate(config, monitor), stop_reason=reason)
+
+        plan.full_eval = full_eval
+        with pytest.raises(ValueError, match="stop_reason holds a"):
+            mads.run_campaign(start, 10**6, plan)
+        assert len(calls) == 1
