@@ -6,9 +6,10 @@ epochs.  ``epochs`` is an epoch source: a generator that yields one
 sent the learning rate for the next epoch, or ``None`` once the training
 stops or reaches ``max_epochs``, after which it ends.  A source may also
 end early on its own.  ``train`` checks the configuration, starts the
-monitor, appends each epoch to the history and takes the monitor's
-verdict.  An empty history, a malformed epoch, or a source that raises
-``OSError`` or ``ValueError`` gives the failed result.  The source is
+monitor (``StoppingMonitor("none")`` if the request has none), appends
+each epoch to the history and takes the monitor's verdict.  A source
+without epochs, a malformed epoch, or one of ``TRAINER_FAULTS`` gives the
+failed result; any other exception is a bug and propagates.  The source is
 closed in every case.  The simulated source is a cursor over
 ``curve_arrays`` that stamps each epoch with the rate it was sent; the
 external source speaks the line protocol of ``ProcessAdapter``.
@@ -35,7 +36,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .early_stop import CHANCE_LEVEL, REASON_NONE, TrainingHistory
+from .early_stop import CHANCE_LEVEL, REASON_NONE, StoppingMonitor, TrainingHistory
 # benchmark/tracing.py wraps serialize by this name; Configuration.key calls it.
 from .space import Configuration, SpaceBounds, make_config, preset_config, serialize  # noqa: F401
 from .util import hash_u64, hash_unit
@@ -44,6 +45,8 @@ logger = logging.getLogger(__name__)
 
 WORST_SCORE = 0.0  # score of a failed training or estimate
 FAILED_REASON = "evaluation-failed"
+# What a training that could not run raises; mads and surrogates catch it too.
+TRAINER_FAULTS = (OSError, RuntimeError, ValueError, ArithmeticError, MemoryError, subprocess.SubprocessError)
 
 # Simulated-trainer constants, the same for every campaign.
 ACCURACY_QUANTUM = 1e-4  # reported accuracies are rounded to this step
@@ -123,25 +126,25 @@ def _mean(values: list[float]) -> float:
     return _sum(values) / len(values)
 
 
-def _config_problem(config: Configuration) -> str | None:
+def _check_config(config: Configuration) -> None:
+    """Raise ``ValueError`` naming the first field no trainer can run with."""
     if config.learning_rate <= 0:
-        return "non-positive learning rate"
+        raise ValueError("non-positive learning rate")
     if config.batch_size < 1:
-        return "batch size below 1"
+        raise ValueError("batch size below 1")
     if not 0.0 <= config.dropout <= 1.0:
-        return "dropout outside [0, 1]"
+        raise ValueError("dropout outside [0, 1]")
     if config.weight_decay < 0:
-        return "negative weight decay"
+        raise ValueError("negative weight decay")
     if config.grad_clip <= 0:
-        return "non-positive grad clip"
+        raise ValueError("non-positive grad clip")
     for layer in config.conv_layers:
         if min(layer.out_channels, layer.kernel_size, layer.stride, layer.pooling) < 1:
-            return "conv layer field below 1"
+            raise ValueError("conv layer field below 1")
         if layer.padding < 0:
-            return "negative padding"
+            raise ValueError("negative padding")
     if any(s < 1 for s in config.fc_sizes):
-        return "fc size below 1"
-    return None
+        raise ValueError("fc size below 1")
 
 
 # Yields (epoch, val_accuracy, val_loss, learning_rate); is sent the next rate or None.
@@ -151,38 +154,31 @@ EpochSource = Generator[tuple[int, float, float, float], float | None, None]
 def train(request: EvaluationRequest, epochs: EpochSource) -> EvaluationResult:
     """Run one training over an epoch source, invoking the monitor after each epoch.
 
-    A configuration that ``_config_problem`` rejects never starts its source.
+    A configuration that ``_check_config`` rejects never starts its source.
     """
     history = TrainingHistory()
     reason = REASON_NONE
     try:
-        problem = _config_problem(request.config)
-        if problem is not None:
-            raise ValueError(problem)
-        monitor = request.monitor
-        lr = request.config.learning_rate
-        if monitor is not None:
-            monitor.start(lr)
-        epoch = next(epochs)
+        _check_config(request.config)
+        monitor = request.monitor or StoppingMonitor("none")
+        monitor.start(request.config.learning_rate)
+        epoch = next(epochs, None)
+        if epoch is None:
+            raise ValueError("no epochs")
         while True:
             history.append(*epoch)
-            if monitor is not None:
-                reason = monitor.verdict(history).reason
-                lr = monitor.next_lr()
+            reason = monitor.verdict(history).reason
             if reason != REASON_NONE or len(history) == request.max_epochs:
                 epochs.send(None)
                 break
-            epoch = epochs.send(lr)
+            epoch = epochs.send(monitor.next_lr())
     except StopIteration:
         pass
-    except (OSError, ValueError) as exc:
+    except TRAINER_FAULTS as exc:
         logger.warning("evaluation failed: %s", exc)
         return EvaluationResult.failure()
     finally:
         epochs.close()
-    if not history:
-        logger.warning("evaluation failed: no epochs")
-        return EvaluationResult.failure()
     return EvaluationResult.of(history, reason, request.data_fraction)
 
 
@@ -191,6 +187,10 @@ class SimulatedBlackbox:
     """Deterministic stand-in trainer for a 10-class image task."""
 
     noise_sigma: float = 1e-4
+
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.noise_sigma < math.inf:
+            raise ValueError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma!r}")
 
     def _component_scores(self, config: Configuration) -> tuple[float, ...]:
         """Per-hyperparameter fitness bumps, each in (0, 1]."""
@@ -275,11 +275,9 @@ class SimulatedBlackbox:
                 return
 
     def final_accuracy(self, config: Configuration, seed: int, epochs: int, data_fraction: float) -> float:
-        """Best-epoch accuracy without building a history (fast path)."""
-        problem = _config_problem(config)
-        if problem is not None:
-            logger.warning("evaluation failed: %s", problem)
-            return WORST_SCORE
+        """Best-epoch accuracy without building a history (fast path); a
+        configuration that ``_check_config`` rejects raises ``ValueError``."""
+        _check_config(config)
         model = self.model_for(config, seed)
         acc, _ = curve_arrays(model, epochs, data_fraction)
         return float(acc.max())

@@ -15,6 +15,7 @@ file is byte-identical to an uninterrupted run.
 from __future__ import annotations
 
 import json
+import math
 import os
 import time
 from dataclasses import Field, dataclass, field, fields, replace
@@ -229,9 +230,11 @@ def _persist(settings: CampaignSettings, result: mads.CampaignResult, wall_secon
     write_ledger(out / LEDGER_NAME, result.records, settings_header(settings))
     total_epochs = sum(r.epochs_used for r in result.records)
     full_evals = sum(1 for r in result.records if r.kind == KIND_FULL)
+    # no training succeeded: there is no best point, and JSON has no -Infinity
+    found = math.isfinite(result.best_score)
     summary = {
-        "best_config": result.best_config.key,
-        "best_score": result.best_score,
+        "best_config": result.best_config.key if found else None,
+        "best_score": result.best_score if found else None,
         "total_charged_bbe": result.total_cost,
         "total_epochs": total_epochs,
         "full_evaluations": full_evals,
@@ -241,7 +244,7 @@ def _persist(settings: CampaignSettings, result: mads.CampaignResult, wall_secon
         "records": len(result.records),
         "wall_seconds": wall_seconds,
     }
-    (out / SUMMARY_NAME).write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    (out / SUMMARY_NAME).write_text(json.dumps(summary, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def _rebuild_state(settings: CampaignSettings, kept: list[LedgerRecord], path: Path) -> mads.CampaignState:

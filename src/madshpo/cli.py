@@ -79,7 +79,8 @@ def main(argv: list[str] | None = None) -> int:
             summary_path = Path(settings.out_dir) / "summary.json"
             summary = json.loads(summary_path.read_text())
             print(f"ledger: {Path(settings.out_dir) / LEDGER_NAME}")
-            print(f"best score: {summary['best_score']:.4f}")
+            best = summary["best_score"]
+            print("best score: none" if best is None else f"best score: {best:.4f}")
             print(f"charged bbe: {summary['total_charged_bbe']:.3f}")
             print(f"total epochs: {summary['total_epochs']}")
             print(f"termination: {result.termination}")

@@ -12,8 +12,8 @@ success (up to ``MAX_MESH_INDEX``) and refines it after a failure.
 with a fresh state, and resume with the state that ``replay`` rebuilds by
 walking ledger rows through the same transitions (export checks a ledger
 that way too).  ``_full_evaluation`` is the only place a candidate's
-failure is handled: a raising trainer becomes a charged failure row, and
-any other error ends the campaign.
+failure is handled: one of ``blackbox.TRAINER_FAULTS`` from ``full_eval``
+becomes a charged failure row, and any other error ends the campaign.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .blackbox import FAILED_REASON, EvaluationResult
+from .blackbox import FAILED_REASON, TRAINER_FAULTS, EvaluationResult
 from .early_stop import BaselineEnvelope, StoppingMonitor, update_baseline
 from .ledger import KIND_FULL, KIND_RANKING, KIND_SURROGATE, LedgerRecord, check_plain
 # benchmark/tracing.py wraps serialize, with_vector, to_vector,
@@ -209,7 +209,7 @@ class RunPlan:
     stop_mode: str
     milestones: tuple[int, ...]
     margins: tuple[float, ...]
-    full_eval: Callable  # (config, monitor | None) -> EvaluationResult
+    full_eval: Callable  # (config, monitor) -> EvaluationResult
     fidelity_eval: Callable  # (config, epochs, data_fraction) -> float
     charge_ranking: bool = True
     min_mesh_index: int = -50
@@ -287,11 +287,11 @@ def _full_evaluation(
     failure, which never becomes the incumbent.  A stop reason that one
     ledger line cannot carry raises ``ValueError`` before the row is kept."""
     config = candidate.config
-    monitor = None if plan.stop_mode == "none" else StoppingMonitor(plan.stop_mode, state.envelope)
+    monitor = StoppingMonitor(plan.stop_mode, state.envelope)
     try:
         result = plan.full_eval(config, monitor)
-    except Exception as exc:  # noqa: BLE001 - failed-candidate contract
-        logger.warning("full evaluation raised: %s", exc)
+    except TRAINER_FAULTS as exc:
+        logger.warning("full evaluation raised: %s", exc, exc_info=True)
         result = EvaluationResult.failure()
     check_plain("stop_reason", result.stop_reason)
     improved = state.improves(result.failed, result.final_val_accuracy)

@@ -2,7 +2,8 @@
 
 Each surrogate trains a candidate briefly (fewer epochs and/or a data
 subset) and charges a fixed fraction of one full blackbox evaluation.
-Rankings are static: nothing is refit during a run.
+Rankings are static: nothing is refit during a run.  An estimate whose
+trainer raises one of ``blackbox.TRAINER_FAULTS`` scores ``WORST_SCORE``.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import logging
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
-from .blackbox import WORST_SCORE
+from .blackbox import TRAINER_FAULTS, WORST_SCORE
 from .space import Configuration
 
 logger = logging.getLogger(__name__)
@@ -86,7 +87,7 @@ FidelityEval = Callable[[Configuration, int, float], float]
 
 
 def estimate(spec: SurrogateSpec, config: Configuration, blackbox: FidelityEval) -> float:
-    """Low-fidelity accuracy estimate; failures score worst and are logged.
+    """Low-fidelity accuracy estimate; a trainer fault scores worst and is logged.
 
     Surrogate trainings never apply early stopping: the truncated budget is
     the whole point of the surrogate.
@@ -94,10 +95,11 @@ def estimate(spec: SurrogateSpec, config: Configuration, blackbox: FidelityEval)
     if spec.disabled:
         raise ValueError("cannot estimate with the disabled surrogate")
     try:
-        return float(blackbox(config, spec.epoch_budget, spec.data_fraction))
-    except Exception as exc:  # noqa: BLE001 - worst-score contract
-        logger.warning("surrogate estimate failed: %s", exc)
+        score = blackbox(config, spec.epoch_budget, spec.data_fraction)
+    except TRAINER_FAULTS as exc:
+        logger.warning("surrogate estimate failed: %s", exc, exc_info=True)
         return WORST_SCORE
+    return float(score)
 
 
 @dataclass(frozen=True)

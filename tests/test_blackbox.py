@@ -1,3 +1,5 @@
+import math
+import subprocess
 import sys
 import time
 from dataclasses import replace
@@ -21,6 +23,25 @@ from madshpo.early_stop import (
     CHANCE_LEVEL, LR_FACTOR, PATIENCE, BaselineEnvelope, StoppingMonitor, TrainingHistory,
 )
 from madshpo.space import ConvLayerHP, make_config, preset_config
+from madshpo.surrogates import estimate, surrogate_by_name
+
+# A training that could not run raises one of these, and is recorded as a
+# failure; any other exception is a bug in the caller and ends the campaign.
+TRAINER_FAULTS = [
+    RuntimeError("gpu on fire"),
+    OSError("trainer lost"),
+    TimeoutError("no line within 1 s"),
+    ValueError("bad line"),
+    ZeroDivisionError("float division by zero"),
+    MemoryError(),
+    subprocess.TimeoutExpired("trainer", 1.0),
+]
+CALLER_BUGS = [TypeError("takes 1 positional argument"), AttributeError("no attribute"), KeyError("slot"),
+               AssertionError()]
+
+
+def exc_id(exc):
+    return type(exc).__name__
 
 
 @pytest.fixture(scope="module")
@@ -177,6 +198,19 @@ class TestEvaluate:
         assert result.failed
         assert result.final_val_accuracy == 0.0
         assert result.epochs_used == 0
+        # the fast path raises the same fault, and an estimate scores it worst
+        with pytest.raises(ValueError, match="negative padding"):
+            blackbox.final_accuracy(broken, 0, 200, 0.1)
+
+        def fidelity(config, epochs, fraction):
+            return blackbox.final_accuracy(config, 0, epochs, fraction)
+
+        assert estimate(surrogate_by_name("r4"), broken, fidelity) == 0.0
+
+    @pytest.mark.parametrize("sigma", [-0.1, math.nan, math.inf])
+    def test_noise_sigma_must_be_finite_and_non_negative(self, sigma):
+        with pytest.raises(ValueError, match="noise_sigma"):
+            SimulatedBlackbox(noise_sigma=sigma)
 
     def test_bad_request_parameters_rejected(self):
         with pytest.raises(ValueError):
@@ -255,12 +289,12 @@ class TestTrain:
         assert None not in log.sent
 
     @pytest.mark.parametrize("rows", [
-        flat_rows(2) + [OSError("trainer lost")],
-        flat_rows(2) + [ValueError("bad line")],
+        *(flat_rows(2) + [fault] for fault in TRAINER_FAULTS),
         flat_rows(2) + [(3, 1.5, 1.0, 0.01)],
         flat_rows(2) + [(4, 0.5, 1.0, 0.01)],
         [],
-    ], ids=["raises-oserror", "raises-valueerror", "accuracy-above-1", "skips-an-epoch", "no-epochs"])
+    ], ids=[*(f"raises-{exc_id(fault).lower()}" for fault in TRAINER_FAULTS), "accuracy-above-1", "skips-an-epoch",
+            "no-epochs"])
     def test_bad_source_fails_and_is_closed(self, rows):
         log = SimpleNamespace(started=False)
         monitor = StoppingMonitor("scheduler+baseline", BaselineEnvelope())
@@ -268,6 +302,13 @@ class TestTrain:
         assert result.failed
         assert result.final_val_accuracy == 0.0
         assert result.epochs_used == 0
+        assert log.closed
+
+    @pytest.mark.parametrize("bug", CALLER_BUGS, ids=exc_id)
+    def test_a_bug_in_the_source_raises_and_it_is_closed(self, bug):
+        log = SimpleNamespace(started=False)
+        with pytest.raises(type(bug)):
+            train(EvaluationRequest(preset_config("p1"), 200, 1.0, 0), fake_epochs(flat_rows(2) + [bug], log))
         assert log.closed
 
     def test_rejected_config_never_starts_source(self):

@@ -1,6 +1,8 @@
 import csv
 import io
 import json
+import shlex
+import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -480,6 +482,30 @@ class TestCli:
         assert header["seed"] == "12"  # flag wins
         assert header["stop_mode"] == "last-success"
         assert deserialize(header["initial"]).n_conv == 2
+
+    def test_no_successful_training_writes_null_best(self, tmp_path, capsys):
+        # every child exits at once, so every training fails
+        out = tmp_path / "out"
+        child = f"{shlex.quote(sys.executable)} -c 'import sys; sys.exit(1)'"
+        argv = ["run", "--preset", "p1", "--budget", "3", "--rank", "none", "--backend", "external",
+                "--backend-cmd", child, "--out", str(out)]
+        assert main(argv) == 0
+        assert "best score: none" in capsys.readouterr().out
+
+        def refuse(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        summary = json.loads((out / SUMMARY_NAME).read_text(), parse_constant=refuse)
+        assert (summary["best_config"], summary["best_score"]) == (None, None)
+        assert summary["full_evaluations"] == 3
+
+    @pytest.mark.parametrize("sigma", ["-0.1", "nan", "inf"])
+    def test_bad_noise_sigma_is_one_error_line_and_writes_nothing(self, tmp_path, capsys, sigma):
+        out = tmp_path / "out"
+        assert main(["run", "--budget", "3", "--noise-sigma", sigma, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: noise_sigma") and err.count("\n") == 1
+        assert not out.exists()
 
     def test_bad_settings_file_line(self, tmp_path):
         cfg = tmp_path / "bad.cfg"

@@ -1,4 +1,5 @@
 import importlib.util
+import logging
 import math
 from dataclasses import replace
 from pathlib import Path
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from madshpo.blackbox import FAILED_REASON, WORST_SCORE, EvaluationResult
-from madshpo.early_stop import DEFAULT_MARGINS, DEFAULT_MILESTONES, TrainingHistory
+from madshpo.early_stop import DEFAULT_MARGINS, DEFAULT_MILESTONES, StoppingMonitor, TrainingHistory
 from madshpo.ledger import KIND_FULL, KIND_RANKING, KIND_SURROGATE
 from madshpo import mads
 from madshpo.mads import (
@@ -32,6 +33,7 @@ from madshpo.space import (
     with_vector,
 )
 from madshpo.surrogates import surrogate_by_name
+from tests.test_blackbox import CALLER_BUGS, TRAINER_FAULTS, exc_id
 
 
 @pytest.fixture(scope="module")
@@ -373,7 +375,7 @@ class TestRunCampaign:
         assert estimates and all(r.charged_cost == plan.surrogate.cost_ratio for r in estimates)
 
 
-CRASH = RuntimeError("trainer crashed")
+CRASH = object()  # a scripted score that stands for each trainer fault in turn
 
 
 class TestOpportunisticPoll:
@@ -390,6 +392,12 @@ class TestOpportunisticPoll:
         "failure-is-a-row-and-the-poll-goes-on": (0.5, [CRASH, 0.8, 0.9], True, 2),
         "failure-never-beats-a-negative-incumbent": (-0.5, [CRASH, CRASH, -0.9], False, 3),
     }
+    # each failure rule once per trainer fault
+    RULES = [
+        pytest.param(rule, fault, id=rule if fault is None else f"{rule}-{exc_id(fault).lower()}")
+        for rule, (_, scores, _, _) in CASES.items()
+        for fault in (TRAINER_FAULTS if CRASH in scores else [None])
+    ]
 
     @staticmethod
     def quadratic(max_iterations):
@@ -398,9 +406,10 @@ class TestOpportunisticPoll:
         center = to_vector(make_config((), (), **QUAD_CENTER), b)
         return b, make_config((), (), **QUAD_START), quadratic_plan(b, center, 0, max_iterations=max_iterations)
 
-    @pytest.mark.parametrize("rule", list(CASES))
-    def test_poll_rule(self, rule):
+    @pytest.mark.parametrize("rule, fault", RULES)
+    def test_poll_rule(self, rule, fault):
         start_score, scores, improved, evaluated = self.CASES[rule]
+        scores = [fault if score is CRASH else score for score in scores]
         b, start, plan = self.quadratic(max_iterations=1)
         script = iter([start_score, *scores])
 
@@ -442,6 +451,64 @@ class TestOpportunisticPoll:
         with pytest.raises(AttributeError):
             mads.run_campaign(start, 10**6, plan)
         assert len(calls) == 2
+
+    @pytest.mark.parametrize("bug", CALLER_BUGS, ids=exc_id)
+    @pytest.mark.parametrize("call", [1, 2], ids=["start-point", "candidate"])
+    def test_a_bug_in_full_eval_ends_the_campaign(self, bug, call):
+        _, start, plan = self.quadratic(max_iterations=30)
+        calls = []
+
+        def full_eval(config, monitor):
+            calls.append(config)
+            if len(calls) == call:
+                raise bug
+            return plan_eval(config, monitor)
+
+        plan_eval, plan.full_eval = plan.full_eval, full_eval
+        with pytest.raises(type(bug)):
+            mads.run_campaign(start, 10**6, plan)
+        assert len(calls) == call
+
+    def test_a_full_eval_of_the_wrong_arity_ends_the_campaign(self):
+        # a bug in the caller, not a failed training: taken as one, it leaves
+        # 50 failure rows, a best score of -inf and termination "budget"
+        _, start, plan = self.quadratic(max_iterations=500)
+        full_eval = plan.full_eval
+        plan.full_eval = lambda config: full_eval(config, None)
+        with pytest.raises(TypeError):
+            mads.run_campaign(start, 50, plan)
+
+    def test_a_trainer_fault_is_logged_with_its_traceback(self, caplog):
+        _, start, plan = self.quadratic(max_iterations=1)
+
+        def full_eval(config, monitor):
+            raise RuntimeError("trainer crashed")
+
+        plan.full_eval = full_eval
+        with caplog.at_level(logging.WARNING, logger="madshpo.mads"):
+            result = mads.run_campaign(start, 3, plan)
+        assert [r.stop_reason for r in result.records] == [FAILED_REASON] * 3
+        logged = [r for r in caplog.records if r.name == "madshpo.mads"]
+        assert len(logged) == 3
+        assert all(r.exc_info and r.exc_info[0] is RuntimeError for r in logged)
+
+    def test_full_eval_always_receives_a_monitor(self):
+        _, start, plan = self.quadratic(max_iterations=3)
+        full_eval, monitors = plan.full_eval, []
+
+        def watched(config, monitor):
+            monitors.append(monitor)
+            return full_eval(config, monitor)
+
+        plan.full_eval = watched
+        mads.run_campaign(start, 10**6, plan)
+        assert monitors and all(isinstance(m, StoppingMonitor) and m.mode == "none" for m in monitors)
+
+    def test_an_unknown_stop_mode_raises(self):
+        _, start, plan = self.quadratic(max_iterations=1)
+        plan.stop_mode = "bogus"
+        with pytest.raises(ValueError, match="unknown stopping mode"):
+            mads.run_campaign(start, 3, plan)
 
     @pytest.mark.parametrize("reason", ["stop, early", 'stop "early"', "stop\nearly"])
     def test_a_stop_reason_the_ledger_cannot_carry_raises_at_once(self, reason):

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from madshpo.blackbox import EvaluationRequest, SimulatedBlackbox
-from madshpo.mads import PollCandidate
+from madshpo.campaign import CampaignSettings, build_plan
+from madshpo.mads import PollCandidate, run_campaign
 from madshpo.space import make_config, preset_config
 from madshpo.surrogates import (
     SurrogateSpec,
@@ -10,7 +11,7 @@ from madshpo.surrogates import (
     rank_candidates,
     surrogate_by_name,
 )
-from tests.test_blackbox import random_configs
+from tests.test_blackbox import CALLER_BUGS, TRAINER_FAULTS, exc_id, random_configs
 
 
 @pytest.fixture(scope="module")
@@ -89,11 +90,35 @@ class TestEstimate:
             surrogate_by_name("r1"), slow, fidelity
         )
 
-    def test_blackbox_failure_scores_worst(self):
+    @pytest.mark.parametrize("fault", TRAINER_FAULTS, ids=exc_id)
+    def test_blackbox_failure_scores_worst(self, fault):
         def broken(config, epochs, fraction):
-            raise RuntimeError("gpu on fire")
+            raise fault
 
         assert estimate(surrogate_by_name("r4"), preset_config("p1"), broken) == 0.0
+
+    @pytest.mark.parametrize("bug", CALLER_BUGS, ids=exc_id)
+    def test_a_bug_in_the_caller_propagates(self, bug):
+        def broken(config, epochs, fraction):
+            raise bug
+
+        with pytest.raises(type(bug)):
+            estimate(surrogate_by_name("r4"), preset_config("p1"), broken)
+
+    def test_a_score_that_is_not_a_number_raises(self):
+        # only the trainer's own call can fail as a training; its result is the caller's
+        with pytest.raises(ValueError, match="could not convert"):
+            estimate(surrogate_by_name("r4"), preset_config("p1"), lambda config, epochs, fraction: "abc")
+
+    def test_a_fidelity_eval_of_the_wrong_arity_ends_the_campaign(self, tmp_path):
+        # a bug in the caller, not a failed training: taken as one, every
+        # estimate of p1 ranked with r4 scores 0.0 and is still charged
+        settings = CampaignSettings(preset="p1", bbe_budget=60, seed=0, surrogate="r4", out_dir=tmp_path)
+        plan = build_plan(settings)
+        fidelity_eval = plan.fidelity_eval
+        plan.fidelity_eval = lambda config, epochs: fidelity_eval(config, epochs, 1.0)
+        with pytest.raises(TypeError):
+            run_campaign(preset_config("p1"), 60, plan)
 
     def test_disabled_surrogate_cannot_estimate(self, fidelity):
         with pytest.raises(ValueError):
