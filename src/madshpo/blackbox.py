@@ -306,9 +306,9 @@ def curve_arrays(model: SimulatedModel, epochs: int, data_fraction: float) -> tu
     return acc, np.maximum(loss, 0.0)
 
 
-def simulate_curve(model: SimulatedModel, epochs: int, data_fraction: float = 1.0) -> TrainingHistory:
-    """Full curve as a history (constant learning-rate column)."""
-    acc, loss = curve_arrays(model, epochs, data_fraction)
+def simulate_curve(model: SimulatedModel, epochs: int) -> TrainingHistory:
+    """Full-data curve as a history (constant learning-rate column)."""
+    acc, loss = curve_arrays(model, epochs, 1.0)
     rows = zip(range(1, epochs + 1), acc.tolist(), loss.tolist(), repeat(model.initial_lr))
     return TrainingHistory.from_rows(rows)
 
@@ -374,8 +374,8 @@ class ProcessAdapter:
     line_timeout: float = 120.0
 
     @classmethod
-    def from_command(cls, command: str, line_timeout: float = 120.0) -> "ProcessAdapter":
-        return cls(tuple(shlex.split(command)), line_timeout)
+    def from_command(cls, command: str) -> "ProcessAdapter":
+        return cls(tuple(shlex.split(command)))
 
     def epochs(self, request: EvaluationRequest) -> EpochSource:
         """Epoch source over the line protocol of one child process.

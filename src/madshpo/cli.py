@@ -15,7 +15,7 @@ import json
 import sys
 from pathlib import Path
 
-from .campaign import LEDGER_NAME, CampaignSettings, header_data_fraction, resume, run, setting_fields
+from .campaign import LEDGER_NAME, SUMMARY_NAME, CampaignSettings, header_data_fraction, resume, run, setting_fields
 from .ledger import export_convergence, read_ledger, write_series
 from .mads import replay
 
@@ -76,7 +76,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command in ("run", "resume"):
             settings = CampaignSettings.from_text(_merge(args))
             result = run(settings) if args.command == "run" else resume(settings)
-            summary_path = Path(settings.out_dir) / "summary.json"
+            summary_path = Path(settings.out_dir) / SUMMARY_NAME
             summary = json.loads(summary_path.read_text())
             print(f"ledger: {Path(settings.out_dir) / LEDGER_NAME}")
             best = summary["best_score"]

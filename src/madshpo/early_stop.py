@@ -15,7 +15,7 @@ only when the incumbent changes, so a tie or a failure keeps the old one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -43,15 +43,14 @@ REASON_LR_FLOOR = "scheduler-lr-floor"
 REASON_ENVELOPE = "envelope-breach"
 
 
+@dataclass(slots=True)
 class TrainingHistory:
-    """Per-epoch validation series; epochs are contiguous from 1, so epoch e is index e - 1."""
+    """Per-epoch validation series; epochs are contiguous from 1, so epoch e is
+    index e - 1.  It starts empty, and ``append`` checks each epoch."""
 
-    __slots__ = ("val_accuracy", "val_loss", "learning_rate")
-
-    def __init__(self) -> None:
-        self.val_accuracy: list[float] = []
-        self.val_loss: list[float] = []
-        self.learning_rate: list[float] = []
+    val_accuracy: list[float] = field(default_factory=list, init=False)
+    val_loss: list[float] = field(default_factory=list, init=False)
+    learning_rate: list[float] = field(default_factory=list, init=False)
 
     def append(self, epoch: int, val_accuracy: float, val_loss: float, learning_rate: float) -> None:
         expected = len(self) + 1
@@ -77,18 +76,6 @@ class TrainingHistory:
 
     def __len__(self) -> int:
         return len(self.val_accuracy)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TrainingHistory):
-            return NotImplemented
-        return (
-            self.val_accuracy == other.val_accuracy
-            and self.val_loss == other.val_loss
-            and self.learning_rate == other.learning_rate
-        )
-
-    def accuracy_at(self, epoch: int) -> float:
-        return self.val_accuracy[epoch - 1]
 
     def best_accuracy(self) -> float:
         return max(self.val_accuracy) if self.val_accuracy else 0.0
@@ -131,9 +118,8 @@ class BaselineEnvelope:
         """Baseline accuracy at an epoch; its final value if it stopped earlier."""
         if self.baseline_curve is None or len(self.baseline_curve) == 0:
             return None
-        if epoch <= len(self.baseline_curve):
-            return self.baseline_curve.accuracy_at(epoch)
-        return self.baseline_curve.val_accuracy[-1]
+        accuracy = self.baseline_curve.val_accuracy
+        return accuracy[min(epoch, len(accuracy)) - 1]
 
 
 def check_envelope(history: TrainingHistory, envelope: BaselineEnvelope) -> StopVerdict:

@@ -10,30 +10,14 @@ structure; everything else is quantitative and lives on a mesh.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import cached_property, lru_cache
 from operator import attrgetter
 
 import numpy as np
 
 CONV_FIELDS = ("out_channels", "kernel_size", "stride", "padding", "pooling")
-
-# Trainer scalars in canonical serialization order.  Together with the
-# optimizer choice these form the 10 non-architecture slots.
-SCALAR_FIELDS = (
-    "learning_rate",
-    "batch_size",
-    "dropout",
-    "weight_decay",
-    "momentum",
-    "lr_decay",
-    "grad_clip",
-    "label_smoothing",
-    "epoch_scale",
-)
-
 _conv_values = attrgetter(*CONV_FIELDS)
-_scalar_values = attrgetter(*SCALAR_FIELDS)
 
 # Architecture sizes whose slot layouts each SpaceBounds instance keeps (the
 # cache then starts over), and whose slot names the module keeps.
@@ -106,23 +90,25 @@ class Configuration:
 
     The layer counts ``n_conv``/``n_fc`` (categorical decision variables)
     are the lengths of the layer tuples, so they cannot disagree with them.
-    ``key`` is the canonical text of :func:`serialize`, computed once per
-    object; it is not a field, so it takes no part in equality, hashing or
-    repr.
+    The optimizer and the trainer scalars default to the stock values, and
+    the scalars' field order is their canonical serialization order
+    (``SCALAR_FIELDS``).  ``key`` is the canonical text of
+    :func:`serialize`, computed once per object; it is not a field, so it
+    takes no part in equality, hashing or repr.
     """
 
     conv_layers: tuple[ConvLayerHP, ...]
     fc_sizes: tuple[int, ...]
-    optimizer: str
-    learning_rate: float
-    batch_size: int
-    dropout: float
-    weight_decay: float
-    momentum: float
-    lr_decay: float
-    grad_clip: float
-    label_smoothing: float
-    epoch_scale: float
+    optimizer: str = "sgd"
+    learning_rate: float = 0.01
+    batch_size: int = 128
+    dropout: float = 0.2
+    weight_decay: float = 1e-5
+    momentum: float = 0.9
+    lr_decay: float = 0.5
+    grad_clip: float = 2.0
+    label_smoothing: float = 0.05
+    epoch_scale: float = 1.0
 
     @property
     def n_conv(self) -> int:
@@ -136,6 +122,12 @@ class Configuration:
     def key(self) -> str:
         """Canonical text: the ledger text, dedup key and noise-seed input."""
         return serialize(self)
+
+
+# The trainer scalars: Configuration's fields after the optimizer.  Together
+# with the optimizer choice they form the non-architecture slots.
+SCALAR_FIELDS = tuple(f.name for f in fields(Configuration))[3:]
+_scalar_values = attrgetter(*SCALAR_FIELDS)
 
 
 @dataclass(frozen=True)
@@ -201,32 +193,17 @@ _DEFAULT_CONV = ConvLayerHP(out_channels=16, kernel_size=5, stride=1, padding=2,
 def make_config(
     conv_layers: tuple[ConvLayerHP, ...],
     fc_sizes: tuple[int, ...],
-    optimizer: str = "sgd",
+    optimizer: str = Configuration.optimizer,
     **scalars: float,
 ) -> Configuration:
-    """Build a configuration with layer counts derived from the lists."""
-    values = {
-        "learning_rate": 0.01,
-        "batch_size": 128,
-        "dropout": 0.2,
-        "weight_decay": 1e-5,
-        "momentum": 0.9,
-        "lr_decay": 0.5,
-        "grad_clip": 2.0,
-        "label_smoothing": 0.05,
-        "epoch_scale": 1.0,
-    }
-    unknown = set(scalars) - set(values)
+    """Build a configuration from layer sequences; scalars not given keep
+    ``Configuration``'s stock values."""
+    unknown = scalars.keys() - set(SCALAR_FIELDS)
     if unknown:
         raise ValueError(f"unknown scalar fields: {sorted(unknown)}")
-    values.update(scalars)
-    values["batch_size"] = int(values["batch_size"])
-    return Configuration(
-        conv_layers=tuple(conv_layers),
-        fc_sizes=tuple(int(s) for s in fc_sizes),
-        optimizer=optimizer,
-        **values,
-    )
+    if "batch_size" in scalars:
+        scalars["batch_size"] = int(scalars["batch_size"])
+    return Configuration(tuple(conv_layers), tuple(int(s) for s in fc_sizes), optimizer, **scalars)
 
 
 def preset_config(name: str) -> Configuration:
@@ -241,16 +218,18 @@ def preset_config(name: str) -> Configuration:
 
 
 def dimension(n_conv: int, n_fc: int) -> int:
-    """Problem dimension: 5 per conv layer, 1 per FC layer, 10 fixed slots."""
+    """Problem dimension: one slot per conv field of each conv layer, one per
+    FC layer, then the optimizer and the trainer scalars."""
     if n_conv < 0 or n_fc < 0:
         raise ValueError("layer counts must be non-negative")
-    return 5 * n_conv + n_fc + 10
+    return len(CONV_FIELDS) * n_conv + n_fc + len(SCALAR_FIELDS) + 1
 
 
 @lru_cache(maxsize=_MAX_LAYOUTS)
 def slot_names(n_conv: int, n_fc: int) -> tuple[str, ...]:
     """Names of the quantitative slots in canonical order: each conv layer's
-    fields by layer index, then the FC sizes, then the trainer scalars."""
+    fields by layer index, then the FC sizes, then the trainer scalars in
+    ``Configuration``'s field order."""
     convs = [f"conv{i}.{field}" for i in range(n_conv) for field in CONV_FIELDS]
     return (*convs, *(f"fc{i}" for i in range(n_fc)), *SCALAR_FIELDS)
 
@@ -265,13 +244,14 @@ def _raw_values(config: Configuration) -> list:
 
 def _from_values(optimizer: str, n_conv: int, values: list) -> Configuration:
     """The configuration whose quantitative slots hold ``values`` in slot order."""
-    n_conv_values = 5 * n_conv
+    width = len(CONV_FIELDS)
+    n_conv_values = width * n_conv
     n_quant = len(values) - len(SCALAR_FIELDS)
     return Configuration(
-        conv_layers=tuple(ConvLayerHP(*values[i:i + 5]) for i in range(0, n_conv_values, 5)),
-        fc_sizes=tuple(values[n_conv_values:n_quant]),
-        optimizer=optimizer,
-        **dict(zip(SCALAR_FIELDS, values[n_quant:])),
+        tuple(ConvLayerHP(*values[i:i + width]) for i in range(0, n_conv_values, width)),
+        tuple(values[n_conv_values:n_quant]),
+        optimizer,
+        *values[n_quant:],
     )
 
 
@@ -403,7 +383,8 @@ def _format(value) -> str:
 
 def serialize(config: Configuration) -> str:
     """Flat ``name=value`` tokens, space separated, in canonical slot order
-    with the optimizer before the trainer scalars."""
+    with the optimizer before the trainer scalars: the order of
+    ``Configuration``'s fields, each conv layer spelled out."""
     names = slot_names(config.n_conv, config.n_fc)
     tokens = [f"{name}={_format(value)}" for name, value in zip(names, _raw_values(config))]
     tokens.insert(len(tokens) - len(SCALAR_FIELDS), f"optimizer={config.optimizer}")
@@ -436,7 +417,7 @@ def deserialize(text: str) -> Configuration:
         missing = [name for name in names if name not in raw]
         raise ValueError(f"slots do not match {n_conv} conv and {n_fc} FC layers: "
                          f"unknown {unknown}, missing {missing}")
-    n_int = 5 * n_conv + n_fc
+    n_int = len(CONV_FIELDS) * n_conv + n_fc
     values = [int(raw[name]) if i < n_int or name == "batch_size" else float(raw[name])
               for i, name in enumerate(names)]
     return _from_values(optimizer, n_conv, values)

@@ -3,12 +3,14 @@
 Each surrogate trains a candidate briefly (fewer epochs and/or a data
 subset) and charges a fixed fraction of one full blackbox evaluation.
 Rankings are static: nothing is refit during a run.  An estimate whose
-trainer raises one of ``blackbox.TRAINER_FAULTS`` scores ``WORST_SCORE``.
+trainer raises one of ``blackbox.TRAINER_FAULTS``, or returns a score that
+is not finite, scores ``WORST_SCORE``.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -87,7 +89,8 @@ FidelityEval = Callable[[Configuration, int, float], float]
 
 
 def estimate(spec: SurrogateSpec, config: Configuration, blackbox: FidelityEval) -> float:
-    """Low-fidelity accuracy estimate; a trainer fault scores worst and is logged.
+    """Low-fidelity accuracy estimate; a trainer fault or a score that is not
+    finite scores worst and is logged.
 
     Surrogate trainings never apply early stopping: the truncated budget is
     the whole point of the surrogate.
@@ -99,7 +102,11 @@ def estimate(spec: SurrogateSpec, config: Configuration, blackbox: FidelityEval)
     except TRAINER_FAULTS as exc:
         logger.warning("surrogate estimate failed: %s", exc, exc_info=True)
         return WORST_SCORE
-    return float(score)
+    score = float(score)
+    if not math.isfinite(score):
+        logger.warning("surrogate estimate %r is not finite", score)
+        return WORST_SCORE
+    return score
 
 
 @dataclass(frozen=True)

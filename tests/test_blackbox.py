@@ -1,4 +1,5 @@
 import math
+import re
 import subprocess
 import sys
 import time
@@ -38,6 +39,21 @@ TRAINER_FAULTS = [
 ]
 CALLER_BUGS = [TypeError("takes 1 positional argument"), AttributeError("no attribute"), KeyError("slot"),
                AssertionError()]
+
+
+# Configurations no trainer can run: the changes to p1, and the first rule they break.
+_P1_CONV = preset_config("p1").conv_layers[0]
+UNTRAINABLE = {
+    "zero-learning-rate": (dict(learning_rate=0.0), "non-positive learning rate"),
+    "zero-batch": (dict(batch_size=0), "batch size below 1"),
+    "dropout-above-1": (dict(dropout=1.5), "dropout outside [0, 1]"),
+    "negative-dropout": (dict(dropout=-0.1), "dropout outside [0, 1]"),
+    "negative-weight-decay": (dict(weight_decay=-1e-5), "negative weight decay"),
+    "zero-grad-clip": (dict(grad_clip=0.0), "non-positive grad clip"),
+    "zero-stride": (dict(conv_layers=(replace(_P1_CONV, stride=0),)), "conv layer field below 1"),
+    "negative-padding": (dict(conv_layers=(replace(_P1_CONV, padding=-1),)), "negative padding"),
+    "zero-fc": (dict(fc_sizes=(128, 0)), "fc size below 1"),
+}
 
 
 def exc_id(exc):
@@ -207,6 +223,13 @@ class TestEvaluate:
 
         assert estimate(surrogate_by_name("r4"), broken, fidelity) == 0.0
 
+    @pytest.mark.parametrize("changes,message", list(UNTRAINABLE.values()), ids=list(UNTRAINABLE))
+    def test_each_untrainable_field_is_named(self, blackbox, changes, message):
+        config = replace(preset_config("p1"), **changes)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            blackbox.final_accuracy(config, 0, 10, 1.0)
+        assert blackbox.evaluate(EvaluationRequest(config, 10, 1.0, 0)).failed
+
     @pytest.mark.parametrize("sigma", [-0.1, math.nan, math.inf])
     def test_noise_sigma_must_be_finite_and_non_negative(self, sigma):
         with pytest.raises(ValueError, match="noise_sigma"):
@@ -223,6 +246,10 @@ class TestEvaluate:
     def test_short_request_runs_every_epoch(self, blackbox):
         result = blackbox.evaluate(EvaluationRequest(preset_config("p1"), 10, 1.0, 0))
         assert result.epochs_used == 10
+
+    def test_a_curve_needs_an_epoch(self, blackbox):
+        with pytest.raises(ValueError, match="epochs must be >= 1"):
+            curve_arrays(blackbox.model_for(preset_config("p1"), 0), 0, 1.0)
 
 
 def fake_epochs(rows, log):

@@ -56,6 +56,10 @@ class TestSettings:
             CampaignSettings(backend="external")  # missing command
         with pytest.raises(ValueError):
             CampaignSettings(preset="p9").__class__ and initial_config(CampaignSettings(preset="p9"))
+        with pytest.raises(ValueError, match="max_epochs must be >= 1"):
+            CampaignSettings(max_epochs=0)
+        with pytest.raises(ValueError, match="unknown backend 'gpu'"):
+            CampaignSettings(backend="gpu")
 
     def test_surrogate_is_checked_and_written_in_header_form(self, tmp_path):
         with pytest.raises(ValueError, match="unknown surrogate 'bogus'"):
@@ -288,6 +292,9 @@ class TestExport:
     def test_empty_ledger_rejected(self):
         with pytest.raises(ValueError):
             export_convergence([])
+        estimate = LedgerRecord(0, KIND_SURROGATE, "x=1", 0.3, 200, "none", 0.1, 0.1, False, 1, 0)
+        with pytest.raises(ValueError, match="ledger has no full evaluations"):
+            export_convergence([estimate])
 
     def test_single_eval_ledger(self):
         rec = LedgerRecord(0, KIND_FULL, "x=1", 0.5, 200, "none", 1.0, 1.0, True, 0, 0)
@@ -418,7 +425,7 @@ class TestLedgerIO:
             read_ledger(path)
 
     @pytest.mark.parametrize("edit", ["cut", "extra", "bad-score", "bad-kind", "bad-incumbent", "negative-epochs", "quote",
-                                      "header-after-columns"])
+                                      "header-after-columns", "negative-charge"])
     def test_wrong_field_count_rejected(self, tmp_path, edit):
         records = [LedgerRecord(i, KIND_FULL, "x=1", 0.5, 1, "none", 1.0, i + 1.0, True, i, 0) for i in range(2)]
         path = tmp_path / "ledger.csv"
@@ -434,10 +441,35 @@ class TestLedgerIO:
             "negative-epochs": ",".join(fields[:4] + ["-1"] + fields[5:]),
             "quote": ",".join(fields[:2] + ['"x=1"'] + fields[3:]),
             "header-after-columns": "# seed = 1",
+            # the cumulative cost is the running sum, so only the sign is wrong
+            "negative-charge": ",".join(fields[:6] + ["-1.0", "0.0"] + fields[8:]),
         }[edit]
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match=f"{path}:4: "):
             read_ledger(path)
+
+
+def _resequenced(records):
+    """``records`` with the record indices and cumulative costs of their new order."""
+    total, out = 0.0, []
+    for i, record in enumerate(records):
+        total += record.charged_cost
+        out.append(replace(record, record_index=i, cumulative_cost=total))
+    return out
+
+
+# Why replay refuses the first row that each edit puts out of place.
+MISPLACED_REASONS = {
+    "raised-mesh-index": "mesh_index 1, expected 0",
+    "cleared-incumbent": "incumbent 0, expected 1",
+    "iteration-out-of-order": "iteration 3 after iteration 4",
+    "replaced-start-point": "config is not the initial configuration",
+    "lowered-ranking-pass": "ranking pass does not repeat the first estimate, record 40",
+    "deleted-ranking-pass": "full-eval after estimates without their ranking pass",
+    "second-start-point-row": "iteration 0 holds more than the start point",
+    "estimate-after-ranking-pass": "estimate after a ranking-pass of its iteration",
+    "repeated-ranking-pass": "ranking pass does not follow its iteration's estimates",
+}
 
 
 class TestCli:
@@ -584,6 +616,7 @@ class TestCli:
     @pytest.mark.parametrize("edit,first", [
         ("raised-mesh-index", 79), ("cleared-incumbent", 117), ("iteration-out-of-order", 123),
         ("replaced-start-point", 0), ("lowered-ranking-pass", 77), ("deleted-ranking-pass", 77),
+        ("second-start-point-row", 1), ("estimate-after-ranking-pass", 77), ("repeated-ranking-pass", 79),
     ])
     def test_kept_rows_against_the_campaign_rules_are_a_clean_error(self, tmp_path, capsys, edit, first, command):
         # each edit keeps the ledger readable, and read alone every edited
@@ -610,15 +643,25 @@ class TestCli:
         elif edit == "lowered-ranking-pass":
             assert (records[77].kind, records[77].iteration, records[77].score) == (KIND_RANKING, 2, 0.6541)
             records[77] = replace(records[77], score=records[77].score - 0.01)
-        else:
+        elif edit == "deleted-ranking-pass":
             # a ranking pass charges nothing, so only the record indices move
             assert (records[77].kind, records[77].charged_cost) == (KIND_RANKING, 0.0)
             records = [replace(r, record_index=i) for i, r in enumerate(records[:77] + records[78:])]
+        elif edit == "second-start-point-row":
+            assert (records[1].kind, records[1].iteration) == (KIND_SURROGATE, 1)
+            records[1] = replace(records[1], iteration=0)
+        elif edit == "estimate-after-ranking-pass":
+            assert [r.kind for r in records[76:78]] == [KIND_SURROGATE, KIND_RANKING]
+            records = _resequenced(records[:76] + [records[77], records[76]] + records[78:])
+        else:
+            assert [(r.kind, r.iteration) for r in records[77:80]] == [
+                (KIND_RANKING, 2), (KIND_FULL, 2), (KIND_SURROGATE, 3)]
+            records = _resequenced(records[:79] + [records[77]] + records[79:])
         write_ledger(ledger, records, header)
         series = ["--ledger", str(ledger), "--out", str(tmp_path / "series.csv")]
         assert main([command, *(series if command == "export" else argv)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {ledger}: record {first}: ") and err.count("\n") == 1
+        assert err == f"error: {ledger}: record {first}: {MISPLACED_REASONS[edit]}\n"
         assert not (tmp_path / "series.csv").exists()
 
     def test_export_without_initial_header_skips_only_the_start_point_check(self, tmp_path):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -48,6 +49,16 @@ class TestTrainingHistory:
         h.append(1, 0.5, 1.0, 0.01)
         with pytest.raises(ValueError):
             h.append(3, 0.5, 1.0, 0.01)
+
+    def test_starts_empty_and_takes_no_arguments(self):
+        # append is the only way in, so every epoch is checked
+        with pytest.raises(TypeError):
+            TrainingHistory([0.5])
+        h = TrainingHistory()
+        assert (h.val_accuracy, h.val_loss, h.learning_rate) == ([], [], [])
+        h.append(1, 0.5, 1.0, 0.01)
+        assert h == flat_history(1, acc=0.5, loss=1.0) != TrainingHistory()
+        assert repr(h) == "TrainingHistory(val_accuracy=[0.5], val_loss=[1.0], learning_rate=[0.01])"
 
     def test_field_ranges(self):
         h = TrainingHistory()
@@ -199,6 +210,12 @@ class TestEnvelope:
             BaselineEnvelope(None, (5, 10), (0.6, 0.5))
         with pytest.raises(ValueError):
             BaselineEnvelope(None, (5, 10), (0.5,))
+        with pytest.raises(ValueError, match=re.escape("margins must lie in (0, 1]")):
+            BaselineEnvelope(None, (5, 10), (0.5, 1.2))
+
+    def test_empty_history_refused(self):
+        with pytest.raises(ValueError, match="history is empty"):
+            check_envelope(TrainingHistory(), self.make_envelope())
 
 
 def scripted_campaign(scores):
@@ -299,6 +316,11 @@ class TestStoppingMonitor:
     def test_bad_mode_rejected(self):
         with pytest.raises(ValueError):
             StoppingMonitor("hyperband")
+
+    @pytest.mark.parametrize("rate", [0.0, -0.01])
+    def test_non_positive_initial_rate_rejected(self, rate):
+        with pytest.raises(ValueError, match="initial learning rate must be positive"):
+            StoppingMonitor("scheduler").start(rate)
 
 
 def _baseline_curve():

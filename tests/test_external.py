@@ -128,6 +128,28 @@ class TestExternalEvaluate:
         result = external_evaluate(EvaluationRequest(preset_config("p1"), 10, 1.0, 0), adapter)
         assert result.failed
 
+    @pytest.mark.parametrize("body,message", [
+        ("""
+            sys.stdin.readline()
+            print("EPOCH 1 ACC 0.5 LOSS 1.0 RATE 0.01", flush=True)
+            sys.stdin.readline()
+            print("DONE", flush=True)
+        """, "malformed epoch line 'EPOCH 1 ACC 0.5 LOSS 1.0 RATE 0.01'"),
+        ("""
+            sys.stdin.readline()
+            for e in (1, 2):
+                print(f"EPOCH {e} ACC 0.5 LOSS 1.0 LR 0.01", flush=True)
+                sys.stdin.readline()
+            print("DONE", flush=True)
+        """, "missing DONE after STOP, got 'EPOCH 2 ACC 0.5 LOSS 1.0 LR 0.01'"),
+    ], ids=["malformed-epoch-line", "epoch-after-stop"])
+    def test_protocol_violation_fails_by_name(self, tmp_path, caplog, body, message):
+        adapter = make_stub(tmp_path, body)
+        result = external_evaluate(EvaluationRequest(preset_config("p1"), 1, 1.0, 0), adapter)
+        assert result.failed
+        assert f"evaluation failed: {message}" in caplog.messages
+
     def test_from_command_splits_shell_words(self):
         adapter = ProcessAdapter.from_command("python3 -u trainer.py --gpu 0")
         assert adapter.command == ("python3", "-u", "trainer.py", "--gpu", "0")
+        assert adapter.line_timeout == 120.0

@@ -11,6 +11,7 @@ from madshpo.util import hash_u64
 from madshpo.space import (
     CONV_FIELDS,
     SCALAR_FIELDS,
+    Configuration,
     ConvLayerHP,
     SlotSpec,
     SpaceBounds,
@@ -288,6 +289,7 @@ INVALID_CONFIGS = {
         ["conv0.out_channels=0 outside [4, 128]"],
     ),
     "nine-conv": (make_config((_P1_CONV,) * 9, ()), ["n_conv=9 outside [0, 8]"]),
+    "seven-fc": (make_config((), (128,) * 7), ["n_fc=7 outside [0, 6]"]),
     "optimizer": (
         make_config((), (), optimizer="lbfgs"),
         ["optimizer='lbfgs' not in ('sgd', 'adam', 'adagrad', 'rmsprop')"],
@@ -309,6 +311,73 @@ INVALID_CONFIGS = {
 @pytest.mark.parametrize("config,problems", list(INVALID_CONFIGS.values()), ids=list(INVALID_CONFIGS))
 def test_validate_problem_lists(bounds, config, problems):
     assert validate(config, bounds) == problems
+
+
+# Each refused slot rule, with the text it is refused by.
+REFUSED_SLOTS = {
+    "lower-above-upper": (dict(lower=2.0, upper=1.0), "slot lower 2.0 > upper 1.0"),
+    "zero-granularity": (dict(lower=0.0, upper=1.0, granularity=0.0), "granularity must be positive"),
+    "log10-from-zero": (dict(lower=0.0, upper=1.0, log10=True), "log10 slots need positive lower bound"),
+    "integer-log10": (dict(lower=1.0, upper=8.0, integer=True, log10=True), "integer slots cannot be log10 scaled"),
+}
+
+
+@pytest.mark.parametrize("kwargs,message", list(REFUSED_SLOTS.values()), ids=list(REFUSED_SLOTS))
+def test_slot_spec_refuses(kwargs, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        SlotSpec(**kwargs)
+
+
+# Each refused field of the stock bounds, with the text it is refused by.
+REFUSED_BOUNDS = {
+    "n_conv-range-reversed": (dict(n_conv_range=(3, 2)), "bad n_conv range (3, 2)"),
+    "n_fc-range-negative": (dict(n_fc_range=(-1, 2)), "bad n_fc range (-1, 2)"),
+    "no-optimizer": (dict(optimizers=()), "need at least one optimizer"),
+    "eight-scalar-slots": (dict(scalar_slots=default_bounds().scalar_slots[:-1]), "expected 9 scalar slots"),
+}
+
+
+@pytest.mark.parametrize("changes,message", list(REFUSED_BOUNDS.values()), ids=list(REFUSED_BOUNDS))
+def test_space_bounds_refuses(bounds, changes, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        replace(bounds, **changes)
+
+
+def test_make_config_refuses_an_unknown_scalar():
+    with pytest.raises(ValueError, match=re.escape("unknown scalar fields: ['lerning_rate']")):
+        make_config((), (), lerning_rate=0.1)
+
+
+class TestConfigurationOwnsTheStockScalars:
+    def test_layers_alone_take_the_stock_scalars(self):
+        p1 = preset_config("p1")
+        config = Configuration(p1.conv_layers, p1.fc_sizes)
+        assert config == make_config(p1.conv_layers, p1.fc_sizes) == p1
+        assert config.optimizer == "sgd"
+        assert [getattr(config, name) for name in SCALAR_FIELDS] == [0.01, 128, 0.2, 1e-5, 0.9, 0.5, 2.0, 0.05, 1.0]
+        assert isinstance(config.batch_size, int)
+
+    def test_scalar_fields_are_the_fields_after_the_optimizer(self):
+        assert SCALAR_FIELDS == (
+            "learning_rate", "batch_size", "dropout", "weight_decay", "momentum", "lr_decay", "grad_clip",
+            "label_smoothing", "epoch_scale",
+        )
+        names = [f.name for f in fields(Configuration)]
+        assert names == ["conv_layers", "fc_sizes", "optimizer", *SCALAR_FIELDS]
+
+    def test_numpy_values_write_the_same_key(self):
+        # a mesh step hands over numpy scalars; the text must not show it
+        p1 = preset_config("p1")
+        layer = ConvLayerHP(*map(np.int64, (16, 5, 1, 2, 2)))
+        scalars = {name: np.float64(getattr(p1, name)) for name in SCALAR_FIELDS if name != "batch_size"}
+        config = make_config((layer,), map(np.int64, p1.fc_sizes), batch_size=np.int64(128), **scalars)
+        assert type(config.conv_layers[0].kernel_size) is np.int64
+        assert type(config.dropout) is np.float64
+        assert config.key == p1.key == _P1_TEXT
+
+    def test_a_bool_is_not_a_slot_value(self):
+        with pytest.raises(TypeError, match="bool is not a slot value"):
+            make_config((), (), momentum=True).key
 
 
 class TestConfigurationOwnsDerivedValues:

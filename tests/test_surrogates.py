@@ -1,10 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 
 from madshpo.blackbox import EvaluationRequest, SimulatedBlackbox
 from madshpo.campaign import CampaignSettings, build_plan
-from madshpo.mads import PollCandidate, run_campaign
-from madshpo.space import make_config, preset_config
+from madshpo.ledger import KIND_SURROGATE, read_ledger, write_ledger
+from madshpo.mads import PollCandidate, replay, run_campaign
+from madshpo.space import make_config, preset_config, to_vector
 from madshpo.surrogates import (
     SurrogateSpec,
     estimate,
@@ -12,6 +15,7 @@ from madshpo.surrogates import (
     surrogate_by_name,
 )
 from tests.test_blackbox import CALLER_BUGS, TRAINER_FAULTS, exc_id, random_configs
+from tests.test_mads import QUAD_CENTER, QUAD_START, frozen_bounds, quadratic_plan
 
 
 @pytest.fixture(scope="module")
@@ -109,6 +113,27 @@ class TestEstimate:
         # only the trainer's own call can fail as a training; its result is the caller's
         with pytest.raises(ValueError, match="could not convert"):
             estimate(surrogate_by_name("r4"), preset_config("p1"), lambda config, epochs, fraction: "abc")
+
+    @pytest.mark.parametrize("score", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    def test_a_score_that_is_not_finite_scores_worst(self, caplog, score):
+        assert estimate(surrogate_by_name("r4"), preset_config("p1"), lambda config, epochs, fraction: score) == 0.0
+        assert caplog.messages == [f"surrogate estimate {score!r} is not finite"]
+
+    @pytest.mark.parametrize("score", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_a_campaign_of_non_finite_estimates_writes_a_ledger_that_replays(self, tmp_path, score):
+        # a NaN estimate is unequal to itself once read back, so replay would
+        # refuse the ranking pass that repeats it; an inf one would rank first
+        bounds = frozen_bounds()
+        center = to_vector(make_config((), (), **QUAD_CENTER), bounds)
+        plan = quadratic_plan(bounds, center, 0, max_iterations=5, surrogate="r4")
+        plan.fidelity_eval = lambda config, epochs, fraction: score
+        start = make_config((), (), **QUAD_START)
+        result = run_campaign(start, 100, plan)
+        write_ledger(tmp_path / "ledger.csv", result.records, {})
+        _, records = read_ledger(tmp_path / "ledger.csv")
+        replay(records, start.key, "ledger")
+        estimates = [r.score for r in records if r.kind == KIND_SURROGATE]
+        assert len(estimates) > 50 and set(estimates) == {0.0}
 
     def test_a_fidelity_eval_of_the_wrong_arity_ends_the_campaign(self, tmp_path):
         # a bug in the caller, not a failed training: taken as one, every
