@@ -22,7 +22,6 @@ from .ledger import LedgerRecord, export_convergence, read_ledger, write_ledger
 from .mads import (
     CampaignResult,
     Mesh,
-    PollSet,
     RunPlan,
     generate_poll,
     run_campaign,

@@ -350,7 +350,7 @@ def lattice_sweep(
     blackbox: SimulatedBlackbox,
     bounds: SpaceBounds,
     seed: int,
-    max_epochs: int = 200,
+    max_epochs: int = EvaluationRequest.max_epochs,
 ) -> tuple[Configuration, float]:
     """Brute-force best (config, accuracy) over the coarse lattice."""
     best_config = None

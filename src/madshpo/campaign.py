@@ -34,7 +34,7 @@ from .early_stop import DEFAULT_MARGINS, DEFAULT_MILESTONES, MODES, BaselineEnve
 from .ledger import KIND_FULL, LedgerRecord, read_ledger, write_ledger
 # benchmark/tracing.py wraps serialize by this name; Configuration.key calls it.
 from .space import Configuration, SpaceBounds, default_bounds, deserialize, preset_config, serialize  # noqa: F401
-from .surrogates import SurrogateSpec, surrogate_by_name
+from .surrogates import surrogate_by_name
 
 LEDGER_NAME = "ledger.csv"
 SUMMARY_NAME = "summary.json"
@@ -76,7 +76,7 @@ class CampaignSettings:
         help="file holding a serialized configuration")
     seed: int = _setting(0, int, help="random seed")
     bbe_budget: int = _setting(200, int, key="budget", help="blackbox-evaluation budget")
-    max_epochs: int = _setting(200, int, help="epochs of one full training")
+    max_epochs: int = _setting(EvaluationRequest.max_epochs, int, help="epochs of one full training")
     stop_mode: str = _setting("scheduler+baseline", str, key="stop", choices=MODES, help="early-stopping strategy")
     surrogate: str = _setting("r4", lambda text: surrogate_by_name(text).text, key="rank",
                               help="ranking surrogate: r1..r4, oracle, none, or epochs,fraction,cost")
@@ -84,16 +84,17 @@ class CampaignSettings:
                              help="output directory (ledger + summary)")
     backend: str = _setting("simulated", str, choices=BACKENDS, help="trainer backend")
     external_command: str | None = _setting(None, str, key="backend_cmd", help="external trainer command")
-    charge_ranking: bool = _setting(True, _parse_bool, flag="--no-charge-ranking", action="store_const",
-                                    const="0", help="do not charge ranking passes against the budget")
-    min_mesh_index: int = _setting(-50, int, help="stop once the mesh index falls below this")
+    charge_ranking: bool = _setting(mads.RunPlan.charge_ranking, _parse_bool, flag="--no-charge-ranking",
+                                    action="store_const", const="0",
+                                    help="do not charge ranking passes against the budget")
+    min_mesh_index: int = _setting(mads.RunPlan.min_mesh_index, int, help="stop once the mesh index falls below this")
     max_iterations: int | None = _setting(
         None, lambda text: None if text in ("", "-") else int(text), help="iteration cap")
     milestones: tuple[int, ...] = _setting(
         DEFAULT_MILESTONES, _comma_list(int), help="comma-separated milestone epochs")
     margins: tuple[float, ...] = _setting(
         DEFAULT_MARGINS, _comma_list(float), help="comma-separated envelope margins")
-    noise_sigma: float = _setting(1e-4, float, help="noise level of the simulated trainer")
+    noise_sigma: float = _setting(SimulatedBlackbox.noise_sigma, float, help="noise level of the simulated trainer")
 
     def __post_init__(self) -> None:
         if self.bbe_budget <= 0:
@@ -151,14 +152,6 @@ def initial_config(settings: CampaignSettings) -> Configuration:
     return preset_config(settings.preset)
 
 
-def surrogate_spec(settings: CampaignSettings) -> SurrogateSpec:
-    """The ranking surrogate, which never trains longer than a full training."""
-    spec = surrogate_by_name(settings.surrogate)
-    if spec.epoch_budget > settings.max_epochs:
-        spec = replace(spec, epoch_budget=settings.max_epochs)
-    return spec
-
-
 def build_plan(settings: CampaignSettings, bounds: SpaceBounds | None = None) -> mads.RunPlan:
     bounds = bounds or default_bounds()
     if settings.backend == "simulated":
@@ -180,10 +173,12 @@ def build_plan(settings: CampaignSettings, bounds: SpaceBounds | None = None) ->
     def full_eval(config: Configuration, monitor):
         return evaluate(EvaluationRequest(config, settings.max_epochs, 1.0, settings.seed, monitor))
 
+    spec = surrogate_by_name(settings.surrogate)
     return mads.RunPlan(
         bounds=bounds,
         seed=settings.seed,
-        surrogate=surrogate_spec(settings),
+        # the ranking surrogate never trains longer than a full training
+        surrogate=replace(spec, epoch_budget=min(spec.epoch_budget, settings.max_epochs)),
         stop_mode=settings.stop_mode,
         milestones=settings.milestones,
         margins=settings.margins,

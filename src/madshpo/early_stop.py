@@ -58,10 +58,10 @@ class TrainingHistory:
             raise ValueError(f"epoch {epoch} breaks contiguity (expected {expected})")
         if not 0.0 <= val_accuracy <= 1.0:
             raise ValueError(f"val_accuracy {val_accuracy} outside [0, 1]")
-        if val_loss < 0.0:
-            raise ValueError(f"val_loss {val_loss} must be non-negative")
-        if learning_rate <= 0.0:
-            raise ValueError(f"learning_rate {learning_rate} must be positive")
+        if not 0.0 <= val_loss < math.inf:
+            raise ValueError(f"val_loss {val_loss} outside [0, inf)")
+        if not 0.0 < learning_rate < math.inf:
+            raise ValueError(f"learning_rate {learning_rate} outside (0, inf)")
         self.val_accuracy.append(float(val_accuracy))
         self.val_loss.append(float(val_loss))
         self.learning_rate.append(float(learning_rate))
@@ -107,12 +107,13 @@ class BaselineEnvelope:
     def __post_init__(self) -> None:
         if len(self.milestones) != len(self.margins):
             raise ValueError("milestones and margins must have equal length")
-        if any(b <= a for a, b in zip(self.milestones, self.milestones[1:])):
+        # each check is written so that a NaN fails it
+        if any(not b > a for a, b in zip(self.milestones, self.milestones[1:])):
             raise ValueError("milestones must be strictly increasing")
-        if any(b <= a for a, b in zip(self.margins, self.margins[1:])):
-            raise ValueError("margins must be strictly increasing")
-        if self.margins and not (0.0 < self.margins[0] and self.margins[-1] <= 1.0):
+        if any(not 0.0 < m <= 1.0 for m in self.margins):
             raise ValueError("margins must lie in (0, 1]")
+        if any(not b > a for a, b in zip(self.margins, self.margins[1:])):
+            raise ValueError("margins must be strictly increasing")
 
     def baseline_at(self, epoch: int) -> float | None:
         """Baseline accuracy at an epoch; its final value if it stopped earlier."""

@@ -50,7 +50,6 @@ logger = logging.getLogger(__name__)
 
 ORIGIN_DIRECTION = "poll-direction"
 ORIGIN_NEIGHBOR = "categorical-neighbor"
-ORIGIN_INITIAL = "initial"
 
 # The coarsest mesh index: campaigns start here and never coarsen past it.
 MAX_MESH_INDEX = 0
@@ -104,13 +103,10 @@ class Mesh:
         gran = layout.granularity
         return gran * np.maximum(1.0, np.round(self.poll_sizes(layout) / gran))
 
-    def snap(self, layout: SlotLayout, values: np.ndarray) -> np.ndarray:
-        """Snap a vector in slot order, or each column of an (n, m) matrix,
-        to the nearest in-bounds point of this mesh."""
-        steps, lowers, uppers = self.spacing(layout), layout.lowers, layout.uppers
-        if np.ndim(values) == 2:
-            steps, lowers, uppers = steps[:, None], lowers[:, None], uppers[:, None]
-        return snap_array(values, steps, lowers, uppers)
+    def snap(self, layout: SlotLayout, points: np.ndarray) -> np.ndarray:
+        """Snap each column of an (n, m) matrix of points in slot order to
+        the nearest in-bounds point of this mesh."""
+        return snap_array(points, self.spacing(layout)[:, None], layout.lowers[:, None], layout.uppers[:, None])
 
     def project(self, config: Configuration, bounds: SpaceBounds) -> Configuration:
         """Snap every quantitative slot to this mesh and clip it into bounds.
@@ -119,7 +115,7 @@ class Mesh:
         points map to themselves and clipped bounds stay put.
         """
         layout = slot_layout(bounds, config.n_conv, config.n_fc)
-        return with_vector(config, bounds, self.snap(layout, to_vector(config, bounds)))
+        return with_vector(config, bounds, self.snap(layout, to_vector(config, bounds)[:, None])[:, 0])
 
 
 @dataclass(frozen=True)
@@ -278,15 +274,11 @@ def iteration_seed(seed: int, iteration: int) -> int:
     return hash_u64("poll-directions", seed, iteration)
 
 
-def _full_evaluation(
-    state: CampaignState, plan: RunPlan, candidate: PollCandidate, iteration: int
-) -> float:
-    """Run one full evaluation of a poll candidate, charge it and record it;
-    if it improves, it becomes the incumbent and its curve the baseline.
-    Returns the score the poll compares with the incumbent: ``-inf`` for a
-    failure, which never becomes the incumbent.  A stop reason that one
+def _full_evaluation(state: CampaignState, plan: RunPlan, config: Configuration, iteration: int) -> bool:
+    """Run one full evaluation of ``config``, charge it and record it; if it
+    improves, it becomes the incumbent and its curve the baseline.  Returns
+    whether it improved; a failure never does.  A stop reason that one
     ledger line cannot carry raises ``ValueError`` before the row is kept."""
-    config = candidate.config
     monitor = StoppingMonitor(plan.stop_mode, state.envelope)
     try:
         result = plan.full_eval(config, monitor)
@@ -301,15 +293,7 @@ def _full_evaluation(
         state.incumbent = config
         state.incumbent_score = result.final_val_accuracy
         state.envelope = update_baseline(state.envelope, result.history)
-    return -math.inf if result.failed else result.final_val_accuracy
-
-
-def _record_ranking(state: CampaignState, plan: RunPlan, ranked, iteration: int) -> None:
-    for cand in ranked.candidates:
-        state.record(KIND_SURROGATE, cand.config.key, cand.estimate, plan.surrogate.epoch_budget, "none",
-                     plan.estimate_charge, False, iteration)
-    top = ranked.candidates[0]
-    state.record(KIND_RANKING, top.config.key, top.estimate, 0, "none", 0.0, False, iteration)
+    return improved
 
 
 def run_campaign(initial: Configuration, budget_bbe: int, plan: RunPlan) -> CampaignResult:
@@ -332,9 +316,8 @@ def continue_campaign(state: CampaignState, budget_bbe: float, plan: RunPlan) ->
         problems = validate(state.incumbent, plan.bounds)
         if problems:
             raise ValueError("invalid initial configuration: " + "; ".join(problems))
-        _full_evaluation(state, plan, PollCandidate(state.incumbent, ORIGIN_INITIAL), iteration=0)
+        _full_evaluation(state, plan, state.incumbent, iteration=0)
         state.close_iteration(False)
-    termination = "budget"
     while True:
         if state.mesh.index < plan.min_mesh_index:
             termination = "mesh"
@@ -430,10 +413,12 @@ def _poll_step(state: CampaignState, plan: RunPlan, poll: PollSet, k: int, budge
     """Rank the poll and evaluate what the budget affords; True on an improvement."""
     if not poll.candidates:
         return False
-    ranked = rank_candidates(poll.candidates, plan.surrogate, plan.fidelity_eval)
+    ranked = rank_candidates(poll.candidates, plan.surrogate, plan.fidelity_eval).candidates
     if not plan.surrogate.disabled:
-        _record_ranking(state, plan, ranked, k)
+        for cand in ranked:
+            state.record(KIND_SURROGATE, cand.config.key, cand.estimate, plan.surrogate.epoch_budget, "none",
+                         plan.estimate_charge, False, k)
+        state.record(KIND_RANKING, ranked[0].config.key, ranked[0].estimate, 0, "none", 0.0, False, k)
     affordable = int(math.floor(budget - state.cumulative + 1e-9))
-    # opportunistic: stop at the first candidate that beats the poll's incumbent
-    target = state.incumbent_score
-    return any(_full_evaluation(state, plan, cand, k) > target for cand in ranked.candidates[:affordable])
+    # opportunistic: stop at the first candidate that becomes the incumbent
+    return any(_full_evaluation(state, plan, cand.config, k) for cand in ranked[:affordable])

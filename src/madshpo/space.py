@@ -16,9 +16,6 @@ from operator import attrgetter
 
 import numpy as np
 
-CONV_FIELDS = ("out_channels", "kernel_size", "stride", "padding", "pooling")
-_conv_values = attrgetter(*CONV_FIELDS)
-
 # Architecture sizes whose slot layouts each SpaceBounds instance keeps (the
 # cache then starts over), and whose slot names the module keeps.
 _MAX_LAYOUTS = 256
@@ -75,13 +72,18 @@ class SlotSpec:
 
 @dataclass(frozen=True)
 class ConvLayerHP:
-    """Per-convolutional-layer hyperparameters in ``CONV_FIELDS`` order (pooling 1 = no pooling)."""
+    """Per-convolutional-layer hyperparameters; their field order is the
+    slot order of a layer (pooling 1 = no pooling)."""
 
     out_channels: int
     kernel_size: int
     stride: int
     padding: int
     pooling: int
+
+
+CONV_FIELDS = tuple(f.name for f in fields(ConvLayerHP))
+_conv_values = attrgetter(*CONV_FIELDS)
 
 
 @dataclass(frozen=True)
@@ -128,6 +130,8 @@ class Configuration:
 # with the optimizer choice they form the non-architecture slots.
 SCALAR_FIELDS = tuple(f.name for f in fields(Configuration))[3:]
 _scalar_values = attrgetter(*SCALAR_FIELDS)
+# The trainer scalars that hold integers, read from the annotations.
+_INT_SCALARS = frozenset(f.name for f in fields(Configuration) if f.type == "int")
 
 
 @dataclass(frozen=True)
@@ -201,8 +205,7 @@ def make_config(
     unknown = scalars.keys() - set(SCALAR_FIELDS)
     if unknown:
         raise ValueError(f"unknown scalar fields: {sorted(unknown)}")
-    if "batch_size" in scalars:
-        scalars["batch_size"] = int(scalars["batch_size"])
+    scalars = {name: int(v) if name in _INT_SCALARS else v for name, v in scalars.items()}
     return Configuration(tuple(conv_layers), tuple(int(s) for s in fc_sizes), optimizer, **scalars)
 
 
@@ -418,6 +421,6 @@ def deserialize(text: str) -> Configuration:
         raise ValueError(f"slots do not match {n_conv} conv and {n_fc} FC layers: "
                          f"unknown {unknown}, missing {missing}")
     n_int = len(CONV_FIELDS) * n_conv + n_fc
-    values = [int(raw[name]) if i < n_int or name == "batch_size" else float(raw[name])
+    values = [int(raw[name]) if i < n_int or name in _INT_SCALARS else float(raw[name])
               for i, name in enumerate(names)]
     return _from_values(optimizer, n_conv, values)

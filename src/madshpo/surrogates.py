@@ -40,7 +40,7 @@ class SurrogateSpec:
     def __post_init__(self) -> None:
         if not 0.0 < self.data_fraction <= 1.0:
             raise ValueError("data_fraction must lie in (0, 1]")
-        if self.cost_ratio < 0.0 or self.cost_ratio > 1.0:
+        if not 0.0 <= self.cost_ratio <= 1.0:
             raise ValueError("cost_ratio must lie in [0, 1]")
         if self.kind in SURROGATE_TABLE:
             # a named surrogate trains fewer epochs when a full training is shorter

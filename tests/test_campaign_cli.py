@@ -61,6 +61,10 @@ class TestSettings:
         with pytest.raises(ValueError, match="unknown backend 'gpu'"):
             CampaignSettings(backend="gpu")
 
+    def test_defaults_owned_by_other_types(self):
+        s = CampaignSettings()
+        assert (s.noise_sigma, s.max_epochs, s.min_mesh_index, s.charge_ranking) == (1e-4, 200, -50, True)
+
     def test_surrogate_is_checked_and_written_in_header_form(self, tmp_path):
         with pytest.raises(ValueError, match="unknown surrogate 'bogus'"):
             CampaignSettings(surrogate="bogus")
@@ -537,6 +541,16 @@ class TestCli:
         assert main(["run", "--budget", "3", "--noise-sigma", sigma, "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: noise_sigma") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag,value,error", [
+        ("--rank", "10,0.5,nan", "error: rank: cost_ratio must lie in [0, 1]"),
+        ("--margins", "0.5,nan,0.7,0.8,0.85,0.9,0.95", "error: margins must lie in (0, 1]"),
+    ], ids=["nan-cost-ratio", "nan-margin"])
+    def test_nan_setting_is_one_error_line_and_writes_nothing(self, tmp_path, capsys, flag, value, error):
+        out = tmp_path / "out"
+        assert main(["run", "--preset", "p1", "--budget", "5", flag, value, "--seed", "1", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == error + "\n"
         assert not out.exists()
 
     def test_bad_settings_file_line(self, tmp_path):

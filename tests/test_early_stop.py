@@ -68,6 +68,17 @@ class TestTrainingHistory:
             h.append(1, 0.5, -1.0, 0.01)
         with pytest.raises(ValueError):
             h.append(1, 0.5, 1.0, 0.0)
+        # a NaN or infinite value is refused by name, so no monitor sees it
+        for row, named in (
+            ((1, math.nan, 1.0, 0.01), "val_accuracy nan"),
+            ((1, 0.5, math.nan, 0.01), "val_loss nan"),
+            ((1, 0.5, math.inf, 0.01), "val_loss inf"),
+            ((1, 0.5, 1.0, math.nan), "learning_rate nan"),
+            ((1, 0.5, 1.0, math.inf), "learning_rate inf"),
+        ):
+            with pytest.raises(ValueError, match=named):
+                h.append(*row)
+        assert len(h) == 0
 
 
 class TestCheckDefault:
@@ -212,6 +223,9 @@ class TestEnvelope:
             BaselineEnvelope(None, (5, 10), (0.5,))
         with pytest.raises(ValueError, match=re.escape("margins must lie in (0, 1]")):
             BaselineEnvelope(None, (5, 10), (0.5, 1.2))
+        # a NaN between increasing margins would leave its milestone unable to stop a training
+        with pytest.raises(ValueError, match=re.escape("margins must lie in (0, 1]")):
+            BaselineEnvelope(None, DEFAULT_MILESTONES, (0.5, math.nan, 0.7, 0.8, 0.85, 0.9, 0.95))
 
     def test_empty_history_refused(self):
         with pytest.raises(ValueError, match="history is empty"):

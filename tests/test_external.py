@@ -1,12 +1,15 @@
 """Wire-protocol tests against scripted stub trainers."""
 
+import shlex
 import sys
 import textwrap
 
 import pytest
 
-from madshpo.blackbox import EvaluationRequest, ProcessAdapter, external_evaluate
+from madshpo.blackbox import FAILED_REASON, EvaluationRequest, ProcessAdapter, external_evaluate
+from madshpo.campaign import LEDGER_NAME, CampaignSettings, run
 from madshpo.early_stop import BaselineEnvelope, StoppingMonitor, TrainingHistory
+from madshpo.ledger import read_ledger
 from madshpo.space import preset_config
 
 
@@ -153,3 +156,22 @@ class TestExternalEvaluate:
         adapter = ProcessAdapter.from_command("python3 -u trainer.py --gpu 0")
         assert adapter.command == ("python3", "-u", "trainer.py", "--gpu", "0")
         assert adapter.line_timeout == 120.0
+
+
+@pytest.mark.parametrize("line", [
+    "EPOCH 1 ACC 0.5 LOSS nan LR 0.01",
+    "EPOCH 1 ACC 0.5 LOSS inf LR 0.01",
+    "EPOCH 1 ACC 0.5 LOSS 1.0 LR nan",
+    "EPOCH 1 ACC 0.5 LOSS 1.0 LR inf",
+], ids=["nan-loss", "inf-loss", "nan-rate", "inf-rate"])
+def test_epoch_that_is_not_finite_is_a_failed_row(tmp_path, line):
+    stub = make_stub(tmp_path, f"""
+        sys.stdin.readline()
+        print({line!r}, flush=True)
+        sys.stdin.readline()
+        print("DONE", flush=True)
+    """)
+    run(CampaignSettings(bbe_budget=1, surrogate="none", backend="external",
+                         external_command=shlex.join(stub.command), out_dir=tmp_path / "out"))
+    _, records = read_ledger(tmp_path / "out" / LEDGER_NAME)
+    assert [(r.stop_reason, r.incumbent) for r in records] == [(FAILED_REASON, False)]

@@ -24,6 +24,7 @@ from madshpo.space import (
     default_bounds,
     deserialize,
     make_config,
+    neighbors,
     preset_config,
     quantitative_slots,
     serialize,
@@ -67,6 +68,19 @@ class TestMesh:
     )
     def test_update(self, index, success, expected):
         assert update_mesh(Mesh(index), success).index == expected
+
+    @pytest.mark.parametrize("index", [0, -7])
+    def test_project_snaps_a_one_column_matrix(self, bounds, index):
+        # snap takes only a matrix; a column snaps to the bits of its own vector
+        mesh = Mesh(index)
+        for neighbor in neighbors(preset_config("p3"), bounds):
+            layout = slot_layout(bounds, neighbor.n_conv, neighbor.n_fc)
+            vector = to_vector(neighbor, bounds)
+            column = mesh.snap(layout, vector[:, None])
+            assert column.shape == (len(layout.slots), 1)
+            assert column[:, 0].tobytes() == snap_array(
+                vector, mesh.spacing(layout), layout.lowers, layout.uppers).tobytes()
+            assert mesh.project(neighbor, bounds) == with_vector(neighbor, bounds, column[:, 0])
 
 
 class TestPollDirections:

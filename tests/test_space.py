@@ -357,6 +357,16 @@ class TestConfigurationOwnsTheStockScalars:
         assert [getattr(config, name) for name in SCALAR_FIELDS] == [0.01, 128, 0.2, 1e-5, 0.9, 0.5, 2.0, 0.05, 1.0]
         assert isinstance(config.batch_size, int)
 
+    def test_conv_fields_are_the_layer_fields(self):
+        assert CONV_FIELDS == ("out_channels", "kernel_size", "stride", "padding", "pooling")
+
+    def test_integer_scalars_are_read_from_the_annotations(self):
+        config = make_config((), (), batch_size=64.0)
+        assert type(config.batch_size) is int and config.batch_size == 64
+        assert deserialize(config.key) == config
+        with pytest.raises(ValueError):
+            deserialize(config.key.replace("batch_size=64", "batch_size=64.0"))
+
     def test_scalar_fields_are_the_fields_after_the_optimizer(self):
         assert SCALAR_FIELDS == (
             "learning_rate", "batch_size", "dropout", "weight_decay", "momentum", "lr_decay", "grad_clip",
