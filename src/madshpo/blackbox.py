@@ -86,11 +86,6 @@ class EvaluationResult:
         """The result of a training that could not run: no epochs, worst score."""
         return cls(TrainingHistory(), WORST_SCORE, 0, FAILED_REASON, 0.0)
 
-    @classmethod
-    def of(cls, history: TrainingHistory, reason: str, data_fraction: float) -> "EvaluationResult":
-        """The result of a training that ran: its best epoch scores, each epoch costs the fraction."""
-        return cls(history, history.best_accuracy(), len(history), reason, len(history) * data_fraction)
-
 
 @dataclass(frozen=True)
 class SimulatedModel:
@@ -179,7 +174,8 @@ def train(request: EvaluationRequest, epochs: EpochSource) -> EvaluationResult:
         return EvaluationResult.failure()
     finally:
         epochs.close()
-    return EvaluationResult.of(history, reason, request.data_fraction)
+    # the best epoch scores, and each epoch costs the data fraction
+    return EvaluationResult(history, history.best_accuracy(), len(history), reason, len(history) * request.data_fraction)
 
 
 @dataclass(frozen=True)

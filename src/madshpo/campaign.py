@@ -101,6 +101,12 @@ class CampaignSettings:
             raise ValueError("bbe_budget must be positive")
         if self.max_epochs < 1:
             raise ValueError("max_epochs must be >= 1")
+        # neither takes effect: a negative cap acts as 0, and a floor above the
+        # start mesh ends every campaign after its start point
+        if self.max_iterations is not None and self.max_iterations < 0:
+            raise ValueError("max_iterations must be >= 0")
+        if self.min_mesh_index > mads.MAX_MESH_INDEX:
+            raise ValueError(f"min_mesh_index must be <= {mads.MAX_MESH_INDEX}")
         # checked and normalised to the header form of SurrogateSpec.text
         object.__setattr__(self, "surrogate", surrogate_by_name(self.surrogate).text)
         if self.stop_mode not in MODES:

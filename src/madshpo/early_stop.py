@@ -110,33 +110,31 @@ class BaselineEnvelope:
         # each check is written so that a NaN fails it
         if any(not b > a for a, b in zip(self.milestones, self.milestones[1:])):
             raise ValueError("milestones must be strictly increasing")
+        # check_envelope first runs after one epoch
+        if any(not m >= 1 for m in self.milestones):
+            raise ValueError("milestones must be epochs >= 1")
         if any(not 0.0 < m <= 1.0 for m in self.margins):
             raise ValueError("margins must lie in (0, 1]")
         if any(not b > a for a, b in zip(self.margins, self.margins[1:])):
             raise ValueError("margins must be strictly increasing")
-
-    def baseline_at(self, epoch: int) -> float | None:
-        """Baseline accuracy at an epoch; its final value if it stopped earlier."""
-        if self.baseline_curve is None or len(self.baseline_curve) == 0:
-            return None
-        accuracy = self.baseline_curve.val_accuracy
-        return accuracy[min(epoch, len(accuracy)) - 1]
 
 
 def check_envelope(history: TrainingHistory, envelope: BaselineEnvelope) -> StopVerdict:
     """Milestone comparison against the baseline curve.
 
     Only fires when the current epoch is a milestone and the candidate's
-    accuracy is strictly below margin * baseline accuracy at that epoch.
-    A baseline at or below chance level disables the comparison.
+    accuracy is strictly below margin * baseline accuracy at that epoch; a
+    baseline that stopped earlier reads its final value.  A missing or empty
+    baseline, or one at or below chance level, disables the comparison.
     """
     if not len(history):
         raise ValueError("history is empty")
     epoch = len(history)
-    if epoch not in envelope.milestones:
+    baseline = envelope.baseline_curve
+    if epoch not in envelope.milestones or baseline is None or not len(baseline):
         return CONTINUE
-    reference = envelope.baseline_at(epoch)
-    if reference is None or reference <= CHANCE_LEVEL:
+    reference = baseline.val_accuracy[min(epoch, len(baseline)) - 1]
+    if reference <= CHANCE_LEVEL:
         return CONTINUE
     margin = envelope.margins[envelope.milestones.index(epoch)]
     threshold = margin * reference

@@ -141,9 +141,10 @@ def _check_sequence(record: LedgerRecord, index: int, total: float) -> None:
 
 def read_ledger(path: Path) -> tuple[dict[str, str], list[LedgerRecord]]:
     """Header and records of a ledger, read one line at a time.  A header
-    line after the column line, a malformed row, or one that disagrees with
-    the rows before it, raises ``ValueError`` naming ``path:line``.  Rows
-    with equal text in a text column share one ``str``."""
+    line that is not ``# key = value``, repeats a key or comes after the
+    column line, a malformed row, or one that disagrees with the rows before
+    it, raises ``ValueError`` naming ``path:line``.  Rows with equal text in
+    a text column share one ``str``."""
     header: dict[str, str] = {}
     records: list[LedgerRecord] = []
     texts: dict[str, str] = {}
@@ -155,8 +156,13 @@ def read_ledger(path: Path) -> tuple[dict[str, str], list[LedgerRecord]]:
             if line.startswith("#"):
                 if columns_seen:
                     raise ValueError(f"{path}:{lineno}: header line after the column line")
-                key, _, value = line[1:].partition("=")
-                header[key.strip()] = value.strip()
+                key, eq, value = line[1:].partition("=")
+                key = key.strip()
+                if not eq or not key:
+                    raise ValueError(f"{path}:{lineno}: a header line is '# key = value'")
+                if key in header:
+                    raise ValueError(f"{path}:{lineno}: header key {key!r} appears twice")
+                header[key] = value.strip()
             elif line:
                 row = line.split(",")
                 if not columns_seen:

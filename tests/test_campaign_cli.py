@@ -5,9 +5,11 @@ import shlex
 import sys
 import tracemalloc
 from dataclasses import replace
+from inspect import ismodule
 
 import pytest
 
+import madshpo
 from madshpo import campaign, mads
 from madshpo.blackbox import FAILED_REASON, SimulatedBlackbox
 from madshpo.campaign import (
@@ -41,6 +43,13 @@ def settings(out_dir, **overrides):
     return CampaignSettings(**base)
 
 
+def test_package_exports_only_its_campaign_entry_points():
+    # every other name is imported from its own module
+    public = {name for name, value in vars(madshpo).items()
+              if not ismodule(value) and (not name.startswith("_") or name == "__version__")}
+    assert public == {"CampaignSettings", "resume", "run", "__version__"}
+
+
 class TestSettings:
     def test_presets_match_paper_dimensions(self):
         for name, dim in (("p1", 17), ("p2", 22), ("p3", 36)):
@@ -60,6 +69,12 @@ class TestSettings:
             CampaignSettings(max_epochs=0)
         with pytest.raises(ValueError, match="unknown backend 'gpu'"):
             CampaignSettings(backend="gpu")
+        # a cap below 0 or a floor above the start mesh ends the campaign after its start point
+        with pytest.raises(ValueError, match="max_iterations must be >= 0"):
+            CampaignSettings(max_iterations=-2)
+        with pytest.raises(ValueError, match=f"min_mesh_index must be <= {mads.MAX_MESH_INDEX}"):
+            CampaignSettings(min_mesh_index=mads.MAX_MESH_INDEX + 1)
+        CampaignSettings(max_iterations=0, min_mesh_index=mads.MAX_MESH_INDEX)
 
     def test_defaults_owned_by_other_types(self):
         s = CampaignSettings()
@@ -546,7 +561,8 @@ class TestCli:
     @pytest.mark.parametrize("flag,value,error", [
         ("--rank", "10,0.5,nan", "error: rank: cost_ratio must lie in [0, 1]"),
         ("--margins", "0.5,nan,0.7,0.8,0.85,0.9,0.95", "error: margins must lie in (0, 1]"),
-    ], ids=["nan-cost-ratio", "nan-margin"])
+        ("--milestones", "0,10,25,50,100,125,150", "error: milestones must be epochs >= 1"),
+    ], ids=["nan-cost-ratio", "nan-margin", "zero-milestone"])
     def test_nan_setting_is_one_error_line_and_writes_nothing(self, tmp_path, capsys, flag, value, error):
         out = tmp_path / "out"
         assert main(["run", "--preset", "p1", "--budget", "5", flag, value, "--seed", "1", "--out", str(out)]) == 1
@@ -590,7 +606,10 @@ class TestCli:
         assert main([command, *(series if command == "export" else argv)]) == 1
         assert "error:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("edit", ["deleted-row", "edited-cumulative", "negative-epochs", "header-after-columns"])
+    @pytest.mark.parametrize("edit", [
+        "deleted-row", "edited-cumulative", "negative-epochs", "header-after-columns",
+        "repeated-header-key", "header-without-value",
+    ])
     @pytest.mark.parametrize("command", ["export", "resume"])
     def test_rows_that_disagree_are_a_clean_error(self, tmp_path, capsys, command, edit):
         out = tmp_path / "out"
@@ -616,10 +635,18 @@ class TestCli:
             fields = lines[at].rstrip("\n").split(",")
             fields[COLUMNS.index("epochs_used")] = "-200"
             lines[at] = encode_row(fields)
-        else:
+        elif edit == "header-after-columns":
             # export would scale the cost_units axis by r2's data fraction
             at = len(lines)
             lines.append("# surrogate = r2\n")
+        elif edit == "repeated-header-key":
+            # read as the last value, the header would claim seed 5 for seed 3's rows
+            at = first - 1
+            lines.insert(at, "# seed = 5\n")
+        else:
+            # read as key "garbage" with an empty value
+            at = first - 1
+            lines.insert(at, "# garbage\n")
         ledger.write_text("".join(lines))
         series = ["--ledger", str(ledger), "--out", str(tmp_path / "series.csv")]
         assert main([command, *(series if command == "export" else argv)]) == 1

@@ -226,6 +226,10 @@ class TestEnvelope:
         # a NaN between increasing margins would leave its milestone unable to stop a training
         with pytest.raises(ValueError, match=re.escape("margins must lie in (0, 1]")):
             BaselineEnvelope(None, DEFAULT_MILESTONES, (0.5, math.nan, 0.7, 0.8, 0.85, 0.9, 0.95))
+        # check_envelope runs from epoch 1 on, so a milestone at 0 or below is never reached
+        for milestones in ((0, 10), (-5, 10)):
+            with pytest.raises(ValueError, match=re.escape("milestones must be epochs >= 1")):
+                BaselineEnvelope(None, milestones, (0.99, 1.0))
 
     def test_empty_history_refused(self):
         with pytest.raises(ValueError, match="history is empty"):
