@@ -30,7 +30,7 @@ from .blackbox import (
     external_evaluate,
     simulate_curve,
 )
-from .early_stop import DEFAULT_MARGINS, DEFAULT_MILESTONES, MODES, BaselineEnvelope, update_baseline
+from .early_stop import DEFAULT_MARGINS, DEFAULT_MILESTONES, MODES, update_baseline
 from .ledger import KIND_FULL, LedgerRecord, read_ledger, write_ledger
 # benchmark/tracing.py wraps serialize by this name; Configuration.key calls it.
 from .space import Configuration, SpaceBounds, default_bounds, deserialize, preset_config, serialize  # noqa: F401
@@ -97,20 +97,11 @@ class CampaignSettings:
     noise_sigma: float = _setting(SimulatedBlackbox.noise_sigma, float, help="noise level of the simulated trainer")
 
     def __post_init__(self) -> None:
-        if self.bbe_budget <= 0:
-            raise ValueError("bbe_budget must be positive")
+        # what no lower layer refuses before training; the code that uses each other value checks it
         if self.max_epochs < 1:
             raise ValueError("max_epochs must be >= 1")
-        # neither takes effect: a negative cap acts as 0, and a floor above the
-        # start mesh ends every campaign after its start point
-        if self.max_iterations is not None and self.max_iterations < 0:
-            raise ValueError("max_iterations must be >= 0")
-        if self.min_mesh_index > mads.MAX_MESH_INDEX:
-            raise ValueError(f"min_mesh_index must be <= {mads.MAX_MESH_INDEX}")
         # checked and normalised to the header form of SurrogateSpec.text
         object.__setattr__(self, "surrogate", surrogate_by_name(self.surrogate).text)
-        if self.stop_mode not in MODES:
-            raise ValueError(f"unknown stop mode {self.stop_mode!r}")
         if self.backend not in BACKENDS:
             raise ValueError(f"unknown backend {self.backend!r}")
         if self.backend == "external" and not self.external_command:
@@ -216,15 +207,6 @@ def header_data_fraction(header: Mapping[str, str]) -> float:
         raise ValueError(f"surrogate header {text!r}: {exc}") from None
 
 
-def run(settings: CampaignSettings, bounds: SpaceBounds | None = None) -> mads.CampaignResult:
-    """Execute a campaign and persist its ledger and summary."""
-    started = time.monotonic()
-    plan = build_plan(settings, bounds)
-    result = mads.run_campaign(initial_config(settings), settings.bbe_budget, plan)
-    _persist(settings, result, wall_seconds=time.monotonic() - started)
-    return result
-
-
 def _persist(settings: CampaignSettings, result: mads.CampaignResult, wall_seconds: float) -> None:
     out = Path(settings.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -248,7 +230,8 @@ def _persist(settings: CampaignSettings, result: mads.CampaignResult, wall_secon
     (out / SUMMARY_NAME).write_text(json.dumps(summary, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
-def _rebuild_state(settings: CampaignSettings, kept: list[LedgerRecord], path: Path) -> mads.CampaignState:
+def _rebuild_state(settings: CampaignSettings, plan: mads.RunPlan, kept: list[LedgerRecord],
+                   path: Path | None) -> mads.CampaignState:
     """Campaign state after the kept records of the ledger at ``path``.
 
     ``mads.replay`` checks the rows and rebuilds the state from them; only
@@ -259,11 +242,16 @@ def _rebuild_state(settings: CampaignSettings, kept: list[LedgerRecord], path: P
     initial = initial_config(settings)
     state, best = mads.replay(kept, initial.key, path)
     state.incumbent = initial if best is None else deserialize(best.config)
-    state.envelope = BaselineEnvelope(None, settings.milestones, settings.margins)
+    state.envelope = plan.envelope
     if best is not None:
         model = SimulatedBlackbox(noise_sigma=settings.noise_sigma).model_for(state.incumbent, settings.seed)
         state.envelope = update_baseline(state.envelope, simulate_curve(model, best.epochs_used))
     return state
+
+
+def run(settings: CampaignSettings, bounds: SpaceBounds | None = None) -> mads.CampaignResult:
+    """Execute a campaign and persist its ledger and summary: ``resume`` of a ledger with no rows."""
+    return _continue(settings, bounds, None)
 
 
 def resume(settings: CampaignSettings, bounds: SpaceBounds | None = None) -> mads.CampaignResult:
@@ -274,23 +262,25 @@ def resume(settings: CampaignSettings, bounds: SpaceBounds | None = None) -> mad
     run.  Only the simulated backend can regenerate curves, so external
     campaigns cannot be resumed.
     """
-    if settings.backend != "simulated":
-        raise ValueError("resume is only supported for the simulated backend")
-    path = Path(settings.out_dir) / LEDGER_NAME
-    header, records = read_ledger(path)
-    expected = settings_header(settings)
-    mismatched = sorted(
-        key for key in expected if header.get(key) != expected[key]
-    )
-    if mismatched:
-        raise ValueError(f"ledger settings do not match: {', '.join(mismatched)}")
+    return _continue(settings, bounds, Path(settings.out_dir) / LEDGER_NAME)
 
+
+def _continue(settings: CampaignSettings, bounds: SpaceBounds | None, path: Path | None) -> mads.CampaignResult:
+    """Continue the campaign from the kept rows of the ledger at ``path``, from none if it is None,
+    and persist it.  The plan is built first, so that a refused setting raises before any read."""
     started = time.monotonic()
     plan = build_plan(settings, bounds)
-    # the last iteration may be incomplete: the rows from its first on are
-    # dropped and run again, and the ones before it are kept
-    last_iteration = max((r.iteration for r in records), default=0)
-    del records[next((i for i, r in enumerate(records) if r.iteration == last_iteration), 0):]
-    result = mads.continue_campaign(_rebuild_state(settings, records, path), settings.bbe_budget, plan)
+    records = []
+    if path is not None:
+        if settings.backend != "simulated":
+            raise ValueError("resume is only supported for the simulated backend")
+        header, records = read_ledger(path)
+        mismatched = sorted(key for key, value in settings_header(settings).items() if header.get(key) != value)
+        if mismatched:
+            raise ValueError(f"ledger settings do not match: {', '.join(mismatched)}")
+        # the last iteration may be incomplete: its rows are dropped and run again, and the ones before it kept
+        last_iteration = max((r.iteration for r in records), default=0)
+        del records[next((i for i, r in enumerate(records) if r.iteration == last_iteration), 0):]
+    result = mads.continue_campaign(_rebuild_state(settings, plan, records, path), settings.bbe_budget, plan)
     _persist(settings, result, wall_seconds=time.monotonic() - started)
     return result

@@ -31,6 +31,8 @@ def read_settings_file(path: Path) -> dict[str, str]:
         key = key.strip().replace("-", "_")
         if not eq or key not in keys:
             raise ValueError(f"{path}:{lineno}: bad settings line {raw!r}")
+        if key in values:
+            raise ValueError(f"{path}:{lineno}: key {key!r} appears twice")
         values[key] = value.strip()
     return values
 

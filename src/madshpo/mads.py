@@ -9,11 +9,11 @@ code that knows the mesh geometry; ``update_mesh`` coarsens it after a
 success (up to ``MAX_MESH_INDEX``) and refines it after a failure.
 ``CampaignState`` owns the incumbent rule and the end of an iteration.
 ``continue_campaign`` is the one campaign loop: ``run_campaign`` enters it
-with a fresh state, and resume with the state that ``replay`` rebuilds by
-walking ledger rows through the same transitions (export checks a ledger
-that way too).  ``_full_evaluation`` is the only place a candidate's
-failure is handled: one of ``blackbox.TRAINER_FAULTS`` from ``full_eval``
-becomes a charged failure row, and any other error ends the campaign.
+with a fresh state, and ``campaign`` with the one that ``replay`` rebuilds
+from a ledger's rows, none for a new campaign (export checks a ledger that
+way too).  ``_full_evaluation`` is the only place a candidate's failure is
+handled: one of ``blackbox.TRAINER_FAULTS`` from ``full_eval`` becomes a
+charged failure row, and any other error ends the campaign.
 """
 
 from __future__ import annotations
@@ -197,7 +197,8 @@ def update_mesh(mesh: Mesh, success: bool) -> Mesh:
 
 @dataclass
 class RunPlan:
-    """Everything the campaign loop needs besides the initial point and budget."""
+    """Everything the campaign loop needs besides the initial point and budget.
+    Built or ``replace``d, it refuses loop settings that cannot take effect."""
 
     bounds: SpaceBounds
     seed: int
@@ -210,6 +211,15 @@ class RunPlan:
     charge_ranking: bool = True
     min_mesh_index: int = -50
     max_iterations: int | None = None
+    envelope: BaselineEnvelope = field(init=False)  # the one every campaign starts from
+
+    def __post_init__(self) -> None:
+        # a negative cap acts as 0, and a floor above the start mesh ends every campaign after its start point
+        if self.max_iterations is not None and self.max_iterations < 0:
+            raise ValueError("max_iterations must be >= 0")
+        if self.min_mesh_index > MAX_MESH_INDEX:
+            raise ValueError(f"min_mesh_index must be <= {MAX_MESH_INDEX}")
+        self.envelope = BaselineEnvelope(None, self.milestones, self.margins)
 
     @property
     def estimate_charge(self) -> float:
@@ -298,7 +308,7 @@ def _full_evaluation(state: CampaignState, plan: RunPlan, config: Configuration,
 
 def run_campaign(initial: Configuration, budget_bbe: int, plan: RunPlan) -> CampaignResult:
     """Full campaign from ``initial``: ``continue_campaign`` of a fresh state."""
-    state = CampaignState(incumbent=initial, envelope=BaselineEnvelope(None, plan.milestones, plan.margins))
+    state = CampaignState(incumbent=initial, envelope=plan.envelope)
     return continue_campaign(state, budget_bbe, plan)
 
 
@@ -310,9 +320,9 @@ def continue_campaign(state: CampaignState, budget_bbe: float, plan: RunPlan) ->
     until the budget runs out, the mesh bottoms out, or the iteration cap
     is hit.
     """
+    if not budget_bbe > 0:
+        raise ValueError("budget must be positive")
     if state.next_iteration == 0:
-        if budget_bbe <= 0:
-            raise ValueError("budget_bbe must be positive")
         problems = validate(state.incumbent, plan.bounds)
         if problems:
             raise ValueError("invalid initial configuration: " + "; ".join(problems))

@@ -205,7 +205,9 @@ def make_config(
     unknown = scalars.keys() - set(SCALAR_FIELDS)
     if unknown:
         raise ValueError(f"unknown scalar fields: {sorted(unknown)}")
-    scalars = {name: int(v) if name in _INT_SCALARS else v for name, v in scalars.items()}
+    # a float slot given 0 holds 0.0, as deserialize of its key does; a bool stays, for serialize to refuse
+    scalars = {name: int(v) if name in _INT_SCALARS else v if isinstance(v, (float, bool)) else float(v)
+               for name, v in scalars.items()}
     return Configuration(tuple(conv_layers), tuple(int(s) for s in fc_sizes), optimizer, **scalars)
 
 

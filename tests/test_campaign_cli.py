@@ -16,6 +16,7 @@ from madshpo.campaign import (
     LEDGER_NAME,
     SUMMARY_NAME,
     CampaignSettings,
+    build_plan,
     initial_config,
     resume,
     run,
@@ -57,24 +58,31 @@ class TestSettings:
             assert dimension(config.n_conv, config.n_fc) == dim
 
     def test_validation(self, tmp_path):
-        with pytest.raises(ValueError):
-            CampaignSettings(bbe_budget=0)
-        with pytest.raises(ValueError):
-            CampaignSettings(stop_mode="bogus")
-        with pytest.raises(ValueError):
-            CampaignSettings(backend="external")  # missing command
-        with pytest.raises(ValueError):
-            CampaignSettings(preset="p9").__class__ and initial_config(CampaignSettings(preset="p9"))
+        # the settings refuse what no lower layer refuses before training
+        with pytest.raises(ValueError, match="external backend needs a command"):
+            CampaignSettings(backend="external")
         with pytest.raises(ValueError, match="max_epochs must be >= 1"):
             CampaignSettings(max_epochs=0)
         with pytest.raises(ValueError, match="unknown backend 'gpu'"):
             CampaignSettings(backend="gpu")
-        # a cap below 0 or a floor above the start mesh ends the campaign after its start point
+        # the plan refuses a cap below 0 and a floor above the start mesh,
+        # which would end the campaign after its start point
         with pytest.raises(ValueError, match="max_iterations must be >= 0"):
-            CampaignSettings(max_iterations=-2)
+            build_plan(settings(tmp_path, max_iterations=-2))
         with pytest.raises(ValueError, match=f"min_mesh_index must be <= {mads.MAX_MESH_INDEX}"):
-            CampaignSettings(min_mesh_index=mads.MAX_MESH_INDEX + 1)
-        CampaignSettings(max_iterations=0, min_mesh_index=mads.MAX_MESH_INDEX)
+            build_plan(settings(tmp_path, min_mesh_index=mads.MAX_MESH_INDEX + 1))
+        build_plan(settings(tmp_path, max_iterations=0, min_mesh_index=mads.MAX_MESH_INDEX))
+        # the campaign loop refuses the budget, and the start point's
+        # evaluation the stop mode and the preset, before any row is written
+        with pytest.raises(ValueError, match="budget must be positive"):
+            mads.run_campaign(preset_config("p1"), 0, build_plan(settings(tmp_path)))
+        out = tmp_path / "out"
+        for overrides, error in [(dict(bbe_budget=0), "budget must be positive"),
+                                 (dict(stop_mode="bogus"), "unknown stopping mode 'bogus'"),
+                                 (dict(preset="p9"), "unknown preset 'p9'")]:
+            with pytest.raises(ValueError, match=error):
+                run(settings(out, **overrides))
+        assert not out.exists()
 
     def test_defaults_owned_by_other_types(self):
         s = CampaignSettings()
@@ -249,7 +257,7 @@ class TestResume:
         [end] = live
         path = s.out_dir / LEDGER_NAME
         _, records = read_ledger(path)
-        rebuilt = campaign._rebuild_state(s, records, path)
+        rebuilt = campaign._rebuild_state(s, build_plan(s, bounds), records, path)
         assert (rebuilt.incumbent.key, rebuilt.incumbent_score) == (result.best_config.key, result.best_score)
         assert rebuilt.mesh.index == result.final_mesh_index
         assert rebuilt.next_iteration == result.iterations + 1
@@ -276,6 +284,19 @@ class TestResume:
         s, path, full_bytes = self.run_full(tmp_path)
         resume(s)
         assert path.read_bytes() == full_bytes
+
+    @pytest.mark.parametrize("overrides", [
+        dict(max_iterations=-1), dict(min_mesh_index=1), dict(milestones=(0, 10), margins=(0.5, 0.6)),
+        dict(bbe_budget=0), dict(stop_mode="bogus"),
+    ], ids=["negative-cap", "floor-above-start", "zero-milestone", "zero-budget", "unknown-stop-mode"])
+    def test_refused_settings_leave_the_ledger_untouched(self, tmp_path, overrides):
+        s, path, _ = self.run_full(tmp_path)
+        header, records = read_ledger(path)
+        write_ledger(path, records[: len(records) // 2], header)
+        cut = path.read_bytes()
+        with pytest.raises(ValueError):
+            resume(replace(s, **overrides))
+        assert path.read_bytes() == cut
 
     def test_mismatched_settings_rejected(self, tmp_path):
         s, _, _ = self.run_full(tmp_path)
@@ -510,11 +531,6 @@ class TestCli:
         out = capsys.readouterr().out
         assert "best score" in out
 
-    def test_budget_zero_is_usage_error(self, tmp_path, capsys):
-        code = main(["run", "--budget", "0", "--out", str(tmp_path / "out")])
-        assert code != 0
-        assert "error" in capsys.readouterr().err
-
     def test_settings_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "campaign.cfg"
         cfg.write_text("preset = p2\nbudget = 15\nseed = 11\nstop = last-success\n")
@@ -562,11 +578,38 @@ class TestCli:
         ("--rank", "10,0.5,nan", "error: rank: cost_ratio must lie in [0, 1]"),
         ("--margins", "0.5,nan,0.7,0.8,0.85,0.9,0.95", "error: margins must lie in (0, 1]"),
         ("--milestones", "0,10,25,50,100,125,150", "error: milestones must be epochs >= 1"),
-    ], ids=["nan-cost-ratio", "nan-margin", "zero-milestone"])
+        ("--max-iterations", "-1", "error: max_iterations must be >= 0"),
+        ("--min-mesh-index", "1", "error: min_mesh_index must be <= 0"),
+        ("--budget", "0", "error: budget must be positive"),
+    ], ids=["nan-cost-ratio", "nan-margin", "zero-milestone", "negative-cap", "floor-above-start", "zero-budget"])
     def test_nan_setting_is_one_error_line_and_writes_nothing(self, tmp_path, capsys, flag, value, error):
         out = tmp_path / "out"
         assert main(["run", "--preset", "p1", "--budget", "5", flag, value, "--seed", "1", "--out", str(out)]) == 1
         assert capsys.readouterr().err == error + "\n"
+        assert not out.exists()
+
+    def test_refused_resume_is_one_error_line_and_leaves_the_ledger(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        argv = ["--budget", "10", "--seed", "7", "--out", str(out)]
+        assert main(["run", *argv]) == 0
+        before = (out / LEDGER_NAME).read_bytes()
+        capsys.readouterr()
+        assert main(["resume", *argv, "--max-iterations", "-1"]) == 1
+        assert capsys.readouterr().err == "error: max_iterations must be >= 0\n"
+        assert (out / LEDGER_NAME).read_bytes() == before
+
+    @pytest.mark.parametrize("text, key, line", [
+        ("seed = 1\nbudget = 5\nseed = 5\n", "seed", 3),
+        ("max-epochs = 5\n# dashes and underscores spell one key\nmax_epochs = 6\n", "max_epochs", 3),
+    ], ids=["seed", "dash-and-underscore"])
+    def test_settings_file_key_given_twice_is_one_error_line(self, tmp_path, capsys, text, key, line):
+        cfg = tmp_path / "twice.cfg"
+        cfg.write_text(text)
+        with pytest.raises(ValueError, match=f":{line}: key '{key}' appears twice"):
+            read_settings_file(cfg)
+        out = tmp_path / "out"
+        assert main(["run", "--config-file", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {cfg}:{line}: key '{key}' appears twice\n"
         assert not out.exists()
 
     def test_bad_settings_file_line(self, tmp_path):

@@ -1,14 +1,14 @@
 import importlib.util
 import logging
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from madshpo.blackbox import FAILED_REASON, WORST_SCORE, EvaluationResult
-from madshpo.early_stop import DEFAULT_MARGINS, DEFAULT_MILESTONES, StoppingMonitor, TrainingHistory
+from madshpo.early_stop import DEFAULT_MARGINS, DEFAULT_MILESTONES, BaselineEnvelope, StoppingMonitor, TrainingHistory
 from madshpo.ledger import KIND_FULL, KIND_RANKING, KIND_SURROGATE
 from madshpo import mads
 from madshpo.mads import (
@@ -249,6 +249,47 @@ class TestRunCampaign:
             mads.run_campaign(make_config((), (), **QUAD_START), 0, plan)
         with pytest.raises(ValueError):
             mads.run_campaign(make_config((), (), dropout=2.0), 10, plan)
+
+    def test_the_budget_is_checked_on_every_entry(self):
+        b = frozen_bounds()
+        start = make_config((), (), **QUAD_START)
+        plan = quadratic_plan(b, to_vector(make_config((), (), **QUAD_CENTER), b), 0)
+        result = mads.run_campaign(start, 20, plan)
+        state, _ = mads.replay(list(result.records), start.key, "ledger")
+        state.incumbent, state.envelope = result.best_config, plan.envelope
+        for budget in (0, -1.0, math.nan):
+            with pytest.raises(ValueError, match="budget must be positive"):
+                mads.continue_campaign(state, budget, plan)
+        assert len(state.records) == len(result.records)
+
+    @pytest.mark.parametrize("change, error", [
+        # a negative cap acts as 0, and a floor above the start mesh ends the
+        # campaign after its start point
+        (dict(max_iterations=-2), "max_iterations must be >= 0"),
+        (dict(min_mesh_index=3), f"min_mesh_index must be <= {mads.MAX_MESH_INDEX}"),
+        (dict(milestones=(0, 10), margins=(0.5, 0.6)), "milestones must be epochs >= 1"),
+        (dict(margins=DEFAULT_MARGINS[:-1]), "equal length"),
+    ], ids=["negative-cap", "floor-above-start", "zero-milestone", "margin-count"])
+    def test_a_plan_refuses_settings_that_cannot_take_effect(self, change, error):
+        b = frozen_bounds()
+        plan, calls = quadratic_plan(b, to_vector(make_config((), (), **QUAD_CENTER), b), 0), []
+        plan.full_eval = lambda config, monitor: calls.append(config)
+        given = {f.name: getattr(plan, f.name) for f in fields(plan) if f.init}
+        with pytest.raises(ValueError, match=error):
+            mads.RunPlan(**{**given, **change})
+        with pytest.raises(ValueError, match=error):
+            mads.run_campaign(make_config((), (), **QUAD_START), 10, replace(plan, **change))
+        assert not calls
+
+    def test_a_replaced_plan_starts_from_its_own_envelope(self):
+        b = frozen_bounds()
+        plan = quadratic_plan(b, to_vector(make_config((), (), **QUAD_CENTER), b), 0)
+        assert plan.envelope == BaselineEnvelope(None, DEFAULT_MILESTONES, DEFAULT_MARGINS)
+        edge = replace(plan, max_iterations=0, min_mesh_index=mads.MAX_MESH_INDEX, milestones=(5, 10),
+                       margins=(0.5, 0.6))
+        assert edge.envelope == BaselineEnvelope(None, (5, 10), (0.5, 0.6))
+        with pytest.raises(ValueError, match="envelope"):
+            replace(plan, envelope=edge.envelope)
 
     def test_deterministic_records(self):
         b = frozen_bounds()

@@ -367,6 +367,16 @@ class TestConfigurationOwnsTheStockScalars:
         with pytest.raises(ValueError):
             deserialize(config.key.replace("batch_size=64", "batch_size=64.0"))
 
+    @pytest.mark.parametrize("zero", [0, np.int64(0)], ids=["int", "numpy-int"])
+    def test_a_float_scalar_given_an_integer_writes_the_key_it_reads_back(self, zero):
+        # the key seeds the simulated noise, so equal configurations need equal keys
+        p1 = preset_config("p1")
+        config = make_config(p1.conv_layers, p1.fc_sizes, dropout=zero)
+        assert type(config.dropout) is float and " dropout=0.0 " in config.key
+        assert deserialize(config.key).key == config.key
+        model_for = SimulatedBlackbox().model_for
+        assert model_for(config, 3) == model_for(make_config(p1.conv_layers, p1.fc_sizes, dropout=0.0), 3)
+
     def test_scalar_fields_are_the_fields_after_the_optimizer(self):
         assert SCALAR_FIELDS == (
             "learning_rate", "batch_size", "dropout", "weight_decay", "momentum", "lr_decay", "grad_clip",
