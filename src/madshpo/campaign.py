@@ -6,10 +6,10 @@ and its ``argparse`` options, and says whether the ledger header records
 it.
 
 A campaign writes ``ledger.csv`` (with its settings as header comments)
-and ``summary.json`` into its output directory.  Resuming truncates the
-ledger back to the last completed iteration boundary and replays forward;
-because every source of randomness is derived from the seed, the final
-file is byte-identical to an uninterrupted run.
+and ``summary.json`` into its output directory.  Resuming checks every
+row, truncates the ledger back to the last completed iteration boundary
+and replays forward; because every source of randomness is derived from
+the seed, the final file is byte-identical to an uninterrupted run.
 """
 
 from __future__ import annotations
@@ -236,16 +236,28 @@ def _rebuild_state(settings: CampaignSettings, plan: mads.RunPlan, kept: list[Le
 
     ``mads.replay`` checks the rows and rebuilds the state from them; only
     the incumbent's curve is regenerated, as the baseline, without its
-    learning-rate column, which envelope comparisons do not read.  Of no
+    learning-rate column, which envelope comparisons do not read.  The
+    incumbent's row must hold its configuration's key and a full training's
+    epochs, and its score must be that curve's best accuracy.  Of no
     records, it is the fresh state of ``mads.run_campaign``.
     """
     initial = initial_config(settings)
     state, best = mads.replay(kept, initial.key, path)
-    state.incumbent = initial if best is None else deserialize(best.config)
-    state.envelope = plan.envelope
+    state.incumbent, state.envelope = initial, plan.envelope
     if best is not None:
-        model = SimulatedBlackbox(noise_sigma=settings.noise_sigma).model_for(state.incumbent, settings.seed)
-        state.envelope = update_baseline(state.envelope, simulate_curve(model, best.epochs_used))
+        try:
+            state.incumbent = deserialize(best.config)
+            if state.incumbent.key != best.config:
+                raise ValueError(f"config is not its configuration's key {state.incumbent.key!r}")
+            if not 1 <= best.epochs_used <= settings.max_epochs:
+                raise ValueError(f"epochs_used {best.epochs_used} outside [1, {settings.max_epochs}]")
+            model = SimulatedBlackbox(noise_sigma=settings.noise_sigma).model_for(state.incumbent, settings.seed)
+            curve = simulate_curve(model, best.epochs_used)
+            if curve.best_accuracy() != best.score:
+                raise ValueError(f"score {best.score!r} is not its curve's best accuracy {curve.best_accuracy()!r}")
+        except ValueError as exc:
+            raise ValueError(f"{path}: record {best.record_index}: {exc}") from None
+        state.envelope = update_baseline(state.envelope, curve)
     return state
 
 
@@ -257,7 +269,8 @@ def run(settings: CampaignSettings, bounds: SpaceBounds | None = None) -> mads.C
 def resume(settings: CampaignSettings, bounds: SpaceBounds | None = None) -> mads.CampaignResult:
     """Continue an interrupted campaign from its persisted ledger.
 
-    The trailing (possibly incomplete) iteration is discarded and replayed;
+    Every row is checked first, as ``madshpo export`` checks it.  Then the
+    trailing (possibly incomplete) iteration is discarded and replayed;
     determinism makes the final ledger byte-identical to an uninterrupted
     run.  Only the simulated backend can regenerate curves, so external
     campaigns cannot be resumed.
@@ -278,9 +291,11 @@ def _continue(settings: CampaignSettings, bounds: SpaceBounds | None, path: Path
         mismatched = sorted(key for key, value in settings_header(settings).items() if header.get(key) != value)
         if mismatched:
             raise ValueError(f"ledger settings do not match: {', '.join(mismatched)}")
-        # the last iteration may be incomplete: its rows are dropped and run again, and the ones before it kept
-        last_iteration = max((r.iteration for r in records), default=0)
-        del records[next((i for i, r in enumerate(records) if r.iteration == last_iteration), 0):]
+        # every row is checked, as export checks it; then the last row's iteration, which may be
+        # incomplete, is dropped and run again, and the rows before it kept
+        mads.replay(records, header["initial"], path)
+        if records:
+            del records[next(i for i, r in enumerate(records) if r.iteration == records[-1].iteration):]
     result = mads.continue_campaign(_rebuild_state(settings, plan, records, path), settings.bbe_budget, plan)
     _persist(settings, result, wall_seconds=time.monotonic() - started)
     return result

@@ -315,17 +315,18 @@ def run_campaign(initial: Configuration, budget_bbe: int, plan: RunPlan) -> Camp
 def continue_campaign(state: CampaignState, budget_bbe: float, plan: RunPlan) -> CampaignResult:
     """The campaign loop, from a fresh state or one rebuilt from a ledger.
 
-    Before iteration 0, the state's incumbent is the start point: it is
-    validated and evaluated, and iteration 0 ends.  Then poll iterations run
-    until the budget runs out, the mesh bottoms out, or the iteration cap
-    is hit.
+    The state's incumbent, fresh or rebuilt, is validated once, here; the
+    poll keeps every later one in bounds.  Before iteration 0, it is the
+    start point: it is evaluated, and iteration 0 ends.  Then poll
+    iterations run until the budget runs out, the mesh bottoms out, or the
+    iteration cap is hit.
     """
     if not budget_bbe > 0:
         raise ValueError("budget must be positive")
+    problems = validate(state.incumbent, plan.bounds)
+    if problems:
+        raise ValueError("invalid incumbent configuration: " + "; ".join(problems))
     if state.next_iteration == 0:
-        problems = validate(state.incumbent, plan.bounds)
-        if problems:
-            raise ValueError("invalid initial configuration: " + "; ".join(problems))
         _full_evaluation(state, plan, state.incumbent, iteration=0)
         state.close_iteration(False)
     while True:

@@ -130,8 +130,9 @@ class Configuration:
 # with the optimizer choice they form the non-architecture slots.
 SCALAR_FIELDS = tuple(f.name for f in fields(Configuration))[3:]
 _scalar_values = attrgetter(*SCALAR_FIELDS)
-# The trainer scalars that hold integers, read from the annotations.
-_INT_SCALARS = frozenset(f.name for f in fields(Configuration) if f.type == "int")
+# The trainer scalars that hold floats, read from the annotations; every
+# other quantitative slot, each layer's included, holds an integer.
+_FLOAT_SCALARS = frozenset(f.name for f in fields(Configuration) if f.type == "float")
 
 
 @dataclass(frozen=True)
@@ -201,14 +202,17 @@ def make_config(
     **scalars: float,
 ) -> Configuration:
     """Build a configuration from layer sequences; scalars not given keep
-    ``Configuration``'s stock values."""
+    ``Configuration``'s stock values.  A bool, or a fraction for an integer
+    slot, is refused."""
     unknown = scalars.keys() - set(SCALAR_FIELDS)
     if unknown:
         raise ValueError(f"unknown scalar fields: {sorted(unknown)}")
-    # a float slot given 0 holds 0.0, as deserialize of its key does; a bool stays, for serialize to refuse
-    scalars = {name: int(v) if name in _INT_SCALARS else v if isinstance(v, (float, bool)) else float(v)
-               for name, v in scalars.items()}
-    return Configuration(tuple(conv_layers), tuple(int(s) for s in fc_sizes), optimizer, **scalars)
+    # each value takes its slot's type (a float slot given 0 holds 0.0); a float slot's float stays as given
+    for name, value in scalars.items():
+        if name not in _FLOAT_SCALARS or not isinstance(value, float):
+            scalars[name] = _slot_number(name, value, name not in _FLOAT_SCALARS)
+    fc_sizes = tuple(_slot_number(f"fc{i}", s, True) for i, s in enumerate(fc_sizes))
+    return Configuration(tuple(conv_layers), fc_sizes, optimizer, **scalars)
 
 
 def preset_config(name: str) -> Configuration:
@@ -349,11 +353,10 @@ def neighbors(config: Configuration, bounds: SpaceBounds) -> list[Configuration]
 
     Order: +conv layer, -conv layer, +FC layer, -FC layer, next optimizer.
     Moves that would leave the configured layer-count ranges are omitted,
-    as is the optimizer move when only one optimizer is allowed.
+    as is the optimizer move when only one optimizer is allowed.  ``config``
+    must be valid in ``bounds``: the campaign loop validates its incumbent
+    where it enters.
     """
-    problems = validate(config, bounds)
-    if problems:
-        raise ValueError("invalid configuration: " + "; ".join(problems))
     out: list[Configuration] = []
     if config.n_conv + 1 <= bounds.n_conv_range[1]:
         new_layer = ConvLayerHP(
@@ -373,25 +376,29 @@ def neighbors(config: Configuration, bounds: SpaceBounds) -> list[Configuration]
     return out
 
 
-def _format(value) -> str:
-    kind = type(value)
-    if kind is float:
-        return repr(value)
-    if kind is int:
-        return str(value)
-    if isinstance(value, bool):
-        raise TypeError("bool is not a slot value")
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return repr(float(value))
+def _slot_number(name: str, value, integer: bool) -> int | float:
+    """``value`` as slot ``name`` holds it: an int if ``integer``, else a
+    float.  A bool, or a value with a fraction for an integer slot, is
+    refused."""
+    if type(value) is (int if integer else float):
+        return value
+    if isinstance(value, (bool, np.bool_)):
+        raise TypeError(f"{name}: bool is not a slot value")
+    if not integer:
+        return float(value)
+    if not float(value).is_integer():
+        raise ValueError(f"{name}={value!r} is not an integer")
+    return int(value)
 
 
 def serialize(config: Configuration) -> str:
     """Flat ``name=value`` tokens, space separated, in canonical slot order
     with the optimizer before the trainer scalars: the order of
-    ``Configuration``'s fields, each conv layer spelled out."""
+    ``Configuration``'s fields, each conv layer spelled out.  A value is
+    spelled as :func:`deserialize` reads its slot: ``str(int(v))`` or ``repr(float(v))``."""
     names = slot_names(config.n_conv, config.n_fc)
-    tokens = [f"{name}={_format(value)}" for name, value in zip(names, _raw_values(config))]
+    tokens = [f"{name}={_slot_number(name, value, name not in _FLOAT_SCALARS)!r}"
+              for name, value in zip(names, _raw_values(config))]
     tokens.insert(len(tokens) - len(SCALAR_FIELDS), f"optimizer={config.optimizer}")
     return " ".join(tokens)
 
@@ -422,7 +429,5 @@ def deserialize(text: str) -> Configuration:
         missing = [name for name in names if name not in raw]
         raise ValueError(f"slots do not match {n_conv} conv and {n_fc} FC layers: "
                          f"unknown {unknown}, missing {missing}")
-    n_int = len(CONV_FIELDS) * n_conv + n_fc
-    values = [int(raw[name]) if i < n_int or name in _INT_SCALARS else float(raw[name])
-              for i, name in enumerate(names)]
+    values = [float(raw[name]) if name in _FLOAT_SCALARS else int(raw[name]) for name in names]
     return _from_values(optimizer, n_conv, values)

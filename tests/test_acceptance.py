@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from madshpo import mads
-from madshpo.blackbox import SimulatedBlackbox, lattice_sweep
+from madshpo.blackbox import SimulatedBlackbox
 from madshpo.campaign import (
     LEDGER_NAME,
     CampaignSettings,
@@ -31,6 +31,7 @@ from madshpo.space import (
     to_vector,
 )
 from madshpo.surrogates import surrogate_by_name
+from tests.lattice import lattice_sweep
 from tests.test_mads import QUAD_CENTER, QUAD_START, frozen_bounds, quadratic_plan
 
 

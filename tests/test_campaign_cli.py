@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import re
 import shlex
 import sys
 import tracemalloc
@@ -297,6 +298,43 @@ class TestResume:
         with pytest.raises(ValueError):
             resume(replace(s, **overrides))
         assert path.read_bytes() == cut
+
+    @pytest.mark.parametrize("edit, error", [
+        # the same configuration, spelled as the writer never spells it
+        (lambda r: dict(config=r.config.replace(" fc0=", " fc0=+")), "config is not its configuration's key '"),
+        (lambda r: dict(config=r.config.replace(" optimizer=", " optimiser=")), "missing optimizer token"),
+        (lambda r: dict(epochs_used=201), "epochs_used 201 outside [1, 200]"),
+    ], ids=["plus-signed-slot", "malformed-config", "epochs-above-max"])
+    def test_kept_incumbent_row_that_resume_cannot_rebuild_is_refused(self, tmp_path, edit, error):
+        s, path, _ = self.run_full(tmp_path)
+        header, records = read_ledger(path)
+        last = records[-1].iteration
+        best = [r for r in records if r.incumbent and r.iteration < last][-1]
+        assert best.record_index > 0
+        records[best.record_index] = replace(best, **edit(best))
+        write_ledger(path, records, header)
+        edited = path.read_bytes()
+        with pytest.raises(ValueError, match=re.escape(f"{path}: record {best.record_index}: {error}")):
+            resume(s)
+        assert path.read_bytes() == edited
+
+    def test_out_of_bounds_incumbent_is_refused_before_any_row(self, tmp_path, monkeypatch):
+        # the kept incumbent's row, score included, is the one the run wrote,
+        # but its configuration lies outside the bounds the campaign resumes in
+        s, path, before = self.run_full(tmp_path)
+        _, records = read_ledger(path)
+        best = [r for r in records if r.incumbent and r.iteration < records[-1].iteration][-1]
+        fc0 = deserialize(best.config).fc_sizes[0]
+        bounds = replace(default_bounds(), fc_slot=SlotSpec(16, fc0 - 1, granularity=1, integer=True))
+
+        def no_poll(*args):
+            raise AssertionError("polled an incumbent the loop never validated")
+
+        monkeypatch.setattr(mads, "generate_poll", no_poll)
+        error = f"invalid incumbent configuration: fc0={fc0} outside [16, {fc0 - 1}]"
+        with pytest.raises(ValueError, match=re.escape(error)):
+            resume(s, bounds)
+        assert path.read_bytes() == before
 
     def test_mismatched_settings_rejected(self, tmp_path):
         s, _, _ = self.run_full(tmp_path)

@@ -34,11 +34,12 @@ from dataclasses import replace
 import pytest
 
 from madshpo import blackbox, mads
-from madshpo.blackbox import SimulatedBlackbox, curve_arrays, lattice_sweep
+from madshpo.blackbox import SimulatedBlackbox, curve_arrays
 from madshpo.campaign import LEDGER_NAME, CampaignSettings, run
 from madshpo.cli import main
 from madshpo.ledger import KIND_FULL, KIND_SURROGATE, read_ledger
 from madshpo.space import ConvLayerHP, default_bounds, make_config, neighbors, preset_config, serialize, to_vector
+from tests.lattice import lattice_sweep
 from tests.test_mads import QUAD_CENTER, QUAD_START, frozen_bounds, quadratic_plan
 
 GOLDEN_BUDGET = 60

@@ -1,0 +1,149 @@
+"""Resume refuses what export refuses: named repros and a seeded ledger fuzzer.
+
+Every case edits the README quickstart's ledger (p1, ``r4``,
+``scheduler+baseline``, seed 7, budget 10: 40 rows, iterations 0 and 1)
+and runs ``madshpo export`` and ``madshpo resume`` on it in-process.  The
+rule is one: if resume accepts a ledger, export accepts that ledger and the
+one resume writes.  Every refusal is exit 1 with one ``error:`` line, and a
+refused resume leaves the ledger byte-identical.
+"""
+
+import random
+
+import pytest
+
+from madshpo.campaign import LEDGER_NAME
+from madshpo.cli import main
+from madshpo.ledger import COLUMNS, encode_row
+
+QUICKSTART = ["--preset", "p1", "--budget", "10", "--stop", "scheduler+baseline", "--rank", "r4", "--seed", "7",
+              "--backend", "simulated"]
+
+# Field values the writer never writes, some read as another value (٣ is 3,
+# 1_0 is 10) and some as the same one (01, " 1", "+1", 0200).
+TOKENS = ("٣", "1_0", "01", " 1", "1 ", "+1", "nan", "inf", "0200", "0", "1", "2", "-1", "150", "200", "0.99",
+          "1.0", "1e0", "", "x")
+
+
+@pytest.fixture(scope="module")
+def quickstart(tmp_path_factory):
+    out = tmp_path_factory.mktemp("quickstart")
+    assert main(["run", *QUICKSTART, "--out", str(out)]) == 0
+    lines = (out / LEDGER_NAME).read_text().splitlines(keepends=True)
+    assert len(lines) - lines.index(encode_row(COLUMNS)) - 1 == 40
+    return lines
+
+
+def _cli(capsys, argv) -> tuple[int, str]:
+    """Exit code and stderr of one command; a refusal is exit 1 with one ``error:`` line."""
+    capsys.readouterr()
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code in (0, 1), argv
+    if code:
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+    return code, err
+
+
+def _export(capsys, ledger):
+    return _cli(capsys, ["export", "--ledger", str(ledger), "--out", str(ledger.parent / "series.csv")])
+
+
+def _resume(capsys, ledger):
+    return _cli(capsys, ["resume", *QUICKSTART, "--out", str(ledger.parent)])
+
+
+def _set_field(lines, record, column, value):
+    """``lines`` with one field of record ``record`` set to ``value``."""
+    at = lines.index(encode_row(COLUMNS)) + 1 + record
+    fields = lines[at].rstrip("\n").split(",")
+    assert fields[0] == str(record)
+    fields[COLUMNS.index(column)] = value
+    return [*lines[:at], ",".join(fields) + "\n", *lines[at + 1:]]
+
+
+@pytest.mark.parametrize("record, column, value", [
+    # record 6 is an estimate in the middle of iteration 1; moved to iteration
+    # 2, it leaves the rows before the last iteration ending in estimates
+    # without their ranking pass, which only a replay of every row refuses
+    (6, "iteration", "2"),
+    # record 39's incumbent flag then disagrees, and it lies in the iteration resume drops
+    (0, "score", "0.99"),
+], ids=["hole-1-iteration", "hole-1-score"])
+def test_resume_refuses_a_row_export_refuses_with_the_same_line(tmp_path, capsys, quickstart, record, column, value):
+    ledger = tmp_path / LEDGER_NAME
+    ledger.write_text("".join(_set_field(quickstart, record, column, value)))
+    before = ledger.read_bytes()
+    code, export_err = _export(capsys, ledger)
+    assert code == 1 and export_err.startswith(f"error: {ledger}: record ")
+    assert _resume(capsys, ledger) == (1, export_err)
+    assert ledger.read_bytes() == before
+
+
+def test_resume_refuses_an_incumbent_row_its_curve_does_not_reproduce(tmp_path, capsys, quickstart):
+    # record 0, the start point, is the incumbent that resume keeps; at 150
+    # epochs its curve's best accuracy is not the row's score, and the
+    # envelope built from that curve would change every later stop
+    ledger = tmp_path / LEDGER_NAME
+    ledger.write_text("".join(_set_field(quickstart, 0, "epochs_used", "150")))
+    before = ledger.read_bytes()
+    assert _export(capsys, ledger)[0] == 0
+    code, err = _resume(capsys, ledger)
+    assert code == 1
+    assert err.startswith(f"error: {ledger}: record 0: score 0.6837000000000001 is not its curve's best accuracy ")
+    assert ledger.read_bytes() == before
+
+
+def _edit(rng, lines):
+    """One seeded edit of a ledger's lines, in place; returns what it did."""
+    first = lines.index(encode_row(COLUMNS)) + 1
+    at = rng.randrange(first, len(lines))
+    kind = rng.choice(("field", "field", "slot", "drop", "duplicate", "swap", "truncate", "header"))
+    if kind in ("field", "slot"):
+        fields = lines[at].rstrip("\n").split(",")
+        column = rng.randrange(len(fields)) if kind == "field" else COLUMNS.index("config")
+        if kind == "slot":
+            tokens = fields[column].split(" ")
+            i = rng.randrange(len(tokens))
+            tokens[i] = tokens[i].partition("=")[0] + "=" + rng.choice(TOKENS)
+            fields[column] = " ".join(tokens)
+        else:
+            fields[column] = rng.choice(TOKENS)
+        lines[at] = ",".join(fields) + "\n"
+        return f"{kind} {COLUMNS[column]} of line {at + 1}: {fields[column]!r}"
+    if kind == "drop":
+        del lines[at]
+    elif kind == "duplicate":
+        lines.insert(at, lines[at])
+    elif kind == "swap":
+        other = rng.randrange(first, len(lines))
+        lines[at], lines[other] = lines[other], lines[at]
+        return f"swap lines {at + 1} and {other + 1}"
+    elif kind == "truncate":
+        lines[at] = lines[at][:rng.randrange(len(lines[at]) - 1)] + "\n"
+    else:
+        at = rng.randrange(first - 1)
+        lines[at] = f"{lines[at].partition('=')[0]}= {rng.choice(TOKENS)}\n"
+        return f"header line {at + 1}: {lines[at]!r}"
+    return f"{kind} line {at + 1}"
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_resume_accepts_only_what_export_accepts(tmp_path, capsys, quickstart, seed):
+    rng = random.Random(seed)
+    ledger = tmp_path / LEDGER_NAME
+    accepted = 0
+    for _ in range(100):
+        lines = list(quickstart)
+        what = _edit(rng, lines)
+        ledger.write_text("".join(lines))
+        before = ledger.read_bytes()
+        export_code, _ = _export(capsys, ledger)
+        if _resume(capsys, ledger)[0]:
+            assert ledger.read_bytes() == before, what
+        else:
+            accepted += 1
+            assert export_code == 0, what
+            assert _export(capsys, ledger)[0] == 0, what
+    # the edits reach both outcomes
+    assert 0 < accepted < 100

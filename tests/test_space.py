@@ -134,11 +134,6 @@ class TestNeighbors:
                 if n.n_fc == config.n_fc:
                     assert n.fc_sizes == config.fc_sizes
 
-    def test_invalid_input_rejected(self, bounds):
-        bad = make_config((), (), dropout=1.5)
-        with pytest.raises(ValueError):
-            neighbors(bad, bounds)
-
 
 class TestValidate:
     def test_default_preset_ok(self, bounds):
@@ -398,6 +393,32 @@ class TestConfigurationOwnsTheStockScalars:
     def test_a_bool_is_not_a_slot_value(self):
         with pytest.raises(TypeError, match="bool is not a slot value"):
             make_config((), (), momentum=True).key
+
+    @pytest.mark.parametrize("fc_sizes, scalars, error, message", [
+        ((), dict(batch_size=True), TypeError, "batch_size: bool is not a slot value"),
+        ((), dict(batch_size=np.True_), TypeError, "batch_size: bool is not a slot value"),
+        ((), dict(batch_size=128.5), ValueError, "batch_size=128.5 is not an integer"),
+        ((), dict(batch_size=float("nan")), ValueError, "batch_size=nan is not an integer"),
+        ((128.7, 64), {}, ValueError, "fc0=128.7 is not an integer"),
+        ((128, False), {}, TypeError, "fc1: bool is not a slot value"),
+    ], ids=["bool-batch", "numpy-bool-batch", "fractional-batch", "nan-batch", "fractional-fc", "bool-fc"])
+    def test_an_integer_slot_refuses_a_bool_or_a_fraction(self, fc_sizes, scalars, error, message):
+        # coercing would silently train another configuration: True as 1, 128.5 as 128
+        with pytest.raises(error, match=re.escape(message)):
+            make_config((), fc_sizes, **scalars)
+
+    def test_serialize_spells_each_slot_by_its_type(self):
+        p1 = preset_config("p1")
+        # equal configurations write one key, whatever number types their slots hold
+        assert replace(p1, dropout=0) == replace(p1, dropout=0.0)
+        zero_dropout = _P1_TEXT.replace("dropout=0.2", "dropout=0.0")
+        assert replace(p1, dropout=0).key == replace(p1, dropout=0.0).key == zero_dropout
+        assert replace(p1, fc_sizes=(128.0, 64)).key == _P1_TEXT
+        assert deserialize(replace(p1, dropout=0).key) == replace(p1, dropout=0.0)
+        with pytest.raises(ValueError, match=re.escape("batch_size=100.5 is not an integer")):
+            serialize(replace(p1, batch_size=100.5))
+        with pytest.raises(TypeError, match="fc0: bool is not a slot value"):
+            serialize(replace(p1, fc_sizes=(True, 64)))
 
 
 class TestConfigurationOwnsDerivedValues:
