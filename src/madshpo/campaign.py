@@ -149,10 +149,15 @@ def initial_config(settings: CampaignSettings) -> Configuration:
     return preset_config(settings.preset)
 
 
+def _simulator(settings: CampaignSettings) -> SimulatedBlackbox:
+    """The simulated trainer that a campaign trains with and that resume regenerates curves with."""
+    return SimulatedBlackbox(noise_sigma=settings.noise_sigma)
+
+
 def build_plan(settings: CampaignSettings, bounds: SpaceBounds | None = None) -> mads.RunPlan:
     bounds = bounds or default_bounds()
     if settings.backend == "simulated":
-        blackbox = SimulatedBlackbox(noise_sigma=settings.noise_sigma)
+        blackbox = _simulator(settings)
         evaluate = blackbox.evaluate
 
         def fidelity_eval(config: Configuration, epochs: int, fraction: float) -> float:
@@ -230,6 +235,13 @@ def _persist(settings: CampaignSettings, result: mads.CampaignResult, wall_secon
     (out / SUMMARY_NAME).write_text(json.dumps(summary, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
+def read_checked_ledger(path: Path) -> tuple[dict[str, str], list[LedgerRecord]]:
+    """The ledger at ``path``, every row replayed from its header's ``initial``: what export and resume read."""
+    header, records = read_ledger(path)
+    mads.replay(records, header.get("initial"), path)
+    return header, records
+
+
 def _rebuild_state(settings: CampaignSettings, plan: mads.RunPlan, kept: list[LedgerRecord],
                    path: Path | None) -> mads.CampaignState:
     """Campaign state after the kept records of the ledger at ``path``.
@@ -251,7 +263,7 @@ def _rebuild_state(settings: CampaignSettings, plan: mads.RunPlan, kept: list[Le
                 raise ValueError(f"config is not its configuration's key {state.incumbent.key!r}")
             if not 1 <= best.epochs_used <= settings.max_epochs:
                 raise ValueError(f"epochs_used {best.epochs_used} outside [1, {settings.max_epochs}]")
-            model = SimulatedBlackbox(noise_sigma=settings.noise_sigma).model_for(state.incumbent, settings.seed)
+            model = _simulator(settings).model_for(state.incumbent, settings.seed)
             curve = simulate_curve(model, best.epochs_used)
             if curve.best_accuracy() != best.score:
                 raise ValueError(f"score {best.score!r} is not its curve's best accuracy {curve.best_accuracy()!r}")
@@ -269,7 +281,7 @@ def run(settings: CampaignSettings, bounds: SpaceBounds | None = None) -> mads.C
 def resume(settings: CampaignSettings, bounds: SpaceBounds | None = None) -> mads.CampaignResult:
     """Continue an interrupted campaign from its persisted ledger.
 
-    Every row is checked first, as ``madshpo export`` checks it.  Then the
+    Every row is checked first, by the read ``madshpo export`` makes.  Then the
     trailing (possibly incomplete) iteration is discarded and replayed;
     determinism makes the final ledger byte-identical to an uninterrupted
     run.  Only the simulated backend can regenerate curves, so external
@@ -287,13 +299,11 @@ def _continue(settings: CampaignSettings, bounds: SpaceBounds | None, path: Path
     if path is not None:
         if settings.backend != "simulated":
             raise ValueError("resume is only supported for the simulated backend")
-        header, records = read_ledger(path)
+        header, records = read_checked_ledger(path)
         mismatched = sorted(key for key, value in settings_header(settings).items() if header.get(key) != value)
         if mismatched:
             raise ValueError(f"ledger settings do not match: {', '.join(mismatched)}")
-        # every row is checked, as export checks it; then the last row's iteration, which may be
-        # incomplete, is dropped and run again, and the rows before it kept
-        mads.replay(records, header["initial"], path)
+        # the last row's iteration, which may be incomplete, is dropped and run again
         if records:
             del records[next(i for i, r in enumerate(records) if r.iteration == records[-1].iteration):]
     result = mads.continue_campaign(_rebuild_state(settings, plan, records, path), settings.bbe_budget, plan)

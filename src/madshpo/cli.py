@@ -15,9 +15,9 @@ import json
 import sys
 from pathlib import Path
 
-from .campaign import LEDGER_NAME, SUMMARY_NAME, CampaignSettings, header_data_fraction, resume, run, setting_fields
-from .ledger import export_convergence, read_ledger, write_series
-from .mads import replay
+from .campaign import (LEDGER_NAME, SUMMARY_NAME, CampaignSettings, header_data_fraction, read_checked_ledger,
+                       resume, run, setting_fields)
+from .ledger import export_convergence, write_series
 
 
 def read_settings_file(path: Path) -> dict[str, str]:
@@ -88,8 +88,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"termination: {result.termination}")
             return 0
         if args.command == "export":
-            header, records = read_ledger(Path(args.ledger))
-            replay(records, header.get("initial"), args.ledger)
+            header, records = read_checked_ledger(Path(args.ledger))
             rows = export_convergence(records, surrogate_data_fraction=header_data_fraction(header))
             write_series(Path(args.out), rows)
             print(f"wrote {len(rows)} rows to {args.out}")

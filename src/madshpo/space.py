@@ -25,15 +25,14 @@ _MAX_LAYOUTS = 256
 class SlotSpec:
     """Bounds and stepping rules for one quantitative slot.
 
-    ``log10`` slots are meshed in log-space (bounds must be positive);
-    ``granularity`` is expressed in internal units (decades for log slots)
-    and must stay positive.
+    ``log10`` slots are meshed in log-space (bounds must be positive), and
+    ``granularity`` is in internal units (decades for log slots) and must be
+    positive.  A slot's type is that of the ``Configuration`` field it fills.
     """
 
     lower: float
     upper: float
     granularity: float = 1e-9
-    integer: bool = False
     log10: bool = False
 
     def __post_init__(self) -> None:
@@ -43,17 +42,9 @@ class SlotSpec:
             raise ValueError("granularity must be positive")
         if self.log10 and self.lower <= 0:
             raise ValueError("log10 slots need positive lower bound")
-        if self.integer and self.log10:
-            raise ValueError("integer slots cannot be log10 scaled")
 
     def to_internal(self, value: float) -> float:
         return math.log10(value) if self.log10 else float(value)
-
-    def from_internal(self, value: float) -> float | int:
-        out = 10.0**value if self.log10 else value
-        if self.integer:
-            return int(round(out))
-        return float(out)
 
     @property
     def internal_lower(self) -> float:
@@ -63,11 +54,10 @@ class SlotSpec:
     def internal_upper(self) -> float:
         return self.to_internal(self.upper)
 
-    def midpoint(self) -> float | int:
-        mid = 0.5 * (self.internal_lower + self.internal_upper)
-        if self.integer:
-            mid = self.granularity * round(mid / self.granularity)
-        return self.from_internal(min(max(mid, self.internal_lower), self.internal_upper))
+    def midpoint(self) -> int:
+        """The grid point nearest the middle of an integer slot's range."""
+        mid = self.granularity * round(0.5 * (self.lower + self.upper) / self.granularity)
+        return int(round(min(max(mid, self.lower), self.upper)))
 
 
 @dataclass(frozen=True)
@@ -159,6 +149,9 @@ class SpaceBounds:
                 raise ValueError(f"optimizer name {name!r} is empty or holds whitespace, a comma or a quote")
         if len(self.scalar_slots) != len(SCALAR_FIELDS):
             raise ValueError(f"expected {len(SCALAR_FIELDS)} scalar slots")
+        integer_scalars = (s for name, s in zip(SCALAR_FIELDS, self.scalar_slots) if name not in _FLOAT_SCALARS)
+        if any(s.log10 for s in (*self.conv_slots, self.fc_slot, *integer_scalars)):
+            raise ValueError("integer slots cannot be log10 scaled")
         # (n_conv, n_fc) -> SlotLayout; not a field, so it takes no part in
         # equality, hashing or repr.
         object.__setattr__(self, "_layouts", {})
@@ -170,17 +163,17 @@ def default_bounds() -> SpaceBounds:
         n_conv_range=(0, 8),
         n_fc_range=(0, 6),
         conv_slots=(
-            SlotSpec(4, 128, granularity=1, integer=True),    # out_channels
-            SlotSpec(1, 7, granularity=1, integer=True),      # kernel_size
-            SlotSpec(1, 3, granularity=1, integer=True),      # stride
-            SlotSpec(0, 3, granularity=1, integer=True),      # padding
-            SlotSpec(1, 4, granularity=1, integer=True),      # pooling
+            SlotSpec(4, 128, granularity=1),  # out_channels
+            SlotSpec(1, 7, granularity=1),    # kernel_size
+            SlotSpec(1, 3, granularity=1),    # stride
+            SlotSpec(0, 3, granularity=1),    # padding
+            SlotSpec(1, 4, granularity=1),    # pooling
         ),
-        fc_slot=SlotSpec(16, 1024, granularity=1, integer=True),
+        fc_slot=SlotSpec(16, 1024, granularity=1),
         optimizers=("sgd", "adam", "adagrad", "rmsprop"),
         scalar_slots=(
             SlotSpec(1e-6, 1.0, granularity=1e-6, log10=True),   # learning_rate
-            SlotSpec(16, 512, granularity=16, integer=True),     # batch_size
+            SlotSpec(16, 512, granularity=16),                   # batch_size
             SlotSpec(0.0, 0.95, granularity=1e-9),               # dropout
             SlotSpec(1e-8, 0.1, granularity=1e-6, log10=True),   # weight_decay
             SlotSpec(0.0, 0.99, granularity=1e-9),               # momentum
@@ -210,8 +203,8 @@ def make_config(
     # each value takes its slot's type (a float slot given 0 holds 0.0); a float slot's float stays as given
     for name, value in scalars.items():
         if name not in _FLOAT_SCALARS or not isinstance(value, float):
-            scalars[name] = _slot_number(name, value, name not in _FLOAT_SCALARS)
-    fc_sizes = tuple(_slot_number(f"fc{i}", s, True) for i, s in enumerate(fc_sizes))
+            scalars[name] = _slot_number(name, value)
+    fc_sizes = tuple(_slot_number(f"fc{i}", s) for i, s in enumerate(fc_sizes))
     return Configuration(tuple(conv_layers), fc_sizes, optimizer, **scalars)
 
 
@@ -276,13 +269,14 @@ class Slot:
 class SlotLayout:
     """The quantitative slots of one architecture size, with their
     granularities and internal-scale bounds as arrays (slot order) and the
-    positions of the log10 slots."""
+    positions of the log10 slots and of the integer slots."""
 
     slots: tuple[Slot, ...]
     granularity: np.ndarray
     lowers: np.ndarray
     uppers: np.ndarray
     log10_positions: tuple[int, ...]
+    integer_positions: tuple[int, ...]
 
 
 def slot_layout(bounds: SpaceBounds, n_conv: int, n_fc: int) -> SlotLayout:
@@ -299,6 +293,7 @@ def slot_layout(bounds: SpaceBounds, n_conv: int, n_fc: int) -> SlotLayout:
         np.array([s.spec.internal_lower for s in slots]),
         np.array([s.spec.internal_upper for s in slots]),
         tuple(i for i, s in enumerate(slots) if s.spec.log10),
+        tuple(i for i, s in enumerate(slots) if s.name not in _FLOAT_SCALARS),
     )
     if len(layouts) >= _MAX_LAYOUTS:
         layouts.clear()
@@ -321,10 +316,14 @@ def to_vector(config: Configuration, bounds: SpaceBounds) -> np.ndarray:
 
 def with_vector(config: Configuration, bounds: SpaceBounds, vec: np.ndarray | list[float]) -> Configuration:
     """Rebuild a configuration from an internal-scale vector (categoricals kept)."""
-    slots = slot_layout(bounds, config.n_conv, config.n_fc).slots
-    if len(vec) != len(slots):
-        raise ValueError(f"vector length {len(vec)} != slot count {len(slots)}")
-    values = [slot.spec.from_internal(v) for slot, v in zip(slots, vec)]
+    layout = slot_layout(bounds, config.n_conv, config.n_fc)
+    if len(vec) != len(layout.slots):
+        raise ValueError(f"vector length {len(vec)} != slot count {len(layout.slots)}")
+    values = list(map(float, vec))
+    for i in layout.log10_positions:
+        values[i] = 10.0**values[i]
+    for i in layout.integer_positions:
+        values[i] = int(round(values[i]))
     return _from_values(config.optimizer, config.n_conv, values)
 
 
@@ -341,7 +340,7 @@ def validate(config: Configuration, bounds: SpaceBounds) -> list[str]:
         problems.append(f"optimizer={config.optimizer!r} not in {bounds.optimizers}")
     for slot, value in zip(slot_layout(bounds, config.n_conv, config.n_fc).slots, _raw_values(config)):
         spec = slot.spec
-        if spec.integer and value != int(value):
+        if slot.name not in _FLOAT_SCALARS and value != int(value):
             problems.append(f"{slot.name}={value} must be an integer")
         if not spec.lower <= value <= spec.upper:
             problems.append(f"{slot.name}={value} outside [{spec.lower}, {spec.upper}]")
@@ -366,7 +365,7 @@ def neighbors(config: Configuration, bounds: SpaceBounds) -> list[Configuration]
     if config.n_conv - 1 >= bounds.n_conv_range[0]:
         out.append(replace(config, conv_layers=config.conv_layers[:-1]))
     if config.n_fc + 1 <= bounds.n_fc_range[1]:
-        out.append(replace(config, fc_sizes=config.fc_sizes + (int(bounds.fc_slot.midpoint()),)))
+        out.append(replace(config, fc_sizes=config.fc_sizes + (bounds.fc_slot.midpoint(),)))
     if config.n_fc - 1 >= bounds.n_fc_range[0]:
         out.append(replace(config, fc_sizes=config.fc_sizes[:-1]))
     if len(bounds.optimizers) > 1:
@@ -376,15 +375,15 @@ def neighbors(config: Configuration, bounds: SpaceBounds) -> list[Configuration]
     return out
 
 
-def _slot_number(name: str, value, integer: bool) -> int | float:
-    """``value`` as slot ``name`` holds it: an int if ``integer``, else a
-    float.  A bool, or a value with a fraction for an integer slot, is
-    refused."""
-    if type(value) is (int if integer else float):
+def _slot_number(name: str, value) -> int | float:
+    """``value`` as slot ``name`` holds it: a float for a float trainer
+    scalar, else an int.  A bool, or a value with a fraction for an integer
+    slot, is refused."""
+    if type(value) is (float if name in _FLOAT_SCALARS else int):
         return value
     if isinstance(value, (bool, np.bool_)):
         raise TypeError(f"{name}: bool is not a slot value")
-    if not integer:
+    if name in _FLOAT_SCALARS:
         return float(value)
     if not float(value).is_integer():
         raise ValueError(f"{name}={value!r} is not an integer")
@@ -397,7 +396,7 @@ def serialize(config: Configuration) -> str:
     ``Configuration``'s fields, each conv layer spelled out.  A value is
     spelled as :func:`deserialize` reads its slot: ``str(int(v))`` or ``repr(float(v))``."""
     names = slot_names(config.n_conv, config.n_fc)
-    tokens = [f"{name}={_slot_number(name, value, name not in _FLOAT_SCALARS)!r}"
+    tokens = [f"{name}={_slot_number(name, value)!r}"
               for name, value in zip(names, _raw_values(config))]
     tokens.insert(len(tokens) - len(SCALAR_FIELDS), f"optimizer={config.optimizer}")
     return " ".join(tokens)

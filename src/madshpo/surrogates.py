@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 from typing import Callable, Sequence
 
 from .blackbox import TRAINER_FAULTS, WORST_SCORE
@@ -19,7 +19,7 @@ from .space import Configuration
 
 logger = logging.getLogger(__name__)
 
-# kind -> (epoch budget, data fraction, cost ratio relative to one full evaluation)
+# name -> (epoch budget, data fraction, cost ratio relative to one full evaluation)
 SURROGATE_TABLE: dict[str, tuple[int, float, float]] = {
     "r1": (25, 1.0, 0.125),
     "r2": (10, 1.0, 0.05),
@@ -28,11 +28,13 @@ SURROGATE_TABLE: dict[str, tuple[int, float, float]] = {
     "oracle": (200, 1.0, 1.0),
     "none": (0, 1.0, 0.0),
 }
+_ROW_NAMES = {row: name for name, row in SURROGATE_TABLE.items()}
 
 
 @dataclass(frozen=True)
 class SurrogateSpec:
-    kind: str
+    """An estimate's epochs, data fraction and charge; only ``none`` trains zero epochs."""
+
     epoch_budget: int
     data_fraction: float
     cost_ratio: float
@@ -42,46 +44,36 @@ class SurrogateSpec:
             raise ValueError("data_fraction must lie in (0, 1]")
         if not 0.0 <= self.cost_ratio <= 1.0:
             raise ValueError("cost_ratio must lie in [0, 1]")
-        if self.kind in SURROGATE_TABLE:
-            # a named surrogate trains fewer epochs when a full training is shorter
-            epochs, fraction, cost = SURROGATE_TABLE[self.kind]
-            if (self.data_fraction, self.cost_ratio) != (fraction, cost) or not (
-                self.epoch_budget == epochs or 1 <= self.epoch_budget < epochs
-            ):
-                raise ValueError(
-                    f"{self.kind} must use fraction {fraction}, cost {cost} and at most {epochs} epochs"
-                )
-        elif self.kind != "custom":
-            raise ValueError(f"unknown surrogate kind {self.kind!r}")
-        elif self.epoch_budget < 1:
+        if self.epoch_budget < 1 and self.text != "none":
             raise ValueError("epoch_budget must be >= 1")
 
     @property
     def disabled(self) -> bool:
-        return self.kind == "none"
+        return self.epoch_budget == 0
 
     @property
     def text(self) -> str:
-        """The ledger-header form, which :func:`surrogate_by_name` reads back."""
-        if self.kind == "custom":
-            return f"custom {self.epoch_budget} {self.data_fraction!r} {self.cost_ratio!r}"
-        return self.kind
+        """The ledger-header form, which :func:`surrogate_by_name` reads back:
+        the name of the table row equal to the triple, or ``custom e f c``."""
+        return _ROW_NAMES.get(astuple(self)) or f"custom {self.epoch_budget} {self.data_fraction!r} {self.cost_ratio!r}"
 
 
 def surrogate_by_name(text: str) -> SurrogateSpec:
     """The surrogate a text names: r1..r4, oracle or none; a custom
     ``epochs,fraction,cost`` triple; or the header form of a custom one,
-    ``custom epochs fraction cost``."""
+    ``custom epochs fraction cost``.  A triple equal to a table row is that
+    row, and only the name ``none`` trains zero epochs."""
     key = text.lower()
-    if key in SURROGATE_TABLE:
-        return SurrogateSpec(key, *SURROGATE_TABLE[key])
     kind, _, rest = key.partition(" ")
-    parts = rest.split(" ") if kind == "custom" else key.split(",")
+    parts = SURROGATE_TABLE.get(key) or (rest.split(" ") if kind == "custom" else key.split(","))
     if len(parts) != 3:
         raise ValueError(
             f"unknown surrogate {text!r} (expected one of {sorted(SURROGATE_TABLE)} or epochs,fraction,cost)"
         )
-    return SurrogateSpec("custom", int(parts[0]), float(parts[1]), float(parts[2]))
+    spec = SurrogateSpec(int(parts[0]), float(parts[1]), float(parts[2]))
+    if spec.disabled and key != "none":
+        raise ValueError("epoch_budget must be >= 1")
+    return spec
 
 
 # Callback contract: (config, epochs, data_fraction) -> estimated accuracy.

@@ -193,6 +193,15 @@ class TestResume:
         assert records[firsts[0]].mesh_index == records[firsts[0] - 1].mesh_index - 1
         self.assert_resumes_from(tmp_path, s, header, records, firsts, full_bytes)
 
+    @pytest.mark.parametrize("sigma", [0.0, 0.002])
+    def test_replay_equivalence_at_a_noise_level(self, tmp_path, sigma):
+        # resume regenerates the incumbent's curve with the simulator the run trained with
+        s, path, full_bytes = self.run_full(tmp_path, noise_sigma=sigma, surrogate="r4", seed=2)
+        header, records = read_ledger(path)
+        assert header["noise_sigma"] == str(sigma)
+        self.assert_resumes_from(tmp_path, s, header, records, [1, len(records) // 3, (2 * len(records)) // 3],
+                                 full_bytes)
+
     def assert_resumes_from(self, tmp_path, s, header, records, firsts, full_bytes):
         """Resume from a cut just after each given record; the ledger must come out whole."""
         for first in firsts:
@@ -325,7 +334,7 @@ class TestResume:
         _, records = read_ledger(path)
         best = [r for r in records if r.incumbent and r.iteration < records[-1].iteration][-1]
         fc0 = deserialize(best.config).fc_sizes[0]
-        bounds = replace(default_bounds(), fc_slot=SlotSpec(16, fc0 - 1, granularity=1, integer=True))
+        bounds = replace(default_bounds(), fc_slot=SlotSpec(16, fc0 - 1, granularity=1))
 
         def no_poll(*args):
             raise AssertionError("polled an incumbent the loop never validated")
@@ -619,12 +628,44 @@ class TestCli:
         ("--max-iterations", "-1", "error: max_iterations must be >= 0"),
         ("--min-mesh-index", "1", "error: min_mesh_index must be <= 0"),
         ("--budget", "0", "error: budget must be positive"),
-    ], ids=["nan-cost-ratio", "nan-margin", "zero-milestone", "negative-cap", "floor-above-start", "zero-budget"])
+        # only the name none trains zero epochs
+        ("--rank", "0,1.0,0.0", "error: rank: epoch_budget must be >= 1"),
+        ("--rank", "custom 0 1.0 0.0", "error: rank: epoch_budget must be >= 1"),
+    ], ids=["nan-cost-ratio", "nan-margin", "zero-milestone", "negative-cap", "floor-above-start", "zero-budget",
+            "zero-epoch-triple", "zero-epoch-header-form"])
     def test_nan_setting_is_one_error_line_and_writes_nothing(self, tmp_path, capsys, flag, value, error):
         out = tmp_path / "out"
         assert main(["run", "--preset", "p1", "--budget", "5", flag, value, "--seed", "1", "--out", str(out)]) == 1
         assert capsys.readouterr().err == error + "\n"
         assert not out.exists()
+
+    def test_a_triple_equal_to_a_table_row_writes_that_rows_ledger(self, tmp_path):
+        ledgers = []
+        for rank in ("25,1.0,0.125", "r1"):
+            out = tmp_path / rank
+            assert main(["run", "--budget", "10", "--seed", "7", "--rank", rank, "--out", str(out)]) == 0
+            ledgers.append((out / LEDGER_NAME).read_bytes())
+        assert ledgers[0] == ledgers[1]
+        assert read_ledger(tmp_path / "r1" / LEDGER_NAME)[0]["surrogate"] == "r1"
+
+    @pytest.mark.parametrize("command", ["export", "resume"])
+    def test_a_ledger_from_another_start_point_is_refused_by_the_row_check(self, tmp_path, capsys, command):
+        # resume reads the ledger as export does, so the start-point row is refused
+        # before the header is compared with the settings
+        out = tmp_path / "out"
+        argv = ["--preset", "p1", "--budget", "10", "--stop", "scheduler+baseline", "--rank", "r4", "--seed", "7",
+                "--backend", "simulated", "--out", str(out)]
+        assert main(["run", *argv]) == 0
+        ledger = out / LEDGER_NAME
+        header, records = read_ledger(ledger)
+        assert len(records) == 40
+        write_ledger(ledger, records, {**header, "initial": preset_config("p2").key})
+        before = ledger.read_bytes()
+        capsys.readouterr()
+        series = ["--ledger", str(ledger), "--out", str(tmp_path / "series.csv")]
+        assert main([command, *(series if command == "export" else argv)]) == 1
+        assert capsys.readouterr().err == f"error: {ledger}: record 0: config is not the initial configuration\n"
+        assert ledger.read_bytes() == before
 
     def test_refused_resume_is_one_error_line_and_leaves_the_ledger(self, tmp_path, capsys):
         out = tmp_path / "out"

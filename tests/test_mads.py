@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from madshpo.blackbox import FAILED_REASON, WORST_SCORE, EvaluationResult
+from madshpo.campaign import CampaignSettings, build_plan
 from madshpo.early_stop import DEFAULT_MARGINS, DEFAULT_MILESTONES, BaselineEnvelope, StoppingMonitor, TrainingHistory
 from madshpo.ledger import KIND_FULL, KIND_RANKING, KIND_SURROGATE
 from madshpo import mads
@@ -20,6 +21,7 @@ from madshpo.mads import (
     update_mesh,
 )
 from madshpo.space import (
+    SlotSpec,
     SpaceBounds,
     default_bounds,
     deserialize,
@@ -189,6 +191,28 @@ class TestGeneratePoll:
         coarse = Mesh(-3).poll_sizes(layout)[:, None] * directions
         fine = Mesh(-4).poll_sizes(layout)[:, None] * directions
         assert np.allclose(fine, 0.5 * coarse, rtol=1e-12)
+
+
+class TestIntegerSlots:
+    """A slot holds an integer because its Configuration field does, whatever its spec's granularity."""
+
+    @staticmethod
+    def half_step_fc_bounds():
+        return replace(default_bounds(), fc_slot=SlotSpec(16, 1024, granularity=0.5))
+
+    @pytest.mark.parametrize("index", [-1, -3])
+    def test_a_fractional_fc_granularity_still_gives_int_sizes(self, index):
+        poll = generate_poll(preset_config("p1"), Mesh(index), 5, self.half_step_fc_bounds())
+        sizes = [size for c in poll.candidates for size in c.config.fc_sizes]
+        assert sizes and all(type(size) is int for size in sizes)
+
+    def test_a_campaign_with_a_fractional_fc_granularity_finishes(self):
+        bounds = self.half_step_fc_bounds()
+        plan = build_plan(CampaignSettings(seed=5, charge_ranking=False), bounds)
+        result = mads.run_campaign(preset_config("p1"), 20, plan)
+        # the budget ran out at a poll below mesh index 0, where the FC spacing is a multiple of 50.5
+        assert (result.termination, result.final_mesh_index) == ("budget", -1)
+        assert all(validate(deserialize(r.config), bounds) == [] for r in result.records)
 
 
 def quadratic_plan(bounds, center, seed, max_iterations=500, surrogate="none"):

@@ -313,7 +313,6 @@ REFUSED_SLOTS = {
     "lower-above-upper": (dict(lower=2.0, upper=1.0), "slot lower 2.0 > upper 1.0"),
     "zero-granularity": (dict(lower=0.0, upper=1.0, granularity=0.0), "granularity must be positive"),
     "log10-from-zero": (dict(lower=0.0, upper=1.0, log10=True), "log10 slots need positive lower bound"),
-    "integer-log10": (dict(lower=1.0, upper=8.0, integer=True, log10=True), "integer slots cannot be log10 scaled"),
 }
 
 
@@ -329,6 +328,14 @@ REFUSED_BOUNDS = {
     "n_fc-range-negative": (dict(n_fc_range=(-1, 2)), "bad n_fc range (-1, 2)"),
     "no-optimizer": (dict(optimizers=()), "need at least one optimizer"),
     "eight-scalar-slots": (dict(scalar_slots=default_bounds().scalar_slots[:-1]), "expected 9 scalar slots"),
+    # a slot's type is its Configuration field's, so every conv and FC slot and batch_size hold integers
+    "log10-conv-slot": (dict(conv_slots=(SlotSpec(4, 128, log10=True), *default_bounds().conv_slots[1:])),
+                        "integer slots cannot be log10 scaled"),
+    "log10-fc-slot": (dict(fc_slot=SlotSpec(16, 1024, log10=True)), "integer slots cannot be log10 scaled"),
+    "log10-batch-size": (
+        dict(scalar_slots=tuple(SlotSpec(16, 512, log10=True) if name == "batch_size" else spec
+                                for name, spec in zip(SCALAR_FIELDS, default_bounds().scalar_slots))),
+        "integer slots cannot be log10 scaled"),
 }
 
 
@@ -489,15 +496,16 @@ class TestSerializeCalls:
 
 
 def _random_config(rng, bounds, clip=True):
-    def draw(spec):
-        if spec.integer:
+    def draw(spec, integer=True):
+        # a slot holds an integer unless it fills a float trainer scalar
+        if integer:
             lo, hi = int(spec.lower), int(spec.upper)
             value = int(rng.integers(lo, hi + 1))
         elif spec.log10:
             value = 10.0 ** rng.uniform(np.log10(spec.lower), np.log10(spec.upper))
         else:
             value = float(rng.uniform(spec.lower, spec.upper))
-        if not clip and not spec.integer and rng.random() < 0.2:
+        if not clip and not integer and rng.random() < 0.2:
             value = value * 1.5  # occasionally out of bounds, projection must fix
         return value
 
@@ -508,8 +516,7 @@ def _random_config(rng, bounds, clip=True):
         for _ in range(n_conv)
     )
     fcs = tuple(draw(bounds.fc_slot) for _ in range(n_fc))
-    scalars = {f: draw(s) for f, s in zip(SCALAR_FIELDS, bounds.scalar_slots)}
-    scalars["batch_size"] = int(scalars["batch_size"])
+    scalars = {f: draw(s, f not in space._FLOAT_SCALARS) for f, s in zip(SCALAR_FIELDS, bounds.scalar_slots)}
     return make_config(
         layers,
         fcs,

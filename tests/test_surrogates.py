@@ -9,6 +9,7 @@ from madshpo.ledger import KIND_SURROGATE, read_ledger, write_ledger
 from madshpo.mads import PollCandidate, replay, run_campaign
 from madshpo.space import make_config, preset_config, to_vector
 from madshpo.surrogates import (
+    SURROGATE_TABLE,
     SurrogateSpec,
     estimate,
     rank_candidates,
@@ -47,30 +48,36 @@ class TestCostTable:
         spec = surrogate_by_name(name)
         assert (spec.epoch_budget, spec.data_fraction) == (epochs, fraction)
 
-    def test_inconsistent_spec_rejected(self):
-        with pytest.raises(ValueError):
-            SurrogateSpec("r1", 25, 1.0, 0.2)
-        with pytest.raises(ValueError):
-            SurrogateSpec("r4", 201, 0.1, 0.1)
-        with pytest.raises(ValueError):
-            SurrogateSpec("r9", 25, 1.0, 0.1)
-
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError):
             surrogate_by_name("hyperband")
 
     def test_custom_triple(self):
         spec = surrogate_by_name("50,0.5,0.25")
-        assert spec.kind == "custom" and spec.cost_ratio == 0.25
-        assert (spec.epoch_budget, spec.data_fraction) == (50, 0.5)
+        assert spec == SurrogateSpec(50, 0.5, 0.25) and not spec.disabled
         assert spec.text == "custom 50 0.5 0.25"
+
+    @pytest.mark.parametrize("name", ["r1", "r2", "r3", "r4", "oracle"])
+    def test_a_triple_equal_to_a_row_is_that_row(self, name):
+        row = SURROGATE_TABLE[name]
+        for text in (",".join(map(str, row)), "custom " + " ".join(map(repr, row))):
+            spec = surrogate_by_name(text)
+            assert spec == surrogate_by_name(name) and spec.text == name
+
+    def test_only_none_trains_zero_epochs(self):
+        spec = SurrogateSpec(0, 1.0, 0.0)
+        assert spec == surrogate_by_name("none") and spec.disabled and spec.text == "none"
+        with pytest.raises(ValueError, match="epoch_budget must be >= 1"):
+            SurrogateSpec(0, 0.5, 0.25)
 
     @pytest.mark.parametrize("text", ["r2", "none", "custom 12 0.5 0.25", "custom 7 1.0 0.03"])
     def test_text_reads_back(self, text):
         spec = surrogate_by_name(text)
         assert spec.text == text and surrogate_by_name(spec.text) == spec
 
-    @pytest.mark.parametrize("text", ["1,2", "0,0.5,0.25", "12,0,0.25", "12,0.5,2", "12,0.5,x", "custom 20", ""])
+    # only the name none trains zero epochs, so its triple is refused
+    @pytest.mark.parametrize("text", ["1,2", "0,0.5,0.25", "12,0,0.25", "12,0.5,2", "12,0.5,x", "custom 20", "",
+                                      "0,1.0,0.0", "custom 0 1.0 0.0"])
     def test_bad_text_rejected(self, text):
         with pytest.raises(ValueError):
             surrogate_by_name(text)
