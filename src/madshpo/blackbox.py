@@ -319,6 +319,10 @@ class ProcessAdapter:
     command: tuple[str, ...]
     line_timeout: float = 120.0
 
+    def __post_init__(self) -> None:
+        if not self.command:
+            raise ValueError("external trainer command is empty")
+
     @classmethod
     def from_command(cls, command: str) -> "ProcessAdapter":
         return cls(tuple(shlex.split(command)))
@@ -340,6 +344,7 @@ class ProcessAdapter:
             stdout=subprocess.PIPE,
             stderr=subprocess.DEVNULL,
             text=True,
+            errors="replace",  # a byte that is not UTF-8 makes a malformed line, not a dead reader
             bufsize=1,
         )
         done = False

@@ -48,9 +48,6 @@ from .util import hash_u64
 
 logger = logging.getLogger(__name__)
 
-ORIGIN_DIRECTION = "poll-direction"
-ORIGIN_NEIGHBOR = "categorical-neighbor"
-
 # The coarsest mesh index: campaigns start here and never coarsen past it.
 MAX_MESH_INDEX = 0
 
@@ -119,18 +116,11 @@ class Mesh:
 
 
 @dataclass(frozen=True)
-class PollCandidate:
-    """A configuration to evaluate, where it came from, and its surrogate
-    estimate once ranked."""
-
-    config: Configuration
-    origin: str
-    estimate: float | None = None
-
-
-@dataclass(frozen=True)
 class PollSet:
-    candidates: tuple[PollCandidate, ...]
+    """Direction points, then categorical neighbors: the candidates whose
+    layer counts or optimizer differ from the incumbent's."""
+
+    candidates: tuple[Configuration, ...]
     directions: np.ndarray
 
 
@@ -165,12 +155,12 @@ def generate_poll(incumbent: Configuration, mesh: Mesh, seed: int, bounds: Space
     points = mesh.snap(layout, x[:, None] + mesh.poll_sizes(layout)[:, None] * directions)
 
     seen = {incumbent.key}
-    candidates: list[PollCandidate] = []
+    candidates: list[Configuration] = []
 
-    def add(config: Configuration, origin: str) -> None:
+    def add(config: Configuration) -> None:
         if config.key not in seen:
             seen.add(config.key)
-            candidates.append(PollCandidate(config, origin))
+            candidates.append(config)
 
     # Equal snapped columns give equal configurations, so only the first
     # of each is built; the serialized key still decides what is new.
@@ -179,9 +169,9 @@ def generate_poll(incumbent: Configuration, mesh: Mesh, seed: int, bounds: Space
         raw = column.tobytes()
         if raw not in snapped_seen:
             snapped_seen.add(raw)
-            add(with_vector(incumbent, bounds, column.tolist()), ORIGIN_DIRECTION)
+            add(with_vector(incumbent, bounds, column.tolist()))
     for neighbor in neighbors(incumbent, bounds):
-        add(mesh.project(neighbor, bounds), ORIGIN_NEIGHBOR)
+        add(mesh.project(neighbor, bounds))
     return PollSet(tuple(candidates), directions)
 
 
@@ -421,15 +411,17 @@ def replay(records: list[LedgerRecord], initial_key: str | None,
 
 
 def _poll_step(state: CampaignState, plan: RunPlan, poll: PollSet, k: int, budget: float) -> bool:
-    """Rank the poll and evaluate what the budget affords; True on an improvement."""
+    """Rank the poll unless the surrogate is disabled and evaluate what the budget affords; True on an improvement."""
     if not poll.candidates:
         return False
-    ranked = rank_candidates(poll.candidates, plan.surrogate, plan.fidelity_eval).candidates
+    candidates = poll.candidates
     if not plan.surrogate.disabled:
-        for cand in ranked:
-            state.record(KIND_SURROGATE, cand.config.key, cand.estimate, plan.surrogate.epoch_budget, "none",
+        ranked = rank_candidates(candidates, plan.surrogate, plan.fidelity_eval)
+        candidates = ranked.candidates
+        for config, score in zip(candidates, ranked.estimates):
+            state.record(KIND_SURROGATE, config.key, score, plan.surrogate.epoch_budget, "none",
                          plan.estimate_charge, False, k)
-        state.record(KIND_RANKING, ranked[0].config.key, ranked[0].estimate, 0, "none", 0.0, False, k)
+        state.record(KIND_RANKING, candidates[0].key, ranked.estimates[0], 0, "none", 0.0, False, k)
     affordable = int(math.floor(budget - state.cumulative + 1e-9))
     # opportunistic: stop at the first candidate that becomes the incumbent
-    return any(_full_evaluation(state, plan, cand.config, k) for cand in ranked[:affordable])
+    return any(_full_evaluation(state, plan, config, k) for config in candidates[:affordable])

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import astuple, dataclass, replace
+from dataclasses import astuple, dataclass
 from typing import Callable, Sequence
 
 from .blackbox import TRAINER_FAULTS, WORST_SCORE
@@ -103,22 +103,20 @@ def estimate(spec: SurrogateSpec, config: Configuration, blackbox: FidelityEval)
 
 @dataclass(frozen=True)
 class RankedPoll:
-    """Poll candidates sorted best-estimate-first."""
+    """Poll candidates sorted best-estimate-first, and their estimates in that order."""
 
-    candidates: tuple
+    candidates: tuple[Configuration, ...]
+    estimates: tuple[float, ...]
 
 
-def rank_candidates(candidates: Sequence, spec: SurrogateSpec, blackbox: FidelityEval) -> RankedPoll:
+def rank_candidates(candidates: Sequence[Configuration], spec: SurrogateSpec, blackbox: FidelityEval) -> RankedPoll:
     """Estimate every poll candidate and sort best-first (stable on ties).
 
-    Each estimate costs ``spec.cost_ratio`` of a full evaluation and is set
-    as the candidate's ``estimate``; the disabled surrogate keeps the
-    candidates and their order as they are.
+    Each estimate costs ``spec.cost_ratio`` of a full evaluation; the
+    disabled surrogate cannot estimate, so it cannot rank.
     """
     if not candidates:
         raise ValueError("poll is empty")
-    if spec.disabled:
-        return RankedPoll(tuple(candidates))
-    scored = [replace(c, estimate=estimate(spec, c.config, blackbox)) for c in candidates]
-    order = sorted(range(len(scored)), key=lambda i: (-scored[i].estimate, i))
-    return RankedPoll(tuple(scored[i] for i in order))
+    scores = [estimate(spec, config, blackbox) for config in candidates]
+    order = sorted(range(len(scores)), key=lambda i: (-scores[i], i))
+    return RankedPoll(tuple(candidates[i] for i in order), tuple(scores[i] for i in order))

@@ -338,6 +338,22 @@ class TestTrain:
             train(EvaluationRequest(preset_config("p1"), 200, 1.0, 0), fake_epochs(flat_rows(2) + [bug], log))
         assert log.closed
 
+    def test_a_source_that_yields_after_stop_is_closed_at_the_stop_epoch(self):
+        sent, closed = [], []
+
+        def deaf_epochs():
+            # keeps yielding after it is sent None
+            try:
+                for row in flat_rows(50):
+                    sent.append((yield row))
+            finally:
+                closed.append(True)
+
+        result = train(EvaluationRequest(preset_config("p1"), 10, 1.0, 0), deaf_epochs())
+        assert (result.epochs_used, len(result.history), result.stop_reason) == (10, 10, "none")
+        assert sent[-1] is None and len(sent) == 10
+        assert closed == [True]
+
     def test_rejected_config_never_starts_source(self):
         log = SimpleNamespace(started=False)
         config = replace(preset_config("p1"), learning_rate=-0.01)

@@ -578,6 +578,18 @@ class TestCli:
         out = capsys.readouterr().out
         assert "best score" in out
 
+    @pytest.mark.parametrize("spelling", ["1", "true", "yes", "on", "TRUE"])
+    def test_a_true_spelling_in_a_settings_file_writes_the_default_ledger(self, tmp_path, spelling):
+        (tmp_path / "default.cfg").write_text("budget = 12\n")
+        (tmp_path / "true.cfg").write_text(f"budget = 12\ncharge_ranking = {spelling}\n")
+        (tmp_path / "false.cfg").write_text("budget = 12\ncharge_ranking = off\n")
+        for name in ("default", "true", "false"):
+            assert main(["run", "--config-file", str(tmp_path / f"{name}.cfg"), "--out", str(tmp_path / name)]) == 0
+        default = (tmp_path / "default" / LEDGER_NAME).read_bytes()
+        assert (tmp_path / "true" / LEDGER_NAME).read_bytes() == default
+        # free ranking passes write another ledger at this budget
+        assert (tmp_path / "false" / LEDGER_NAME).read_bytes() != default
+
     def test_settings_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "campaign.cfg"
         cfg.write_text("preset = p2\nbudget = 15\nseed = 11\nstop = last-success\n")

@@ -1,6 +1,7 @@
 """Wire-protocol tests against scripted stub trainers."""
 
 import shlex
+import subprocess
 import sys
 import textwrap
 
@@ -8,6 +9,7 @@ import pytest
 
 from madshpo.blackbox import FAILED_REASON, EvaluationRequest, ProcessAdapter, external_evaluate
 from madshpo.campaign import LEDGER_NAME, CampaignSettings, run
+from madshpo.cli import main
 from madshpo.early_stop import BaselineEnvelope, StoppingMonitor, TrainingHistory
 from madshpo.ledger import read_ledger
 from madshpo.space import preset_config
@@ -151,6 +153,57 @@ class TestExternalEvaluate:
         result = external_evaluate(EvaluationRequest(preset_config("p1"), 1, 1.0, 0), adapter)
         assert result.failed
         assert f"evaluation failed: {message}" in caplog.messages
+
+    def test_output_that_is_not_utf8_is_a_malformed_line(self, tmp_path, caplog, monkeypatch):
+        # the reader thread decodes what the child writes; it must not die of it
+        thread_errors = []
+        monkeypatch.setattr("threading.excepthook", thread_errors.append)
+        adapter = make_stub(tmp_path, """
+            sys.stdin.readline()
+            sys.stdout.buffer.write(b"EPOCH 1 ACC 0.5 LOSS 1.0 LR 0.01\\xff\\n")
+            sys.stdout.flush()
+            sys.stdin.readline()
+            print("DONE", flush=True)
+        """)
+        result = external_evaluate(EvaluationRequest(preset_config("p1"), 10, 1.0, 0), adapter)
+        assert result.failed
+        assert "evaluation failed: could not convert string to float: '0.01\ufffd'" in caplog.messages
+        assert thread_errors == []
+
+    def test_a_child_that_outlives_its_grace_after_done_is_killed(self, tmp_path, monkeypatch):
+        waits, kills = [], []
+        real_wait, real_kill = subprocess.Popen.wait, subprocess.Popen.kill
+
+        def wait(proc, timeout=None):
+            # the grace period runs out at once, rather than after 5 s
+            waits.append(timeout)
+            if len(waits) == 1:
+                raise subprocess.TimeoutExpired(proc.args, timeout)
+            return real_wait(proc, timeout)
+
+        def kill(proc):
+            kills.append(proc.pid)
+            real_kill(proc)
+
+        monkeypatch.setattr(subprocess.Popen, "wait", wait)
+        monkeypatch.setattr(subprocess.Popen, "kill", kill)
+        adapter = make_stub(tmp_path, FIXED_CURVE_STUB)
+        result = external_evaluate(EvaluationRequest(preset_config("p1"), 200, 1.0, 0), adapter)
+        assert (result.failed, result.epochs_used) == (False, 3)
+        assert waits == [5.0, None] and len(kills) == 1
+
+    @pytest.mark.parametrize("command", ["", " ", "\t\n"], ids=["empty", "space", "whitespace"])
+    def test_an_empty_command_is_refused(self, tmp_path, capsys, command):
+        with pytest.raises(ValueError, match="external trainer command is empty"):
+            ProcessAdapter.from_command(command)
+        out = tmp_path / "out"
+        argv = ["run", "--backend", "external", "--backend-cmd", command, "--budget", "3", "--rank", "none",
+                "--out", str(out)]
+        assert main(argv) == 1
+        # an empty text is no command at all, which the settings refuse first
+        expected = "external backend needs a command" if not command else "external trainer command is empty"
+        assert capsys.readouterr().err == f"error: {expected}\n"
+        assert not out.exists()
 
     def test_from_command_splits_shell_words(self):
         adapter = ProcessAdapter.from_command("python3 -u trainer.py --gpu 0")

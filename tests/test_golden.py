@@ -296,7 +296,7 @@ def test_model_params_do_not_depend_on_how_sum_rounds(monkeypatch):
     for preset, seed in (("p1", 0), ("p3", 3)):
         for index in (0, -2, -5):
             poll = mads.generate_poll(preset_config(preset), mads.Mesh(index), seed, default_bounds())
-            cases += [(cand.config, seed) for cand in poll.candidates]
+            cases += [(config, seed) for config in poll.candidates]
     plain = [repr(SimulatedBlackbox().model_for(config, seed)) for config, seed in cases]
     monkeypatch.setattr(blackbox, "sum", _compensated_sum, raising=False)
     assert [repr(SimulatedBlackbox().model_for(config, seed)) for config, seed in cases] == plain

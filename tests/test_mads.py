@@ -14,7 +14,6 @@ from madshpo.ledger import KIND_FULL, KIND_RANKING, KIND_SURROGATE
 from madshpo import mads
 from madshpo.mads import (
     Mesh,
-    PollCandidate,
     generate_poll,
     poll_directions,
     snap_array,
@@ -55,6 +54,12 @@ def frozen_bounds():
         optimizers=("sgd",),
         scalar_slots=b.scalar_slots,
     )
+
+
+def is_neighbor(config, incumbent):
+    """A categorical neighbor's layer counts or optimizer differ from the
+    incumbent's; a direction point keeps all three."""
+    return (config.n_conv, config.n_fc, config.optimizer) != (incumbent.n_conv, incumbent.n_fc, incumbent.optimizer)
 
 
 class TestMesh:
@@ -111,21 +116,21 @@ class TestGeneratePoll:
     def test_direction_count_and_neighbors(self, bounds):
         p1 = preset_config("p1")
         poll = generate_poll(p1, Mesh(0), 42, bounds)
-        directions = [c for c in poll.candidates if c.origin == "poll-direction"]
-        neighbors = [c for c in poll.candidates if c.origin == "categorical-neighbor"]
+        directions = [c for c in poll.candidates if not is_neighbor(c, p1)]
+        neighbors = [c for c in poll.candidates if is_neighbor(c, p1)]
         n = len(quantitative_slots(bounds, 1, 2))
         assert poll.directions.shape == (n, 2 * n)
         assert len(directions) <= 2 * n
         assert len(directions) >= 2 * n - 4  # dedup may drop a few
         assert 3 <= len(neighbors) <= 5
+        # direction points first, neighbors last
+        assert list(poll.candidates) == directions + neighbors
 
     def test_deterministic(self, bounds):
         p1 = preset_config("p1")
         a = generate_poll(p1, Mesh(-2), 9, bounds)
         b = generate_poll(p1, Mesh(-2), 9, bounds)
-        assert [serialize(c.config) for c in a.candidates] == [
-            serialize(c.config) for c in b.candidates
-        ]
+        assert [serialize(c) for c in a.candidates] == [serialize(c) for c in b.candidates]
 
     def test_all_candidates_on_mesh_and_in_bounds(self, bounds):
         p1 = preset_config("p2")
@@ -133,8 +138,8 @@ class TestGeneratePoll:
             mesh = Mesh(-seed)
             poll = generate_poll(p1, mesh, seed, bounds)
             for cand in poll.candidates:
-                assert validate(cand.config, bounds) == []
-                assert cand.config == mesh.project(cand.config, bounds)
+                assert validate(cand, bounds) == []
+                assert cand == mesh.project(cand, bounds)
 
     @pytest.mark.parametrize("preset", ["p1", "p3"])
     def test_matches_column_by_column_projection(self, bounds, preset):
@@ -156,13 +161,12 @@ class TestGeneratePoll:
                     seen.add(key)
                     expected.append(key)
             poll = generate_poll(incumbent, mesh, seed, bounds)
-            got = [c.config.key for c in poll.candidates if c.origin == mads.ORIGIN_DIRECTION]
+            got = [c.key for c in poll.candidates if not is_neighbor(c, incumbent)]
             assert got == expected
 
     def test_candidates_carry_their_serialized_key(self, bounds):
         poll = generate_poll(preset_config("p2"), Mesh(-2), 5, bounds)
-        assert all(c.config.key == serialize(c.config) for c in poll.candidates)
-        assert "key" not in PollCandidate.__dataclass_fields__
+        assert all(c.key == serialize(c) for c in poll.candidates)
 
     def test_traced_names_stay_module_attributes(self):
         # benchmark/tracing.py replaces each (owner, attribute) of TARGETS by a
@@ -179,7 +183,7 @@ class TestGeneratePoll:
     def test_no_duplicates_or_incumbent_copies(self, bounds):
         p1 = preset_config("p1")
         poll = generate_poll(p1, Mesh(-6), 3, bounds)
-        keys = [serialize(c.config) for c in poll.candidates]
+        keys = [serialize(c) for c in poll.candidates]
         assert len(keys) == len(set(keys))
         assert serialize(p1) not in keys
 
@@ -203,7 +207,7 @@ class TestIntegerSlots:
     @pytest.mark.parametrize("index", [-1, -3])
     def test_a_fractional_fc_granularity_still_gives_int_sizes(self, index):
         poll = generate_poll(preset_config("p1"), Mesh(index), 5, self.half_step_fc_bounds())
-        sizes = [size for c in poll.candidates for size in c.config.fc_sizes]
+        sizes = [size for c in poll.candidates for size in c.fc_sizes]
         assert sizes and all(type(size) is int for size in sizes)
 
     def test_a_campaign_with_a_fractional_fc_granularity_finishes(self):
@@ -403,7 +407,7 @@ class TestRunCampaign:
         assert (initial.stop_reason, initial.incumbent) == (FAILED_REASON, False)
         start = make_config((), (), **QUAD_START)
         first_poll = generate_poll(start, Mesh(), mads.iteration_seed(2, 1), frozen_bounds())
-        assert result.records[1].config == first_poll.candidates[0].config.key
+        assert result.records[1].config == first_poll.candidates[0].key
         assert result.records[1].incumbent
         assert result.best_score != WORST_SCORE
 
@@ -506,7 +510,7 @@ class TestOpportunisticPoll:
         assert len(poll.candidates) >= len(scores)
         first, *rows = result.records
         assert (first.config, first.score, first.incumbent) == (start.key, start_score, True)
-        assert [r.config for r in rows] == [c.config.key for c in poll.candidates[:evaluated]]
+        assert [r.config for r in rows] == [c.key for c in poll.candidates[:evaluated]]
         assert [r.stop_reason == FAILED_REASON for r in rows] == [
             isinstance(score, Exception) for score in scores[:evaluated]]
         assert all(r.charged_cost == 1.0 and r.iteration == 1 for r in rows)

@@ -492,7 +492,7 @@ class TestSerializeCalls:
         # dedup drops, so these polls are ones in which nothing is dropped
         assert len(serialize_calls) == len(poll.candidates) + 1
         assert serialize_calls[0] is incumbent
-        assert [c.config for c in poll.candidates] == serialize_calls[1:]
+        assert list(poll.candidates) == serialize_calls[1:]
 
 
 def _random_config(rng, bounds, clip=True):

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from madshpo import campaign, mads
 from madshpo.blackbox import EvaluationRequest, SimulatedBlackbox
-from madshpo.campaign import CampaignSettings, build_plan
+from madshpo.campaign import LEDGER_NAME, CampaignSettings, build_plan
 from madshpo.ledger import KIND_SURROGATE, read_ledger, write_ledger
-from madshpo.mads import PollCandidate, replay, run_campaign
+from madshpo.mads import replay, run_campaign
 from madshpo.space import make_config, preset_config, to_vector
 from madshpo.surrogates import (
     SURROGATE_TABLE,
@@ -162,31 +163,27 @@ class TestEstimate:
         assert estimate(spec, config, fidelity) == estimate(spec, config, fidelity)
 
 
-def as_candidates(configs):
-    return [PollCandidate(c, "poll-direction") for c in configs]
-
-
 class TestRankCandidates:
-    def test_disabled_returns_original_order_free(self, fidelity):
-        configs = random_configs(6, seed=37)
-        ranked = rank_candidates(as_candidates(configs), surrogate_by_name("none"), fidelity)
-        assert [c.config for c in ranked.candidates] == configs
-        assert all(c.estimate is None for c in ranked.candidates)
+    def test_disabled_surrogate_cannot_rank(self, fidelity):
+        with pytest.raises(ValueError, match="cannot estimate with the disabled surrogate"):
+            rank_candidates(random_configs(6, seed=37), surrogate_by_name("none"), fidelity)
 
     def test_sorted_best_first(self, fidelity):
         configs = random_configs(12, seed=43)
-        ranked = rank_candidates(as_candidates(configs), surrogate_by_name("r4"), fidelity)
-        estimates = [c.estimate for c in ranked.candidates]
-        assert estimates == sorted(estimates, reverse=True)
+        spec = surrogate_by_name("r4")
+        ranked = rank_candidates(configs, spec, fidelity)
+        assert list(ranked.estimates) == sorted(ranked.estimates, reverse=True)
+        assert sorted(ranked.candidates, key=configs.index) == configs
+        assert list(ranked.estimates) == [estimate(spec, c, fidelity) for c in ranked.candidates]
 
     def test_oracle_order_matches_true_scores(self, blackbox, fidelity):
         configs = random_configs(10, seed=47)
-        ranked = rank_candidates(as_candidates(configs), surrogate_by_name("oracle"), fidelity)
+        ranked = rank_candidates(configs, surrogate_by_name("oracle"), fidelity)
         truth = sorted(
             configs,
             key=lambda c: -blackbox.evaluate(EvaluationRequest(c, 200, 1.0, 0)).final_val_accuracy,
         )
-        assert [c.config for c in ranked.candidates] == truth
+        assert list(ranked.candidates) == truth
 
     def test_ties_keep_original_order(self):
         configs = random_configs(5, seed=53)
@@ -194,12 +191,47 @@ class TestRankCandidates:
         def constant(config, epochs, fraction):
             return 0.5
 
-        ranked = rank_candidates(as_candidates(configs), surrogate_by_name("r4"), constant)
-        assert [c.config for c in ranked.candidates] == configs
+        ranked = rank_candidates(configs, surrogate_by_name("r4"), constant)
+        assert (list(ranked.candidates), ranked.estimates) == (configs, (0.5,) * 5)
 
     def test_empty_poll_rejected(self, fidelity):
         with pytest.raises(ValueError):
             rank_candidates([], surrogate_by_name("r4"), fidelity)
+
+    def test_estimates_are_the_polls_estimate_rows(self, monkeypatch):
+        # each ranking's estimates, best first, are its iteration's
+        # surrogate-eval rows in ledger order
+        rankings = []
+        real = mads.rank_candidates
+
+        def capturing(*args):
+            rankings.append(real(*args))
+            return rankings[-1]
+
+        monkeypatch.setattr(mads, "rank_candidates", capturing)
+        result = run_campaign(preset_config("p1"), 60, build_plan(CampaignSettings(seed=4, surrogate="r4")))
+        rows = [r for r in result.records if r.kind == KIND_SURROGATE]
+        iterations = sorted({r.iteration for r in rows})
+        assert len(rankings) == len(iterations) >= 2
+        for ranked, k in zip(rankings, iterations):
+            polled = [r for r in rows if r.iteration == k]
+            assert list(ranked.estimates) == sorted(ranked.estimates, reverse=True)
+            assert [(c.key, e) for c, e in zip(ranked.candidates, ranked.estimates)] == [
+                (r.config, r.score) for r in polled]
+
+    def test_an_unranked_campaign_never_ranks(self, tmp_path, monkeypatch):
+        def settings(out):
+            return CampaignSettings(preset="p1", bbe_budget=30, seed=7, surrogate="none", out_dir=out)
+
+        campaign.run(settings(tmp_path / "plain"))
+
+        def refuse(*args):
+            raise AssertionError("an unranked poll was ranked")
+
+        monkeypatch.setattr(mads, "rank_candidates", refuse)
+        campaign.run(settings(tmp_path / "patched"))
+        plain = (tmp_path / "plain" / LEDGER_NAME).read_bytes()
+        assert (tmp_path / "patched" / LEDGER_NAME).read_bytes() == plain
 
 
 def average_ranks(values):
