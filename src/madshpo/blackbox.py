@@ -26,10 +26,11 @@ from __future__ import annotations
 import contextlib
 import logging
 import math
-import queue
+import os
+import select
 import shlex
 import subprocess
-import threading
+import time
 from collections.abc import Generator
 from dataclasses import dataclass
 from itertools import repeat
@@ -337,24 +338,23 @@ class ProcessAdapter:
         pipe, a timeout, a malformed line or a missing ``DONE`` raises.  A
         child that said ``DONE`` gets a grace period to exit; any other is
         killed at once.
+
+        The calling thread reads the child's output itself: ``select`` waits
+        on the pipe (so this runs on POSIX systems only) until a whole line
+        has arrived, at most ``line_timeout`` seconds per line.  A line ends
+        at ``\n``, one ``\r`` before it is dropped, and a byte that is not
+        UTF-8 reads as U+FFFD, so it makes a malformed line.
         """
-        proc = subprocess.Popen(
-            list(self.command),
-            stdin=subprocess.PIPE,
-            stdout=subprocess.PIPE,
-            stderr=subprocess.DEVNULL,
-            text=True,
-            errors="replace",  # a byte that is not UTF-8 makes a malformed line, not a dead reader
-            bufsize=1,
-        )
+        proc = subprocess.Popen(list(self.command), stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                                stderr=subprocess.DEVNULL)
         done = False
         try:
-            reader = _LineReader(proc.stdout)
+            buffer = bytearray()
             _write(proc, f"CONFIG {request.config.key} EPOCHS {request.max_epochs}"
                          f" FRACTION {request.data_fraction!r} SEED {request.seed}")
             stopped = False
             while True:
-                line = reader.read(self.line_timeout)
+                line = _read_line(proc.stdout.fileno(), buffer, self.line_timeout)
                 if line.strip() == "DONE":
                     done = True
                     return
@@ -371,49 +371,41 @@ class ProcessAdapter:
 
 
 def _write(proc: subprocess.Popen, line: str) -> None:
-    proc.stdin.write(line + "\n")
+    proc.stdin.write(f"{line}\n".encode())
     proc.stdin.flush()
 
 
+def _read_line(fd: int, buffer: bytearray, timeout: float) -> str:
+    """The next line of ``fd``, taken from the front of ``buffer``, which keeps
+    what was read past it; raises once ``timeout`` seconds pass or the child
+    closes its output.  A last line may lack its ``\n``."""
+    deadline = time.monotonic() + timeout
+    while (end := buffer.find(b"\n")) < 0:
+        if not select.select([fd], [], [], max(deadline - time.monotonic(), 0.0))[0]:
+            raise TimeoutError(f"no line within {timeout} s")
+        chunk = os.read(fd, 65536)
+        if not chunk and not buffer:
+            raise ConnectionError("child closed its output")
+        buffer += chunk or b"\n"
+    line = buffer[:end].decode(errors="replace").removesuffix("\r")
+    del buffer[:end + 1]
+    return line
+
+
 def _end_child(proc: subprocess.Popen, done: bool) -> None:
-    """Close the child's input; wait for a child that said ``DONE``, kill any other."""
+    """Close the child's input; wait for a child that said ``DONE``, kill any
+    other; then close its output."""
     with contextlib.suppress(OSError):
         proc.stdin.close()
-    if done:
-        try:
-            proc.wait(timeout=5.0)
-            return
-        except subprocess.TimeoutExpired:
-            pass
-    proc.kill()
-    proc.wait()
-
-
-class _LineReader:
-    """Background reader so protocol reads can time out cleanly."""
-
-    def __init__(self, stream) -> None:
-        self._queue: queue.Queue[str | None] = queue.Queue()
-        self._thread = threading.Thread(target=self._pump, args=(stream,), daemon=True)
-        self._thread.start()
-
-    def _pump(self, stream) -> None:
-        try:
-            for line in stream:
-                self._queue.put(line.rstrip("\n"))
-        finally:
-            stream.close()
-            self._queue.put(None)
-
-    def read(self, timeout: float) -> str:
-        """The next line; raises once ``timeout`` seconds pass or the child closes its output."""
-        try:
-            line = self._queue.get(timeout=timeout)
-        except queue.Empty:
-            raise TimeoutError(f"no line within {timeout} s") from None
-        if line is None:
-            raise ConnectionError("child closed its output")
-        return line
+    try:
+        if done:
+            with contextlib.suppress(subprocess.TimeoutExpired):
+                proc.wait(timeout=5.0)
+                return
+        proc.kill()
+        proc.wait()
+    finally:
+        proc.stdout.close()
 
 
 def external_evaluate(request: EvaluationRequest, adapter: ProcessAdapter) -> EvaluationResult:

@@ -104,8 +104,6 @@ class CampaignSettings:
         object.__setattr__(self, "surrogate", surrogate_by_name(self.surrogate).text)
         if self.backend not in BACKENDS:
             raise ValueError(f"unknown backend {self.backend!r}")
-        if self.backend == "external" and not self.external_command:
-            raise ValueError("external backend needs a command")
 
     @classmethod
     def from_text(cls, values: Mapping[str, str]) -> "CampaignSettings":
@@ -164,7 +162,8 @@ def build_plan(settings: CampaignSettings, bounds: SpaceBounds | None = None) ->
             return blackbox.final_accuracy(config, settings.seed, epochs, fraction)
 
     else:
-        adapter = ProcessAdapter.from_command(settings.external_command)
+        # shlex.split(None) would read stdin; no command is an empty one, which the adapter refuses
+        adapter = ProcessAdapter.from_command(settings.external_command or "")
 
         def evaluate(request: EvaluationRequest):
             return external_evaluate(request, adapter)

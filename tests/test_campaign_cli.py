@@ -60,14 +60,15 @@ class TestSettings:
 
     def test_validation(self, tmp_path):
         # the settings refuse what no lower layer refuses before training
-        with pytest.raises(ValueError, match="external backend needs a command"):
-            CampaignSettings(backend="external")
         with pytest.raises(ValueError, match="max_epochs must be >= 1"):
             CampaignSettings(max_epochs=0)
         with pytest.raises(ValueError, match="unknown backend 'gpu'"):
             CampaignSettings(backend="gpu")
-        # the plan refuses a cap below 0 and a floor above the start mesh,
-        # which would end the campaign after its start point
+        # the plan refuses an external backend without a command (the adapter's
+        # refusal), a cap below 0 and a floor above the start mesh, which would
+        # end the campaign after its start point
+        with pytest.raises(ValueError, match="external trainer command is empty"):
+            build_plan(settings(tmp_path, backend="external"))
         with pytest.raises(ValueError, match="max_iterations must be >= 0"):
             build_plan(settings(tmp_path, max_iterations=-2))
         with pytest.raises(ValueError, match=f"min_mesh_index must be <= {mads.MAX_MESH_INDEX}"):

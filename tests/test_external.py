@@ -1,9 +1,12 @@
 """Wire-protocol tests against scripted stub trainers."""
 
+import os
 import shlex
 import subprocess
 import sys
 import textwrap
+import threading
+import time
 
 import pytest
 
@@ -154,10 +157,7 @@ class TestExternalEvaluate:
         assert result.failed
         assert f"evaluation failed: {message}" in caplog.messages
 
-    def test_output_that_is_not_utf8_is_a_malformed_line(self, tmp_path, caplog, monkeypatch):
-        # the reader thread decodes what the child writes; it must not die of it
-        thread_errors = []
-        monkeypatch.setattr("threading.excepthook", thread_errors.append)
+    def test_output_that_is_not_utf8_is_a_malformed_line(self, tmp_path, caplog):
         adapter = make_stub(tmp_path, """
             sys.stdin.readline()
             sys.stdout.buffer.write(b"EPOCH 1 ACC 0.5 LOSS 1.0 LR 0.01\\xff\\n")
@@ -168,7 +168,76 @@ class TestExternalEvaluate:
         result = external_evaluate(EvaluationRequest(preset_config("p1"), 10, 1.0, 0), adapter)
         assert result.failed
         assert "evaluation failed: could not convert string to float: '0.01\ufffd'" in caplog.messages
-        assert thread_errors == []
+
+    def test_half_a_line_then_silence_times_out(self, tmp_path, caplog):
+        # a chunk without a line break must not end the wait for the rest of the line
+        adapter = make_stub(tmp_path, """
+            import time
+            sys.stdin.readline()
+            sys.stdout.write("EPOCH 1 ACC")
+            sys.stdout.flush()
+            time.sleep(30)
+        """)
+        adapter = ProcessAdapter(adapter.command, line_timeout=0.5)
+        started = time.monotonic()
+        result = external_evaluate(EvaluationRequest(preset_config("p1"), 10, 1.0, 0), adapter)
+        assert time.monotonic() - started < adapter.line_timeout + 1.0
+        assert result.failed
+        assert "evaluation failed: no line within 0.5 s" in caplog.messages
+
+    def test_crlf_line_ends_read_as_line_feeds(self, tmp_path):
+        request = EvaluationRequest(preset_config("p1"), 200, 1.0, 0)
+        lf = external_evaluate(request, make_stub(tmp_path, FIXED_CURVE_STUB))
+        crlf = external_evaluate(request, make_stub(tmp_path, "sys.stdout.reconfigure(newline='\\r\\n')\n"
+                                                    + textwrap.dedent(FIXED_CURVE_STUB), name="crlf.py"))
+        assert not crlf.failed
+        assert crlf.history == lf.history and crlf.epochs_used == 3
+
+    def test_a_last_line_without_a_line_break_is_read(self, tmp_path):
+        adapter = make_stub(tmp_path, """
+            sys.stdin.readline()
+            print("EPOCH 1 ACC 0.5 LOSS 1.0 LR 0.01", flush=True)
+            sys.stdin.readline()
+            sys.stdout.write("DONE")
+        """)
+        result = external_evaluate(EvaluationRequest(preset_config("p1"), 10, 1.0, 0), adapter)
+        assert (result.failed, result.epochs_used) == (False, 1)
+
+    def test_trainings_leave_no_thread_or_open_file_behind(self, tmp_path):
+        threads = []
+
+        class CountingMonitor(StoppingMonitor):
+            def verdict(self, history):
+                threads.append(threading.active_count())
+                return super().verdict(history)
+
+        def open_fds():
+            return len(os.listdir("/proc/self/fd")) if sys.platform.startswith("linux") else 0
+
+        sleeper = make_stub(tmp_path, """
+            import time
+            sys.stdin.readline()
+            print("EPOCH 1 ACC 0.5 LOSS 1.0 LR 0.01", flush=True)
+            time.sleep(30)
+        """, name="sleeper.py")
+        children = [
+            (make_stub(tmp_path, FIXED_CURVE_STUB), 200, False),  # ends early with DONE
+            (make_stub(tmp_path, FIXED_CURVE_STUB), 2, False),  # stopped, then DONE
+            (make_stub(tmp_path, "sys.stdin.readline()\nsys.exit(3)\n", name="crash.py"), 10, True),
+            (ProcessAdapter(sleeper.command, line_timeout=0.2), 10, True),
+            (make_stub(tmp_path, """
+                sys.stdin.readline()
+                sys.stdout.buffer.write(b"EPOCH 1 ACC 0.5\\xff LOSS 1.0 LR 0.01\\n")
+                sys.stdout.flush()
+                sys.stdin.readline()
+            """, name="not_utf8.py"), 10, True),
+        ]
+        before = (threading.active_count(), open_fds())
+        for adapter, max_epochs, failed in children * 4:
+            request = EvaluationRequest(preset_config("p1"), max_epochs, 1.0, 0, CountingMonitor("none"))
+            assert external_evaluate(request, adapter).failed == failed
+        assert (threading.active_count(), open_fds()) == before
+        assert threads and set(threads) == {before[0]}
 
     def test_a_child_that_outlives_its_grace_after_done_is_killed(self, tmp_path, monkeypatch):
         waits, kills = [], []
@@ -200,9 +269,7 @@ class TestExternalEvaluate:
         argv = ["run", "--backend", "external", "--backend-cmd", command, "--budget", "3", "--rank", "none",
                 "--out", str(out)]
         assert main(argv) == 1
-        # an empty text is no command at all, which the settings refuse first
-        expected = "external backend needs a command" if not command else "external trainer command is empty"
-        assert capsys.readouterr().err == f"error: {expected}\n"
+        assert capsys.readouterr().err == "error: external trainer command is empty\n"
         assert not out.exists()
 
     def test_from_command_splits_shell_words(self):
