@@ -211,24 +211,22 @@ def header_data_fraction(header: Mapping[str, str]) -> float:
         raise ValueError(f"surrogate header {text!r}: {exc}") from None
 
 
-def _persist(settings: CampaignSettings, result: mads.CampaignResult, wall_seconds: float) -> None:
+def _persist(settings: CampaignSettings, state: mads.CampaignState, wall_seconds: float) -> None:
     out = Path(settings.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    write_ledger(out / LEDGER_NAME, result.records, settings_header(settings))
-    total_epochs = sum(r.epochs_used for r in result.records)
-    full_evals = sum(1 for r in result.records if r.kind == KIND_FULL)
+    write_ledger(out / LEDGER_NAME, state.records, settings_header(settings))
     # no training succeeded: there is no best point, and JSON has no -Infinity
-    found = math.isfinite(result.best_score)
+    found = math.isfinite(state.best_score)
     summary = {
-        "best_config": result.best_config.key if found else None,
-        "best_score": result.best_score if found else None,
-        "total_charged_bbe": result.total_cost,
-        "total_epochs": total_epochs,
-        "full_evaluations": full_evals,
-        "iterations": result.iterations,
-        "termination": result.termination,
-        "final_mesh_index": result.final_mesh_index,
-        "records": len(result.records),
+        "best_config": state.incumbent.key if found else None,
+        "best_score": state.best_score if found else None,
+        "total_charged_bbe": state.cumulative,
+        "total_epochs": sum(r.epochs_used for r in state.records),
+        "full_evaluations": sum(1 for r in state.records if r.kind == KIND_FULL),
+        "iterations": state.next_iteration - 1,
+        "termination": state.termination,
+        "final_mesh_index": state.mesh.index,
+        "records": len(state.records),
         "wall_seconds": wall_seconds,
     }
     (out / SUMMARY_NAME).write_text(json.dumps(summary, indent=2, sort_keys=True, allow_nan=False) + "\n")
@@ -272,12 +270,12 @@ def _rebuild_state(settings: CampaignSettings, plan: mads.RunPlan, kept: list[Le
     return state
 
 
-def run(settings: CampaignSettings, bounds: SpaceBounds | None = None) -> mads.CampaignResult:
+def run(settings: CampaignSettings, bounds: SpaceBounds | None = None) -> mads.CampaignState:
     """Execute a campaign and persist its ledger and summary: ``resume`` of a ledger with no rows."""
     return _continue(settings, bounds, None)
 
 
-def resume(settings: CampaignSettings, bounds: SpaceBounds | None = None) -> mads.CampaignResult:
+def resume(settings: CampaignSettings, bounds: SpaceBounds | None = None) -> mads.CampaignState:
     """Continue an interrupted campaign from its persisted ledger.
 
     Every row is checked first, by the read ``madshpo export`` makes.  Then the
@@ -289,7 +287,7 @@ def resume(settings: CampaignSettings, bounds: SpaceBounds | None = None) -> mad
     return _continue(settings, bounds, Path(settings.out_dir) / LEDGER_NAME)
 
 
-def _continue(settings: CampaignSettings, bounds: SpaceBounds | None, path: Path | None) -> mads.CampaignResult:
+def _continue(settings: CampaignSettings, bounds: SpaceBounds | None, path: Path | None) -> mads.CampaignState:
     """Continue the campaign from the kept rows of the ledger at ``path``, from none if it is None,
     and persist it.  The plan is built first, so that a refused setting raises before any read."""
     started = time.monotonic()
@@ -305,6 +303,6 @@ def _continue(settings: CampaignSettings, bounds: SpaceBounds | None, path: Path
         # the last row's iteration, which may be incomplete, is dropped and run again
         if records:
             del records[next(i for i, r in enumerate(records) if r.iteration == records[-1].iteration):]
-    result = mads.continue_campaign(_rebuild_state(settings, plan, records, path), settings.bbe_budget, plan)
-    _persist(settings, result, wall_seconds=time.monotonic() - started)
-    return result
+    state = mads.continue_campaign(_rebuild_state(settings, plan, records, path), settings.bbe_budget, plan)
+    _persist(settings, state, wall_seconds=time.monotonic() - started)
+    return state

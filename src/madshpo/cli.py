@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -24,8 +25,9 @@ def read_settings_file(path: Path) -> dict[str, str]:
     keys = {key for key, _ in setting_fields()}
     values: dict[str, str] = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        # a "#" at the start or after whitespace begins a comment; one inside a word, as in --tag=#1, is kept
+        line = re.sub(r"(?:^|\s)#.*", "", raw).strip()
+        if not line:
             continue
         key, eq, value = line.partition("=")
         key = key.strip().replace("-", "_")
@@ -77,15 +79,14 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.command in ("run", "resume"):
             settings = CampaignSettings.from_text(_merge(args))
-            result = run(settings) if args.command == "run" else resume(settings)
-            summary_path = Path(settings.out_dir) / SUMMARY_NAME
-            summary = json.loads(summary_path.read_text())
+            state = run(settings) if args.command == "run" else resume(settings)
+            summary = json.loads((Path(settings.out_dir) / SUMMARY_NAME).read_text())
             print(f"ledger: {Path(settings.out_dir) / LEDGER_NAME}")
             best = summary["best_score"]
             print("best score: none" if best is None else f"best score: {best:.4f}")
             print(f"charged bbe: {summary['total_charged_bbe']:.3f}")
             print(f"total epochs: {summary['total_epochs']}")
-            print(f"termination: {result.termination}")
+            print(f"termination: {state.termination}")
             return 0
         if args.command == "export":
             header, records = read_checked_ledger(Path(args.ledger))

@@ -219,13 +219,18 @@ class RunPlan:
 
 @dataclass
 class CampaignState:
+    """The campaign loop's state, and what the loop returns when it stops:
+    the rows so far, the BBE charged, the incumbent and its score, the mesh,
+    the next iteration to run and, once the loop has stopped, why."""
+
     records: list[LedgerRecord] = field(default_factory=list)
     cumulative: float = 0.0
     incumbent: Configuration | None = None
-    incumbent_score: float = -math.inf
+    best_score: float = -math.inf
     envelope: BaselineEnvelope | None = None
     mesh: Mesh = field(default_factory=Mesh)
     next_iteration: int = 0
+    termination: str | None = None  # "budget", "mesh" or "iterations"
 
     def record(self, kind: str, key: str, score: float, epochs: int, reason: str,
                charge: float, incumbent: bool, iteration: int) -> None:
@@ -249,7 +254,7 @@ class CampaignState:
     def improves(self, failed: bool, score: float) -> bool:
         """Whether a full evaluation becomes the incumbent: it did not fail
         and scored above the incumbent."""
-        return not failed and score > self.incumbent_score
+        return not failed and score > self.best_score
 
     def close_iteration(self, success: bool) -> None:
         """End iteration ``next_iteration``: the mesh coarsens after a success
@@ -257,17 +262,6 @@ class CampaignState:
         if self.next_iteration >= 1:
             self.mesh = update_mesh(self.mesh, success)
         self.next_iteration += 1
-
-
-@dataclass(frozen=True)
-class CampaignResult:
-    records: tuple[LedgerRecord, ...]
-    best_config: Configuration
-    best_score: float
-    total_cost: float
-    iterations: int
-    termination: str
-    final_mesh_index: int
 
 
 def iteration_seed(seed: int, iteration: int) -> int:
@@ -291,25 +285,26 @@ def _full_evaluation(state: CampaignState, plan: RunPlan, config: Configuration,
                  result.stop_reason, 1.0, improved, iteration)
     if improved:
         state.incumbent = config
-        state.incumbent_score = result.final_val_accuracy
+        state.best_score = result.final_val_accuracy
         state.envelope = update_baseline(state.envelope, result.history)
     return improved
 
 
-def run_campaign(initial: Configuration, budget_bbe: int, plan: RunPlan) -> CampaignResult:
+def run_campaign(initial: Configuration, budget_bbe: int, plan: RunPlan) -> CampaignState:
     """Full campaign from ``initial``: ``continue_campaign`` of a fresh state."""
     state = CampaignState(incumbent=initial, envelope=plan.envelope)
     return continue_campaign(state, budget_bbe, plan)
 
 
-def continue_campaign(state: CampaignState, budget_bbe: float, plan: RunPlan) -> CampaignResult:
+def continue_campaign(state: CampaignState, budget_bbe: float, plan: RunPlan) -> CampaignState:
     """The campaign loop, from a fresh state or one rebuilt from a ledger.
 
     The state's incumbent, fresh or rebuilt, is validated once, here; the
     poll keeps every later one in bounds.  Before iteration 0, it is the
     start point: it is evaluated, and iteration 0 ends.  Then poll
     iterations run until the budget runs out, the mesh bottoms out, or the
-    iteration cap is hit.
+    iteration cap is hit, and the state, with its ``termination`` set, is
+    returned.
     """
     if not budget_bbe > 0:
         raise ValueError("budget must be positive")
@@ -321,28 +316,19 @@ def continue_campaign(state: CampaignState, budget_bbe: float, plan: RunPlan) ->
         state.close_iteration(False)
     while True:
         if state.mesh.index < plan.min_mesh_index:
-            termination = "mesh"
+            state.termination = "mesh"
             break
         if plan.max_iterations is not None and state.next_iteration > plan.max_iterations:
-            termination = "iterations"
+            state.termination = "iterations"
             break
         k = state.next_iteration
         poll = generate_poll(state.incumbent, state.mesh, iteration_seed(plan.seed, k), plan.bounds)
         ranking_cost = len(poll.candidates) * plan.estimate_charge
         if state.cumulative + ranking_cost + 1.0 > budget_bbe + 1e-9:
-            termination = "budget"
+            state.termination = "budget"
             break
         state.close_iteration(_poll_step(state, plan, poll, k, budget_bbe))
-
-    return CampaignResult(
-        records=tuple(state.records),
-        best_config=state.incumbent,
-        best_score=state.incumbent_score,
-        total_cost=state.cumulative,
-        iterations=state.next_iteration - 1,
-        termination=termination,
-        final_mesh_index=state.mesh.index,
-    )
+    return state
 
 
 def _misplaced(rec: LedgerRecord, previous: LedgerRecord | None, top: LedgerRecord | None,
@@ -402,7 +388,7 @@ def replay(records: list[LedgerRecord], initial_key: str | None,
         if problem is not None:
             raise ValueError(f"{source}: record {rec.record_index}: {problem}")
         if improved:
-            state.incumbent_score, best, succeeded = rec.score, rec, True
+            state.best_score, best, succeeded = rec.score, rec, True
         previous = rec
     if records:
         state.close_iteration(succeeded)

@@ -131,8 +131,8 @@ def test_criterion_5_quadratic_convergence():
     for seed in range(20):
         result = mads.run_campaign(start, 10**9, quadratic_plan(bounds, center, seed))
         gap = 1.0 - result.best_score
-        delta = Mesh(result.final_mesh_index).poll_sizes(layout).max()
-        good += gap <= 1e-3 and delta < 1e-6 and result.iterations <= 500
+        delta = Mesh(result.mesh.index).poll_sizes(layout).max()
+        good += gap <= 1e-3 and delta < 1e-6 and result.next_iteration - 1 <= 500
     elapsed = time.monotonic() - started
     ok = good >= 18 and elapsed < 10.0
     report(5, ok, f"quadratic optimum within 1e-3 and delta < 1e-6 for {good}/20 seeds in {elapsed:.1f}s")

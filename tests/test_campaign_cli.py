@@ -45,6 +45,14 @@ def settings(out_dir, **overrides):
     return CampaignSettings(**base)
 
 
+def failing_start_point():
+    """Bounds and a p1 start point whose evaluation fails: a linear
+    learning-rate slot lets the simulator refuse rate 0."""
+    default = default_bounds()
+    bounds = replace(default, scalar_slots=(SlotSpec(0.0, 1.0, granularity=1e-3), *default.scalar_slots[1:]))
+    return bounds, replace(preset_config("p1"), learning_rate=0.0)
+
+
 def test_package_exports_only_its_campaign_entry_points():
     # every other name is imported from its own module
     public = {name for name, value in vars(madshpo).items()
@@ -231,17 +239,9 @@ class TestResume:
         assert calls == [(model, incumbent.epochs_used)]
         assert path.read_bytes() == full_bytes
 
-    @staticmethod
-    def failing_start_point():
-        """Bounds and a p1 start point whose evaluation fails: a linear
-        learning-rate slot lets the simulator refuse rate 0."""
-        default = default_bounds()
-        bounds = replace(default, scalar_slots=(SlotSpec(0.0, 1.0, granularity=1e-3), *default.scalar_slots[1:]))
-        return bounds, replace(preset_config("p1"), learning_rate=0.0)
-
     def test_replay_equivalence_after_failed_start_point(self, tmp_path):
         # a failed first evaluation leaves the start point the incumbent
-        bounds, start = self.failing_start_point()
+        bounds, start = failing_start_point()
         s = settings(tmp_path / "full", initial=start, bbe_budget=12, seed=1, surrogate="none")
         run(s, bounds)
         full_bytes = (tmp_path / "full" / LEDGER_NAME).read_bytes()
@@ -254,24 +254,15 @@ class TestResume:
         assert (out / LEDGER_NAME).read_bytes() == full_bytes
 
     @staticmethod
-    def assert_rebuilds_the_live_end_state(monkeypatch, s, bounds=None):
+    def assert_rebuilds_the_live_end_state(s, bounds=None):
         """The state rebuilt from the whole ledger is the live run's end state."""
-        live = []
-        real = mads.continue_campaign
-
-        def capturing(state, *args):
-            live.append(state)
-            return real(state, *args)
-
-        monkeypatch.setattr(mads, "continue_campaign", capturing)
-        result = run(s, bounds)
-        [end] = live
+        end = run(s, bounds)
         path = s.out_dir / LEDGER_NAME
         _, records = read_ledger(path)
         rebuilt = campaign._rebuild_state(s, build_plan(s, bounds), records, path)
-        assert (rebuilt.incumbent.key, rebuilt.incumbent_score) == (result.best_config.key, result.best_score)
-        assert rebuilt.mesh.index == result.final_mesh_index
-        assert rebuilt.next_iteration == result.iterations + 1
+        assert (rebuilt.incumbent.key, rebuilt.best_score) == (end.incumbent.key, end.best_score)
+        assert (rebuilt.mesh, rebuilt.next_iteration) == (end.mesh, end.next_iteration)
+        assert (rebuilt.records, rebuilt.cumulative) == (end.records, end.cumulative)
         # the baseline is the incumbent's curve
         incumbent_row = [r for r in records if r.incumbent][-1]
         assert len(end.envelope.baseline_curve) == incumbent_row.epochs_used
@@ -281,15 +272,15 @@ class TestResume:
     @pytest.mark.parametrize("surrogate", ["none", "r4"])
     @pytest.mark.parametrize("stop_mode", MODES)
     @pytest.mark.parametrize("preset", ["p1", "p3"])
-    def test_rebuilt_state_is_the_live_end_state(self, tmp_path, monkeypatch, preset, stop_mode, surrogate, seed):
+    def test_rebuilt_state_is_the_live_end_state(self, tmp_path, preset, stop_mode, surrogate, seed):
         s = settings(tmp_path / "full", preset=preset, stop_mode=stop_mode, surrogate=surrogate, seed=seed,
                      bbe_budget=60)
-        self.assert_rebuilds_the_live_end_state(monkeypatch, s)
+        self.assert_rebuilds_the_live_end_state(s)
 
-    def test_rebuilt_state_is_the_live_end_state_after_failed_start_point(self, tmp_path, monkeypatch):
-        bounds, start = self.failing_start_point()
+    def test_rebuilt_state_is_the_live_end_state_after_failed_start_point(self, tmp_path):
+        bounds, start = failing_start_point()
         s = settings(tmp_path / "full", initial=start, bbe_budget=12, seed=1, surrogate="none")
-        self.assert_rebuilds_the_live_end_state(monkeypatch, s, bounds)
+        self.assert_rebuilds_the_live_end_state(s, bounds)
 
     def test_completed_run_resume_is_noop(self, tmp_path):
         s, path, full_bytes = self.run_full(tmp_path)
@@ -609,6 +600,37 @@ class TestCli:
         assert header["seed"] == "12"  # flag wins
         assert header["stop_mode"] == "last-success"
         assert deserialize(header["initial"]).n_conv == 2
+
+    def test_a_comment_after_a_value_is_not_part_of_it(self, tmp_path):
+        # a one-epoch stub trainer that records its arguments
+        stub = tmp_path / "stub.py"
+        stub.write_text(
+            "import json, sys\n"
+            "open(sys.argv[0] + '.argv', 'w').write(json.dumps(sys.argv[1:]))\n"
+            "sys.stdin.readline()\n"
+            "print('EPOCH 1 ACC 0.5 LOSS 1.0 LR 0.01', flush=True)\n"
+            "sys.stdin.readline()\n"
+            "print('DONE', flush=True)\n"
+        )
+        command = shlex.join([sys.executable, "-u", str(stub), "--tag=#1"])
+        cfg = tmp_path / "commented.cfg"
+        cfg.write_text(
+            f"out = {tmp_path / 'demo'} # my run\n"
+            "budget = 3  # three\n"
+            "  # an indented comment line\n"
+            "rank = none\t# unranked\n"
+            "backend = external\n"
+            f"backend_cmd = {command} # x\n"
+        )
+        assert read_settings_file(cfg) == {
+            "out": str(tmp_path / "demo"), "budget": "3", "rank": "none", "backend": "external",
+            "backend_cmd": command,
+        }
+        assert main(["run", "--config-file", str(cfg)]) == 0
+        header, records = read_ledger(tmp_path / "demo" / LEDGER_NAME)
+        assert (header["bbe_budget"], header["external_command"], len(records)) == ("3", command, 3)
+        assert json.loads((tmp_path / "stub.py.argv").read_text()) == ["--tag=#1"]
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["commented.cfg", "demo", "stub.py", "stub.py.argv"]
 
     def test_no_successful_training_writes_null_best(self, tmp_path, capsys):
         # every child exits at once, so every training fails

@@ -268,13 +268,13 @@ class TestUpdateBaseline:
         assert [r.incumbent for r in result.records] == [True, False, True, False]
         assert seen[0] is None
         assert all(a is b for a, b in zip(seen[1:], [curves[0], curves[0], curves[2]]))
-        assert (result.best_config.key, result.best_score) == (result.records[2].config, 0.6)
+        assert (result.incumbent.key, result.best_score) == (result.records[2].config, 0.6)
 
     def test_tie_keeps_baseline(self):
         result, curves, seen = scripted_campaign([0.5, 0.5, 0.45])
         assert [r.incumbent for r in result.records] == [True, False, False]
         assert seen[2] is curves[0]
-        assert (result.best_config, result.best_score) == (preset_config("p1"), 0.5)
+        assert (result.incumbent, result.best_score) == (preset_config("p1"), 0.5)
 
     def test_first_completed_evaluation_is_the_baseline(self):
         # a failed start point leaves no baseline; the first completed

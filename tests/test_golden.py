@@ -20,6 +20,11 @@ transcript, recorded before the two training loops became one.  One
 exported convergence series is hashed too, recorded before the export
 shared the ledger's row encoder.
 
+The summary.json of six campaigns is hashed too, every key but
+wall_seconds, recorded before the campaign loop returned its own state:
+they end on the budget, the mesh floor and the iteration cap, and two
+start from a point whose training fails.
+
 The best point of the coarse-lattice sweep is hashed for two seeds,
 recorded before configurations derived their layer counts and canonical
 text; it guards the simulated trainer's per-config path that a batched
@@ -35,11 +40,12 @@ import pytest
 
 from madshpo import blackbox, mads
 from madshpo.blackbox import SimulatedBlackbox, curve_arrays
-from madshpo.campaign import LEDGER_NAME, CampaignSettings, run
+from madshpo.campaign import LEDGER_NAME, SUMMARY_NAME, CampaignSettings, run
 from madshpo.cli import main
 from madshpo.ledger import KIND_FULL, KIND_SURROGATE, read_ledger
 from madshpo.space import ConvLayerHP, default_bounds, make_config, neighbors, preset_config, serialize, to_vector
 from tests.lattice import lattice_sweep
+from tests.test_campaign_cli import failing_start_point
 from tests.test_mads import QUAD_CENTER, QUAD_START, frozen_bounds, quadratic_plan
 
 GOLDEN_BUDGET = 60
@@ -223,13 +229,64 @@ def test_settings_ledger_bytes_unchanged(case, tmp_path):
     assert_reads_back(tmp_path / LEDGER_NAME, result)
 
 
+# case -> (settings, SHA-256 of summary.json without its wall_seconds line),
+# recorded before the campaign loop returned its own state.  The settings
+# are p1's at seed 0 and GOLDEN_BUDGET BBE unless a case says otherwise;
+# the failed-start cases run under failing_start_point's bounds.
+SUMMARY_SHA256 = {
+    "p1-r4": (
+        dict(surrogate="r4"),
+        "c72f1187e7215ae11ac88f4a0ba18939ebecaf6d8a7bb3b67601d5206dbec002",
+    ),
+    "p3-none": (
+        dict(preset="p3", surrogate="none"),
+        "79ad7eef2c29205a4451505cb110ac49de430b67da1e9171078a521bf88d769e",
+    ),
+    "p2-r2-cap": (
+        dict(preset="p2", surrogate="r2", seed=2, max_iterations=3),
+        "7c1fedc1cb0dec4717add61a40915680a76cf38d346fbfe92bd0874d78d9126d",
+    ),
+    "p1-r1-floor": (
+        dict(surrogate="r1", seed=1, min_mesh_index=0),
+        "e41ab6c70304a92dd88222ac10cfc6aa2ce4aaef4493c3188fd55bd009e0c565",
+    ),
+    "failed-start": (
+        dict(surrogate="none", seed=1, bbe_budget=12),
+        "af0d845914745e300c9e1fa494316a3fccac7008730c51d5a339bfd6a985b467",
+    ),
+    "failed-start-only": (
+        dict(surrogate="none", seed=1, max_iterations=0),
+        "b7353755340551263a25db05ef4b7a975230debdf53ebf29004e7bc5930fffa8",
+    ),
+}
+
+
+def summary_digest(out_dir):
+    """SHA-256 of the summary's bytes, every key but ``wall_seconds``."""
+    lines = (out_dir / SUMMARY_NAME).read_text().splitlines(keepends=True)
+    kept = [line for line in lines if not line.startswith('  "wall_seconds": ')]
+    assert len(kept) == len(lines) - 1
+    return hashlib.sha256("".join(kept).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("case", sorted(SUMMARY_SHA256))
+def test_summary_bytes_unchanged(case, tmp_path):
+    overrides, expected = SUMMARY_SHA256[case]
+    settings = {"preset": "p1", "bbe_budget": GOLDEN_BUDGET, "seed": 0, "out_dir": tmp_path, **overrides}
+    bounds = None
+    if case.startswith("failed-start"):
+        bounds, settings["initial"] = failing_start_point()
+    run(CampaignSettings(**settings), bounds)
+    assert summary_digest(tmp_path) == expected
+
+
 @pytest.mark.parametrize("seed", sorted(QUADRATIC_RECORDS_SHA256))
 def test_quadratic_records_unchanged(seed):
     bounds = frozen_bounds()
     start = make_config((), (), **QUAD_START)
     center = to_vector(make_config((), (), **QUAD_CENTER), bounds)
     result = mads.run_campaign(start, 10**9, quadratic_plan(bounds, center, seed))
-    digest = hashlib.sha256(repr(result.records).encode()).hexdigest()
+    digest = hashlib.sha256(repr(tuple(result.records)).encode()).hexdigest()
     assert digest == QUADRATIC_RECORDS_SHA256[seed]
     mads.replay(list(result.records), start.key, "quadratic campaign")
 

@@ -215,7 +215,7 @@ class TestIntegerSlots:
         plan = build_plan(CampaignSettings(seed=5, charge_ranking=False), bounds)
         result = mads.run_campaign(preset_config("p1"), 20, plan)
         # the budget ran out at a poll below mesh index 0, where the FC spacing is a multiple of 50.5
-        assert (result.termination, result.final_mesh_index) == ("budget", -1)
+        assert (result.termination, result.mesh.index) == ("budget", -1)
         assert all(validate(deserialize(r.config), bounds) == [] for r in result.records)
 
 
@@ -267,7 +267,7 @@ class TestRunCampaign:
         result = mads.run_campaign(start, 1, quadratic_plan(b, center, 0))
         assert len(result.records) == 1
         assert result.records[0].incumbent
-        assert result.total_cost == 1.0
+        assert result.cumulative == 1.0
 
     def test_budget_and_initial_validation(self):
         b = frozen_bounds()
@@ -282,13 +282,12 @@ class TestRunCampaign:
         b = frozen_bounds()
         start = make_config((), (), **QUAD_START)
         plan = quadratic_plan(b, to_vector(make_config((), (), **QUAD_CENTER), b), 0)
-        result = mads.run_campaign(start, 20, plan)
-        state, _ = mads.replay(list(result.records), start.key, "ledger")
-        state.incumbent, state.envelope = result.best_config, plan.envelope
+        state = mads.run_campaign(start, 20, plan)
+        rows = len(state.records)
         for budget in (0, -1.0, math.nan):
             with pytest.raises(ValueError, match="budget must be positive"):
                 mads.continue_campaign(state, budget, plan)
-        assert len(state.records) == len(result.records)
+        assert len(state.records) == rows
 
     @pytest.mark.parametrize("change, error", [
         # a negative cap acts as 0, and a floor above the start mesh ends the
@@ -335,8 +334,8 @@ class TestRunCampaign:
         for seed in (0, 1, 2):
             result = mads.run_campaign(start, 10**9, quadratic_plan(b, center, seed))
             assert 1.0 - result.best_score <= 1e-3
-            assert Mesh(result.final_mesh_index).poll_sizes(layout).max() < 1e-6
-            assert result.iterations <= 500
+            assert Mesh(result.mesh.index).poll_sizes(layout).max() < 1e-6
+            assert result.next_iteration - 1 <= 500
 
     def test_failed_candidate_scores_worst_and_search_goes_on(self):
         b = frozen_bounds()
@@ -398,7 +397,7 @@ class TestRunCampaign:
         assert (failed.stop_reason, failed.score, failed.incumbent) == (FAILED_REASON, WORST_SCORE, False)
         # the poll goes on to its next candidate instead of ending on the failure
         assert following.iteration == failed.iteration == 1
-        assert result.best_config != deserialize(failed.config)
+        assert result.incumbent != deserialize(failed.config)
         assert result.best_score == max(r.score for r in result.records if r.stop_reason != FAILED_REASON)
 
     def test_failed_initial_point_stays_the_poll_centre(self):
@@ -448,9 +447,9 @@ class TestRunCampaign:
         surrogate_charges = sum(
             r.charged_cost for r in result.records if r.kind == KIND_SURROGATE
         )
-        assert result.total_cost == pytest.approx(fulls * 1.0 + surrogate_charges, abs=1e-9)
-        assert result.total_cost <= 50 + 1e-9
-        assert result.records[-1].cumulative_cost == pytest.approx(result.total_cost, abs=1e-12)
+        assert result.cumulative == pytest.approx(fulls * 1.0 + surrogate_charges, abs=1e-9)
+        assert result.cumulative <= 50 + 1e-9
+        assert result.records[-1].cumulative_cost == pytest.approx(result.cumulative, abs=1e-12)
         ranking = [r for r in result.records if r.kind == KIND_RANKING]
         assert ranking and all(r.charged_cost == 0.0 for r in ranking)
         # a ranking pass charges the poll size times the cost ratio: one ratio per estimate
@@ -517,7 +516,7 @@ class TestOpportunisticPoll:
         assert [r.incumbent for r in rows] == [False] * (evaluated - 1) + [improved]
         assert result.best_score == (scores[evaluated - 1] if improved else start_score)
         # the mesh stays after a success and refines after a failure
-        assert result.final_mesh_index == (0 if improved else -1)
+        assert result.mesh.index == (0 if improved else -1)
 
     def test_a_result_of_the_wrong_type_raises(self):
         # a full_eval that returns a bare score instead of an EvaluationResult
