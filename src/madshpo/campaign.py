@@ -30,11 +30,11 @@ from .blackbox import (
     external_evaluate,
     simulate_curve,
 )
-from .early_stop import DEFAULT_MARGINS, DEFAULT_MILESTONES, MODES, update_baseline
-from .ledger import KIND_FULL, LedgerRecord, read_ledger, write_ledger
+from .early_stop import DEFAULT_MARGINS, DEFAULT_MILESTONES, MODES, REASON_NONE, update_baseline
+from .ledger import KIND_FULL, KIND_RANKING, KIND_SURROGATE, LedgerRecord, read_ledger, write_ledger
 # benchmark/tracing.py wraps serialize by this name; Configuration.key calls it.
 from .space import Configuration, SpaceBounds, default_bounds, deserialize, preset_config, serialize  # noqa: F401
-from .surrogates import surrogate_by_name
+from .surrogates import SurrogateSpec, surrogate_by_name
 
 LEDGER_NAME = "ledger.csv"
 SUMMARY_NAME = "summary.json"
@@ -68,6 +68,12 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"expected a boolean, got {text!r}")
 
 
+def _surrogate_text(text: str) -> str:
+    """The surrogate ``text`` names, checked, in the header form of ``SurrogateSpec.text`` or ``none``."""
+    spec = surrogate_by_name(text)
+    return "none" if spec is None else spec.text
+
+
 @dataclass(frozen=True)
 class CampaignSettings:
     preset: str = _setting("p1", str, header=False, choices=("p1", "p2", "p3"), help="starting configuration")
@@ -78,7 +84,7 @@ class CampaignSettings:
     bbe_budget: int = _setting(200, int, key="budget", help="blackbox-evaluation budget")
     max_epochs: int = _setting(EvaluationRequest.max_epochs, int, help="epochs of one full training")
     stop_mode: str = _setting("scheduler+baseline", str, key="stop", choices=MODES, help="early-stopping strategy")
-    surrogate: str = _setting("r4", lambda text: surrogate_by_name(text).text, key="rank",
+    surrogate: str = _setting("r4", _surrogate_text, key="rank",
                               help="ranking surrogate: r1..r4, oracle, none, or epochs,fraction,cost")
     out_dir: Path = _setting(Path("campaign-out"), Path, key="out", header=False,
                              help="output directory (ledger + summary)")
@@ -100,8 +106,7 @@ class CampaignSettings:
         # what no lower layer refuses before training; the code that uses each other value checks it
         if self.max_epochs < 1:
             raise ValueError("max_epochs must be >= 1")
-        # checked and normalised to the header form of SurrogateSpec.text
-        object.__setattr__(self, "surrogate", surrogate_by_name(self.surrogate).text)
+        object.__setattr__(self, "surrogate", _surrogate_text(self.surrogate))
         if self.backend not in BACKENDS:
             raise ValueError(f"unknown backend {self.backend!r}")
 
@@ -132,13 +137,13 @@ def setting_fields() -> list[tuple[str, Field]]:
 
 
 def _header_text(value) -> str:
-    if value is None or value == "":
-        return "-"
+    """A setting's header value as ``read_ledger`` reads it back: stripped, and ``-`` for None or blank text."""
     if isinstance(value, bool):
         return "1" if value else "0"
     if isinstance(value, tuple):
         return " ".join(str(v) for v in value)
-    return str(value)
+    text = "" if value is None else str(value).strip()
+    return text or "-"
 
 
 def initial_config(settings: CampaignSettings) -> Configuration:
@@ -174,12 +179,10 @@ def build_plan(settings: CampaignSettings, bounds: SpaceBounds | None = None) ->
     def full_eval(config: Configuration, monitor):
         return evaluate(EvaluationRequest(config, settings.max_epochs, 1.0, settings.seed, monitor))
 
-    spec = surrogate_by_name(settings.surrogate)
     return mads.RunPlan(
         bounds=bounds,
         seed=settings.seed,
-        # the ranking surrogate never trains longer than a full training
-        surrogate=replace(spec, epoch_budget=min(spec.epoch_budget, settings.max_epochs)),
+        surrogate=ranking_surrogate(settings.surrogate, settings.max_epochs),
         stop_mode=settings.stop_mode,
         milestones=settings.milestones,
         margins=settings.margins,
@@ -189,6 +192,12 @@ def build_plan(settings: CampaignSettings, bounds: SpaceBounds | None = None) ->
         min_mesh_index=settings.min_mesh_index,
         max_iterations=settings.max_iterations,
     )
+
+
+def ranking_surrogate(text: str, max_epochs: int) -> SurrogateSpec | None:
+    """The surrogate ``text`` names, capped so that it never trains longer than a full training."""
+    spec = surrogate_by_name(text)
+    return None if spec is None else replace(spec, epoch_budget=min(spec.epoch_budget, max_epochs))
 
 
 def settings_header(settings: CampaignSettings) -> dict[str, str]:
@@ -202,13 +211,10 @@ def settings_header(settings: CampaignSettings) -> dict[str, str]:
 
 
 def header_data_fraction(header: Mapping[str, str]) -> float:
-    """Data fraction of the ranking surrogate in a ledger header that
-    ``settings_header`` wrote (a ledger without one ranked nothing)."""
-    text = header.get("surrogate", "none")
-    try:
-        return surrogate_by_name(text).data_fraction
-    except ValueError as exc:
-        raise ValueError(f"surrogate header {text!r}: {exc}") from None
+    """Data fraction of the ranking surrogate in the header of a ledger that
+    ``read_checked_ledger`` accepted (a ledger without one ranked nothing)."""
+    spec = surrogate_by_name(header.get("surrogate", "none"))
+    return 1.0 if spec is None else spec.data_fraction
 
 
 def _persist(settings: CampaignSettings, state: mads.CampaignState, wall_seconds: float) -> None:
@@ -232,10 +238,47 @@ def _persist(settings: CampaignSettings, state: mads.CampaignState, wall_seconds
     (out / SUMMARY_NAME).write_text(json.dumps(summary, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
+def _row_rules(header: Mapping[str, str], path: Path) -> dict[str, tuple]:
+    """The (charged_cost, epochs_used, stop_reason) of each kind of row that
+    the live loop writes under the settings ``header`` records, None where a
+    missing key leaves one open.  A full evaluation charges 1.0; a ranking
+    pass charges 0.0 and trains 0 epochs; an estimate charges
+    ``RunPlan.estimate_charge`` and trains the epochs of ``build_plan``'s
+    surrogate.  Without a surrogate there are only full evaluations."""
+    rules = {KIND_FULL: (1.0, None, None), KIND_RANKING: (0.0, 0, REASON_NONE),
+             KIND_SURROGATE: (None, None, REASON_NONE)}
+    if "surrogate" not in header:
+        return rules
+
+    def parsed(key: str, parse: Callable[[str], object]):
+        try:
+            return parse(header[key]) if key in header else None
+        except ValueError as exc:
+            raise ValueError(f"{path}: header {key} {header[key]!r}: {exc}") from None
+
+    spec = parsed("surrogate", surrogate_by_name)
+    if spec is None:
+        return {KIND_FULL: rules[KIND_FULL]}
+    charge = parsed("charge_ranking", lambda text: mads.charge_per_estimate(spec, _parse_bool(text)))
+    epochs = parsed("max_epochs", lambda text: ranking_surrogate(header["surrogate"], int(text)).epoch_budget)
+    rules[KIND_SURROGATE] = (charge, epochs, REASON_NONE)
+    return rules
+
+
 def read_checked_ledger(path: Path) -> tuple[dict[str, str], list[LedgerRecord]]:
-    """The ledger at ``path``, every row replayed from its header's ``initial``: what export and resume read."""
+    """The ledger at ``path``, every row replayed from its header's
+    ``initial`` and held to its header's ``_row_rules``: what export and
+    resume read."""
     header, records = read_ledger(path)
     mads.replay(records, header.get("initial"), path)
+    rules = _row_rules(header, path)
+    for rec in records:
+        if rec.kind not in rules:
+            raise ValueError(f"{path}: record {rec.record_index}: {rec.kind} without a surrogate")
+        for column, expected in zip(("charged_cost", "epochs_used", "stop_reason"), rules[rec.kind]):
+            value = getattr(rec, column)
+            if expected is not None and value != expected:
+                raise ValueError(f"{path}: record {rec.record_index}: {column} {value!r}, expected {expected!r}")
     return header, records
 
 

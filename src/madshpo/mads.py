@@ -26,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from .blackbox import FAILED_REASON, TRAINER_FAULTS, EvaluationResult
-from .early_stop import BaselineEnvelope, StoppingMonitor, update_baseline
+from .early_stop import REASON_NONE, BaselineEnvelope, StoppingMonitor, update_baseline
 from .ledger import KIND_FULL, KIND_RANKING, KIND_SURROGATE, LedgerRecord, check_plain
 # benchmark/tracing.py wraps serialize, with_vector, to_vector,
 # quantitative_slots, neighbors and snap_array by these names in this
@@ -192,7 +192,7 @@ class RunPlan:
 
     bounds: SpaceBounds
     seed: int
-    surrogate: SurrogateSpec
+    surrogate: SurrogateSpec | None  # None polls unranked
     stop_mode: str
     milestones: tuple[int, ...]
     margins: tuple[float, ...]
@@ -213,8 +213,14 @@ class RunPlan:
 
     @property
     def estimate_charge(self) -> float:
-        """BBE charged per surrogate estimate."""
-        return self.surrogate.cost_ratio if self.charge_ranking else 0.0
+        """BBE charged per surrogate estimate (see ``charge_per_estimate``)."""
+        return charge_per_estimate(self.surrogate, self.charge_ranking)
+
+
+def charge_per_estimate(surrogate: SurrogateSpec | None, charge_ranking: bool) -> float:
+    """BBE charged per estimate of ``surrogate``: its cost ratio, or 0.0
+    without a surrogate or when ranking is not charged."""
+    return surrogate.cost_ratio if surrogate is not None and charge_ranking else 0.0
 
 
 @dataclass
@@ -397,17 +403,17 @@ def replay(records: list[LedgerRecord], initial_key: str | None,
 
 
 def _poll_step(state: CampaignState, plan: RunPlan, poll: PollSet, k: int, budget: float) -> bool:
-    """Rank the poll unless the surrogate is disabled and evaluate what the budget affords; True on an improvement."""
+    """Rank the poll if the plan has a surrogate and evaluate what the budget affords; True on an improvement."""
     if not poll.candidates:
         return False
     candidates = poll.candidates
-    if not plan.surrogate.disabled:
+    if plan.surrogate is not None:
         ranked = rank_candidates(candidates, plan.surrogate, plan.fidelity_eval)
         candidates = ranked.candidates
         for config, score in zip(candidates, ranked.estimates):
-            state.record(KIND_SURROGATE, config.key, score, plan.surrogate.epoch_budget, "none",
+            state.record(KIND_SURROGATE, config.key, score, plan.surrogate.epoch_budget, REASON_NONE,
                          plan.estimate_charge, False, k)
-        state.record(KIND_RANKING, candidates[0].key, ranked.estimates[0], 0, "none", 0.0, False, k)
+        state.record(KIND_RANKING, candidates[0].key, ranked.estimates[0], 0, REASON_NONE, 0.0, False, k)
     affordable = int(math.floor(budget - state.cumulative + 1e-9))
     # opportunistic: stop at the first candidate that becomes the incumbent
     return any(_full_evaluation(state, plan, config, k) for config in candidates[:affordable])

@@ -26,14 +26,13 @@ SURROGATE_TABLE: dict[str, tuple[int, float, float]] = {
     "r3": (200, 0.2, 0.20),
     "r4": (200, 0.1, 0.10),
     "oracle": (200, 1.0, 1.0),
-    "none": (0, 1.0, 0.0),
 }
 _ROW_NAMES = {row: name for name, row in SURROGATE_TABLE.items()}
 
 
 @dataclass(frozen=True)
 class SurrogateSpec:
-    """An estimate's epochs, data fraction and charge; only ``none`` trains zero epochs."""
+    """An estimate's epochs (at least one), data fraction and charge."""
 
     epoch_budget: int
     data_fraction: float
@@ -44,12 +43,8 @@ class SurrogateSpec:
             raise ValueError("data_fraction must lie in (0, 1]")
         if not 0.0 <= self.cost_ratio <= 1.0:
             raise ValueError("cost_ratio must lie in [0, 1]")
-        if self.epoch_budget < 1 and self.text != "none":
+        if self.epoch_budget < 1:
             raise ValueError("epoch_budget must be >= 1")
-
-    @property
-    def disabled(self) -> bool:
-        return self.epoch_budget == 0
 
     @property
     def text(self) -> str:
@@ -58,22 +53,20 @@ class SurrogateSpec:
         return _ROW_NAMES.get(astuple(self)) or f"custom {self.epoch_budget} {self.data_fraction!r} {self.cost_ratio!r}"
 
 
-def surrogate_by_name(text: str) -> SurrogateSpec:
-    """The surrogate a text names: r1..r4, oracle or none; a custom
+def surrogate_by_name(text: str) -> SurrogateSpec | None:
+    """The surrogate a text names: r1..r4 or oracle; a custom
     ``epochs,fraction,cost`` triple; or the header form of a custom one,
     ``custom epochs fraction cost``.  A triple equal to a table row is that
-    row, and only the name ``none`` trains zero epochs."""
+    row.  The name ``none`` is no surrogate: polls go unranked."""
     key = text.lower()
+    if key == "none":
+        return None
     kind, _, rest = key.partition(" ")
     parts = SURROGATE_TABLE.get(key) or (rest.split(" ") if kind == "custom" else key.split(","))
     if len(parts) != 3:
-        raise ValueError(
-            f"unknown surrogate {text!r} (expected one of {sorted(SURROGATE_TABLE)} or epochs,fraction,cost)"
-        )
-    spec = SurrogateSpec(int(parts[0]), float(parts[1]), float(parts[2]))
-    if spec.disabled and key != "none":
-        raise ValueError("epoch_budget must be >= 1")
-    return spec
+        names = sorted([*SURROGATE_TABLE, "none"])
+        raise ValueError(f"unknown surrogate {text!r} (expected one of {names} or epochs,fraction,cost)")
+    return SurrogateSpec(int(parts[0]), float(parts[1]), float(parts[2]))
 
 
 # Callback contract: (config, epochs, data_fraction) -> estimated accuracy.
@@ -87,8 +80,6 @@ def estimate(spec: SurrogateSpec, config: Configuration, blackbox: FidelityEval)
     Surrogate trainings never apply early stopping: the truncated budget is
     the whole point of the surrogate.
     """
-    if spec.disabled:
-        raise ValueError("cannot estimate with the disabled surrogate")
     try:
         score = blackbox(config, spec.epoch_budget, spec.data_fraction)
     except TRAINER_FAULTS as exc:
@@ -112,8 +103,7 @@ class RankedPoll:
 def rank_candidates(candidates: Sequence[Configuration], spec: SurrogateSpec, blackbox: FidelityEval) -> RankedPoll:
     """Estimate every poll candidate and sort best-first (stable on ties).
 
-    Each estimate costs ``spec.cost_ratio`` of a full evaluation; the
-    disabled surrogate cannot estimate, so it cannot rank.
+    Each estimate costs ``spec.cost_ratio`` of a full evaluation.
     """
     if not candidates:
         raise ValueError("poll is empty")

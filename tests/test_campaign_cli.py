@@ -712,6 +712,17 @@ class TestCli:
         assert capsys.readouterr().err == "error: max_iterations must be >= 0\n"
         assert (out / LEDGER_NAME).read_bytes() == before
 
+    @pytest.mark.parametrize("command, written", [("x ", "x"), (" ", "-")], ids=["trailing-blank", "blank"])
+    def test_a_header_value_with_blanks_around_it_resumes(self, tmp_path, capsys, command, written):
+        # the header holds the value as read_ledger reads it back, so resume finds the settings match
+        out = tmp_path / "out"
+        argv = ["--budget", "3", "--rank", "none", "--backend-cmd", command, "--out", str(out)]
+        assert main(["run", *argv]) == 0
+        ran = (out / LEDGER_NAME).read_bytes()
+        assert main(["resume", *argv]) == 0, capsys.readouterr().err
+        assert (out / LEDGER_NAME).read_bytes() == ran
+        assert f"# external_command = {written}\n".encode() in ran
+
     @pytest.mark.parametrize("text, key, line", [
         ("seed = 1\nbudget = 5\nseed = 5\n", "seed", 3),
         ("max-epochs = 5\n# dashes and underscores spell one key\nmax_epochs = 6\n", "max_epochs", 3),
@@ -861,6 +872,66 @@ class TestCli:
         err = capsys.readouterr().err
         assert err == f"error: {ledger}: record {first}: {MISPLACED_REASONS[edit]}\n"
         assert not (tmp_path / "series.csv").exists()
+
+    @pytest.mark.parametrize("command", ["export", "resume"])
+    @pytest.mark.parametrize("edit,error", [
+        ("charged-ranking-pass", "record 77: charged_cost 0.1, expected 0.0"),
+        ("ranking-pass-epochs", "record 77: epochs_used 5, expected 0"),
+        ("stopped-estimate", "record 1: stop_reason 'envelope-breach', expected 'none'"),
+        ("estimates-without-a-surrogate", "record 1: surrogate-eval without a surrogate"),
+        ("uncharged-ranking-header", "record 1: charged_cost 0.1, expected 0.0"),
+        ("capped-epochs-header", "record 1: epochs_used 200, expected 50"),
+        ("bad-charge-header", "header charge_ranking 'x': expected a boolean, got 'x'"),
+        ("no-epochs-header", "header max_epochs '0': epoch_budget must be >= 1"),
+        ("bad-surrogate-header", "header surrogate 'custom 20': unknown surrogate 'custom 20' "
+                                 "(expected one of ['none', 'oracle', 'r1', 'r2', 'r3', 'r4'] or epochs,fraction,cost)"),
+    ])
+    def test_rows_the_header_settings_rule_out_are_a_clean_error(self, tmp_path, capsys, edit, error, command):
+        # each edited ledger replays; only the settings its header records rule a row out
+        out = tmp_path / "out"
+        argv = ["--preset", "p1", "--budget", "30", "--seed", "3", "--out", str(out)]
+        assert main(["run", *argv]) == 0
+        capsys.readouterr()
+        ledger = out / LEDGER_NAME
+        header, records = read_ledger(ledger)
+        assert (records[1].kind, records[77].kind, records[1].charged_cost) == (KIND_SURROGATE, KIND_RANKING, 0.1)
+        if edit == "charged-ranking-pass":
+            records[77] = replace(records[77], charged_cost=0.1)
+        elif edit == "ranking-pass-epochs":
+            records[77] = replace(records[77], epochs_used=5)
+        elif edit == "stopped-estimate":
+            records[1] = replace(records[1], stop_reason="envelope-breach")
+        else:
+            header = {**header, **{
+                "estimates-without-a-surrogate": {"surrogate": "none"},
+                "uncharged-ranking-header": {"charge_ranking": "0"},
+                "capped-epochs-header": {"max_epochs": "50"},
+                "bad-charge-header": {"charge_ranking": "x"},
+                "no-epochs-header": {"max_epochs": "0"},
+                "bad-surrogate-header": {"surrogate": "custom 20"},
+            }[edit]}
+        write_ledger(ledger, _resequenced(records), header)
+        before = ledger.read_bytes()
+        series = ["--ledger", str(ledger), "--out", str(tmp_path / "series.csv")]
+        assert main([command, *(series if command == "export" else argv)]) == 1
+        assert capsys.readouterr().err == f"error: {ledger}: {error}\n"
+        assert ledger.read_bytes() == before
+
+    @pytest.mark.parametrize("key", ["charge_ranking", "max_epochs", "surrogate"])
+    def test_a_header_without_a_setting_skips_the_checks_it_decides(self, tmp_path, key):
+        out = tmp_path / "out"
+        assert main(["run", "--budget", "10", "--out", str(out)]) == 0
+        header, records = read_ledger(out / LEDGER_NAME)
+        del header[key]
+        assert records[1].kind == KIND_SURROGATE
+        records[1] = replace(records[1], charged_cost=0.0, epochs_used=7)
+        write_ledger(out / LEDGER_NAME, _resequenced(records), header)
+        series = ["export", "--ledger", str(out / LEDGER_NAME), "--out", str(tmp_path / "series.csv")]
+        # the other setting still decides its check; the row passes once it holds
+        assert main(series) == (0 if key == "surrogate" else 1)
+        kept = {"charge_ranking": {"epochs_used": 200}, "max_epochs": {"charged_cost": 0.1}, "surrogate": {}}[key]
+        write_ledger(out / LEDGER_NAME, _resequenced([records[0], replace(records[1], **kept), *records[2:]]), header)
+        assert main(series) == 0
 
     def test_export_without_initial_header_skips_only_the_start_point_check(self, tmp_path):
         out = tmp_path / "out"

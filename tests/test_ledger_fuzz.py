@@ -1,11 +1,12 @@
 """Resume refuses what export refuses: named repros and a seeded ledger fuzzer.
 
-Every case edits the README quickstart's ledger (p1, ``r4``,
-``scheduler+baseline``, seed 7, budget 10: 40 rows, iterations 0 and 1)
-and runs ``madshpo export`` and ``madshpo resume`` on it in-process.  The
-rule is one: if resume accepts a ledger, export accepts that ledger and the
-one resume writes.  Every refusal is exit 1 with one ``error:`` line, and a
-refused resume leaves the ledger byte-identical.
+Every case edits a finished campaign's ledger, most the README
+quickstart's (p1, ``r4``, ``scheduler+baseline``, seed 7, budget 10: 40
+rows, iterations 0 and 1), and runs ``madshpo export`` and ``madshpo
+resume`` on it in-process.  The rule is one: if resume accepts a ledger,
+export accepts that ledger and the one resume writes.  Every refusal is
+exit 1 with one ``error:`` line, and a refused resume leaves the ledger
+byte-identical.
 """
 
 import random
@@ -14,7 +15,7 @@ import pytest
 
 from madshpo.campaign import LEDGER_NAME
 from madshpo.cli import main
-from madshpo.ledger import COLUMNS, encode_row
+from madshpo.ledger import COLUMNS, KIND_SURROGATE, encode_row
 
 QUICKSTART = ["--preset", "p1", "--budget", "10", "--stop", "scheduler+baseline", "--rank", "r4", "--seed", "7",
               "--backend", "simulated"]
@@ -23,6 +24,10 @@ QUICKSTART = ["--preset", "p1", "--budget", "10", "--stop", "scheduler+baseline"
 # 1_0 is 10) and some as the same one (01, " 1", "+1", 0200).
 TOKENS = ("٣", "1_0", "01", " 1", "1 ", "+1", "nan", "inf", "0200", "0", "1", "2", "-1", "150", "200", "0.99",
           "1.0", "1e0", "", "x")
+# Charges, which the edit that sets one re-sums, and estimate epochs: the
+# header's settings allow only 0.0, 0.1 or 1.0 by kind, and 200 epochs.
+CHARGES = ("0.0", "0.1", "1.0", "1e0", "0.5", "0.05", "2.0")
+EPOCHS = ("0", "1", "7", "199", "200", "0200", "201")
 
 
 @pytest.fixture(scope="module")
@@ -49,8 +54,8 @@ def _export(capsys, ledger):
     return _cli(capsys, ["export", "--ledger", str(ledger), "--out", str(ledger.parent / "series.csv")])
 
 
-def _resume(capsys, ledger):
-    return _cli(capsys, ["resume", *QUICKSTART, "--out", str(ledger.parent)])
+def _resume(capsys, ledger, flags=QUICKSTART):
+    return _cli(capsys, ["resume", *flags, "--out", str(ledger.parent)])
 
 
 def _set_field(lines, record, column, value):
@@ -60,6 +65,49 @@ def _set_field(lines, record, column, value):
     assert fields[0] == str(record)
     fields[COLUMNS.index(column)] = value
     return [*lines[:at], ",".join(fields) + "\n", *lines[at + 1:]]
+
+
+def _resummed(lines):
+    """``lines`` with every ``cumulative_cost`` the running sum of ``charged_cost``, summed as the writer sums."""
+    first = lines.index(encode_row(COLUMNS)) + 1
+    charge, cumulative = COLUMNS.index("charged_cost"), COLUMNS.index("cumulative_cost")
+    total = 0.0
+    out = lines[:first]
+    for line in lines[first:]:
+        fields = line.rstrip("\n").split(",")
+        total += float(fields[charge])
+        fields[cumulative] = repr(total)
+        out.append(",".join(fields) + "\n")
+    return out
+
+
+# p1 ranked with r4 at seed 3: record 0 is the start point, record 1 an estimate
+# of 200 epochs charged 0.1, and the campaign runs past record 1's iteration
+REPRO = ["--preset", "p1", "--rank", "r4", "--seed", "3", "--budget", "40"]
+
+
+@pytest.fixture(scope="module")
+def repro(tmp_path_factory):
+    out = tmp_path_factory.mktemp("repro")
+    assert main(["run", *REPRO, "--out", str(out)]) == 0
+    return (out / LEDGER_NAME).read_text().splitlines(keepends=True)
+
+
+@pytest.mark.parametrize("record, column, value, error", [
+    (1, "charged_cost", "0.0", "charged_cost 0.0, expected 0.1"),
+    (0, "charged_cost", "0.5", "charged_cost 0.5, expected 1.0"),
+    (1, "epochs_used", "7", "epochs_used 7, expected 200"),
+], ids=["free-estimate", "half-charged-start-point", "short-estimate"])
+def test_a_charge_or_estimate_epochs_the_header_rules_out_is_refused(tmp_path, capsys, repro, record, column,
+                                                                      value, error):
+    # each edit re-sums cumulative_cost, so the rows agree with each other
+    # and replay; only the header's settings rule the row out
+    ledger = tmp_path / LEDGER_NAME
+    ledger.write_text("".join(_resummed(_set_field(repro, record, column, value))))
+    before = ledger.read_bytes()
+    assert _export(capsys, ledger) == (1, f"error: {ledger}: record {record}: {error}\n")
+    assert _resume(capsys, ledger, REPRO) == (1, f"error: {ledger}: record {record}: {error}\n")
+    assert ledger.read_bytes() == before
 
 
 @pytest.mark.parametrize("record, column, value", [
@@ -98,7 +146,20 @@ def _edit(rng, lines):
     """One seeded edit of a ledger's lines, in place; returns what it did."""
     first = lines.index(encode_row(COLUMNS)) + 1
     at = rng.randrange(first, len(lines))
-    kind = rng.choice(("field", "field", "slot", "drop", "duplicate", "swap", "truncate", "header"))
+    kind = rng.choice(("field", "field", "slot", "drop", "duplicate", "swap", "truncate", "header", "charge",
+                       "estimate-epochs"))
+    if kind == "charge":
+        fields = lines[at].split(",")
+        fields[COLUMNS.index("charged_cost")] = rng.choice(CHARGES)
+        lines[at] = ",".join(fields)
+        lines[:] = _resummed(lines)
+        return f"charge of line {at + 1}, re-summed: {fields[COLUMNS.index('charged_cost')]!r}"
+    if kind == "estimate-epochs":
+        at = rng.choice([i for i in range(first, len(lines)) if lines[i].split(",")[1] == KIND_SURROGATE])
+        fields = lines[at].split(",")
+        fields[COLUMNS.index("epochs_used")] = rng.choice(EPOCHS)
+        lines[at] = ",".join(fields)
+        return f"epochs of estimate line {at + 1}: {fields[COLUMNS.index('epochs_used')]!r}"
     if kind in ("field", "slot"):
         fields = lines[at].rstrip("\n").split(",")
         column = rng.randrange(len(fields)) if kind == "field" else COLUMNS.index("config")

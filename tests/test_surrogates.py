@@ -5,7 +5,8 @@ import pytest
 
 from madshpo import campaign, mads
 from madshpo.blackbox import EvaluationRequest, SimulatedBlackbox
-from madshpo.campaign import LEDGER_NAME, CampaignSettings, build_plan
+from madshpo.campaign import LEDGER_NAME, CampaignSettings, build_plan, header_data_fraction
+from madshpo.cli import main
 from madshpo.ledger import KIND_SURROGATE, read_ledger, write_ledger
 from madshpo.mads import replay, run_campaign
 from madshpo.space import make_config, preset_config, to_vector
@@ -36,7 +37,7 @@ def fidelity(blackbox):
 class TestCostTable:
     @pytest.mark.parametrize(
         "name,cost",
-        [("r1", 0.125), ("r2", 0.05), ("r3", 0.20), ("r4", 0.10), ("oracle", 1.0), ("none", 0.0)],
+        [("r1", 0.125), ("r2", 0.05), ("r3", 0.20), ("r4", 0.10), ("oracle", 1.0)],
     )
     def test_cost_ratios(self, name, cost):
         assert surrogate_by_name(name).cost_ratio == cost
@@ -55,7 +56,7 @@ class TestCostTable:
 
     def test_custom_triple(self):
         spec = surrogate_by_name("50,0.5,0.25")
-        assert spec == SurrogateSpec(50, 0.5, 0.25) and not spec.disabled
+        assert spec == SurrogateSpec(50, 0.5, 0.25)
         assert spec.text == "custom 50 0.5 0.25"
 
     @pytest.mark.parametrize("name", ["r1", "r2", "r3", "r4", "oracle"])
@@ -65,18 +66,36 @@ class TestCostTable:
             spec = surrogate_by_name(text)
             assert spec == surrogate_by_name(name) and spec.text == name
 
-    def test_only_none_trains_zero_epochs(self):
-        spec = SurrogateSpec(0, 1.0, 0.0)
-        assert spec == surrogate_by_name("none") and spec.disabled and spec.text == "none"
-        with pytest.raises(ValueError, match="epoch_budget must be >= 1"):
-            SurrogateSpec(0, 0.5, 0.25)
+    @pytest.mark.parametrize("text", ["none", "None", "NONE"])
+    def test_none_is_no_surrogate(self, text):
+        assert surrogate_by_name(text) is None and "none" not in SURROGATE_TABLE
+        # the settings and the ledger header still record it by name
+        assert CampaignSettings(surrogate=text).surrogate == "none"
+        assert header_data_fraction({"surrogate": "none"}) == header_data_fraction({}) == 1.0
 
-    @pytest.mark.parametrize("text", ["r2", "none", "custom 12 0.5 0.25", "custom 7 1.0 0.03"])
+    def test_an_unranked_plan_charges_nothing_per_estimate(self):
+        plan = build_plan(CampaignSettings(surrogate="none"))
+        assert plan.surrogate is None and plan.estimate_charge == 0.0
+
+    @pytest.mark.parametrize("triple", [(0, 1.0, 0.0), (0, 0.5, 0.25), (-1, 1.0, 0.0)])
+    def test_every_surrogate_trains_an_epoch(self, triple):
+        with pytest.raises(ValueError, match="epoch_budget must be >= 1"):
+            SurrogateSpec(*triple)
+
+    @pytest.mark.parametrize("text", ["0,1.0,0.0", "custom 0 1.0 0.0"])
+    def test_no_ranking_is_not_a_zero_epoch_triple(self, tmp_path, capsys, text):
+        with pytest.raises(ValueError, match="epoch_budget must be >= 1"):
+            surrogate_by_name(text)
+        assert main(["run", "--budget", "3", "--rank", text, "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == "error: rank: epoch_budget must be >= 1\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("text", ["r2", "custom 12 0.5 0.25", "custom 7 1.0 0.03"])
     def test_text_reads_back(self, text):
         spec = surrogate_by_name(text)
         assert spec.text == text and surrogate_by_name(spec.text) == spec
 
-    # only the name none trains zero epochs, so its triple is refused
+    # no surrogate trains zero epochs, so a triple of zero epochs is refused
     @pytest.mark.parametrize("text", ["1,2", "0,0.5,0.25", "12,0,0.25", "12,0.5,2", "12,0.5,x", "custom 20", "",
                                       "0,1.0,0.0", "custom 0 1.0 0.0"])
     def test_bad_text_rejected(self, text):
@@ -153,10 +172,6 @@ class TestEstimate:
         with pytest.raises(TypeError):
             run_campaign(preset_config("p1"), 60, plan)
 
-    def test_disabled_surrogate_cannot_estimate(self, fidelity):
-        with pytest.raises(ValueError):
-            estimate(surrogate_by_name("none"), preset_config("p1"), fidelity)
-
     def test_deterministic(self, fidelity):
         spec = surrogate_by_name("r3")
         config = preset_config("p2")
@@ -164,10 +179,6 @@ class TestEstimate:
 
 
 class TestRankCandidates:
-    def test_disabled_surrogate_cannot_rank(self, fidelity):
-        with pytest.raises(ValueError, match="cannot estimate with the disabled surrogate"):
-            rank_candidates(random_configs(6, seed=37), surrogate_by_name("none"), fidelity)
-
     def test_sorted_best_first(self, fidelity):
         configs = random_configs(12, seed=43)
         spec = surrogate_by_name("r4")
