@@ -24,16 +24,19 @@ from typing import Callable, Mapping
 
 from . import mads
 from .blackbox import (
+    FAILED_REASON,
+    WORST_SCORE,
     EvaluationRequest,
     ProcessAdapter,
     SimulatedBlackbox,
     external_evaluate,
     simulate_curve,
 )
-from .early_stop import DEFAULT_MARGINS, DEFAULT_MILESTONES, MODES, REASON_NONE, update_baseline
+from .early_stop import (DEFAULT_MARGINS, DEFAULT_MILESTONES, MODES, REASON_ENVELOPE, REASON_NONE, stop_reasons,
+                         update_baseline)
 from .ledger import KIND_FULL, KIND_RANKING, KIND_SURROGATE, LedgerRecord, read_ledger, write_ledger
 # benchmark/tracing.py wraps serialize by this name; Configuration.key calls it.
-from .space import Configuration, SpaceBounds, default_bounds, deserialize, preset_config, serialize  # noqa: F401
+from .space import Configuration, default_bounds, deserialize, preset_config, serialize  # noqa: F401
 from .surrogates import SurrogateSpec, surrogate_by_name
 
 LEDGER_NAME = "ledger.csv"
@@ -157,9 +160,12 @@ def _simulator(settings: CampaignSettings) -> SimulatedBlackbox:
     return SimulatedBlackbox(noise_sigma=settings.noise_sigma)
 
 
-def build_plan(settings: CampaignSettings, bounds: SpaceBounds | None = None) -> mads.RunPlan:
-    bounds = bounds or default_bounds()
+def build_plan(settings: CampaignSettings) -> mads.RunPlan:
+    """The plan of a persisted campaign: it searches ``default_bounds()``, the space its header implies."""
     if settings.backend == "simulated":
+        # the header records the command, which a resume must repeat, so one that nothing runs is refused
+        if (settings.external_command or "").strip():
+            raise ValueError("backend_cmd: the simulated backend runs no command")
         blackbox = _simulator(settings)
         evaluate = blackbox.evaluate
 
@@ -180,7 +186,7 @@ def build_plan(settings: CampaignSettings, bounds: SpaceBounds | None = None) ->
         return evaluate(EvaluationRequest(config, settings.max_epochs, 1.0, settings.seed, monitor))
 
     return mads.RunPlan(
-        bounds=bounds,
+        bounds=default_bounds(),
         seed=settings.seed,
         surrogate=ranking_surrogate(settings.surrogate, settings.max_epochs),
         stop_mode=settings.stop_mode,
@@ -238,47 +244,81 @@ def _persist(settings: CampaignSettings, state: mads.CampaignState, wall_seconds
     (out / SUMMARY_NAME).write_text(json.dumps(summary, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
-def _row_rules(header: Mapping[str, str], path: Path) -> dict[str, tuple]:
-    """The (charged_cost, epochs_used, stop_reason) of each kind of row that
-    the live loop writes under the settings ``header`` records, None where a
-    missing key leaves one open.  A full evaluation charges 1.0; a ranking
-    pass charges 0.0 and trains 0 epochs; an estimate charges
+def _header_value(header: Mapping[str, str], key: str, parse: Callable[[str], object], path: Path):
+    """``parse`` of the header's ``key``, None without one; a value that does not parse is an error naming the key."""
+    try:
+        return parse(header[key]) if key in header else None
+    except ValueError as exc:
+        raise ValueError(f"{path}: header {key} {header[key]!r}: {exc}") from None
+
+
+def _row_rule(header: Mapping[str, str], path: Path) -> Callable[[LedgerRecord], str | None]:
+    """What rules out a row that the live loop writes under the settings
+    ``header`` records, or None; a missing key leaves open what it decides.
+
+    A ranking pass charges 0.0 and trains 0 epochs.  An estimate charges
     ``RunPlan.estimate_charge`` and trains the epochs of ``build_plan``'s
-    surrogate.  Without a surrogate there are only full evaluations."""
-    rules = {KIND_FULL: (1.0, None, None), KIND_RANKING: (0.0, 0, REASON_NONE),
+    surrogate.  Both have stop reason ``none``, and without a surrogate
+    there are neither.  A full training charges 1.0, and its stop reason is
+    ``none``, a failure or one that its stop mode gives.  A failure trains 0
+    epochs and scores ``WORST_SCORE``, any other training 1 to
+    ``max_epochs``.  The envelope stops a training only at a milestone, and
+    a simulated training that nothing stopped runs ``max_epochs``."""
+    exact = {KIND_FULL: (1.0, None, None), KIND_RANKING: (0.0, 0, REASON_NONE),
              KIND_SURROGATE: (None, None, REASON_NONE)}
-    if "surrogate" not in header:
-        return rules
+    spec = _header_value(header, "surrogate", surrogate_by_name, path)
+    if spec is not None:
+        charge = _header_value(header, "charge_ranking",
+                               lambda text: mads.charge_per_estimate(spec, _parse_bool(text)), path)
+        capped = _header_value(header, "max_epochs",
+                               lambda text: ranking_surrogate(header["surrogate"], int(text)).epoch_budget, path)
+        exact[KIND_SURROGATE] = (charge, capped, REASON_NONE)
+    elif "surrogate" in header:
+        del exact[KIND_SURROGATE], exact[KIND_RANKING]
+    max_epochs = _header_value(header, "max_epochs", int, path)
+    reasons = _header_value(header, "stop_mode", lambda text: (REASON_NONE, FAILED_REASON, *stop_reasons(text)), path)
+    milestones = _header_value(header, "milestones", lambda text: tuple(int(m) for m in text.split()), path)
+    simulated = header.get("backend") == "simulated"
 
-    def parsed(key: str, parse: Callable[[str], object]):
-        try:
-            return parse(header[key]) if key in header else None
-        except ValueError as exc:
-            raise ValueError(f"{path}: header {key} {header[key]!r}: {exc}") from None
+    def problem(rec: LedgerRecord) -> str | None:
+        if rec.kind not in exact:
+            return f"{rec.kind} without a surrogate"
+        for column, expected in zip(("charged_cost", "epochs_used", "stop_reason"), exact[rec.kind]):
+            value = getattr(rec, column)
+            if expected is not None and value != expected:
+                return f"{column} {value!r}, expected {expected!r}"
+        if rec.kind != KIND_FULL:
+            return None
+        reason, epochs = rec.stop_reason, rec.epochs_used
+        if reasons is not None and reason not in reasons:
+            return f"stop_reason {reason!r}, expected one of {reasons}"
+        if reason == FAILED_REASON:
+            if epochs != 0:
+                return f"epochs_used {epochs}, expected 0 for stop_reason {reason!r}"
+            return None if rec.score == WORST_SCORE else f"score {rec.score!r}, expected {WORST_SCORE!r}"
+        top = math.inf if max_epochs is None else max_epochs
+        if not 1 <= epochs <= top:
+            return f"epochs_used {epochs} outside [1, {top}]"
+        if reason == REASON_ENVELOPE and milestones is not None and epochs not in milestones:
+            return f"stop_reason {reason!r} at epoch {epochs}, not a milestone"
+        if simulated and reason == REASON_NONE and max_epochs not in (None, epochs):
+            return f"epochs_used {epochs}, expected {max_epochs}"
+        return None
 
-    spec = parsed("surrogate", surrogate_by_name)
-    if spec is None:
-        return {KIND_FULL: rules[KIND_FULL]}
-    charge = parsed("charge_ranking", lambda text: mads.charge_per_estimate(spec, _parse_bool(text)))
-    epochs = parsed("max_epochs", lambda text: ranking_surrogate(header["surrogate"], int(text)).epoch_budget)
-    rules[KIND_SURROGATE] = (charge, epochs, REASON_NONE)
-    return rules
+    return problem
 
 
 def read_checked_ledger(path: Path) -> tuple[dict[str, str], list[LedgerRecord]]:
     """The ledger at ``path``, every row replayed from its header's
-    ``initial`` and held to its header's ``_row_rules``: what export and
+    ``initial`` and held to its header's ``_row_rule``: what export and
     resume read."""
     header, records = read_ledger(path)
     mads.replay(records, header.get("initial"), path)
-    rules = _row_rules(header, path)
+    problem = _row_rule(header, path)
     for rec in records:
-        if rec.kind not in rules:
-            raise ValueError(f"{path}: record {rec.record_index}: {rec.kind} without a surrogate")
-        for column, expected in zip(("charged_cost", "epochs_used", "stop_reason"), rules[rec.kind]):
-            value = getattr(rec, column)
-            if expected is not None and value != expected:
-                raise ValueError(f"{path}: record {rec.record_index}: {column} {value!r}, expected {expected!r}")
+        found = problem(rec)
+        if found is not None:
+            raise ValueError(f"{path}: record {rec.record_index}: {found}")
     return header, records
 
 
@@ -289,9 +329,9 @@ def _rebuild_state(settings: CampaignSettings, plan: mads.RunPlan, kept: list[Le
     ``mads.replay`` checks the rows and rebuilds the state from them; only
     the incumbent's curve is regenerated, as the baseline, without its
     learning-rate column, which envelope comparisons do not read.  The
-    incumbent's row must hold its configuration's key and a full training's
-    epochs, and its score must be that curve's best accuracy.  Of no
-    records, it is the fresh state of ``mads.run_campaign``.
+    incumbent's row must hold its configuration's key, and its score must
+    be that curve's best accuracy.  Of no records, it is the fresh state of
+    ``mads.run_campaign``.
     """
     initial = initial_config(settings)
     state, best = mads.replay(kept, initial.key, path)
@@ -301,8 +341,6 @@ def _rebuild_state(settings: CampaignSettings, plan: mads.RunPlan, kept: list[Le
             state.incumbent = deserialize(best.config)
             if state.incumbent.key != best.config:
                 raise ValueError(f"config is not its configuration's key {state.incumbent.key!r}")
-            if not 1 <= best.epochs_used <= settings.max_epochs:
-                raise ValueError(f"epochs_used {best.epochs_used} outside [1, {settings.max_epochs}]")
             model = _simulator(settings).model_for(state.incumbent, settings.seed)
             curve = simulate_curve(model, best.epochs_used)
             if curve.best_accuracy() != best.score:
@@ -313,12 +351,12 @@ def _rebuild_state(settings: CampaignSettings, plan: mads.RunPlan, kept: list[Le
     return state
 
 
-def run(settings: CampaignSettings, bounds: SpaceBounds | None = None) -> mads.CampaignState:
+def run(settings: CampaignSettings) -> mads.CampaignState:
     """Execute a campaign and persist its ledger and summary: ``resume`` of a ledger with no rows."""
-    return _continue(settings, bounds, None)
+    return _continue(settings, None)
 
 
-def resume(settings: CampaignSettings, bounds: SpaceBounds | None = None) -> mads.CampaignState:
+def resume(settings: CampaignSettings) -> mads.CampaignState:
     """Continue an interrupted campaign from its persisted ledger.
 
     Every row is checked first, by the read ``madshpo export`` makes.  Then the
@@ -327,14 +365,14 @@ def resume(settings: CampaignSettings, bounds: SpaceBounds | None = None) -> mad
     run.  Only the simulated backend can regenerate curves, so external
     campaigns cannot be resumed.
     """
-    return _continue(settings, bounds, Path(settings.out_dir) / LEDGER_NAME)
+    return _continue(settings, Path(settings.out_dir) / LEDGER_NAME)
 
 
-def _continue(settings: CampaignSettings, bounds: SpaceBounds | None, path: Path | None) -> mads.CampaignState:
+def _continue(settings: CampaignSettings, path: Path | None) -> mads.CampaignState:
     """Continue the campaign from the kept rows of the ledger at ``path``, from none if it is None,
     and persist it.  The plan is built first, so that a refused setting raises before any read."""
     started = time.monotonic()
-    plan = build_plan(settings, bounds)
+    plan = build_plan(settings)
     records = []
     if path is not None:
         if settings.backend != "simulated":

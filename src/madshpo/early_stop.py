@@ -22,8 +22,6 @@ import numpy as np
 DEFAULT_MILESTONES = (5, 10, 25, 50, 100, 125, 150)
 DEFAULT_MARGINS = (0.5, 0.6, 0.7, 0.8, 0.85, 0.9, 0.95)
 
-MODES = ("none", "default", "last-success", "scheduler", "scheduler+baseline")
-
 # Stopping-rule parameters, the same for every campaign.
 PATIENCE = 25  # flat epochs before the scheduler cuts the learning rate
 LR_FACTOR = 0.1  # learning-rate multiplier per cut
@@ -41,6 +39,23 @@ REASON_LOSS_PLATEAU = "default-loss-plateau"
 REASON_LAST_SUCCESS = "last-success"
 REASON_LR_FLOOR = "scheduler-lr-floor"
 REASON_ENVELOPE = "envelope-breach"
+
+# The stop reasons each stopping mode can give, besides REASON_NONE.
+STOP_REASONS = {
+    "none": (),
+    "default": (REASON_LOW_ACCURACY, REASON_LOSS_PLATEAU),
+    "last-success": (REASON_LAST_SUCCESS,),
+    "scheduler": (REASON_LR_FLOOR,),
+    "scheduler+baseline": (REASON_ENVELOPE, REASON_LR_FLOOR),
+}
+MODES = tuple(STOP_REASONS)
+
+
+def stop_reasons(mode: str) -> tuple[str, ...]:
+    """The reasons other than ``REASON_NONE`` that a monitor in ``mode`` can give."""
+    if mode not in STOP_REASONS:
+        raise ValueError(f"unknown stopping mode {mode!r} (expected one of {MODES})")
+    return STOP_REASONS[mode]
 
 
 @dataclass(slots=True)
@@ -165,8 +180,7 @@ class StoppingMonitor:
     """
 
     def __init__(self, mode: str, envelope: BaselineEnvelope | None = None) -> None:
-        if mode not in MODES:
-            raise ValueError(f"unknown stopping mode {mode!r} (expected one of {MODES})")
+        stop_reasons(mode)  # refuses an unknown mode
         self.mode = mode
         self.envelope = envelope
 

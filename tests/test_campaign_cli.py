@@ -45,12 +45,14 @@ def settings(out_dir, **overrides):
     return CampaignSettings(**base)
 
 
-def failing_start_point():
-    """Bounds and a p1 start point whose evaluation fails: a linear
-    learning-rate slot lets the simulator refuse rate 0."""
+def failing_start_point(monkeypatch):
+    """A p1 start point whose evaluation fails, with campaigns made to search
+    a space with a linear learning-rate slot, which lets the simulator
+    refuse rate 0."""
     default = default_bounds()
     bounds = replace(default, scalar_slots=(SlotSpec(0.0, 1.0, granularity=1e-3), *default.scalar_slots[1:]))
-    return bounds, replace(preset_config("p1"), learning_rate=0.0)
+    monkeypatch.setattr(campaign, "default_bounds", lambda: bounds)
+    return replace(preset_config("p1"), learning_rate=0.0)
 
 
 def test_package_exports_only_its_campaign_entry_points():
@@ -239,27 +241,27 @@ class TestResume:
         assert calls == [(model, incumbent.epochs_used)]
         assert path.read_bytes() == full_bytes
 
-    def test_replay_equivalence_after_failed_start_point(self, tmp_path):
+    def test_replay_equivalence_after_failed_start_point(self, tmp_path, monkeypatch):
         # a failed first evaluation leaves the start point the incumbent
-        bounds, start = failing_start_point()
+        start = failing_start_point(monkeypatch)
         s = settings(tmp_path / "full", initial=start, bbe_budget=12, seed=1, surrogate="none")
-        run(s, bounds)
+        run(s)
         full_bytes = (tmp_path / "full" / LEDGER_NAME).read_bytes()
         header, records = read_ledger(tmp_path / "full" / LEDGER_NAME)
         assert records[0].stop_reason == FAILED_REASON and records[1].iteration == 1
         out = tmp_path / "cut"
         out.mkdir()
         write_ledger(out / LEDGER_NAME, records[:2], header)
-        resume(replace(s, out_dir=out), bounds)
+        resume(replace(s, out_dir=out))
         assert (out / LEDGER_NAME).read_bytes() == full_bytes
 
     @staticmethod
-    def assert_rebuilds_the_live_end_state(s, bounds=None):
+    def assert_rebuilds_the_live_end_state(s):
         """The state rebuilt from the whole ledger is the live run's end state."""
-        end = run(s, bounds)
+        end = run(s)
         path = s.out_dir / LEDGER_NAME
         _, records = read_ledger(path)
-        rebuilt = campaign._rebuild_state(s, build_plan(s, bounds), records, path)
+        rebuilt = campaign._rebuild_state(s, build_plan(s), records, path)
         assert (rebuilt.incumbent.key, rebuilt.best_score) == (end.incumbent.key, end.best_score)
         assert (rebuilt.mesh, rebuilt.next_iteration) == (end.mesh, end.next_iteration)
         assert (rebuilt.records, rebuilt.cumulative) == (end.records, end.cumulative)
@@ -277,10 +279,10 @@ class TestResume:
                      bbe_budget=60)
         self.assert_rebuilds_the_live_end_state(s)
 
-    def test_rebuilt_state_is_the_live_end_state_after_failed_start_point(self, tmp_path):
-        bounds, start = failing_start_point()
+    def test_rebuilt_state_is_the_live_end_state_after_failed_start_point(self, tmp_path, monkeypatch):
+        start = failing_start_point(monkeypatch)
         s = settings(tmp_path / "full", initial=start, bbe_budget=12, seed=1, surrogate="none")
-        self.assert_rebuilds_the_live_end_state(s, bounds)
+        self.assert_rebuilds_the_live_end_state(s)
 
     def test_completed_run_resume_is_noop(self, tmp_path):
         s, path, full_bytes = self.run_full(tmp_path)
@@ -321,12 +323,13 @@ class TestResume:
 
     def test_out_of_bounds_incumbent_is_refused_before_any_row(self, tmp_path, monkeypatch):
         # the kept incumbent's row, score included, is the one the run wrote,
-        # but its configuration lies outside the bounds the campaign resumes in
+        # but its configuration lies outside the space the campaign resumes in
         s, path, before = self.run_full(tmp_path)
         _, records = read_ledger(path)
         best = [r for r in records if r.incumbent and r.iteration < records[-1].iteration][-1]
         fc0 = deserialize(best.config).fc_sizes[0]
         bounds = replace(default_bounds(), fc_slot=SlotSpec(16, fc0 - 1, granularity=1))
+        monkeypatch.setattr(campaign, "default_bounds", lambda: bounds)
 
         def no_poll(*args):
             raise AssertionError("polled an incumbent the loop never validated")
@@ -334,7 +337,7 @@ class TestResume:
         monkeypatch.setattr(mads, "generate_poll", no_poll)
         error = f"invalid incumbent configuration: fc0={fc0} outside [16, {fc0 - 1}]"
         with pytest.raises(ValueError, match=re.escape(error)):
-            resume(s, bounds)
+            resume(s)
         assert path.read_bytes() == before
 
     def test_mismatched_settings_rejected(self, tmp_path):
@@ -712,16 +715,28 @@ class TestCli:
         assert capsys.readouterr().err == "error: max_iterations must be >= 0\n"
         assert (out / LEDGER_NAME).read_bytes() == before
 
-    @pytest.mark.parametrize("command, written", [("x ", "x"), (" ", "-")], ids=["trailing-blank", "blank"])
-    def test_a_header_value_with_blanks_around_it_resumes(self, tmp_path, capsys, command, written):
-        # the header holds the value as read_ledger reads it back, so resume finds the settings match
+    def test_a_header_value_with_blanks_around_it_resumes(self, tmp_path, capsys):
+        # the header holds the value as read_ledger reads it back, so resume
+        # finds the settings match; a command of blanks is no command
         out = tmp_path / "out"
-        argv = ["--budget", "3", "--rank", "none", "--backend-cmd", command, "--out", str(out)]
+        argv = ["--budget", "3", "--rank", "none", "--backend-cmd", " ", "--out", str(out)]
         assert main(["run", *argv]) == 0
         ran = (out / LEDGER_NAME).read_bytes()
         assert main(["resume", *argv]) == 0, capsys.readouterr().err
         assert (out / LEDGER_NAME).read_bytes() == ran
-        assert f"# external_command = {written}\n".encode() in ran
+        assert b"# external_command = -\n" in ran
+
+    @pytest.mark.parametrize("command", ["x", "x ", "python3 train.py"])
+    @pytest.mark.parametrize("verb", ["run", "resume"])
+    def test_the_simulated_backend_refuses_a_command(self, tmp_path, capsys, verb, command):
+        # the header would record a command that nothing runs, and a resume without it would not match
+        out = tmp_path / "out"
+        argv = [verb, "--budget", "3", "--rank", "none", "--backend-cmd", command, "--out", str(out)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: backend_cmd: the simulated backend runs no command\n"
+        assert not out.exists()
+        with pytest.raises(ValueError, match="^backend_cmd: the simulated backend runs no command$"):
+            build_plan(settings(out, external_command=command))
 
     @pytest.mark.parametrize("text, key, line", [
         ("seed = 1\nbudget = 5\nseed = 5\n", "seed", 3),
@@ -885,6 +900,9 @@ class TestCli:
         ("no-epochs-header", "header max_epochs '0': epoch_budget must be >= 1"),
         ("bad-surrogate-header", "header surrogate 'custom 20': unknown surrogate 'custom 20' "
                                  "(expected one of ['none', 'oracle', 'r1', 'r2', 'r3', 'r4'] or epochs,fraction,cost)"),
+        ("bad-stop-header", "header stop_mode 'bogus': unknown stopping mode 'bogus' (expected one of "
+                            "('none', 'default', 'last-success', 'scheduler', 'scheduler+baseline'))"),
+        ("bad-milestones-header", "header milestones '5 x': invalid literal for int() with base 10: 'x'"),
     ])
     def test_rows_the_header_settings_rule_out_are_a_clean_error(self, tmp_path, capsys, edit, error, command):
         # each edited ledger replays; only the settings its header records rule a row out
@@ -902,6 +920,9 @@ class TestCli:
         elif edit == "stopped-estimate":
             records[1] = replace(records[1], stop_reason="envelope-breach")
         else:
+            if edit == "capped-epochs-header":
+                # the start point's training then holds to the header too
+                records[0] = replace(records[0], epochs_used=50)
             header = {**header, **{
                 "estimates-without-a-surrogate": {"surrogate": "none"},
                 "uncharged-ranking-header": {"charge_ranking": "0"},
@@ -909,6 +930,8 @@ class TestCli:
                 "bad-charge-header": {"charge_ranking": "x"},
                 "no-epochs-header": {"max_epochs": "0"},
                 "bad-surrogate-header": {"surrogate": "custom 20"},
+                "bad-stop-header": {"stop_mode": "bogus"},
+                "bad-milestones-header": {"milestones": "5 x"},
             }[edit]}
         write_ledger(ledger, _resequenced(records), header)
         before = ledger.read_bytes()

@@ -9,6 +9,9 @@ from madshpo.blackbox import EvaluationResult
 from madshpo.early_stop import (
     DEFAULT_MARGINS,
     DEFAULT_MILESTONES,
+    MODES,
+    REASON_NONE,
+    STOP_REASONS,
     BaselineEnvelope,
     StoppingMonitor,
     TrainingHistory,
@@ -418,6 +421,27 @@ def test_verdict_table(mode, kind, seed, initial_lr, reported_lr, stop_epoch, re
             got = (e, verdict.reason)
             break
     assert got == (stop_epoch, reason)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_each_mode_gives_exactly_the_reasons_of_its_row(mode):
+    # campaign.read_checked_ledger holds a full training's stop reason to its mode's row
+    seen = set()
+    for kind in ("flat", "stuck", "walk", "settling"):
+        for seed in range(8):
+            accs, losses = seeded_curves(kind, seed, 300)
+            for initial_lr in (0.01, 1e-6):
+                for envelope in (None, TABLE_ENVELOPE):
+                    monitor = StoppingMonitor(mode, envelope)
+                    monitor.start(initial_lr)
+                    h = TrainingHistory()
+                    for e, (acc, loss) in enumerate(zip(accs, losses), 1):
+                        h.append(e, acc, loss, monitor.next_lr())
+                        verdict = monitor.verdict(h)
+                        seen.add(verdict.reason)
+                        if verdict.stop:
+                            break
+    assert seen - {REASON_NONE} == set(STOP_REASONS[mode])
 
 
 def test_mode_resource_ordering_on_simulated_corpus():

@@ -11,7 +11,7 @@ import time
 import pytest
 
 from madshpo.blackbox import FAILED_REASON, EvaluationRequest, ProcessAdapter, external_evaluate
-from madshpo.campaign import LEDGER_NAME, CampaignSettings, run
+from madshpo.campaign import LEDGER_NAME, CampaignSettings, read_checked_ledger, run
 from madshpo.cli import main
 from madshpo.early_stop import BaselineEnvelope, StoppingMonitor, TrainingHistory
 from madshpo.ledger import read_ledger
@@ -271,6 +271,18 @@ class TestExternalEvaluate:
         assert main(argv) == 1
         assert capsys.readouterr().err == "error: external trainer command is empty\n"
         assert not out.exists()
+
+    def test_a_command_with_blanks_around_it_is_recorded_stripped(self, tmp_path, capsys):
+        stub = make_stub(tmp_path, FIXED_CURVE_STUB)
+        command = shlex.join(stub.command)
+        out = tmp_path / "out"
+        argv = ["run", "--backend", "external", "--backend-cmd", f"{command} ", "--budget", "1", "--rank", "none",
+                "--out", str(out)]
+        assert main(argv) == 0, capsys.readouterr().err
+        header, records = read_checked_ledger(out / LEDGER_NAME)
+        assert header["external_command"] == command
+        # the stub ends its training after 3 epochs, which only a simulated training may not
+        assert [(r.epochs_used, r.stop_reason) for r in records] == [(3, "none")]
 
     def test_from_command_splits_shell_words(self):
         adapter = ProcessAdapter.from_command("python3 -u trainer.py --gpu 0")

@@ -232,7 +232,7 @@ def test_settings_ledger_bytes_unchanged(case, tmp_path):
 # case -> (settings, SHA-256 of summary.json without its wall_seconds line),
 # recorded before the campaign loop returned its own state.  The settings
 # are p1's at seed 0 and GOLDEN_BUDGET BBE unless a case says otherwise;
-# the failed-start cases run under failing_start_point's bounds.
+# the failed-start cases search the space that failing_start_point patches in.
 SUMMARY_SHA256 = {
     "p1-r4": (
         dict(surrogate="r4"),
@@ -270,13 +270,12 @@ def summary_digest(out_dir):
 
 
 @pytest.mark.parametrize("case", sorted(SUMMARY_SHA256))
-def test_summary_bytes_unchanged(case, tmp_path):
+def test_summary_bytes_unchanged(case, tmp_path, monkeypatch):
     overrides, expected = SUMMARY_SHA256[case]
     settings = {"preset": "p1", "bbe_budget": GOLDEN_BUDGET, "seed": 0, "out_dir": tmp_path, **overrides}
-    bounds = None
     if case.startswith("failed-start"):
-        bounds, settings["initial"] = failing_start_point()
-    run(CampaignSettings(**settings), bounds)
+        settings["initial"] = failing_start_point(monkeypatch)
+    run(CampaignSettings(**settings))
     assert summary_digest(tmp_path) == expected
 
 

@@ -15,7 +15,7 @@ import pytest
 
 from madshpo.campaign import LEDGER_NAME
 from madshpo.cli import main
-from madshpo.ledger import COLUMNS, KIND_SURROGATE, encode_row
+from madshpo.ledger import COLUMNS, KIND_FULL, KIND_SURROGATE, encode_row
 
 QUICKSTART = ["--preset", "p1", "--budget", "10", "--stop", "scheduler+baseline", "--rank", "r4", "--seed", "7",
               "--backend", "simulated"]
@@ -28,6 +28,17 @@ TOKENS = ("٣", "1_0", "01", " 1", "1 ", "+1", "nan", "inf", "0200", "0", "1", "
 # header's settings allow only 0.0, 0.1 or 1.0 by kind, and 200 epochs.
 CHARGES = ("0.0", "0.1", "1.0", "1e0", "0.5", "0.05", "2.0")
 EPOCHS = ("0", "1", "7", "199", "200", "0200", "201")
+# A full training's stop reason and epochs: the header allows the reasons of
+# its stop mode, and epochs at milestones or 200 by reason.
+REASONS = ("none", "evaluation-failed", "envelope-breach", "scheduler-lr-floor", "last-success",
+           "default-low-accuracy", "default-loss-plateau", "stopped")
+FULL_EPOCHS = ("0", "1", "5", "7", "50", "124", "125", "199", "200", "201", "500")
+# The edits that set one column of a row of one kind: (kind, column, values).
+COLUMN_EDITS = {
+    "estimate-epochs": (KIND_SURROGATE, "epochs_used", EPOCHS),
+    "full-reason": (KIND_FULL, "stop_reason", REASONS),
+    "full-epochs": (KIND_FULL, "epochs_used", FULL_EPOCHS),
+}
 
 
 @pytest.fixture(scope="module")
@@ -110,6 +121,58 @@ def test_a_charge_or_estimate_epochs_the_header_rules_out_is_refused(tmp_path, c
     assert ledger.read_bytes() == before
 
 
+# p1 unranked at seed 3 under scheduler+baseline: record 1 trains 200 epochs
+# with stop reason none, records 2 and 3 are envelope breaches at epochs 125
+# and 50, and the campaign runs past record 3's iteration
+UNRANKED = ["--preset", "p1", "--rank", "none", "--seed", "3", "--budget", "30"]
+
+
+@pytest.fixture(scope="module")
+def unranked(tmp_path_factory):
+    out = tmp_path_factory.mktemp("unranked")
+    assert main(["run", *UNRANKED, "--out", str(out)]) == 0
+    return (out / LEDGER_NAME).read_text().splitlines(keepends=True)
+
+
+@pytest.mark.parametrize("record, column, value, error", [
+    (2, "stop_reason", "last-success",
+     "stop_reason 'last-success', expected one of ('none', 'evaluation-failed', 'envelope-breach', "
+     "'scheduler-lr-floor')"),
+    (2, "epochs_used", "500", "epochs_used 500 outside [1, 200]"),
+    (1, "epochs_used", "7", "epochs_used 7, expected 200"),
+    (2, "stop_reason", "evaluation-failed", "epochs_used 125, expected 0 for stop_reason 'evaluation-failed'"),
+    (3, "epochs_used", "0", "epochs_used 0 outside [1, 200]"),
+], ids=["reason-of-another-mode", "epochs-above-max", "short-unstopped-training", "failure-with-epochs",
+        "breach-at-epoch-0"])
+def test_a_full_training_the_header_rules_out_is_refused(tmp_path, capsys, unranked, record, column, value, error):
+    # no edit moves a charge or an incumbent flag, so the rows replay; only
+    # the header's stop mode, max_epochs and backend rule the training out
+    assert [unranked[unranked.index(encode_row(COLUMNS)) + 1 + r].split(",")[4:6] for r in (1, 2, 3)] == [
+        ["200", "none"], ["125", "envelope-breach"], ["50", "envelope-breach"]]
+    ledger = tmp_path / LEDGER_NAME
+    ledger.write_text("".join(_set_field(unranked, record, column, value)))
+    before = ledger.read_bytes()
+    assert _export(capsys, ledger) == (1, f"error: {ledger}: record {record}: {error}\n")
+    assert _resume(capsys, ledger, UNRANKED) == (1, f"error: {ledger}: record {record}: {error}\n")
+    assert ledger.read_bytes() == before
+
+
+@pytest.mark.parametrize("key, record, column, value", [
+    ("stop_mode", 2, "stop_reason", "last-success"),
+    ("max_epochs", 1, "epochs_used", "500"),
+    ("milestones", 2, "epochs_used", "124"),
+    ("backend", 1, "epochs_used", "7"),
+])
+def test_a_header_without_a_setting_skips_the_training_check_it_decides(tmp_path, capsys, unranked, key, record,
+                                                                        column, value):
+    lines = _set_field(unranked, record, column, value)
+    ledger = tmp_path / LEDGER_NAME
+    ledger.write_text("".join(lines))
+    assert _export(capsys, ledger)[0] == 1
+    ledger.write_text("".join(line for line in lines if not line.startswith(f"# {key} = ")))
+    assert _export(capsys, ledger) == (0, "")
+
+
 @pytest.mark.parametrize("record, column, value", [
     # record 6 is an estimate in the middle of iteration 1; moved to iteration
     # 2, it leaves the rows before the last iteration ending in estimates
@@ -129,16 +192,15 @@ def test_resume_refuses_a_row_export_refuses_with_the_same_line(tmp_path, capsys
 
 
 def test_resume_refuses_an_incumbent_row_its_curve_does_not_reproduce(tmp_path, capsys, quickstart):
-    # record 0, the start point, is the incumbent that resume keeps; at 150
-    # epochs its curve's best accuracy is not the row's score, and the
-    # envelope built from that curve would change every later stop
+    # record 0, the start point, is the incumbent that resume keeps; its
+    # curve's best accuracy is not the edited score, which is still below
+    # record 39's, so the incumbent flags replay
     ledger = tmp_path / LEDGER_NAME
-    ledger.write_text("".join(_set_field(quickstart, 0, "epochs_used", "150")))
+    ledger.write_text("".join(_set_field(quickstart, 0, "score", "0.5")))
     before = ledger.read_bytes()
     assert _export(capsys, ledger)[0] == 0
-    code, err = _resume(capsys, ledger)
-    assert code == 1
-    assert err.startswith(f"error: {ledger}: record 0: score 0.6837000000000001 is not its curve's best accuracy ")
+    assert _resume(capsys, ledger) == (
+        1, f"error: {ledger}: record 0: score 0.5 is not its curve's best accuracy 0.6837000000000001\n")
     assert ledger.read_bytes() == before
 
 
@@ -147,19 +209,20 @@ def _edit(rng, lines):
     first = lines.index(encode_row(COLUMNS)) + 1
     at = rng.randrange(first, len(lines))
     kind = rng.choice(("field", "field", "slot", "drop", "duplicate", "swap", "truncate", "header", "charge",
-                       "estimate-epochs"))
+                       *COLUMN_EDITS))
     if kind == "charge":
         fields = lines[at].split(",")
         fields[COLUMNS.index("charged_cost")] = rng.choice(CHARGES)
         lines[at] = ",".join(fields)
         lines[:] = _resummed(lines)
         return f"charge of line {at + 1}, re-summed: {fields[COLUMNS.index('charged_cost')]!r}"
-    if kind == "estimate-epochs":
-        at = rng.choice([i for i in range(first, len(lines)) if lines[i].split(",")[1] == KIND_SURROGATE])
+    if kind in COLUMN_EDITS:
+        row_kind, column, values = COLUMN_EDITS[kind]
+        at = rng.choice([i for i in range(first, len(lines)) if lines[i].split(",")[1] == row_kind])
         fields = lines[at].split(",")
-        fields[COLUMNS.index("epochs_used")] = rng.choice(EPOCHS)
+        fields[COLUMNS.index(column)] = rng.choice(values)
         lines[at] = ",".join(fields)
-        return f"epochs of estimate line {at + 1}: {fields[COLUMNS.index('epochs_used')]!r}"
+        return f"{column} of {row_kind} line {at + 1}: {fields[COLUMNS.index(column)]!r}"
     if kind in ("field", "slot"):
         fields = lines[at].rstrip("\n").split(",")
         column = rng.randrange(len(fields)) if kind == "field" else COLUMNS.index("config")

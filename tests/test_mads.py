@@ -212,7 +212,7 @@ class TestIntegerSlots:
 
     def test_a_campaign_with_a_fractional_fc_granularity_finishes(self):
         bounds = self.half_step_fc_bounds()
-        plan = build_plan(CampaignSettings(seed=5, charge_ranking=False), bounds)
+        plan = replace(build_plan(CampaignSettings(seed=5, charge_ranking=False)), bounds=bounds)
         result = mads.run_campaign(preset_config("p1"), 20, plan)
         # the budget ran out at a poll below mesh index 0, where the FC spacing is a multiple of 50.5
         assert (result.termination, result.mesh.index) == ("budget", -1)

@@ -4,9 +4,10 @@ Each case draws campaign settings at random: preset, seed, budget 1-25,
 ``max_epochs`` 1-60, a named surrogate or a custom triple, a stop mode,
 charging on or off, a mesh floor from -6 to 0, an optional iteration cap,
 a noise level up to 0.05 and, in half the cases, random milestones and
-margins.  It runs the campaign, cuts the ledger after a random row (none
-included) and resumes it.  The resumed ledger must be byte-identical to
-the uncut one, and its summary equal but for ``wall_seconds``.
+margins.  It runs the campaign, whose ledger every check that export makes
+must pass, cuts the ledger after a random row (none included) and resumes
+it.  The resumed ledger must be byte-identical to the uncut one, and its
+summary equal but for ``wall_seconds``.
 """
 
 import json
@@ -14,9 +15,9 @@ import random
 
 import pytest
 
-from madshpo.campaign import LEDGER_NAME, SUMMARY_NAME, CampaignSettings, resume, run
+from madshpo.campaign import LEDGER_NAME, SUMMARY_NAME, CampaignSettings, read_checked_ledger, resume, run
 from madshpo.early_stop import MODES
-from madshpo.ledger import read_ledger, write_ledger
+from madshpo.ledger import write_ledger
 from madshpo.surrogates import SURROGATE_TABLE
 
 CASES = 60
@@ -58,7 +59,7 @@ def test_a_cut_campaign_resumes_to_the_uncut_ledger(case, tmp_path):
     full = CampaignSettings(out_dir=tmp_path / "full", **values)
     run(full)
     full_bytes = (tmp_path / "full" / LEDGER_NAME).read_bytes()
-    header, records = read_ledger(tmp_path / "full" / LEDGER_NAME)
+    header, records = read_checked_ledger(tmp_path / "full" / LEDGER_NAME)
     cut = rng.randint(0, len(records))
     cut_dir = tmp_path / "cut"
     cut_dir.mkdir()
