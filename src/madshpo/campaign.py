@@ -71,6 +71,11 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"expected a boolean, got {text!r}")
 
 
+def _parse_cap(text: str) -> int | None:
+    """An iteration cap, None for ``-`` (how the header writes no cap) or blank text."""
+    return None if text in ("", "-") else int(text)
+
+
 def _surrogate_text(text: str) -> str:
     """The surrogate ``text`` names, checked, in the header form of ``SurrogateSpec.text`` or ``none``."""
     spec = surrogate_by_name(text)
@@ -97,8 +102,7 @@ class CampaignSettings:
                                     action="store_const", const="0",
                                     help="do not charge ranking passes against the budget")
     min_mesh_index: int = _setting(mads.RunPlan.min_mesh_index, int, help="stop once the mesh index falls below this")
-    max_iterations: int | None = _setting(
-        None, lambda text: None if text in ("", "-") else int(text), help="iteration cap")
+    max_iterations: int | None = _setting(None, _parse_cap, help="iteration cap")
     milestones: tuple[int, ...] = _setting(
         DEFAULT_MILESTONES, _comma_list(int), help="comma-separated milestone epochs")
     margins: tuple[float, ...] = _setting(
@@ -256,14 +260,18 @@ def _row_rule(header: Mapping[str, str], path: Path) -> Callable[[LedgerRecord],
     """What rules out a row that the live loop writes under the settings
     ``header`` records, or None; a missing key leaves open what it decides.
 
-    A ranking pass charges 0.0 and trains 0 epochs.  An estimate charges
-    ``RunPlan.estimate_charge`` and trains the epochs of ``build_plan``'s
-    surrogate.  Both have stop reason ``none``, and without a surrogate
-    there are neither.  A full training charges 1.0, and its stop reason is
-    ``none``, a failure or one that its stop mode gives.  A failure trains 0
-    epochs and scores ``WORST_SCORE``, any other training 1 to
-    ``max_epochs``.  The envelope stops a training only at a milestone, and
-    a simulated training that nothing stopped runs ``max_epochs``."""
+    Every row scores in [0, 1], and the loop's bounds hold it: its
+    ``cumulative_cost`` is at most ``bbe_budget`` plus ``BUDGET_SLACK``,
+    its iteration at most ``max_iterations`` and its mesh index at least
+    ``min_mesh_index``.  A ranking pass charges 0.0 and trains 0 epochs.
+    An estimate charges ``RunPlan.estimate_charge`` and trains the epochs
+    of ``build_plan``'s surrogate.  Both have stop reason ``none``, and
+    without a surrogate there are neither.  A full training charges 1.0,
+    and its stop reason is ``none``, a failure or one that its stop mode
+    gives.  A failure trains 0 epochs and scores ``WORST_SCORE``, any other
+    training 1 to ``max_epochs``.  The envelope stops a training only at a
+    milestone, and a simulated training that nothing stopped runs
+    ``max_epochs``."""
     exact = {KIND_FULL: (1.0, None, None), KIND_RANKING: (0.0, 0, REASON_NONE),
              KIND_SURROGATE: (None, None, REASON_NONE)}
     spec = _header_value(header, "surrogate", surrogate_by_name, path)
@@ -279,8 +287,19 @@ def _row_rule(header: Mapping[str, str], path: Path) -> Callable[[LedgerRecord],
     reasons = _header_value(header, "stop_mode", lambda text: (REASON_NONE, FAILED_REASON, *stop_reasons(text)), path)
     milestones = _header_value(header, "milestones", lambda text: tuple(int(m) for m in text.split()), path)
     simulated = header.get("backend") == "simulated"
+    budget = _header_value(header, "bbe_budget", int, path)
+    cap = _header_value(header, "max_iterations", _parse_cap, path)
+    floor = _header_value(header, "min_mesh_index", int, path)
 
     def problem(rec: LedgerRecord) -> str | None:
+        if not 0.0 <= rec.score <= 1.0:
+            return f"score {rec.score!r} outside [0, 1]"
+        if budget is not None and rec.cumulative_cost > budget + mads.BUDGET_SLACK:
+            return f"cumulative_cost {rec.cumulative_cost!r} above bbe_budget {budget}"
+        if cap is not None and rec.iteration > cap:
+            return f"iteration {rec.iteration} above max_iterations {cap}"
+        if floor is not None and rec.mesh_index < floor:
+            return f"mesh_index {rec.mesh_index} below min_mesh_index {floor}"
         if rec.kind not in exact:
             return f"{rec.kind} without a surrogate"
         for column, expected in zip(("charged_cost", "epochs_used", "stop_reason"), exact[rec.kind]):

@@ -88,16 +88,15 @@ def main(argv: list[str] | None = None) -> int:
             print(f"total epochs: {summary['total_epochs']}")
             print(f"termination: {state.termination}")
             return 0
-        if args.command == "export":
-            header, records = read_checked_ledger(Path(args.ledger))
-            rows = export_convergence(records, surrogate_data_fraction=header_data_fraction(header))
-            write_series(Path(args.out), rows)
-            print(f"wrote {len(rows)} rows to {args.out}")
-            return 0
+        # argparse requires one of the three commands, so this one is export
+        header, records = read_checked_ledger(Path(args.ledger))
+        rows = export_convergence(records, surrogate_data_fraction=header_data_fraction(header))
+        write_series(Path(args.out), rows)
+        print(f"wrote {len(rows)} rows to {args.out}")
+        return 0
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    raise AssertionError("unreachable")
 
 
 if __name__ == "__main__":

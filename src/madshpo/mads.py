@@ -50,6 +50,8 @@ logger = logging.getLogger(__name__)
 
 # The coarsest mesh index: campaigns start here and never coarsen past it.
 MAX_MESH_INDEX = 0
+# BBE by which the running sum of charges may pass the budget: float rounding.
+BUDGET_SLACK = 1e-9
 
 # Largest |value/step| for which mesh snapping is numerically meaningful;
 # beyond this the mesh is finer than float64 resolution and values pass
@@ -238,10 +240,13 @@ class CampaignState:
     next_iteration: int = 0
     termination: str | None = None  # "budget", "mesh" or "iterations"
 
-    def record(self, kind: str, key: str, score: float, epochs: int, reason: str,
-               charge: float, incumbent: bool, iteration: int) -> None:
-        """Charge ``charge`` BBE and append a ledger row stamped with its
-        index, the running cost and the current mesh index."""
+    def record(self, kind: str, key: str, score: float, *, epochs: int = 0, reason: str = REASON_NONE,
+               charge: float = 0.0, incumbent: bool = False) -> None:
+        """Charge ``charge`` BBE and append a ledger row stamped with its index,
+        the running cost, the iteration being run and the mesh index: the one
+        place a row is made.  The defaults are a ranking pass's; a stop reason
+        that one ledger line cannot carry raises ``ValueError`` before any charge."""
+        check_plain("stop_reason", reason)
         self.cumulative += charge
         self.records.append(LedgerRecord(
             record_index=len(self.records),
@@ -253,7 +258,7 @@ class CampaignState:
             charged_cost=charge,
             cumulative_cost=self.cumulative,
             incumbent=incumbent,
-            iteration=iteration,
+            iteration=self.next_iteration,
             mesh_index=self.mesh.index,
         ))
 
@@ -274,21 +279,19 @@ def iteration_seed(seed: int, iteration: int) -> int:
     return hash_u64("poll-directions", seed, iteration)
 
 
-def _full_evaluation(state: CampaignState, plan: RunPlan, config: Configuration, iteration: int) -> bool:
+def _full_evaluation(state: CampaignState, plan: RunPlan, config: Configuration) -> bool:
     """Run one full evaluation of ``config``, charge it and record it; if it
     improves, it becomes the incumbent and its curve the baseline.  Returns
-    whether it improved; a failure never does.  A stop reason that one
-    ledger line cannot carry raises ``ValueError`` before the row is kept."""
+    whether it improved; a failure never does."""
     monitor = StoppingMonitor(plan.stop_mode, state.envelope)
     try:
         result = plan.full_eval(config, monitor)
     except TRAINER_FAULTS as exc:
         logger.warning("full evaluation raised: %s", exc, exc_info=True)
         result = EvaluationResult.failure()
-    check_plain("stop_reason", result.stop_reason)
     improved = state.improves(result.failed, result.final_val_accuracy)
-    state.record(KIND_FULL, config.key, result.final_val_accuracy, result.epochs_used,
-                 result.stop_reason, 1.0, improved, iteration)
+    state.record(KIND_FULL, config.key, result.final_val_accuracy, epochs=result.epochs_used,
+                 reason=result.stop_reason, charge=1.0, incumbent=improved)
     if improved:
         state.incumbent = config
         state.best_score = result.final_val_accuracy
@@ -318,7 +321,7 @@ def continue_campaign(state: CampaignState, budget_bbe: float, plan: RunPlan) ->
     if problems:
         raise ValueError("invalid incumbent configuration: " + "; ".join(problems))
     if state.next_iteration == 0:
-        _full_evaluation(state, plan, state.incumbent, iteration=0)
+        _full_evaluation(state, plan, state.incumbent)
         state.close_iteration(False)
     while True:
         if state.mesh.index < plan.min_mesh_index:
@@ -327,13 +330,12 @@ def continue_campaign(state: CampaignState, budget_bbe: float, plan: RunPlan) ->
         if plan.max_iterations is not None and state.next_iteration > plan.max_iterations:
             state.termination = "iterations"
             break
-        k = state.next_iteration
-        poll = generate_poll(state.incumbent, state.mesh, iteration_seed(plan.seed, k), plan.bounds)
+        poll = generate_poll(state.incumbent, state.mesh, iteration_seed(plan.seed, state.next_iteration), plan.bounds)
         ranking_cost = len(poll.candidates) * plan.estimate_charge
-        if state.cumulative + ranking_cost + 1.0 > budget_bbe + 1e-9:
+        if state.cumulative + ranking_cost + 1.0 > budget_bbe + BUDGET_SLACK:
             state.termination = "budget"
             break
-        state.close_iteration(_poll_step(state, plan, poll, k, budget_bbe))
+        state.close_iteration(_poll_step(state, plan, poll, budget_bbe))
     return state
 
 
@@ -402,7 +404,7 @@ def replay(records: list[LedgerRecord], initial_key: str | None,
     return state, best
 
 
-def _poll_step(state: CampaignState, plan: RunPlan, poll: PollSet, k: int, budget: float) -> bool:
+def _poll_step(state: CampaignState, plan: RunPlan, poll: PollSet, budget: float) -> bool:
     """Rank the poll if the plan has a surrogate and evaluate what the budget affords; True on an improvement."""
     if not poll.candidates:
         return False
@@ -411,9 +413,9 @@ def _poll_step(state: CampaignState, plan: RunPlan, poll: PollSet, k: int, budge
         ranked = rank_candidates(candidates, plan.surrogate, plan.fidelity_eval)
         candidates = ranked.candidates
         for config, score in zip(candidates, ranked.estimates):
-            state.record(KIND_SURROGATE, config.key, score, plan.surrogate.epoch_budget, REASON_NONE,
-                         plan.estimate_charge, False, k)
-        state.record(KIND_RANKING, candidates[0].key, ranked.estimates[0], 0, REASON_NONE, 0.0, False, k)
-    affordable = int(math.floor(budget - state.cumulative + 1e-9))
+            state.record(KIND_SURROGATE, config.key, score, epochs=plan.surrogate.epoch_budget,
+                         charge=plan.estimate_charge)
+        state.record(KIND_RANKING, candidates[0].key, ranked.estimates[0])
+    affordable = int(math.floor(budget - state.cumulative + BUDGET_SLACK))
     # opportunistic: stop at the first candidate that becomes the incumbent
-    return any(_full_evaluation(state, plan, config, k) for config in candidates[:affordable])
+    return any(_full_evaluation(state, plan, config) for config in candidates[:affordable])

@@ -33,11 +33,14 @@ EPOCHS = ("0", "1", "7", "199", "200", "0200", "201")
 REASONS = ("none", "evaluation-failed", "envelope-breach", "scheduler-lr-floor", "last-success",
            "default-low-accuracy", "default-loss-plateau", "stopped")
 FULL_EPOCHS = ("0", "1", "5", "7", "50", "124", "125", "199", "200", "201", "500")
+# Scores outside [0, 1], which the header allows no row.
+SCORES = ("nan", "inf", "-inf", "-0.1", "-1e-300", "1.0000000000000002", "1.5", "100")
 # The edits that set one column of a row of one kind: (kind, column, values).
 COLUMN_EDITS = {
     "estimate-epochs": (KIND_SURROGATE, "epochs_used", EPOCHS),
     "full-reason": (KIND_FULL, "stop_reason", REASONS),
     "full-epochs": (KIND_FULL, "epochs_used", FULL_EPOCHS),
+    "estimate-score": (KIND_SURROGATE, "score", SCORES),
 }
 
 
@@ -76,6 +79,13 @@ def _set_field(lines, record, column, value):
     assert fields[0] == str(record)
     fields[COLUMNS.index(column)] = value
     return [*lines[:at], ",".join(fields) + "\n", *lines[at + 1:]]
+
+
+def _set_header(lines, key, value):
+    """``lines`` with header ``key`` set to ``value``."""
+    edited = [f"# {key} = {value}\n" if line.startswith(f"# {key} = ") else line for line in lines]
+    assert edited != lines
+    return edited
 
 
 def _resummed(lines):
@@ -162,15 +172,73 @@ def test_a_full_training_the_header_rules_out_is_refused(tmp_path, capsys, unran
     ("max_epochs", 1, "epochs_used", "500"),
     ("milestones", 2, "epochs_used", "124"),
     ("backend", 1, "epochs_used", "7"),
+    # a loop bound, set in the header itself below what the rows reach
+    ("bbe_budget", None, None, "12"),
+    ("max_iterations", None, None, "2"),
+    ("min_mesh_index", None, None, "1"),
 ])
 def test_a_header_without_a_setting_skips_the_training_check_it_decides(tmp_path, capsys, unranked, key, record,
                                                                         column, value):
-    lines = _set_field(unranked, record, column, value)
+    lines = _set_header(unranked, key, value) if record is None else _set_field(unranked, record, column, value)
     ledger = tmp_path / LEDGER_NAME
     ledger.write_text("".join(lines))
     assert _export(capsys, ledger)[0] == 1
     ledger.write_text("".join(line for line in lines if not line.startswith(f"# {key} = ")))
     assert _export(capsys, ledger) == (0, "")
+
+
+@pytest.fixture(scope="module")
+def finished(tmp_path_factory):
+    """The lines of the ledger of a finished campaign run with the given flags, each run once."""
+    ledgers = {}
+
+    def lines(flags):
+        if tuple(flags) not in ledgers:
+            out = tmp_path_factory.mktemp("finished")
+            assert main(["run", *flags, "--out", str(out)]) == 0
+            ledgers[tuple(flags)] = (out / LEDGER_NAME).read_text().splitlines(keepends=True)
+        return ledgers[tuple(flags)]
+
+    return lines
+
+
+# p1 ranked with r4 at seed 1: records 0 to 362 lie on mesh 0 and record 363,
+# the first of iteration 9, on mesh -1
+MESHED = ["--preset", "p1", "--seed", "1", "--budget", "200"]
+
+
+# a header's loop bound, lowered below the rows: (flags of the run, header key,
+# its flag, the lowered value, the first row beyond it, the error)
+@pytest.mark.parametrize("flags, key, flag, value, record, error", [
+    (UNRANKED, "bbe_budget", "--budget", "12", 12, "cumulative_cost 13.0 above bbe_budget 12"),
+    (UNRANKED, "max_iterations", "--max-iterations", "2", 10, "iteration 3 above max_iterations 2"),
+    (MESHED, "min_mesh_index", "--min-mesh-index", "0", 363, "mesh_index -1 below min_mesh_index 0"),
+], ids=["over-budget", "past-iteration-cap", "below-mesh-floor"])
+def test_a_row_beyond_a_loop_bound_of_the_header_is_refused(tmp_path, capsys, finished, flags, key, flag, value,
+                                                            record, error):
+    # the rows replay as the loop wrote them, and resume is given the lowered
+    # setting, so the settings match; only the header's bound rules the rows out
+    ledger = tmp_path / LEDGER_NAME
+    ledger.write_text("".join(_set_header(finished(flags), key, value)))
+    before = ledger.read_bytes()
+    assert _export(capsys, ledger) == (1, f"error: {ledger}: record {record}: {error}\n")
+    assert _resume(capsys, ledger, [*flags, flag, value]) == (1, f"error: {ledger}: record {record}: {error}\n")
+    assert ledger.read_bytes() == before
+
+
+# p1 ranked with r4 at seed 3: record 2 is an estimate of iteration 1, which
+# is neither a ranking pass's top nor in the iteration resume drops
+RANKED = ["--preset", "p1", "--seed", "3", "--budget", "30"]
+
+
+@pytest.mark.parametrize("value", ["nan", "1.5", "-0.5"], ids=["nan-score", "score-above-1", "negative-score"])
+def test_a_score_outside_0_1_is_refused(tmp_path, capsys, finished, value):
+    ledger = tmp_path / LEDGER_NAME
+    ledger.write_text("".join(_set_field(finished(RANKED), 2, "score", value)))
+    before = ledger.read_bytes()
+    assert _export(capsys, ledger) == (1, f"error: {ledger}: record 2: score {value} outside [0, 1]\n")
+    assert _resume(capsys, ledger, RANKED) == (1, f"error: {ledger}: record 2: score {value} outside [0, 1]\n")
+    assert ledger.read_bytes() == before
 
 
 @pytest.mark.parametrize("record, column, value", [

@@ -456,6 +456,19 @@ class TestRunCampaign:
         estimates = [r for r in result.records if r.kind == KIND_SURROGATE]
         assert estimates and all(r.charged_cost == plan.surrogate.cost_ratio for r in estimates)
 
+    def test_record_stamps_the_state_and_defaults_to_a_ranking_pass(self):
+        state = mads.CampaignState(cumulative=2.0, mesh=Mesh(-3), next_iteration=4)
+        state.record(KIND_RANKING, "a=1", 0.5)
+        state.record(KIND_FULL, "a=2", 0.75, epochs=9, reason="last-success", charge=1.0, incumbent=True)
+        assert [(r.record_index, r.kind, r.epochs_used, r.stop_reason, r.charged_cost, r.cumulative_cost,
+                 r.incumbent, r.iteration, r.mesh_index) for r in state.records] == [
+            (0, KIND_RANKING, 0, "none", 0.0, 2.0, False, 4, -3),
+            (1, KIND_FULL, 9, "last-success", 1.0, 3.0, True, 4, -3)]
+        # a stop reason one ledger line cannot carry charges nothing and makes no row
+        with pytest.raises(ValueError, match="stop_reason holds a comma"):
+            state.record(KIND_FULL, "a=3", 0.25, reason="stop, early", charge=1.0)
+        assert (state.cumulative, len(state.records)) == (3.0, 2)
+
 
 CRASH = object()  # a scripted score that stands for each trainer fault in turn
 
