@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 import time
 from dataclasses import Field, dataclass, field, fields, replace
 from pathlib import Path
@@ -37,7 +38,7 @@ from .early_stop import (DEFAULT_MARGINS, DEFAULT_MILESTONES, MODES, REASON_ENVE
 from .ledger import KIND_FULL, KIND_RANKING, KIND_SURROGATE, LedgerRecord, read_ledger, write_ledger
 # benchmark/tracing.py wraps serialize by this name; Configuration.key calls it.
 from .space import Configuration, default_bounds, deserialize, preset_config, serialize  # noqa: F401
-from .surrogates import SurrogateSpec, surrogate_by_name
+from .surrogates import surrogate_by_name
 
 LEDGER_NAME = "ledger.csv"
 SUMMARY_NAME = "summary.json"
@@ -60,7 +61,8 @@ def _setting(default, parse: Callable[[str], object], *, key: str | None = None,
 
 
 def _comma_list(kind: Callable[[str], object]) -> Callable[[str], tuple]:
-    return lambda text: tuple(kind(x) for x in text.split(","))
+    """A list separated by commas or, as the header writes it, by blanks."""
+    return lambda text: tuple(kind(x) for x in re.split(r"\s*,\s*|\s+", text.strip()))
 
 
 def _parse_bool(text: str) -> bool:
@@ -74,6 +76,16 @@ def _parse_bool(text: str) -> bool:
 def _parse_cap(text: str) -> int | None:
     """An iteration cap, None for ``-`` (how the header writes no cap) or blank text."""
     return None if text in ("", "-") else int(text)
+
+
+def _parse_command(text: str) -> str | None:
+    """A trainer command, None for ``-`` (how the header writes no command)."""
+    return None if text == "-" else text
+
+
+def _parse_stop_mode(text: str) -> str:
+    stop_reasons(text)  # refuses an unknown mode
+    return text
 
 
 def _surrogate_text(text: str) -> str:
@@ -91,13 +103,14 @@ class CampaignSettings:
     seed: int = _setting(0, int, help="random seed")
     bbe_budget: int = _setting(200, int, key="budget", help="blackbox-evaluation budget")
     max_epochs: int = _setting(EvaluationRequest.max_epochs, int, help="epochs of one full training")
-    stop_mode: str = _setting("scheduler+baseline", str, key="stop", choices=MODES, help="early-stopping strategy")
+    stop_mode: str = _setting("scheduler+baseline", _parse_stop_mode, key="stop", choices=MODES,
+                              help="early-stopping strategy")
     surrogate: str = _setting("r4", _surrogate_text, key="rank",
                               help="ranking surrogate: r1..r4, oracle, none, or epochs,fraction,cost")
     out_dir: Path = _setting(Path("campaign-out"), Path, key="out", header=False,
                              help="output directory (ledger + summary)")
     backend: str = _setting("simulated", str, choices=BACKENDS, help="trainer backend")
-    external_command: str | None = _setting(None, str, key="backend_cmd", help="external trainer command")
+    external_command: str | None = _setting(None, _parse_command, key="backend_cmd", help="external trainer command")
     charge_ranking: bool = _setting(mads.RunPlan.charge_ranking, _parse_bool, flag="--no-charge-ranking",
                                     action="store_const", const="0",
                                     help="do not charge ranking passes against the budget")
@@ -189,10 +202,12 @@ def build_plan(settings: CampaignSettings) -> mads.RunPlan:
     def full_eval(config: Configuration, monitor):
         return evaluate(EvaluationRequest(config, settings.max_epochs, 1.0, settings.seed, monitor))
 
+    spec = surrogate_by_name(settings.surrogate)
     return mads.RunPlan(
         bounds=default_bounds(),
         seed=settings.seed,
-        surrogate=ranking_surrogate(settings.surrogate, settings.max_epochs),
+        # capped so that an estimate never trains longer than a full training
+        surrogate=None if spec is None else replace(spec, epoch_budget=min(spec.epoch_budget, settings.max_epochs)),
         stop_mode=settings.stop_mode,
         milestones=settings.milestones,
         margins=settings.margins,
@@ -204,12 +219,6 @@ def build_plan(settings: CampaignSettings) -> mads.RunPlan:
     )
 
 
-def ranking_surrogate(text: str, max_epochs: int) -> SurrogateSpec | None:
-    """The surrogate ``text`` names, capped so that it never trains longer than a full training."""
-    spec = surrogate_by_name(text)
-    return None if spec is None else replace(spec, epoch_budget=min(spec.epoch_budget, max_epochs))
-
-
 def settings_header(settings: CampaignSettings) -> dict[str, str]:
     """Settings fingerprint embedded in the ledger (consistency-checked on resume)."""
     header = {"format": FORMAT_VERSION}
@@ -218,13 +227,6 @@ def settings_header(settings: CampaignSettings) -> dict[str, str]:
             header[f.name] = _header_text(getattr(settings, f.name))
     header["initial"] = initial_config(settings).key
     return header
-
-
-def header_data_fraction(header: Mapping[str, str]) -> float:
-    """Data fraction of the ranking surrogate in the header of a ledger that
-    ``read_checked_ledger`` accepted (a ledger without one ranked nothing)."""
-    spec = surrogate_by_name(header.get("surrogate", "none"))
-    return 1.0 if spec is None else spec.data_fraction
 
 
 def _persist(settings: CampaignSettings, state: mads.CampaignState, wall_seconds: float) -> None:
@@ -248,58 +250,56 @@ def _persist(settings: CampaignSettings, state: mads.CampaignState, wall_seconds
     (out / SUMMARY_NAME).write_text(json.dumps(summary, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
-def _header_value(header: Mapping[str, str], key: str, parse: Callable[[str], object], path: Path):
-    """``parse`` of the header's ``key``, None without one; a value that does not parse is an error naming the key."""
+def header_settings(header: Mapping[str, str], path: Path) -> CampaignSettings:
+    """The settings a ledger header records: each key read by its field's
+    parser, ``initial`` as a configuration's text, and a missing key the
+    default.  An error names ``path`` and the key."""
+    parsers = {f.name: f.metadata["parse"] for f in fields(CampaignSettings) if f.metadata["header"]}
+    parsers["initial"] = deserialize
+    parsed = {}
+    for key, parse in parsers.items():
+        if key in header:
+            try:
+                parsed[key] = parse(header[key])
+            except ValueError as exc:
+                raise ValueError(f"{path}: header {key} {header[key]!r}: {exc}") from None
     try:
-        return parse(header[key]) if key in header else None
+        return CampaignSettings(**parsed)
     except ValueError as exc:
-        raise ValueError(f"{path}: header {key} {header[key]!r}: {exc}") from None
+        raise ValueError(f"{path}: header: {exc}") from None
 
 
-def _row_rule(header: Mapping[str, str], path: Path) -> Callable[[LedgerRecord], str | None]:
-    """What rules out a row that the live loop writes under the settings
-    ``header`` records, or None; a missing key leaves open what it decides.
+def _row_rule(settings: CampaignSettings, plan: mads.RunPlan) -> Callable[[LedgerRecord], str | None]:
+    """What rules out a row that the live loop writes under ``settings``
+    and their ``plan``, or None.
 
     Every row scores in [0, 1], and the loop's bounds hold it: its
     ``cumulative_cost`` is at most ``bbe_budget`` plus ``BUDGET_SLACK``,
     its iteration at most ``max_iterations`` and its mesh index at least
     ``min_mesh_index``.  A ranking pass charges 0.0 and trains 0 epochs.
     An estimate charges ``RunPlan.estimate_charge`` and trains the epochs
-    of ``build_plan``'s surrogate.  Both have stop reason ``none``, and
-    without a surrogate there are neither.  A full training charges 1.0,
-    and its stop reason is ``none``, a failure or one that its stop mode
-    gives.  A failure trains 0 epochs and scores ``WORST_SCORE``, any other
-    training 1 to ``max_epochs``.  The envelope stops a training only at a
+    of the plan's surrogate.  Both have stop reason ``none``, and without
+    a surrogate there are neither.  A full training charges 1.0, and its
+    stop reason is ``none``, a failure or one that its stop mode gives.  A
+    failure trains 0 epochs and scores ``WORST_SCORE``, any other training
+    1 to ``max_epochs``.  The envelope stops a training only at a
     milestone, and a simulated training that nothing stopped runs
     ``max_epochs``."""
-    exact = {KIND_FULL: (1.0, None, None), KIND_RANKING: (0.0, 0, REASON_NONE),
-             KIND_SURROGATE: (None, None, REASON_NONE)}
-    spec = _header_value(header, "surrogate", surrogate_by_name, path)
-    if spec is not None:
-        charge = _header_value(header, "charge_ranking",
-                               lambda text: mads.charge_per_estimate(spec, _parse_bool(text)), path)
-        capped = _header_value(header, "max_epochs",
-                               lambda text: ranking_surrogate(header["surrogate"], int(text)).epoch_budget, path)
-        exact[KIND_SURROGATE] = (charge, capped, REASON_NONE)
-    elif "surrogate" in header:
-        del exact[KIND_SURROGATE], exact[KIND_RANKING]
-    max_epochs = _header_value(header, "max_epochs", int, path)
-    reasons = _header_value(header, "stop_mode", lambda text: (REASON_NONE, FAILED_REASON, *stop_reasons(text)), path)
-    milestones = _header_value(header, "milestones", lambda text: tuple(int(m) for m in text.split()), path)
-    simulated = header.get("backend") == "simulated"
-    budget = _header_value(header, "bbe_budget", int, path)
-    cap = _header_value(header, "max_iterations", _parse_cap, path)
-    floor = _header_value(header, "min_mesh_index", int, path)
+    exact = {KIND_FULL: (1.0, None, None)}
+    if plan.surrogate is not None:
+        exact[KIND_RANKING] = (0.0, 0, REASON_NONE)
+        exact[KIND_SURROGATE] = (plan.estimate_charge, plan.surrogate.epoch_budget, REASON_NONE)
+    reasons = (REASON_NONE, FAILED_REASON, *stop_reasons(plan.stop_mode))
 
     def problem(rec: LedgerRecord) -> str | None:
         if not 0.0 <= rec.score <= 1.0:
             return f"score {rec.score!r} outside [0, 1]"
-        if budget is not None and rec.cumulative_cost > budget + mads.BUDGET_SLACK:
-            return f"cumulative_cost {rec.cumulative_cost!r} above bbe_budget {budget}"
-        if cap is not None and rec.iteration > cap:
-            return f"iteration {rec.iteration} above max_iterations {cap}"
-        if floor is not None and rec.mesh_index < floor:
-            return f"mesh_index {rec.mesh_index} below min_mesh_index {floor}"
+        if rec.cumulative_cost > settings.bbe_budget + mads.BUDGET_SLACK:
+            return f"cumulative_cost {rec.cumulative_cost!r} above bbe_budget {settings.bbe_budget}"
+        if plan.max_iterations is not None and rec.iteration > plan.max_iterations:
+            return f"iteration {rec.iteration} above max_iterations {plan.max_iterations}"
+        if rec.mesh_index < plan.min_mesh_index:
+            return f"mesh_index {rec.mesh_index} below min_mesh_index {plan.min_mesh_index}"
         if rec.kind not in exact:
             return f"{rec.kind} without a surrogate"
         for column, expected in zip(("charged_cost", "epochs_used", "stop_reason"), exact[rec.kind]):
@@ -309,31 +309,35 @@ def _row_rule(header: Mapping[str, str], path: Path) -> Callable[[LedgerRecord],
         if rec.kind != KIND_FULL:
             return None
         reason, epochs = rec.stop_reason, rec.epochs_used
-        if reasons is not None and reason not in reasons:
+        if reason not in reasons:
             return f"stop_reason {reason!r}, expected one of {reasons}"
         if reason == FAILED_REASON:
             if epochs != 0:
                 return f"epochs_used {epochs}, expected 0 for stop_reason {reason!r}"
             return None if rec.score == WORST_SCORE else f"score {rec.score!r}, expected {WORST_SCORE!r}"
-        top = math.inf if max_epochs is None else max_epochs
-        if not 1 <= epochs <= top:
-            return f"epochs_used {epochs} outside [1, {top}]"
-        if reason == REASON_ENVELOPE and milestones is not None and epochs not in milestones:
+        if not 1 <= epochs <= settings.max_epochs:
+            return f"epochs_used {epochs} outside [1, {settings.max_epochs}]"
+        if reason == REASON_ENVELOPE and epochs not in plan.milestones:
             return f"stop_reason {reason!r} at epoch {epochs}, not a milestone"
-        if simulated and reason == REASON_NONE and max_epochs not in (None, epochs):
-            return f"epochs_used {epochs}, expected {max_epochs}"
+        if settings.backend == "simulated" and reason == REASON_NONE and epochs != settings.max_epochs:
+            return f"epochs_used {epochs}, expected {settings.max_epochs}"
         return None
 
     return problem
 
 
 def read_checked_ledger(path: Path) -> tuple[dict[str, str], list[LedgerRecord]]:
-    """The ledger at ``path``, every row replayed from its header's
-    ``initial`` and held to its header's ``_row_rule``: what export and
-    resume read."""
+    """The ledger at ``path``, every row replayed from its header's start
+    point and held to the ``_row_rule`` of the plan that ``build_plan``
+    makes of ``header_settings``: what export and resume read."""
     header, records = read_ledger(path)
-    mads.replay(records, header.get("initial"), path)
-    problem = _row_rule(header, path)
+    settings = header_settings(header, path)
+    try:
+        plan = build_plan(settings)
+    except ValueError as exc:
+        raise ValueError(f"{path}: header: {exc}") from None
+    mads.replay(records, initial_config(settings).key, path)
+    problem = _row_rule(settings, plan)
     for rec in records:
         found = problem(rec)
         if found is not None:

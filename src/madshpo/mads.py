@@ -215,14 +215,9 @@ class RunPlan:
 
     @property
     def estimate_charge(self) -> float:
-        """BBE charged per surrogate estimate (see ``charge_per_estimate``)."""
-        return charge_per_estimate(self.surrogate, self.charge_ranking)
-
-
-def charge_per_estimate(surrogate: SurrogateSpec | None, charge_ranking: bool) -> float:
-    """BBE charged per estimate of ``surrogate``: its cost ratio, or 0.0
-    without a surrogate or when ranking is not charged."""
-    return surrogate.cost_ratio if surrogate is not None and charge_ranking else 0.0
+        """BBE charged per surrogate estimate: its cost ratio, or 0.0 without
+        a surrogate or when ranking is not charged."""
+        return self.surrogate.cost_ratio if self.surrogate is not None and self.charge_ranking else 0.0
 
 
 @dataclass

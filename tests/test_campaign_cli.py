@@ -115,6 +115,15 @@ class TestSettings:
         assert header["surrogate"].startswith("custom 50")
         assert deserialize(header["initial"]) == preset_config("p1")
 
+    def test_settings_text_reads_lists_and_no_command_as_the_header_writes_them(self, tmp_path):
+        s = CampaignSettings.from_text({"milestones": "5 10, 25", "margins": "0.5 0.6 0.7", "backend_cmd": "-"})
+        assert (s.milestones, s.margins, s.external_command) == ((5, 10, 25), (0.5, 0.6, 0.7), None)
+        header = settings_header(s)
+        assert header["milestones"] == "5 10 25" and header["external_command"] == "-"
+        assert campaign.header_settings(header, tmp_path / LEDGER_NAME) == replace(s, initial=preset_config("p1"))
+        with pytest.raises(ValueError, match="^milestones: invalid literal for int"):
+            CampaignSettings.from_text({"milestones": "5,,10"})
+
 
 class TestRunPersistence:
     def test_run_writes_ledger_and_summary(self, tmp_path):
@@ -897,12 +906,16 @@ class TestCli:
         ("uncharged-ranking-header", "record 1: charged_cost 0.1, expected 0.0"),
         ("capped-epochs-header", "record 1: epochs_used 200, expected 50"),
         ("bad-charge-header", "header charge_ranking 'x': expected a boolean, got 'x'"),
-        ("no-epochs-header", "header max_epochs '0': epoch_budget must be >= 1"),
+        ("no-epochs-header", "header: max_epochs must be >= 1"),
         ("bad-surrogate-header", "header surrogate 'custom 20': unknown surrogate 'custom 20' "
                                  "(expected one of ['none', 'oracle', 'r1', 'r2', 'r3', 'r4'] or epochs,fraction,cost)"),
         ("bad-stop-header", "header stop_mode 'bogus': unknown stopping mode 'bogus' (expected one of "
                             "('none', 'default', 'last-success', 'scheduler', 'scheduler+baseline'))"),
         ("bad-milestones-header", "header milestones '5 x': invalid literal for int() with base 10: 'x'"),
+        ("bad-seed-header", "header seed 'x': invalid literal for int() with base 10: 'x'"),
+        ("negative-noise-header", "header: noise_sigma must be finite and >= 0, got -1.0"),
+        ("short-margins-header", "header: milestones and margins must have equal length"),
+        ("simulated-command-header", "header: backend_cmd: the simulated backend runs no command"),
     ])
     def test_rows_the_header_settings_rule_out_are_a_clean_error(self, tmp_path, capsys, edit, error, command):
         # each edited ledger replays; only the settings its header records rule a row out
@@ -932,6 +945,10 @@ class TestCli:
                 "bad-surrogate-header": {"surrogate": "custom 20"},
                 "bad-stop-header": {"stop_mode": "bogus"},
                 "bad-milestones-header": {"milestones": "5 x"},
+                "bad-seed-header": {"seed": "x"},
+                "negative-noise-header": {"noise_sigma": "-1"},
+                "short-margins-header": {"margins": "0.5 0.6"},
+                "simulated-command-header": {"external_command": "python3 train.py"},
             }[edit]}
         write_ledger(ledger, _resequenced(records), header)
         before = ledger.read_bytes()
@@ -940,33 +957,44 @@ class TestCli:
         assert capsys.readouterr().err == f"error: {ledger}: {error}\n"
         assert ledger.read_bytes() == before
 
-    @pytest.mark.parametrize("key", ["charge_ranking", "max_epochs", "surrogate"])
-    def test_a_header_without_a_setting_skips_the_checks_it_decides(self, tmp_path, key):
+    @pytest.mark.parametrize("key, edit, error", [
+        ("charge_ranking", {"charged_cost": 0.0}, "charged_cost 0.0, expected 0.1"),
+        ("max_epochs", {"epochs_used": 7}, "epochs_used 7, expected 200"),
+        ("surrogate", {"charged_cost": 0.0}, "charged_cost 0.0, expected 0.1"),
+    ], ids=["charge_ranking", "max_epochs", "surrogate"])
+    def test_a_header_without_a_setting_holds_the_rows_to_its_default(self, tmp_path, capsys, key, edit, error):
+        # the run's settings are the defaults, so its rows pass and the edited one is refused
         out = tmp_path / "out"
+        ledger = out / LEDGER_NAME
         assert main(["run", "--budget", "10", "--out", str(out)]) == 0
-        header, records = read_ledger(out / LEDGER_NAME)
+        header, records = read_ledger(ledger)
         del header[key]
         assert records[1].kind == KIND_SURROGATE
-        records[1] = replace(records[1], charged_cost=0.0, epochs_used=7)
-        write_ledger(out / LEDGER_NAME, _resequenced(records), header)
-        series = ["export", "--ledger", str(out / LEDGER_NAME), "--out", str(tmp_path / "series.csv")]
-        # the other setting still decides its check; the row passes once it holds
-        assert main(series) == (0 if key == "surrogate" else 1)
-        kept = {"charge_ranking": {"epochs_used": 200}, "max_epochs": {"charged_cost": 0.1}, "surrogate": {}}[key]
-        write_ledger(out / LEDGER_NAME, _resequenced([records[0], replace(records[1], **kept), *records[2:]]), header)
+        series = ["export", "--ledger", str(ledger), "--out", str(tmp_path / "series.csv")]
+        write_ledger(ledger, records, header)
         assert main(series) == 0
-
-    def test_export_without_initial_header_skips_only_the_start_point_check(self, tmp_path):
-        out = tmp_path / "out"
-        assert main(["run", "--budget", "10", "--out", str(out)]) == 0
-        header, records = read_ledger(out / LEDGER_NAME)
-        del header["initial"]
-        records[0] = replace(records[0], config=records[1].config)
-        write_ledger(out / LEDGER_NAME, records, header)
-        series = ["export", "--ledger", str(out / LEDGER_NAME), "--out", str(tmp_path / "series.csv")]
-        assert main(series) == 0
-        write_ledger(out / LEDGER_NAME, [replace(records[0], iteration=1), *records[1:]], header)
+        records[1] = replace(records[1], **edit)
+        write_ledger(ledger, _resequenced(records), header)
+        before = ledger.read_bytes()
+        capsys.readouterr()
         assert main(series) == 1
+        assert capsys.readouterr().err == f"error: {ledger}: record 1: {error}\n"
+        assert ledger.read_bytes() == before
+
+    def test_export_without_initial_header_starts_from_the_stock_start_point(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        ledger = out / LEDGER_NAME
+        assert main(["run", "--budget", "10", "--out", str(out)]) == 0
+        header, records = read_ledger(ledger)
+        del header["initial"]
+        series = ["export", "--ledger", str(ledger), "--out", str(tmp_path / "series.csv")]
+        write_ledger(ledger, records, header)
+        assert main(series) == 0
+        records[0] = replace(records[0], config=records[1].config)
+        write_ledger(ledger, records, header)
+        capsys.readouterr()
+        assert main(series) == 1
+        assert capsys.readouterr().err == f"error: {ledger}: record 0: config is not the initial configuration\n"
 
     def test_export_scales_custom_triple_epochs(self, tmp_path):
         out = tmp_path / "out"

@@ -5,7 +5,7 @@ import pytest
 
 from madshpo import campaign, mads
 from madshpo.blackbox import EvaluationRequest, SimulatedBlackbox
-from madshpo.campaign import LEDGER_NAME, CampaignSettings, build_plan, header_data_fraction
+from madshpo.campaign import LEDGER_NAME, CampaignSettings, build_plan
 from madshpo.cli import main
 from madshpo.ledger import KIND_SURROGATE, read_ledger, write_ledger
 from madshpo.mads import replay, run_campaign
@@ -71,7 +71,6 @@ class TestCostTable:
         assert surrogate_by_name(text) is None and "none" not in SURROGATE_TABLE
         # the settings and the ledger header still record it by name
         assert CampaignSettings(surrogate=text).surrogate == "none"
-        assert header_data_fraction({"surrogate": "none"}) == header_data_fraction({}) == 1.0
 
     def test_an_unranked_plan_charges_nothing_per_estimate(self):
         plan = build_plan(CampaignSettings(surrogate="none"))
