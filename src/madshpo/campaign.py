@@ -1,4 +1,4 @@
-"""Campaign settings, persistence, and resume-by-replay.
+"""Campaign settings, persistence, and the ledger check that export and resume share.
 
 ``CampaignSettings`` is the one table of run settings: each field carries
 its settings-file key (also its command-line flag), its parser from text
@@ -6,10 +6,12 @@ and its ``argparse`` options, and says whether the ledger header records
 it.
 
 A campaign writes ``ledger.csv`` (with its settings as header comments)
-and ``summary.json`` into its output directory.  Resuming checks every
-row, truncates the ledger back to the last completed iteration boundary
-and replays forward; because every source of randomness is derived from
-the seed, the final file is byte-identical to an uninterrupted run.
+and ``summary.json`` into its output directory.  Export and resume check
+a ledger by running the campaign loop of its header's settings against
+its rows (``mads.Tape``), which must write the same rows.  Export stops
+where the rows end; resume trains on from there, and because every
+source of randomness is derived from the seed, the final file is
+byte-identical to an uninterrupted run.
 """
 
 from __future__ import annotations
@@ -33,9 +35,10 @@ from .blackbox import (
     external_evaluate,
     simulate_curve,
 )
-from .early_stop import (DEFAULT_MARGINS, DEFAULT_MILESTONES, MODES, REASON_ENVELOPE, REASON_NONE, stop_reasons,
-                         update_baseline)
-from .ledger import KIND_FULL, KIND_RANKING, KIND_SURROGATE, LedgerRecord, read_ledger, write_ledger
+# benchmark/tracing.py wraps update_baseline by this name, so it stays a module attribute here.
+from .early_stop import (DEFAULT_MARGINS, DEFAULT_MILESTONES, MODES, REASON_ENVELOPE, REASON_NONE,  # noqa: F401
+                         stop_reasons, update_baseline)
+from .ledger import KIND_FULL, LedgerRecord, read_ledger, write_ledger
 # benchmark/tracing.py wraps serialize by this name; Configuration.key calls it.
 from .space import Configuration, default_bounds, deserialize, preset_config, serialize  # noqa: F401
 from .surrogates import surrogate_by_name
@@ -253,125 +256,106 @@ def _persist(settings: CampaignSettings, state: mads.CampaignState, wall_seconds
 def header_settings(header: Mapping[str, str], path: Path) -> CampaignSettings:
     """The settings a ledger header records: each key read by its field's
     parser, ``initial`` as a configuration's text, and a missing key the
-    default.  An error names ``path`` and the key."""
+    default.  A key that no setting owns, a ``format`` other than
+    ``FORMAT_VERSION``, a value that does not parse and settings that
+    ``build_plan`` refuses are errors naming ``path`` and, where one key is
+    at fault, the key."""
     parsers = {f.name: f.metadata["parse"] for f in fields(CampaignSettings) if f.metadata["header"]}
     parsers["initial"] = deserialize
     parsed = {}
-    for key, parse in parsers.items():
-        if key in header:
-            try:
-                parsed[key] = parse(header[key])
-            except ValueError as exc:
-                raise ValueError(f"{path}: header {key} {header[key]!r}: {exc}") from None
+    for key, text in header.items():
+        if (key, text) == ("format", FORMAT_VERSION):
+            continue
+        try:
+            if key not in parsers:
+                raise ValueError(f"expected {FORMAT_VERSION!r}" if key == "format" else "no setting has this key")
+            parsed[key] = parsers[key](text)
+        except ValueError as exc:
+            raise ValueError(f"{path}: header {key} {text!r}: {exc}") from None
     try:
-        return CampaignSettings(**parsed)
+        settings = CampaignSettings(**parsed)
+        build_plan(settings)
     except ValueError as exc:
         raise ValueError(f"{path}: header: {exc}") from None
+    return settings
 
 
-def _row_rule(settings: CampaignSettings, plan: mads.RunPlan) -> Callable[[LedgerRecord], str | None]:
-    """What rules out a row that the live loop writes under ``settings``
-    and their ``plan``, or None.
-
-    Every row scores in [0, 1], and the loop's bounds hold it: its
-    ``cumulative_cost`` is at most ``bbe_budget`` plus ``BUDGET_SLACK``,
-    its iteration at most ``max_iterations`` and its mesh index at least
-    ``min_mesh_index``.  A ranking pass charges 0.0 and trains 0 epochs.
-    An estimate charges ``RunPlan.estimate_charge`` and trains the epochs
-    of the plan's surrogate.  Both have stop reason ``none``, and without
-    a surrogate there are neither.  A full training charges 1.0, and its
-    stop reason is ``none``, a failure or one that its stop mode gives.  A
-    failure trains 0 epochs and scores ``WORST_SCORE``, any other training
-    1 to ``max_epochs``.  The envelope stops a training only at a
-    milestone, and a simulated training that nothing stopped runs
-    ``max_epochs``."""
-    exact = {KIND_FULL: (1.0, None, None)}
-    if plan.surrogate is not None:
-        exact[KIND_RANKING] = (0.0, 0, REASON_NONE)
-        exact[KIND_SURROGATE] = (plan.estimate_charge, plan.surrogate.epoch_budget, REASON_NONE)
-    reasons = (REASON_NONE, FAILED_REASON, *stop_reasons(plan.stop_mode))
-
-    def problem(rec: LedgerRecord) -> str | None:
-        if not 0.0 <= rec.score <= 1.0:
-            return f"score {rec.score!r} outside [0, 1]"
-        if rec.cumulative_cost > settings.bbe_budget + mads.BUDGET_SLACK:
-            return f"cumulative_cost {rec.cumulative_cost!r} above bbe_budget {settings.bbe_budget}"
-        if plan.max_iterations is not None and rec.iteration > plan.max_iterations:
-            return f"iteration {rec.iteration} above max_iterations {plan.max_iterations}"
-        if rec.mesh_index < plan.min_mesh_index:
-            return f"mesh_index {rec.mesh_index} below min_mesh_index {plan.min_mesh_index}"
-        if rec.kind not in exact:
-            return f"{rec.kind} without a surrogate"
-        for column, expected in zip(("charged_cost", "epochs_used", "stop_reason"), exact[rec.kind]):
-            value = getattr(rec, column)
-            if expected is not None and value != expected:
-                return f"{column} {value!r}, expected {expected!r}"
-        if rec.kind != KIND_FULL:
-            return None
-        reason, epochs = rec.stop_reason, rec.epochs_used
-        if reason not in reasons:
-            return f"stop_reason {reason!r}, expected one of {reasons}"
-        if reason == FAILED_REASON:
-            if epochs != 0:
-                return f"epochs_used {epochs}, expected 0 for stop_reason {reason!r}"
-            return None if rec.score == WORST_SCORE else f"score {rec.score!r}, expected {WORST_SCORE!r}"
-        if not 1 <= epochs <= settings.max_epochs:
-            return f"epochs_used {epochs} outside [1, {settings.max_epochs}]"
-        if reason == REASON_ENVELOPE and epochs not in plan.milestones:
-            return f"stop_reason {reason!r} at epoch {epochs}, not a milestone"
-        if settings.backend == "simulated" and reason == REASON_NONE and epochs != settings.max_epochs:
-            return f"epochs_used {epochs}, expected {settings.max_epochs}"
+def _row_rule(settings: CampaignSettings, plan: mads.RunPlan, rec: LedgerRecord) -> str | None:
+    """What rules out ``rec`` as an output of the trainer of ``settings`` and
+    their ``plan``, which a tape of it feeds the loop, or None.  Every row
+    scores in [0, 1].  A full training's stop reason is ``none``, a failure
+    or one that its stop mode gives.  A failure trains 0 epochs and scores
+    ``WORST_SCORE``, any other training 1 to ``max_epochs``.  The envelope
+    stops a training only at a milestone, and a simulated training that
+    nothing stopped runs ``max_epochs``."""
+    if not 0.0 <= rec.score <= 1.0:
+        return f"score {rec.score!r} outside [0, 1]"
+    if rec.kind != KIND_FULL:
         return None
+    reasons = (REASON_NONE, FAILED_REASON, *stop_reasons(plan.stop_mode))
+    reason, epochs = rec.stop_reason, rec.epochs_used
+    if reason not in reasons:
+        return f"stop_reason {reason!r}, expected one of {reasons}"
+    if reason == FAILED_REASON:
+        if epochs != 0:
+            return f"epochs_used {epochs}, expected 0 for stop_reason {reason!r}"
+        return None if rec.score == WORST_SCORE else f"score {rec.score!r}, expected {WORST_SCORE!r}"
+    if not 1 <= epochs <= settings.max_epochs:
+        return f"epochs_used {epochs} outside [1, {settings.max_epochs}]"
+    if reason == REASON_ENVELOPE and epochs not in plan.milestones:
+        return f"stop_reason {reason!r} at epoch {epochs}, not a milestone"
+    if settings.backend == "simulated" and reason == REASON_NONE and epochs != settings.max_epochs:
+        return f"epochs_used {epochs}, expected {settings.max_epochs}"
+    return None
 
-    return problem
+
+class _EndOfTape(Exception):
+    """What a training past the rows that export checks raises: the check ends there."""
 
 
 def read_checked_ledger(path: Path) -> tuple[dict[str, str], list[LedgerRecord]]:
-    """The ledger at ``path``, every row replayed from its header's start
-    point and held to the ``_row_rule`` of the plan that ``build_plan``
-    makes of ``header_settings``: what export and resume read."""
+    """The ledger at ``path``, its rows checked by running the loop of the
+    settings its header records against them (``_rebuild_state``) until a
+    training past them: what export reads."""
     header, records = read_ledger(path)
     settings = header_settings(header, path)
+
+    def end_of_tape(config: Configuration, monitor) -> None:
+        raise _EndOfTape
+
+    # an estimate past the rows scores worst, so that those the rows hold keep their order
+    plan = replace(build_plan(settings), full_eval=end_of_tape,
+                   fidelity_eval=lambda config, epochs, fraction: WORST_SCORE)
     try:
-        plan = build_plan(settings)
-    except ValueError as exc:
-        raise ValueError(f"{path}: header: {exc}") from None
-    mads.replay(records, initial_config(settings).key, path)
-    problem = _row_rule(settings, plan)
-    for rec in records:
-        found = problem(rec)
-        if found is not None:
-            raise ValueError(f"{path}: record {rec.record_index}: {found}")
+        mads.continue_campaign(_rebuild_state(settings, plan, records, path), settings.bbe_budget, plan)
+    except _EndOfTape:
+        pass
     return header, records
 
 
-def _rebuild_state(settings: CampaignSettings, plan: mads.RunPlan, kept: list[LedgerRecord],
+def _rebuild_state(settings: CampaignSettings, plan: mads.RunPlan, records: list[LedgerRecord],
                    path: Path | None) -> mads.CampaignState:
-    """Campaign state after the kept records of the ledger at ``path``.
+    """The fresh state that the loop runs the campaign of ``settings`` and
+    ``plan`` from, with the tape of the ``records`` of the ledger at
+    ``path``, each held to ``_row_rule``, unless ``path`` is None.  The tape
+    regenerates the incumbent's curve with the simulator the campaign
+    trained with (not an external trainer's), without its learning-rate
+    column, which envelope comparisons do not read."""
+    tape = None
+    if path is not None:
+        for rec in records:
+            problem = _row_rule(settings, plan, rec)
+            if problem is not None:
+                raise ValueError(f"{path}: record {rec.record_index}: {problem}")
+        curve = None
+        if settings.backend == "simulated":
+            simulator = _simulator(settings)
 
-    ``mads.replay`` checks the rows and rebuilds the state from them; only
-    the incumbent's curve is regenerated, as the baseline, without its
-    learning-rate column, which envelope comparisons do not read.  The
-    incumbent's row must hold its configuration's key, and its score must
-    be that curve's best accuracy.  Of no records, it is the fresh state of
-    ``mads.run_campaign``.
-    """
-    initial = initial_config(settings)
-    state, best = mads.replay(kept, initial.key, path)
-    state.incumbent, state.envelope = initial, plan.envelope
-    if best is not None:
-        try:
-            state.incumbent = deserialize(best.config)
-            if state.incumbent.key != best.config:
-                raise ValueError(f"config is not its configuration's key {state.incumbent.key!r}")
-            model = _simulator(settings).model_for(state.incumbent, settings.seed)
-            curve = simulate_curve(model, best.epochs_used)
-            if curve.best_accuracy() != best.score:
-                raise ValueError(f"score {best.score!r} is not its curve's best accuracy {curve.best_accuracy()!r}")
-        except ValueError as exc:
-            raise ValueError(f"{path}: record {best.record_index}: {exc}") from None
-        state.envelope = update_baseline(state.envelope, curve)
-    return state
+            def curve(config: Configuration, epochs: int):
+                return simulate_curve(simulator.model_for(config, settings.seed), epochs)
+
+        tape = mads.Tape(records, path, curve)
+    return mads.CampaignState(incumbent=initial_config(settings), envelope=plan.envelope, tape=tape)
 
 
 def run(settings: CampaignSettings) -> mads.CampaignState:
@@ -382,17 +366,18 @@ def run(settings: CampaignSettings) -> mads.CampaignState:
 def resume(settings: CampaignSettings) -> mads.CampaignState:
     """Continue an interrupted campaign from its persisted ledger.
 
-    Every row is checked first, by the read ``madshpo export`` makes.  Then the
-    trailing (possibly incomplete) iteration is discarded and replayed;
+    The header must record ``settings``.  Then the campaign loop runs
+    against the rows, as export runs it, and trains on once they run out;
     determinism makes the final ledger byte-identical to an uninterrupted
-    run.  Only the simulated backend can regenerate curves, so external
-    campaigns cannot be resumed.
+    run, and a finished campaign resumes without a training.  Only the
+    simulated backend can regenerate curves, so external campaigns cannot
+    be resumed.
     """
     return _continue(settings, Path(settings.out_dir) / LEDGER_NAME)
 
 
 def _continue(settings: CampaignSettings, path: Path | None) -> mads.CampaignState:
-    """Continue the campaign from the kept rows of the ledger at ``path``, from none if it is None,
+    """Run the campaign on the tape of the ledger at ``path``, on none if it is None,
     and persist it.  The plan is built first, so that a refused setting raises before any read."""
     started = time.monotonic()
     plan = build_plan(settings)
@@ -400,13 +385,11 @@ def _continue(settings: CampaignSettings, path: Path | None) -> mads.CampaignSta
     if path is not None:
         if settings.backend != "simulated":
             raise ValueError("resume is only supported for the simulated backend")
-        header, records = read_checked_ledger(path)
+        header, records = read_ledger(path)
+        header_settings(header, path)  # refuses the header that export refuses
         mismatched = sorted(key for key, value in settings_header(settings).items() if header.get(key) != value)
         if mismatched:
             raise ValueError(f"ledger settings do not match: {', '.join(mismatched)}")
-        # the last row's iteration, which may be incomplete, is dropped and run again
-        if records:
-            del records[next(i for i, r in enumerate(records) if r.iteration == records[-1].iteration):]
     state = mads.continue_campaign(_rebuild_state(settings, plan, records, path), settings.bbe_budget, plan)
     _persist(settings, state, wall_seconds=time.monotonic() - started)
     return state

@@ -7,11 +7,12 @@ candidates with a low-fidelity surrogate, and evaluates them
 opportunistically (stop at the first improvement).  ``Mesh`` is the only
 code that knows the mesh geometry; ``update_mesh`` coarsens it after a
 success (up to ``MAX_MESH_INDEX``) and refines it after a failure.
-``CampaignState`` owns the incumbent rule and the end of an iteration.
-``continue_campaign`` is the one campaign loop: ``run_campaign`` enters it
-with a fresh state, and ``campaign`` with the one that ``replay`` rebuilds
-from a ledger's rows, none for a new campaign (export checks a ledger that
-way too).  ``_full_evaluation`` is the only place a candidate's failure is
+``CampaignState`` makes every ledger row and owns the end of an
+iteration.  ``continue_campaign`` is the one campaign loop: ``run_campaign``
+enters it with a fresh state.  A fresh state that carries a ``Tape`` of a
+ledger's rows runs the loop against them, which is how ``campaign`` checks
+a ledger for export and continues it for resume.  ``_full_evaluation``
+owns the incumbent rule, and it is the only place a candidate's failure is
 handled: one of ``blackbox.TRAINER_FAULTS`` from ``full_eval`` becomes a
 charged failure row, and any other error ends the campaign.
 """
@@ -20,14 +21,14 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
 
-from .blackbox import FAILED_REASON, TRAINER_FAULTS, EvaluationResult
-from .early_stop import REASON_NONE, BaselineEnvelope, StoppingMonitor, update_baseline
-from .ledger import KIND_FULL, KIND_RANKING, KIND_SURROGATE, LedgerRecord, check_plain
+from .blackbox import TRAINER_FAULTS, WORST_SCORE, EvaluationResult
+from .early_stop import REASON_NONE, BaselineEnvelope, StoppingMonitor, TrainingHistory, update_baseline
+from .ledger import COLUMNS, KIND_FULL, KIND_RANKING, KIND_SURROGATE, LedgerRecord, check_plain
 # benchmark/tracing.py wraps serialize, with_vector, to_vector,
 # quantitative_slots, neighbors and snap_array by these names in this
 # module, so they stay module attributes here and Mesh looks them up here.
@@ -221,10 +222,75 @@ class RunPlan:
 
 
 @dataclass
+class Tape:
+    """A ledger's rows, which the campaign loop runs against in place of its
+    trainer.  ``CampaignState.record`` holds each row it makes to the next
+    one here (``check``), and ``play``'s evaluators answer from the rows: a
+    full evaluation with the next row's score, epochs and stop reason, and
+    an estimate with the score of its configuration's row among the
+    estimates at the head.  An estimate they lack scores ``WORST_SCORE``,
+    which no row then matches, unless they run to the tape's end; there,
+    as once the tape is spent, the plan's own evaluators answer.  Only the
+    last incumbent's training is regenerated, by ``curve``: its best
+    accuracy is the score, and it is the baseline the loop goes on with.
+    """
+
+    rows: list[LedgerRecord]
+    source: object  # what an error names, such as the ledger's path
+    curve: Callable[[Configuration, int], TrainingHistory] | None = None
+    position: int = 0  # the index of the next row
+
+    def check(self, row: LedgerRecord) -> LedgerRecord:
+        """The next row, which must equal ``row``, or ``row`` once the tape is
+        spent.  A row that differs raises ``ValueError`` naming ``source``, the
+        row and the first column that differs."""
+        if self.position == len(self.rows):
+            return row
+        taped = self.rows[self.position]
+        if taped != row:
+            column = next(c for c in COLUMNS if getattr(taped, c) != getattr(row, c))
+            found, expected = (getattr(r, column) for r in (taped, row))
+            if isinstance(found, bool):
+                found, expected = int(found), int(expected)
+            raise ValueError(f"{self.source}: record {self.position}: {column} {found!r}, expected {expected!r}")
+        self.position += 1
+        return taped
+
+    def play(self, plan: RunPlan) -> RunPlan:
+        """``plan`` with evaluators that answer from the tape while it has rows."""
+        baseline = max((i for i, row in enumerate(self.rows) if row.incumbent), default=-1)
+        head = {}  # where the estimates at the head start -> where they end, and their scores by key
+
+        def full_eval(config: Configuration, monitor: StoppingMonitor) -> EvaluationResult:
+            if self.position == len(self.rows):
+                return plan.full_eval(config, monitor)
+            row = self.rows[self.position]
+            if self.curve is None or self.position != baseline:
+                return EvaluationResult(TrainingHistory(), row.score, row.epochs_used, row.stop_reason, 0.0)
+            history = self.curve(config, row.epochs_used)
+            return EvaluationResult(history, history.best_accuracy(), row.epochs_used, row.stop_reason, 0.0)
+
+        def fidelity_eval(config: Configuration, epochs: int, fraction: float) -> float:
+            if self.position not in head:
+                end = self.position
+                while end < len(self.rows) and self.rows[end].kind == KIND_SURROGATE:
+                    end += 1
+                head.clear()
+                head[self.position] = end, {row.config: row.score for row in self.rows[self.position:end]}
+            end, scores = head[self.position]
+            if config.key in scores or end < len(self.rows):
+                return scores.get(config.key, WORST_SCORE)
+            return plan.fidelity_eval(config, epochs, fraction)
+
+        return replace(plan, full_eval=full_eval, fidelity_eval=fidelity_eval)
+
+
+@dataclass
 class CampaignState:
     """The campaign loop's state, and what the loop returns when it stops:
     the rows so far, the BBE charged, the incumbent and its score, the mesh,
-    the next iteration to run and, once the loop has stopped, why."""
+    the next iteration to run and, once the loop has stopped, why.  A fresh
+    state may carry a ``tape`` that the loop runs against."""
 
     records: list[LedgerRecord] = field(default_factory=list)
     cumulative: float = 0.0
@@ -234,16 +300,18 @@ class CampaignState:
     mesh: Mesh = field(default_factory=Mesh)
     next_iteration: int = 0
     termination: str | None = None  # "budget", "mesh" or "iterations"
+    tape: Tape | None = None
 
     def record(self, kind: str, key: str, score: float, *, epochs: int = 0, reason: str = REASON_NONE,
                charge: float = 0.0, incumbent: bool = False) -> None:
         """Charge ``charge`` BBE and append a ledger row stamped with its index,
         the running cost, the iteration being run and the mesh index: the one
-        place a row is made.  The defaults are a ranking pass's; a stop reason
-        that one ledger line cannot carry raises ``ValueError`` before any charge."""
+        place a row is made, or checked against the tape's.  The defaults are
+        a ranking pass's; a stop reason that one ledger line cannot carry
+        raises ``ValueError`` before any charge."""
         check_plain("stop_reason", reason)
         self.cumulative += charge
-        self.records.append(LedgerRecord(
+        row = LedgerRecord(
             record_index=len(self.records),
             kind=kind,
             config=key,
@@ -255,12 +323,8 @@ class CampaignState:
             incumbent=incumbent,
             iteration=self.next_iteration,
             mesh_index=self.mesh.index,
-        ))
-
-    def improves(self, failed: bool, score: float) -> bool:
-        """Whether a full evaluation becomes the incumbent: it did not fail
-        and scored above the incumbent."""
-        return not failed and score > self.best_score
+        )
+        self.records.append(row if self.tape is None else self.tape.check(row))
 
     def close_iteration(self, success: bool) -> None:
         """End iteration ``next_iteration``: the mesh coarsens after a success
@@ -284,7 +348,7 @@ def _full_evaluation(state: CampaignState, plan: RunPlan, config: Configuration)
     except TRAINER_FAULTS as exc:
         logger.warning("full evaluation raised: %s", exc, exc_info=True)
         result = EvaluationResult.failure()
-    improved = state.improves(result.failed, result.final_val_accuracy)
+    improved = not result.failed and result.final_val_accuracy > state.best_score
     state.record(KIND_FULL, config.key, result.final_val_accuracy, epochs=result.epochs_used,
                  reason=result.stop_reason, charge=1.0, incumbent=improved)
     if improved:
@@ -301,20 +365,23 @@ def run_campaign(initial: Configuration, budget_bbe: int, plan: RunPlan) -> Camp
 
 
 def continue_campaign(state: CampaignState, budget_bbe: float, plan: RunPlan) -> CampaignState:
-    """The campaign loop, from a fresh state or one rebuilt from a ledger.
+    """The campaign loop.
 
-    The state's incumbent, fresh or rebuilt, is validated once, here; the
-    poll keeps every later one in bounds.  Before iteration 0, it is the
-    start point: it is evaluated, and iteration 0 ends.  Then poll
-    iterations run until the budget runs out, the mesh bottoms out, or the
-    iteration cap is hit, and the state, with its ``termination`` set, is
-    returned.
+    The state's incumbent is validated once, here; the poll keeps every
+    later one in bounds.  Before iteration 0, it is the start point: it is
+    evaluated, and iteration 0 ends.  Then poll iterations run until the
+    budget runs out, the mesh bottoms out, or the iteration cap is hit, and
+    the state, with its ``termination`` set, is returned.  If the state
+    carries a tape, the plan's evaluators answer from it (``Tape.play``),
+    and a row left over at the end raises ``ValueError``.
     """
     if not budget_bbe > 0:
         raise ValueError("budget must be positive")
     problems = validate(state.incumbent, plan.bounds)
     if problems:
         raise ValueError("invalid incumbent configuration: " + "; ".join(problems))
+    if state.tape is not None:
+        plan = state.tape.play(plan)
     if state.next_iteration == 0:
         _full_evaluation(state, plan, state.incumbent)
         state.close_iteration(False)
@@ -331,72 +398,10 @@ def continue_campaign(state: CampaignState, budget_bbe: float, plan: RunPlan) ->
             state.termination = "budget"
             break
         state.close_iteration(_poll_step(state, plan, poll, budget_bbe))
+    if state.tape is not None and state.tape.position < len(state.tape.rows):
+        raise ValueError(f"{state.tape.source}: record {state.tape.position}: after the loop stopped "
+                         f"({state.termination})")
     return state
-
-
-def _misplaced(rec: LedgerRecord, previous: LedgerRecord | None, top: LedgerRecord | None,
-               initial_key: str | None) -> str | None:
-    """Why the live loop never writes ``rec`` after ``previous``, if it
-    does not.  Iteration 0 is one full evaluation of the start point, whose
-    key is ``initial_key`` when that is known; iterations never go back; an
-    iteration's estimates come first, and its ranking pass directly follows
-    them and repeats ``top``, the first of them."""
-    if previous is None:
-        if (rec.iteration, rec.kind) != (0, KIND_FULL):
-            return f"{rec.kind} of iteration {rec.iteration} is not the start point's full evaluation"
-        if initial_key is not None and rec.config != initial_key:
-            return "config is not the initial configuration"
-    elif rec.iteration == 0:
-        return "iteration 0 holds more than the start point"
-    elif rec.iteration < previous.iteration:
-        return f"iteration {rec.iteration} after iteration {previous.iteration}"
-    elif previous.kind == KIND_SURROGATE and rec.kind != KIND_RANKING and (
-            rec.kind, rec.iteration) != (KIND_SURROGATE, previous.iteration):
-        return f"{rec.kind} after estimates without their ranking pass"
-    elif rec.kind == KIND_SURROGATE and previous.kind != KIND_SURROGATE and rec.iteration == previous.iteration:
-        return f"estimate after a {previous.kind} of its iteration"
-    elif rec.kind == KIND_RANKING and (previous.kind, previous.iteration) != (KIND_SURROGATE, rec.iteration):
-        return "ranking pass does not follow its iteration's estimates"
-    elif rec.kind == KIND_RANKING and (rec.config, rec.score) != (top.config, top.score):
-        return f"ranking pass does not repeat the first estimate, record {top.record_index}"
-    return None
-
-
-def replay(records: list[LedgerRecord], initial_key: str | None,
-           source: object) -> tuple[CampaignState, LedgerRecord | None]:
-    """The state after ``records``, rebuilt without configurations or curves
-    by the live loop's transitions, and the row that made the incumbent
-    (None while a failed start point is).  The state holds ``records``
-    itself; its incumbent and envelope are left to the caller.
-
-    Iterations without rows failed.  The first row that is out of place
-    (see ``_misplaced``) or whose ``mesh_index`` or ``incumbent`` flag is
-    not the replayed one raises ``ValueError`` naming ``source`` and its
-    ``record_index``.
-    """
-    state = CampaignState(records=records)
-    best, succeeded, previous, top = None, False, None, None
-    for rec in records:
-        while state.next_iteration < rec.iteration:
-            state.close_iteration(succeeded)
-            succeeded = False
-        if rec.kind == KIND_SURROGATE and (top is None or top.iteration != rec.iteration):
-            top = rec
-        improved = rec.kind == KIND_FULL and state.improves(rec.stop_reason == FAILED_REASON, rec.score)
-        problem = _misplaced(rec, previous, top, initial_key)
-        if problem is None and rec.mesh_index != state.mesh.index:
-            problem = f"mesh_index {rec.mesh_index}, expected {state.mesh.index}"
-        if problem is None and rec.incumbent != improved:
-            problem = f"incumbent {int(rec.incumbent)}, expected {int(improved)}"
-        if problem is not None:
-            raise ValueError(f"{source}: record {rec.record_index}: {problem}")
-        if improved:
-            state.best_score, best, succeeded = rec.score, rec, True
-        previous = rec
-    if records:
-        state.close_iteration(succeeded)
-        state.cumulative = records[-1].cumulative_cost
-    return state, best
 
 
 def _poll_step(state: CampaignState, plan: RunPlan, poll: PollSet, budget: float) -> bool:

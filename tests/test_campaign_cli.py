@@ -12,7 +12,7 @@ import pytest
 
 import madshpo
 from madshpo import campaign, mads
-from madshpo.blackbox import FAILED_REASON, SimulatedBlackbox
+from madshpo.blackbox import FAILED_REASON, SimulatedBlackbox, simulate_curve
 from madshpo.campaign import (
     LEDGER_NAME,
     SUMMARY_NAME,
@@ -234,9 +234,8 @@ class TestResume:
     def test_resume_regenerates_only_the_incumbents_curve(self, tmp_path, monkeypatch):
         s, path, full_bytes = self.run_full(tmp_path, surrogate="none")
         _, records = read_ledger(path)
-        kept = [r for r in records if r.iteration < records[-1].iteration]
-        assert sum(r.incumbent for r in kept) > 1
-        incumbent = [r for r in kept if r.incumbent][-1]
+        assert sum(r.incumbent for r in records) > 1
+        incumbent = [r for r in records if r.incumbent][-1]
         calls = []
         real = campaign.simulate_curve
 
@@ -249,6 +248,23 @@ class TestResume:
         model = SimulatedBlackbox(noise_sigma=s.noise_sigma).model_for(deserialize(incumbent.config), s.seed)
         assert calls == [(model, incumbent.epochs_used)]
         assert path.read_bytes() == full_bytes
+
+    def test_resuming_a_finished_campaign_trains_nothing(self, tmp_path, monkeypatch):
+        s, path, full_bytes = self.run_full(tmp_path, surrogate="r4")
+        summary = (tmp_path / "full" / SUMMARY_NAME).read_text()
+        calls = []
+        for name in ("evaluate", "final_accuracy"):
+            real = getattr(SimulatedBlackbox, name)
+            monkeypatch.setattr(SimulatedBlackbox, name,
+                                lambda *args, name=name, real=real: calls.append(name) or real(*args))
+        resume(s)
+        assert calls == []
+        assert path.read_bytes() == full_bytes
+
+        def without_wall_seconds(text):
+            return [line for line in text.splitlines() if '"wall_seconds"' not in line]
+
+        assert without_wall_seconds((tmp_path / "full" / SUMMARY_NAME).read_text()) == without_wall_seconds(summary)
 
     def test_replay_equivalence_after_failed_start_point(self, tmp_path, monkeypatch):
         # a failed first evaluation leaves the start point the incumbent
@@ -266,14 +282,18 @@ class TestResume:
 
     @staticmethod
     def assert_rebuilds_the_live_end_state(s):
-        """The state rebuilt from the whole ledger is the live run's end state."""
+        """The loop run against the whole ledger writes every row and stops
+        in the live run's end state."""
         end = run(s)
         path = s.out_dir / LEDGER_NAME
         _, records = read_ledger(path)
-        rebuilt = campaign._rebuild_state(s, build_plan(s), records, path)
+        plan = build_plan(s)
+        rebuilt = mads.continue_campaign(campaign._rebuild_state(s, plan, records, path), s.bbe_budget, plan)
         assert (rebuilt.incumbent.key, rebuilt.best_score) == (end.incumbent.key, end.best_score)
-        assert (rebuilt.mesh, rebuilt.next_iteration) == (end.mesh, end.next_iteration)
+        assert (rebuilt.mesh, rebuilt.next_iteration, rebuilt.termination) == (
+            end.mesh, end.next_iteration, end.termination)
         assert (rebuilt.records, rebuilt.cumulative) == (end.records, end.cumulative)
+        assert all(a is b for a, b in zip(rebuilt.records, records))
         # the baseline is the incumbent's curve
         incumbent_row = [r for r in records if r.incumbent][-1]
         assert len(end.envelope.baseline_curve) == incumbent_row.epochs_used
@@ -313,39 +333,40 @@ class TestResume:
 
     @pytest.mark.parametrize("edit, error", [
         # the same configuration, spelled as the writer never spells it
-        (lambda r: dict(config=r.config.replace(" fc0=", " fc0=+")), "config is not its configuration's key '"),
-        (lambda r: dict(config=r.config.replace(" optimizer=", " optimiser=")), "missing optimizer token"),
+        (lambda r: dict(config=r.config.replace(" fc0=", " fc0=+")), "config {edited!r}, expected {key!r}"),
+        (lambda r: dict(config=r.config.replace(" optimizer=", " optimiser=")), "config {edited!r}, expected {key!r}"),
         (lambda r: dict(epochs_used=201), "epochs_used 201 outside [1, 200]"),
     ], ids=["plus-signed-slot", "malformed-config", "epochs-above-max"])
-    def test_kept_incumbent_row_that_resume_cannot_rebuild_is_refused(self, tmp_path, edit, error):
+    def test_an_incumbent_row_the_loop_does_not_write_is_refused(self, tmp_path, edit, error):
         s, path, _ = self.run_full(tmp_path)
         header, records = read_ledger(path)
-        last = records[-1].iteration
-        best = [r for r in records if r.incumbent and r.iteration < last][-1]
+        best = [r for r in records if r.incumbent][-1]
         assert best.record_index > 0
         records[best.record_index] = replace(best, **edit(best))
         write_ledger(path, records, header)
         edited = path.read_bytes()
+        error = error.format(edited=records[best.record_index].config, key=best.config)
         with pytest.raises(ValueError, match=re.escape(f"{path}: record {best.record_index}: {error}")):
             resume(s)
         assert path.read_bytes() == edited
 
-    def test_out_of_bounds_incumbent_is_refused_before_any_row(self, tmp_path, monkeypatch):
-        # the kept incumbent's row, score included, is the one the run wrote,
-        # but its configuration lies outside the space the campaign resumes in
+    def test_a_ledger_that_leaves_the_space_is_refused_before_any_training(self, tmp_path, monkeypatch):
+        # the incumbent's row is the one the run wrote, but its configuration
+        # lies outside the space the campaign resumes in; the loop polls only
+        # inside it, so the first poll's estimates already differ
         s, path, before = self.run_full(tmp_path)
         _, records = read_ledger(path)
-        best = [r for r in records if r.incumbent and r.iteration < records[-1].iteration][-1]
+        best = [r for r in records if r.incumbent][-1]
         fc0 = deserialize(best.config).fc_sizes[0]
         bounds = replace(default_bounds(), fc_slot=SlotSpec(16, fc0 - 1, granularity=1))
         monkeypatch.setattr(campaign, "default_bounds", lambda: bounds)
 
-        def no_poll(*args):
-            raise AssertionError("polled an incumbent the loop never validated")
+        def no_training(*args):
+            raise AssertionError("trained while rows were left")
 
-        monkeypatch.setattr(mads, "generate_poll", no_poll)
-        error = f"invalid incumbent configuration: fc0={fc0} outside [16, {fc0 - 1}]"
-        with pytest.raises(ValueError, match=re.escape(error)):
+        monkeypatch.setattr(SimulatedBlackbox, "evaluate", no_training)
+        monkeypatch.setattr(SimulatedBlackbox, "final_accuracy", no_training)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: record 1: config ")):
             resume(s)
         assert path.read_bytes() == before
 
@@ -549,17 +570,18 @@ def _resequenced(records):
     return out
 
 
-# Why replay refuses the first row that each edit puts out of place.
+# The first column in which each edited row differs from the row that the
+# loop, run against the ledger, writes there: the ledger's value, then the loop's.
 MISPLACED_REASONS = {
     "raised-mesh-index": "mesh_index 1, expected 0",
     "cleared-incumbent": "incumbent 0, expected 1",
-    "iteration-out-of-order": "iteration 3 after iteration 4",
-    "replaced-start-point": "config is not the initial configuration",
-    "lowered-ranking-pass": "ranking pass does not repeat the first estimate, record 40",
-    "deleted-ranking-pass": "full-eval after estimates without their ranking pass",
-    "second-start-point-row": "iteration 0 holds more than the start point",
-    "estimate-after-ranking-pass": "estimate after a ranking-pass of its iteration",
-    "repeated-ranking-pass": "ranking pass does not follow its iteration's estimates",
+    "iteration-out-of-order": "iteration 3, expected 4",
+    "replaced-start-point": "config {records[1].config!r}, expected {records[0].config!r}",
+    "lowered-ranking-pass": "score 0.6441, expected 0.6541",
+    "deleted-ranking-pass": "kind 'full-eval', expected 'ranking-pass'",
+    "second-start-point-row": "iteration 0, expected 1",
+    "estimate-after-ranking-pass": "kind 'ranking-pass', expected 'surrogate-eval'",
+    "repeated-ranking-pass": "kind 'ranking-pass', expected 'surrogate-eval'",
 }
 
 
@@ -696,9 +718,9 @@ class TestCli:
         assert read_ledger(tmp_path / "r1" / LEDGER_NAME)[0]["surrogate"] == "r1"
 
     @pytest.mark.parametrize("command", ["export", "resume"])
-    def test_a_ledger_from_another_start_point_is_refused_by_the_row_check(self, tmp_path, capsys, command):
-        # resume reads the ledger as export does, so the start-point row is refused
-        # before the header is compared with the settings
+    def test_a_ledger_from_another_start_point_is_refused(self, tmp_path, capsys, command):
+        # export runs the loop from the header's start point, which does not
+        # write record 0; resume compares the header with its settings first
         out = tmp_path / "out"
         argv = ["--preset", "p1", "--budget", "10", "--stop", "scheduler+baseline", "--rank", "r4", "--seed", "7",
                 "--backend", "simulated", "--out", str(out)]
@@ -711,7 +733,9 @@ class TestCli:
         capsys.readouterr()
         series = ["--ledger", str(ledger), "--out", str(tmp_path / "series.csv")]
         assert main([command, *(series if command == "export" else argv)]) == 1
-        assert capsys.readouterr().err == f"error: {ledger}: record 0: config is not the initial configuration\n"
+        error = {"export": f"{ledger}: record 0: config {records[0].config!r}, expected {preset_config('p2').key!r}",
+                 "resume": "ledger settings do not match: initial"}[command]
+        assert capsys.readouterr().err == f"error: {error}\n"
         assert ledger.read_bytes() == before
 
     def test_refused_resume_is_one_error_line_and_leaves_the_ledger(self, tmp_path, capsys):
@@ -849,7 +873,7 @@ class TestCli:
     @pytest.mark.parametrize("edit,first", [
         ("raised-mesh-index", 79), ("cleared-incumbent", 117), ("iteration-out-of-order", 123),
         ("replaced-start-point", 0), ("lowered-ranking-pass", 77), ("deleted-ranking-pass", 77),
-        ("second-start-point-row", 1), ("estimate-after-ranking-pass", 77), ("repeated-ranking-pass", 79),
+        ("second-start-point-row", 1), ("estimate-after-ranking-pass", 76), ("repeated-ranking-pass", 79),
     ])
     def test_kept_rows_against_the_campaign_rules_are_a_clean_error(self, tmp_path, capsys, edit, first, command):
         # each edit keeps the ledger readable, and read alone every edited
@@ -861,6 +885,7 @@ class TestCli:
         ledger = out / LEDGER_NAME
         header, records = read_ledger(ledger)
         assert (len(records), records[-1].iteration) == (235, 6)
+        reason = MISPLACED_REASONS[edit].format(records=records)
         if edit == "raised-mesh-index":
             assert {r.mesh_index for r in records if r.iteration == 3} == {0}
             records = [replace(r, mesh_index=1) if r.iteration == 3 else r for r in records]
@@ -894,7 +919,7 @@ class TestCli:
         series = ["--ledger", str(ledger), "--out", str(tmp_path / "series.csv")]
         assert main([command, *(series if command == "export" else argv)]) == 1
         err = capsys.readouterr().err
-        assert err == f"error: {ledger}: record {first}: {MISPLACED_REASONS[edit]}\n"
+        assert err == f"error: {ledger}: record {first}: {reason}\n"
         assert not (tmp_path / "series.csv").exists()
 
     @pytest.mark.parametrize("command", ["export", "resume"])
@@ -902,7 +927,7 @@ class TestCli:
         ("charged-ranking-pass", "record 77: charged_cost 0.1, expected 0.0"),
         ("ranking-pass-epochs", "record 77: epochs_used 5, expected 0"),
         ("stopped-estimate", "record 1: stop_reason 'envelope-breach', expected 'none'"),
-        ("estimates-without-a-surrogate", "record 1: surrogate-eval without a surrogate"),
+        ("estimates-without-a-surrogate", "record 1: kind 'surrogate-eval', expected 'full-eval'"),
         ("uncharged-ranking-header", "record 1: charged_cost 0.1, expected 0.0"),
         ("capped-epochs-header", "record 1: epochs_used 200, expected 50"),
         ("bad-charge-header", "header charge_ranking 'x': expected a boolean, got 'x'"),
@@ -916,9 +941,12 @@ class TestCli:
         ("negative-noise-header", "header: noise_sigma must be finite and >= 0, got -1.0"),
         ("short-margins-header", "header: milestones and margins must have equal length"),
         ("simulated-command-header", "header: backend_cmd: the simulated backend runs no command"),
+        ("format-header", "header format '9': expected '1'"),
+        ("unknown-key-header", "header tag 'mine': no setting has this key"),
     ])
     def test_rows_the_header_settings_rule_out_are_a_clean_error(self, tmp_path, capsys, edit, error, command):
-        # each edited ledger replays; only the settings its header records rule a row out
+        # only the settings its header records rule a row out; resume compares
+        # the settings it is given with those before it runs the loop
         out = tmp_path / "out"
         argv = ["--preset", "p1", "--budget", "30", "--seed", "3", "--out", str(out)]
         assert main(["run", *argv]) == 0
@@ -934,8 +962,12 @@ class TestCli:
             records[1] = replace(records[1], stop_reason="envelope-breach")
         else:
             if edit == "capped-epochs-header":
-                # the start point's training then holds to the header too
-                records[0] = replace(records[0], epochs_used=50)
+                # the start point's training then holds to the header too, and
+                # the ledger is cut before the first full training of a poll
+                assert records[39].kind == KIND_FULL
+                model = SimulatedBlackbox().model_for(preset_config("p1"), 3)
+                records[0] = replace(records[0], epochs_used=50, score=simulate_curve(model, 50).best_accuracy())
+                records = records[:39]
             header = {**header, **{
                 "estimates-without-a-surrogate": {"surrogate": "none"},
                 "uncharged-ranking-header": {"charge_ranking": "0"},
@@ -949,12 +981,20 @@ class TestCli:
                 "negative-noise-header": {"noise_sigma": "-1"},
                 "short-margins-header": {"margins": "0.5 0.6"},
                 "simulated-command-header": {"external_command": "python3 train.py"},
+                "format-header": {"format": "9"},
+                "unknown-key-header": {"tag": "mine"},
             }[edit]}
         write_ledger(ledger, _resequenced(records), header)
         before = ledger.read_bytes()
         series = ["--ledger", str(ledger), "--out", str(tmp_path / "series.csv")]
         assert main([command, *(series if command == "export" else argv)]) == 1
-        assert capsys.readouterr().err == f"error: {ledger}: {error}\n"
+        mismatched = {"estimates-without-a-surrogate": "surrogate", "uncharged-ranking-header": "charge_ranking",
+                      "capped-epochs-header": "max_epochs"}
+        if command == "resume" and edit in mismatched:
+            error = f"ledger settings do not match: {mismatched[edit]}"
+        else:
+            error = f"{ledger}: {error}"
+        assert capsys.readouterr().err == f"error: {error}\n"
         assert ledger.read_bytes() == before
 
     @pytest.mark.parametrize("key, edit, error", [
@@ -994,7 +1034,8 @@ class TestCli:
         write_ledger(ledger, records, header)
         capsys.readouterr()
         assert main(series) == 1
-        assert capsys.readouterr().err == f"error: {ledger}: record 0: config is not the initial configuration\n"
+        assert capsys.readouterr().err == (
+            f"error: {ledger}: record 0: config {records[1].config!r}, expected {preset_config('p1').key!r}\n")
 
     def test_export_scales_custom_triple_epochs(self, tmp_path):
         out = tmp_path / "out"

@@ -40,9 +40,9 @@ import pytest
 
 from madshpo import blackbox, mads
 from madshpo.blackbox import SimulatedBlackbox, curve_arrays
-from madshpo.campaign import LEDGER_NAME, SUMMARY_NAME, CampaignSettings, run
+from madshpo.campaign import LEDGER_NAME, SUMMARY_NAME, CampaignSettings, read_checked_ledger, run
 from madshpo.cli import main
-from madshpo.ledger import KIND_FULL, KIND_SURROGATE, read_ledger
+from madshpo.ledger import KIND_FULL, KIND_SURROGATE
 from madshpo.space import ConvLayerHP, default_bounds, make_config, neighbors, preset_config, serialize, to_vector
 from tests.lattice import lattice_sweep
 from tests.test_campaign_cli import failing_start_point
@@ -183,12 +183,11 @@ def _case_id(case):
 
 
 def assert_reads_back(path, result):
-    """The ledger at ``path`` passes read_ledger's checks across rows, reads
-    back as the campaign's records, and keeps the campaign rules that resume
-    and export replay."""
-    header, records = read_ledger(path)
+    """The ledger at ``path`` reads back as the campaign's records, and the
+    campaign loop of its header's settings, run against its rows as resume
+    and export run it, writes every one of them."""
+    _, records = read_checked_ledger(path)
     assert records == list(result.records)
-    mads.replay(records, header["initial"], path)
 
 
 @pytest.mark.parametrize("case", sorted(LEDGER_SHA256), ids=_case_id)
@@ -287,7 +286,10 @@ def test_quadratic_records_unchanged(seed):
     result = mads.run_campaign(start, 10**9, quadratic_plan(bounds, center, seed))
     digest = hashlib.sha256(repr(tuple(result.records)).encode()).hexdigest()
     assert digest == QUADRATIC_RECORDS_SHA256[seed]
-    mads.replay(list(result.records), start.key, "quadratic campaign")
+    plan = quadratic_plan(bounds, center, seed)
+    fresh = mads.CampaignState(incumbent=start, envelope=plan.envelope, tape=mads.Tape(result.records, "quadratic"))
+    taped = mads.continue_campaign(fresh, 10**9, plan)
+    assert (taped.records, taped.termination) == (result.records, result.termination)
 
 
 @pytest.mark.parametrize("case", sorted(CURVE_SHA256), ids=_case_id)

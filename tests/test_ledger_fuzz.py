@@ -213,14 +213,15 @@ MESHED = ["--preset", "p1", "--seed", "1", "--budget", "200"]
 # a header's loop bound, lowered below the rows: (flags of the run, header key,
 # its flag, the lowered value, the first row beyond it, the error)
 @pytest.mark.parametrize("flags, key, flag, value, record, error", [
-    (UNRANKED, "bbe_budget", "--budget", "12", 12, "cumulative_cost 13.0 above bbe_budget 12"),
-    (UNRANKED, "max_iterations", "--max-iterations", "2", 10, "iteration 3 above max_iterations 2"),
-    (MESHED, "min_mesh_index", "--min-mesh-index", "0", 363, "mesh_index -1 below min_mesh_index 0"),
+    (UNRANKED, "bbe_budget", "--budget", "12", 12, "after the loop stopped (budget)"),
+    (UNRANKED, "max_iterations", "--max-iterations", "2", 10, "after the loop stopped (iterations)"),
+    (MESHED, "min_mesh_index", "--min-mesh-index", "0", 363, "after the loop stopped (mesh)"),
 ], ids=["over-budget", "past-iteration-cap", "below-mesh-floor"])
 def test_a_row_beyond_a_loop_bound_of_the_header_is_refused(tmp_path, capsys, finished, flags, key, flag, value,
                                                             record, error):
-    # the rows replay as the loop wrote them, and resume is given the lowered
-    # setting, so the settings match; only the header's bound rules the rows out
+    # the loop writes the rows before the bound as the run wrote them, and
+    # resume is given the lowered setting, so the settings match; the loop
+    # stops at the bound, leaving the rows beyond it over
     ledger = tmp_path / LEDGER_NAME
     ledger.write_text("".join(_set_header(finished(flags), key, value)))
     before = ledger.read_bytes()
@@ -229,8 +230,9 @@ def test_a_row_beyond_a_loop_bound_of_the_header_is_refused(tmp_path, capsys, fi
     assert ledger.read_bytes() == before
 
 
-# p1 ranked with r4 at seed 3: record 2 is an estimate of iteration 1, which
-# is neither a ranking pass's top nor in the iteration resume drops
+# p1 ranked with r4 at seed 3: records 1 to 37 are the estimates of iteration
+# 1, best first, and record 43 is one of iteration 2 whose configuration has
+# an fc0 slot
 RANKED = ["--preset", "p1", "--seed", "3", "--budget", "30"]
 
 
@@ -245,11 +247,9 @@ def test_a_score_outside_0_1_is_refused(tmp_path, capsys, finished, value):
 
 
 @pytest.mark.parametrize("record, column, value", [
-    # record 6 is an estimate in the middle of iteration 1; moved to iteration
-    # 2, it leaves the rows before the last iteration ending in estimates
-    # without their ranking pass, which only a replay of every row refuses
+    # record 6 is an estimate in the middle of iteration 1, moved to iteration 2
     (6, "iteration", "2"),
-    # record 39's incumbent flag then disagrees, and it lies in the iteration resume drops
+    # record 39's incumbent flag then disagrees
     (0, "score", "0.99"),
 ], ids=["hole-1-iteration", "hole-1-score"])
 def test_resume_refuses_a_row_export_refuses_with_the_same_line(tmp_path, capsys, quickstart, record, column, value):
@@ -262,16 +262,41 @@ def test_resume_refuses_a_row_export_refuses_with_the_same_line(tmp_path, capsys
     assert ledger.read_bytes() == before
 
 
-def test_resume_refuses_an_incumbent_row_its_curve_does_not_reproduce(tmp_path, capsys, quickstart):
-    # record 0, the start point, is the incumbent that resume keeps; its
-    # curve's best accuracy is not the edited score, which is still below
-    # record 39's, so the incumbent flags replay
+def test_an_incumbent_row_its_curve_does_not_reproduce_is_refused(tmp_path, capsys, quickstart):
+    # record 39 is the last incumbent: the loop regenerates its curve, whose
+    # best accuracy is not the edited score
     ledger = tmp_path / LEDGER_NAME
-    ledger.write_text("".join(_set_field(quickstart, 0, "score", "0.5")))
+    ledger.write_text("".join(_set_field(quickstart, 39, "score", "0.9")))
     before = ledger.read_bytes()
-    assert _export(capsys, ledger)[0] == 0
-    assert _resume(capsys, ledger) == (
-        1, f"error: {ledger}: record 0: score 0.5 is not its curve's best accuracy 0.6837000000000001\n")
+    error = f"error: {ledger}: record 39: score 0.9, expected 0.7587\n"
+    assert _export(capsys, ledger) == (1, error)
+    assert _resume(capsys, ledger) == (1, error)
+    assert ledger.read_bytes() == before
+
+
+def _plus_signed_fc0(lines, record):
+    """``lines`` with the fc0 slot of record ``record`` spelled with a plus sign, as the writer never spells it."""
+    at = lines.index(encode_row(COLUMNS)) + 1 + record
+    assert lines[at].startswith(f"{record},") and " fc0=" in lines[at]
+    return [*lines[:at], lines[at].replace(" fc0=", " fc0=+"), *lines[at + 1:]]
+
+
+@pytest.mark.parametrize("edit, record", [
+    # the key of the configuration that the loop estimates is not in its
+    # iteration's estimates, so that one scores worst and the rows after
+    # the edited one shift up
+    (lambda lines: _plus_signed_fc0(lines, 43), 43),
+    # an estimate scored below the rows after it: the loop ranks it later
+    (lambda lines: _set_field(lines, 5, "score", "0.3"), 5),
+], ids=["plus-signed-estimate", "lowered-estimate"])
+def test_an_estimate_the_loop_does_not_rank_there_is_refused(tmp_path, capsys, finished, edit, record):
+    # the first column that differs is the config the loop ranks at the edited row
+    ledger = tmp_path / LEDGER_NAME
+    ledger.write_text("".join(edit(finished(RANKED))))
+    before = ledger.read_bytes()
+    code, err = _export(capsys, ledger)
+    assert code == 1 and err.startswith(f"error: {ledger}: record {record}: config '")
+    assert _resume(capsys, ledger, RANKED) == (1, err)
     assert ledger.read_bytes() == before
 
 

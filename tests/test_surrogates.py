@@ -8,7 +8,7 @@ from madshpo.blackbox import EvaluationRequest, SimulatedBlackbox
 from madshpo.campaign import LEDGER_NAME, CampaignSettings, build_plan
 from madshpo.cli import main
 from madshpo.ledger import KIND_SURROGATE, read_ledger, write_ledger
-from madshpo.mads import replay, run_campaign
+from madshpo.mads import CampaignState, Tape, continue_campaign, run_campaign
 from madshpo.space import make_config, preset_config, to_vector
 from madshpo.surrogates import (
     SURROGATE_TABLE,
@@ -147,8 +147,9 @@ class TestEstimate:
 
     @pytest.mark.parametrize("score", [math.nan, math.inf], ids=["nan", "inf"])
     def test_a_campaign_of_non_finite_estimates_writes_a_ledger_that_replays(self, tmp_path, score):
-        # a NaN estimate is unequal to itself once read back, so replay would
-        # refuse the ranking pass that repeats it; an inf one would rank first
+        # a NaN estimate is unequal to itself once read back, so the loop run
+        # against the rows would refuse the ranking pass that repeats it; an
+        # inf one would rank first
         bounds = frozen_bounds()
         center = to_vector(make_config((), (), **QUAD_CENTER), bounds)
         plan = quadratic_plan(bounds, center, 0, max_iterations=5, surrogate="r4")
@@ -157,7 +158,8 @@ class TestEstimate:
         result = run_campaign(start, 100, plan)
         write_ledger(tmp_path / "ledger.csv", result.records, {})
         _, records = read_ledger(tmp_path / "ledger.csv")
-        replay(records, start.key, "ledger")
+        fresh = CampaignState(incumbent=start, envelope=plan.envelope, tape=Tape(records, "ledger"))
+        assert continue_campaign(fresh, 100, plan).records == records
         estimates = [r.score for r in records if r.kind == KIND_SURROGATE]
         assert len(estimates) > 50 and set(estimates) == {0.0}
 
