@@ -253,13 +253,13 @@ def _persist(settings: CampaignSettings, state: mads.CampaignState, wall_seconds
     (out / SUMMARY_NAME).write_text(json.dumps(summary, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
-def header_settings(header: Mapping[str, str], path: Path) -> CampaignSettings:
-    """The settings a ledger header records: each key read by its field's
-    parser, ``initial`` as a configuration's text, and a missing key the
-    default.  A key that no setting owns, a ``format`` other than
-    ``FORMAT_VERSION``, a value that does not parse and settings that
-    ``build_plan`` refuses are errors naming ``path`` and, where one key is
-    at fault, the key."""
+def header_settings(header: Mapping[str, str], path: Path) -> tuple[CampaignSettings, mads.RunPlan]:
+    """The settings a ledger header records, and the plan ``build_plan``
+    makes of them.  Each key is read by its field's parser, ``initial`` as a
+    configuration's text, and a missing key is the default.  A key that no
+    setting owns, a ``format`` other than ``FORMAT_VERSION``, a value that
+    does not parse and settings that ``build_plan`` refuses are errors
+    naming ``path`` and, where one key is at fault, the key."""
     parsers = {f.name: f.metadata["parse"] for f in fields(CampaignSettings) if f.metadata["header"]}
     parsers["initial"] = deserialize
     parsed = {}
@@ -274,10 +274,9 @@ def header_settings(header: Mapping[str, str], path: Path) -> CampaignSettings:
             raise ValueError(f"{path}: header {key} {text!r}: {exc}") from None
     try:
         settings = CampaignSettings(**parsed)
-        build_plan(settings)
+        return settings, build_plan(settings)
     except ValueError as exc:
         raise ValueError(f"{path}: header: {exc}") from None
-    return settings
 
 
 def _row_rule(settings: CampaignSettings, plan: mads.RunPlan, rec: LedgerRecord) -> str | None:
@@ -309,38 +308,29 @@ def _row_rule(settings: CampaignSettings, plan: mads.RunPlan, rec: LedgerRecord)
     return None
 
 
-class _EndOfTape(Exception):
-    """What a training past the rows that export checks raises: the check ends there."""
-
-
 def read_checked_ledger(path: Path) -> tuple[dict[str, str], list[LedgerRecord]]:
     """The ledger at ``path``, its rows checked by running the loop of the
-    settings its header records against them (``_rebuild_state``) until a
-    training past them: what export reads."""
+    settings its header records against them until they run out: what
+    export reads."""
     header, records = read_ledger(path)
-    settings = header_settings(header, path)
-
-    def end_of_tape(config: Configuration, monitor) -> None:
-        raise _EndOfTape
-
-    # an estimate past the rows scores worst, so that those the rows hold keep their order
-    plan = replace(build_plan(settings), full_eval=end_of_tape,
-                   fidelity_eval=lambda config, epochs, fraction: WORST_SCORE)
+    settings, plan = header_settings(header, path)
     try:
-        mads.continue_campaign(_rebuild_state(settings, plan, records, path), settings.bbe_budget, plan)
-    except _EndOfTape:
+        mads.continue_campaign(_rebuild_state(settings, plan, records, path, train_on=False), settings.bbe_budget,
+                               plan)
+    except mads.EndOfTape:
         pass
     return header, records
 
 
 def _rebuild_state(settings: CampaignSettings, plan: mads.RunPlan, records: list[LedgerRecord],
-                   path: Path | None) -> mads.CampaignState:
+                   path: Path | None, train_on: bool = True) -> mads.CampaignState:
     """The fresh state that the loop runs the campaign of ``settings`` and
-    ``plan`` from, with the tape of the ``records`` of the ledger at
-    ``path``, each held to ``_row_rule``, unless ``path`` is None.  The tape
-    regenerates the incumbent's curve with the simulator the campaign
-    trained with (not an external trainer's), without its learning-rate
-    column, which envelope comparisons do not read."""
+    ``plan`` from, with a tape of the ``records`` of the ledger at ``path``
+    (``mads.Tape``, which trains on past them if ``train_on``), each held to
+    ``_row_rule``, unless ``path`` is None.  The tape regenerates curves with
+    the simulator the campaign trained with (not an external trainer's),
+    without their learning-rate column, which envelope comparisons do not
+    read."""
     tape = None
     if path is not None:
         for rec in records:
@@ -354,7 +344,7 @@ def _rebuild_state(settings: CampaignSettings, plan: mads.RunPlan, records: list
             def curve(config: Configuration, epochs: int):
                 return simulate_curve(simulator.model_for(config, settings.seed), epochs)
 
-        tape = mads.Tape(records, path, curve)
+        tape = mads.Tape(records, path, curve, train_on)
     return mads.CampaignState(incumbent=initial_config(settings), envelope=plan.envelope, tape=tape)
 
 

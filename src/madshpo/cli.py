@@ -16,8 +16,8 @@ import re
 import sys
 from pathlib import Path
 
-from .campaign import (LEDGER_NAME, SUMMARY_NAME, CampaignSettings, build_plan, header_settings, read_checked_ledger,
-                       resume, run, setting_fields)
+from .campaign import (LEDGER_NAME, SUMMARY_NAME, CampaignSettings, header_settings, read_checked_ledger, resume,
+                       run, setting_fields)
 from .ledger import export_convergence, write_series
 
 
@@ -90,7 +90,7 @@ def main(argv: list[str] | None = None) -> int:
             return 0
         # argparse requires one of the three commands, so this one is export
         header, records = read_checked_ledger(Path(args.ledger))
-        spec = build_plan(header_settings(header, Path(args.ledger))).surrogate
+        spec = header_settings(header, Path(args.ledger))[1].surrogate
         rows = export_convergence(records, surrogate_data_fraction=1.0 if spec is None else spec.data_fraction)
         write_series(Path(args.out), rows)
         print(f"wrote {len(rows)} rows to {args.out}")

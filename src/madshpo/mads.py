@@ -221,23 +221,33 @@ class RunPlan:
         return self.surrogate.cost_ratio if self.surrogate is not None and self.charge_ranking else 0.0
 
 
+class EndOfTape(Exception):
+    """What a full evaluation past the rows of a tape that does not train on raises."""
+
+
 @dataclass
 class Tape:
     """A ledger's rows, which the campaign loop runs against in place of its
     trainer.  ``CampaignState.record`` holds each row it makes to the next
-    one here (``check``), and ``play``'s evaluators answer from the rows: a
-    full evaluation with the next row's score, epochs and stop reason, and
-    an estimate with the score of its configuration's row among the
-    estimates at the head.  An estimate they lack scores ``WORST_SCORE``,
-    which no row then matches, unless they run to the tape's end; there,
-    as once the tape is spent, the plan's own evaluators answer.  Only the
-    last incumbent's training is regenerated, by ``curve``: its best
-    accuracy is the score, and it is the baseline the loop goes on with.
+    one here (``check``), and ``play``'s evaluators answer from the rows.
+
+    A full evaluation answers with the next row's score, epochs and stop
+    reason.  ``curve`` regenerates the trainings of the last iteration's
+    baselines, the incumbent it polls around and the last one: such a
+    training's best accuracy is the score, and its curve the baseline the
+    loop goes on with.  An estimate answers with the score of its
+    configuration's row in the block of estimate rows at the head, or
+    ``WORST_SCORE``, which no row then matches.  Past the rows, and for an
+    estimate that a block ending the rows lacks, a tape that trains on
+    hands over to the plan's own evaluators; one that does not scores such
+    an estimate ``WORST_SCORE`` and raises ``EndOfTape`` at the first full
+    evaluation.
     """
 
     rows: list[LedgerRecord]
     source: object  # what an error names, such as the ledger's path
     curve: Callable[[Configuration, int], TrainingHistory] | None = None
+    train_on: bool = True
     position: int = 0  # the index of the next row
 
     def check(self, row: LedgerRecord) -> LedgerRecord:
@@ -257,28 +267,33 @@ class Tape:
         return taped
 
     def play(self, plan: RunPlan) -> RunPlan:
-        """``plan`` with evaluators that answer from the tape while it has rows."""
-        baseline = max((i for i, row in enumerate(self.rows) if row.incumbent), default=-1)
-        head = {}  # where the estimates at the head start -> where they end, and their scores by key
+        """``plan`` with evaluators that answer from the tape."""
+        rows = self.rows
+        incumbents = [i for i, row in enumerate(rows) if row.incumbent]
+        before_last = sum(rows[i].iteration < rows[-1].iteration for i in incumbents)
+        baselines = set(incumbents[max(before_last - 1, 0):])
+        blocks = {}  # the index of each block's first row -> its estimate scores by config key
+        for i, row in enumerate(rows):
+            if row.kind == KIND_SURROGATE:
+                if i == 0 or rows[i - 1].kind != KIND_SURROGATE:
+                    block = blocks[i] = {}
+                block[row.config] = row.score
 
         def full_eval(config: Configuration, monitor: StoppingMonitor) -> EvaluationResult:
-            if self.position == len(self.rows):
+            if self.position == len(rows):
+                if not self.train_on:
+                    raise EndOfTape
                 return plan.full_eval(config, monitor)
-            row = self.rows[self.position]
-            if self.curve is None or self.position != baseline:
-                return EvaluationResult(TrainingHistory(), row.score, row.epochs_used, row.stop_reason, 0.0)
+            row = rows[self.position]
+            taped = EvaluationResult(TrainingHistory(), row.score, row.epochs_used, row.stop_reason, 0.0)
+            if self.curve is None or self.position not in baselines or taped.failed:
+                return taped
             history = self.curve(config, row.epochs_used)
-            return EvaluationResult(history, history.best_accuracy(), row.epochs_used, row.stop_reason, 0.0)
+            return replace(taped, history=history, final_val_accuracy=history.best_accuracy())
 
         def fidelity_eval(config: Configuration, epochs: int, fraction: float) -> float:
-            if self.position not in head:
-                end = self.position
-                while end < len(self.rows) and self.rows[end].kind == KIND_SURROGATE:
-                    end += 1
-                head.clear()
-                head[self.position] = end, {row.config: row.score for row in self.rows[self.position:end]}
-            end, scores = head[self.position]
-            if config.key in scores or end < len(self.rows):
+            scores = blocks.get(self.position, {})
+            if config.key in scores or not self.train_on or self.position + len(scores) < len(rows):
                 return scores.get(config.key, WORST_SCORE)
             return plan.fidelity_eval(config, epochs, fraction)
 

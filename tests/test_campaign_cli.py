@@ -120,7 +120,7 @@ class TestSettings:
         assert (s.milestones, s.margins, s.external_command) == ((5, 10, 25), (0.5, 0.6, 0.7), None)
         header = settings_header(s)
         assert header["milestones"] == "5 10 25" and header["external_command"] == "-"
-        assert campaign.header_settings(header, tmp_path / LEDGER_NAME) == replace(s, initial=preset_config("p1"))
+        assert campaign.header_settings(header, tmp_path / LEDGER_NAME)[0] == replace(s, initial=preset_config("p1"))
         with pytest.raises(ValueError, match="^milestones: invalid literal for int"):
             CampaignSettings.from_text({"milestones": "5,,10"})
 
@@ -232,10 +232,12 @@ class TestResume:
             assert (out / LEDGER_NAME).read_bytes() == full_bytes, f"cut after record {first}"
 
     def test_resume_regenerates_only_the_incumbents_curve(self, tmp_path, monkeypatch):
+        # the curves of the last iteration's baselines: the incumbent it polls
+        # around and the one it ends with, here the same row
         s, path, full_bytes = self.run_full(tmp_path, surrogate="none")
         _, records = read_ledger(path)
-        assert sum(r.incumbent for r in records) > 1
-        incumbent = [r for r in records if r.incumbent][-1]
+        incumbents = [r for r in records if r.incumbent]
+        assert len(incumbents) > 1 and incumbents[-1].iteration < records[-1].iteration
         calls = []
         real = campaign.simulate_curve
 
@@ -245,9 +247,27 @@ class TestResume:
 
         monkeypatch.setattr(campaign, "simulate_curve", counting)
         resume(s)
-        model = SimulatedBlackbox(noise_sigma=s.noise_sigma).model_for(deserialize(incumbent.config), s.seed)
-        assert calls == [(model, incumbent.epochs_used)]
+        model = SimulatedBlackbox(noise_sigma=s.noise_sigma).model_for(deserialize(incumbents[-1].config), s.seed)
+        assert calls == [(model, incumbents[-1].epochs_used)]
         assert path.read_bytes() == full_bytes
+
+    def test_resume_of_a_cut_ledger_regenerates_the_baselines_of_its_last_iteration(self, tmp_path, monkeypatch):
+        # cut just after an improving training: the incumbent its iteration
+        # polls around and that training's row
+        s, path, _ = self.run_full(tmp_path, surrogate="none")
+        header, records = read_ledger(path)
+        last, polled = [i for i, r in enumerate(records) if r.incumbent][-2:][::-1]
+        assert records[polled].iteration < records[last].iteration
+        out = tmp_path / "cut"
+        out.mkdir()
+        write_ledger(out / LEDGER_NAME, records[:last + 1], header)
+        calls = []
+        real = campaign.simulate_curve
+        monkeypatch.setattr(campaign, "simulate_curve", lambda *args: calls.append(args) or real(*args))
+        resume(replace(s, out_dir=out))
+        simulator = SimulatedBlackbox(noise_sigma=s.noise_sigma)
+        assert calls == [(simulator.model_for(deserialize(records[i].config), s.seed), records[i].epochs_used)
+                         for i in (polled, last)]
 
     def test_resuming_a_finished_campaign_trains_nothing(self, tmp_path, monkeypatch):
         s, path, full_bytes = self.run_full(tmp_path, surrogate="r4")

@@ -13,6 +13,7 @@ import random
 
 import pytest
 
+from madshpo.blackbox import FAILED_REASON
 from madshpo.campaign import LEDGER_NAME
 from madshpo.cli import main
 from madshpo.ledger import COLUMNS, KIND_FULL, KIND_SURROGATE, encode_row
@@ -262,16 +263,41 @@ def test_resume_refuses_a_row_export_refuses_with_the_same_line(tmp_path, capsys
     assert ledger.read_bytes() == before
 
 
-def test_an_incumbent_row_its_curve_does_not_reproduce_is_refused(tmp_path, capsys, quickstart):
-    # record 39 is the last incumbent: the loop regenerates its curve, whose
-    # best accuracy is not the edited score
+@pytest.mark.parametrize("record, value, best", [
+    # record 0, the start point, is the incumbent that the last iteration
+    # polls around, and its edited score is still below record 39's
+    (0, "0.5", "0.6837000000000001"),
+    # record 39 is the last incumbent
+    (39, "0.9", "0.7587"),
+], ids=["start-point", "last-incumbent"])
+def test_an_incumbent_row_its_curve_does_not_reproduce_is_refused(tmp_path, capsys, quickstart, record, value, best):
+    # the loop regenerates the training of each baseline of the last
+    # iteration, whose best accuracy is not the edited score
     ledger = tmp_path / LEDGER_NAME
-    ledger.write_text("".join(_set_field(quickstart, 39, "score", "0.9")))
+    ledger.write_text("".join(_set_field(quickstart, record, "score", value)))
     before = ledger.read_bytes()
-    error = f"error: {ledger}: record 39: score 0.9, expected 0.7587\n"
+    error = f"error: {ledger}: record {record}: score {value}, expected {best}\n"
     assert _export(capsys, ledger) == (1, error)
     assert _resume(capsys, ledger) == (1, error)
     assert ledger.read_bytes() == before
+
+
+@pytest.mark.parametrize("record", [0, 39], ids=["start-point", "last-incumbent"])
+def test_a_failed_training_flagged_incumbent_is_refused_without_regenerating_it(tmp_path, capsys, caplog, quickstart,
+                                                                               record):
+    # a failure has no curve to regenerate, so the tape answers with the
+    # row, and the loop's incumbent rule refuses the flag
+    lines = quickstart
+    for column, value in (("score", "0.0"), ("epochs_used", "0"), ("stop_reason", FAILED_REASON)):
+        lines = _set_field(lines, record, column, value)
+    ledger = tmp_path / LEDGER_NAME
+    ledger.write_text("".join(lines))
+    before = ledger.read_bytes()
+    error = f"error: {ledger}: record {record}: incumbent 1, expected 0\n"
+    assert _export(capsys, ledger) == (1, error)
+    assert _resume(capsys, ledger) == (1, error)
+    assert ledger.read_bytes() == before
+    assert not caplog.records
 
 
 def _plus_signed_fc0(lines, record):
