@@ -308,10 +308,10 @@ def _row_rule(settings: CampaignSettings, plan: mads.RunPlan, rec: LedgerRecord)
     return None
 
 
-def read_checked_ledger(path: Path) -> tuple[dict[str, str], list[LedgerRecord]]:
+def read_checked_ledger(path: Path) -> tuple[dict[str, str], list[LedgerRecord], mads.RunPlan]:
     """The ledger at ``path``, its rows checked by running the loop of the
-    settings its header records against them until they run out: what
-    export reads."""
+    settings its header records against them until they run out, and the
+    plan of those settings: what export reads."""
     header, records = read_ledger(path)
     settings, plan = header_settings(header, path)
     try:
@@ -319,7 +319,7 @@ def read_checked_ledger(path: Path) -> tuple[dict[str, str], list[LedgerRecord]]
                                plan)
     except mads.EndOfTape:
         pass
-    return header, records
+    return header, records, plan
 
 
 def _rebuild_state(settings: CampaignSettings, plan: mads.RunPlan, records: list[LedgerRecord],

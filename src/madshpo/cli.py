@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from pathlib import Path
 
-from .campaign import (LEDGER_NAME, SUMMARY_NAME, CampaignSettings, header_settings, read_checked_ledger, resume,
-                       run, setting_fields)
+from .campaign import LEDGER_NAME, SUMMARY_NAME, CampaignSettings, read_checked_ledger, resume, run, setting_fields
 from .ledger import export_convergence, write_series
 
 
@@ -89,8 +89,10 @@ def main(argv: list[str] | None = None) -> int:
             print(f"termination: {state.termination}")
             return 0
         # argparse requires one of the three commands, so this one is export
-        header, records = read_checked_ledger(Path(args.ledger))
-        spec = header_settings(header, Path(args.ledger))[1].surrogate
+        if Path(args.out).exists() and os.path.samefile(args.ledger, args.out):
+            raise ValueError(f"--out {args.out}: the ledger to export, which the series would overwrite")
+        _, records, plan = read_checked_ledger(Path(args.ledger))
+        spec = plan.surrogate
         rows = export_convergence(records, surrogate_data_fraction=1.0 if spec is None else spec.data_fraction)
         write_series(Path(args.out), rows)
         print(f"wrote {len(rows)} rows to {args.out}")

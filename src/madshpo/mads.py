@@ -188,10 +188,10 @@ def update_mesh(mesh: Mesh, success: bool) -> Mesh:
 # -- campaign loop -----------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunPlan:
     """Everything the campaign loop needs besides the initial point and budget.
-    Built or ``replace``d, it refuses loop settings that cannot take effect."""
+    A value: built or ``replace``d, it refuses loop settings that cannot take effect."""
 
     bounds: SpaceBounds
     seed: int
@@ -212,7 +212,7 @@ class RunPlan:
             raise ValueError("max_iterations must be >= 0")
         if self.min_mesh_index > MAX_MESH_INDEX:
             raise ValueError(f"min_mesh_index must be <= {MAX_MESH_INDEX}")
-        self.envelope = BaselineEnvelope(None, self.milestones, self.margins)
+        object.__setattr__(self, "envelope", BaselineEnvelope(None, self.milestones, self.margins))
 
     @property
     def estimate_charge(self) -> float:
@@ -225,13 +225,14 @@ class EndOfTape(Exception):
     """What a full evaluation past the rows of a tape that does not train on raises."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class Tape:
     """A ledger's rows, which the campaign loop runs against in place of its
-    trainer.  ``CampaignState.record`` holds each row it makes to the next
-    one here (``check``), and ``play``'s evaluators answer from the rows.
+    trainer.  ``CampaignState.record`` holds each row it makes to the row of
+    its index here (``check``), and ``play``'s evaluators answer from the row
+    after those the state has made, so one tape serves any number of runs.
 
-    A full evaluation answers with the next row's score, epochs and stop
+    A full evaluation answers with that row's score, epochs and stop
     reason.  ``curve`` regenerates the trainings of the last iteration's
     baselines, the incumbent it polls around and the last one: such a
     training's best accuracy is the score, and its curve the baseline the
@@ -248,26 +249,25 @@ class Tape:
     source: object  # what an error names, such as the ledger's path
     curve: Callable[[Configuration, int], TrainingHistory] | None = None
     train_on: bool = True
-    position: int = 0  # the index of the next row
 
     def check(self, row: LedgerRecord) -> LedgerRecord:
-        """The next row, which must equal ``row``, or ``row`` once the tape is
-        spent.  A row that differs raises ``ValueError`` naming ``source``, the
-        row and the first column that differs."""
-        if self.position == len(self.rows):
+        """The row of index ``row.record_index``, which must equal ``row``, or
+        ``row`` past the tape's rows.  A row that differs raises ``ValueError``
+        naming ``source``, the row and the first column that differs."""
+        index = row.record_index
+        if index >= len(self.rows):
             return row
-        taped = self.rows[self.position]
+        taped = self.rows[index]
         if taped != row:
             column = next(c for c in COLUMNS if getattr(taped, c) != getattr(row, c))
             found, expected = (getattr(r, column) for r in (taped, row))
             if isinstance(found, bool):
                 found, expected = int(found), int(expected)
-            raise ValueError(f"{self.source}: record {self.position}: {column} {found!r}, expected {expected!r}")
-        self.position += 1
+            raise ValueError(f"{self.source}: record {index}: {column} {found!r}, expected {expected!r}")
         return taped
 
-    def play(self, plan: RunPlan) -> RunPlan:
-        """``plan`` with evaluators that answer from the tape."""
+    def play(self, plan: RunPlan, made: list[LedgerRecord]) -> RunPlan:
+        """``plan`` with evaluators that answer from the row after ``made``, the rows the loop has made."""
         rows = self.rows
         incumbents = [i for i, row in enumerate(rows) if row.incumbent]
         before_last = sum(rows[i].iteration < rows[-1].iteration for i in incumbents)
@@ -280,20 +280,20 @@ class Tape:
                 block[row.config] = row.score
 
         def full_eval(config: Configuration, monitor: StoppingMonitor) -> EvaluationResult:
-            if self.position == len(rows):
+            if len(made) >= len(rows):
                 if not self.train_on:
                     raise EndOfTape
                 return plan.full_eval(config, monitor)
-            row = rows[self.position]
+            row = rows[len(made)]
             taped = EvaluationResult(TrainingHistory(), row.score, row.epochs_used, row.stop_reason, 0.0)
-            if self.curve is None or self.position not in baselines or taped.failed:
+            if self.curve is None or len(made) not in baselines or taped.failed:
                 return taped
             history = self.curve(config, row.epochs_used)
             return replace(taped, history=history, final_val_accuracy=history.best_accuracy())
 
         def fidelity_eval(config: Configuration, epochs: int, fraction: float) -> float:
-            scores = blocks.get(self.position, {})
-            if config.key in scores or not self.train_on or self.position + len(scores) < len(rows):
+            scores = blocks.get(len(made), {})
+            if config.key in scores or not self.train_on or len(made) + len(scores) < len(rows):
                 return scores.get(config.key, WORST_SCORE)
             return plan.fidelity_eval(config, epochs, fraction)
 
@@ -396,7 +396,7 @@ def continue_campaign(state: CampaignState, budget_bbe: float, plan: RunPlan) ->
     if problems:
         raise ValueError("invalid incumbent configuration: " + "; ".join(problems))
     if state.tape is not None:
-        plan = state.tape.play(plan)
+        plan = state.tape.play(plan, state.records)
     if state.next_iteration == 0:
         _full_evaluation(state, plan, state.incumbent)
         state.close_iteration(False)
@@ -413,8 +413,8 @@ def continue_campaign(state: CampaignState, budget_bbe: float, plan: RunPlan) ->
             state.termination = "budget"
             break
         state.close_iteration(_poll_step(state, plan, poll, budget_bbe))
-    if state.tape is not None and state.tape.position < len(state.tape.rows):
-        raise ValueError(f"{state.tape.source}: record {state.tape.position}: after the loop stopped "
+    if state.tape is not None and len(state.records) < len(state.tape.rows):
+        raise ValueError(f"{state.tape.source}: record {len(state.records)}: after the loop stopped "
                          f"({state.termination})")
     return state
 

@@ -1067,6 +1067,33 @@ class TestCli:
         written = [float(line.split(",")[2]) for line in series.read_text().splitlines()[1:]]
         assert written == [row[2] for row in export_convergence(records, surrogate_data_fraction=0.5)]
 
+    def test_export_refuses_an_out_that_is_the_ledger_it_reads(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["run", "--budget", "10", "--seed", "7", "--out", str(out)]) == 0
+        ledger = out / LEDGER_NAME
+        before = ledger.read_bytes()
+        (tmp_path / "symlink.csv").symlink_to(ledger)
+        (tmp_path / "hardlink.csv").hardlink_to(ledger)
+        capsys.readouterr()
+        for target in (ledger, out / ".." / "out" / LEDGER_NAME, tmp_path / "symlink.csv", tmp_path / "hardlink.csv"):
+            assert main(["export", "--ledger", str(ledger), "--out", str(target)]) == 1
+            assert capsys.readouterr().err == (
+                f"error: --out {target}: the ledger to export, which the series would overwrite\n")
+            assert ledger.read_bytes() == before
+
+    def test_export_builds_the_plan_of_its_header_once(self, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        assert main(["run", "--budget", "10", "--rank", "20,0.5,0.1", "--out", str(out)]) == 0
+        calls = []
+
+        def counted(settings):
+            calls.append(settings)
+            return build_plan(settings)
+
+        monkeypatch.setattr(campaign, "build_plan", counted)
+        assert main(["export", "--ledger", str(out / LEDGER_NAME), "--out", str(tmp_path / "series.csv")]) == 0
+        assert len(calls) == 1
+
     def test_truncated_surrogate_header_is_a_clean_error(self, tmp_path, capsys):
         out = tmp_path / "out"
         assert main(["run", "--budget", "5", "--rank", "20,0.5,0.1", "--out", str(out)]) == 0

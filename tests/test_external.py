@@ -279,7 +279,7 @@ class TestExternalEvaluate:
         argv = ["run", "--backend", "external", "--backend-cmd", f"{command} ", "--budget", "1", "--rank", "none",
                 "--out", str(out)]
         assert main(argv) == 0, capsys.readouterr().err
-        header, records = read_checked_ledger(out / LEDGER_NAME)
+        header, records, _ = read_checked_ledger(out / LEDGER_NAME)
         assert header["external_command"] == command
         # the stub ends its training after 3 epochs, which only a simulated training may not
         assert [(r.epochs_used, r.stop_reason) for r in records] == [(3, "none")]

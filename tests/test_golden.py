@@ -186,7 +186,7 @@ def assert_reads_back(path, result):
     """The ledger at ``path`` reads back as the campaign's records, and the
     campaign loop of its header's settings, run against its rows as resume
     and export run it, writes every one of them."""
-    _, records = read_checked_ledger(path)
+    _, records, _ = read_checked_ledger(path)
     assert records == list(result.records)
 
 

@@ -1,7 +1,7 @@
 import importlib.util
 import logging
 import math
-from dataclasses import fields, replace
+from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -300,12 +300,16 @@ class TestRunCampaign:
     def test_a_plan_refuses_settings_that_cannot_take_effect(self, change, error):
         b = frozen_bounds()
         plan, calls = quadratic_plan(b, to_vector(make_config((), (), **QUAD_CENTER), b), 0), []
-        plan.full_eval = lambda config, monitor: calls.append(config)
+        plan = replace(plan, full_eval=lambda config, monitor: calls.append(config))
         given = {f.name: getattr(plan, f.name) for f in fields(plan) if f.init}
         with pytest.raises(ValueError, match=error):
             mads.RunPlan(**{**given, **change})
         with pytest.raises(ValueError, match=error):
             mads.run_campaign(make_config((), (), **QUAD_START), 10, replace(plan, **change))
+        # a plan is a value, so a setting changes only through replace, which refuses it
+        for name, value in change.items():
+            with pytest.raises(FrozenInstanceError):
+                setattr(plan, name, value)
         assert not calls
 
     def test_a_replaced_plan_starts_from_its_own_envelope(self):
@@ -317,6 +321,32 @@ class TestRunCampaign:
         assert edge.envelope == BaselineEnvelope(None, (5, 10), (0.5, 0.6))
         with pytest.raises(ValueError, match="envelope"):
             replace(plan, envelope=edge.envelope)
+
+    def test_one_tape_checks_the_same_rows_in_any_number_of_runs(self):
+        # the quadratic campaign of seed 0 to its budget of 11 BBE: 11 rows
+        b = frozen_bounds()
+        start = make_config((), (), **QUAD_START)
+        plan = quadratic_plan(b, to_vector(make_config((), (), **QUAD_CENTER), b), 0)
+        result = mads.run_campaign(start, 11, plan)
+        assert len(result.records) == 11
+        tape, calls = mads.Tape(result.records, "quadratic"), []
+
+        def full_eval(config, monitor):
+            calls.append(config)
+            return plan.full_eval(config, monitor)
+
+        counted = replace(plan, full_eval=full_eval)
+        for _ in range(2):
+            fresh = mads.CampaignState(incumbent=start, envelope=plan.envelope, tape=tape)
+            assert mads.continue_campaign(fresh, 11, counted).records == result.records
+        assert not calls
+        with pytest.raises(FrozenInstanceError):
+            tape.rows = []
+        # a third run whose poll differs makes a row the tape does not hold
+        fresh = mads.CampaignState(incumbent=start, envelope=plan.envelope, tape=tape)
+        with pytest.raises(ValueError, match="^quadratic: record 1: config "):
+            mads.continue_campaign(fresh, 11, replace(counted, seed=1))
+        assert not calls
 
     def test_deterministic_records(self):
         b = frozen_bounds()
@@ -357,7 +387,7 @@ class TestRunCampaign:
             best = max(best, result.final_val_accuracy)
             return result
 
-        plan.full_eval = full_eval
+        plan = replace(plan, full_eval=full_eval)
         fulls = [r for r in mads.run_campaign(start, 10**6, plan).records if r.kind == KIND_FULL]
         assert failed
         i = [r.config for r in fulls].index(failed[0])
@@ -387,7 +417,7 @@ class TestRunCampaign:
                 raise RuntimeError("trainer crashed")
             return evaluate(config, monitor)
 
-        plan.full_eval = full_eval
+        plan = replace(plan, full_eval=full_eval)
         return mads.run_campaign(make_config((), (), **QUAD_START), 10**6, plan)
 
     def test_failure_never_beats_an_incumbent_below_worst_score(self):
@@ -441,7 +471,7 @@ class TestRunCampaign:
         start = make_config((), (), **QUAD_START)
         center = to_vector(make_config((), (), **QUAD_CENTER), b)
         plan = quadratic_plan(b, center, 1, max_iterations=8, surrogate="r4")
-        plan.charge_ranking = True
+        plan = replace(plan, charge_ranking=True)
         result = mads.run_campaign(start, 50, plan)
         fulls = sum(1 for r in result.records if r.kind == KIND_FULL)
         surrogate_charges = sum(
@@ -516,7 +546,7 @@ class TestOpportunisticPoll:
             h.append(1, min(max(score, 0.0), 1.0), 0.0, config.learning_rate)
             return EvaluationResult(h, score, 1, "none", 1.0)
 
-        plan.full_eval = full_eval
+        plan = replace(plan, full_eval=full_eval)
         result = mads.run_campaign(start, 1 + len(scores), plan)
         poll = generate_poll(start, Mesh(), mads.iteration_seed(0, 1), b)
         assert len(poll.candidates) >= len(scores)
@@ -542,7 +572,7 @@ class TestOpportunisticPoll:
             result = evaluate(config, monitor)
             return result if len(calls) == 1 else result.final_val_accuracy
 
-        plan.full_eval = full_eval
+        plan = replace(plan, full_eval=full_eval)
         with pytest.raises(AttributeError):
             mads.run_campaign(start, 10**6, plan)
         assert len(calls) == 2
@@ -559,7 +589,7 @@ class TestOpportunisticPoll:
                 raise bug
             return plan_eval(config, monitor)
 
-        plan_eval, plan.full_eval = plan.full_eval, full_eval
+        plan_eval, plan = plan.full_eval, replace(plan, full_eval=full_eval)
         with pytest.raises(type(bug)):
             mads.run_campaign(start, 10**6, plan)
         assert len(calls) == call
@@ -569,7 +599,7 @@ class TestOpportunisticPoll:
         # 50 failure rows, a best score of -inf and termination "budget"
         _, start, plan = self.quadratic(max_iterations=500)
         full_eval = plan.full_eval
-        plan.full_eval = lambda config: full_eval(config, None)
+        plan = replace(plan, full_eval=lambda config: full_eval(config, None))
         with pytest.raises(TypeError):
             mads.run_campaign(start, 50, plan)
 
@@ -579,7 +609,7 @@ class TestOpportunisticPoll:
         def full_eval(config, monitor):
             raise RuntimeError("trainer crashed")
 
-        plan.full_eval = full_eval
+        plan = replace(plan, full_eval=full_eval)
         with caplog.at_level(logging.WARNING, logger="madshpo.mads"):
             result = mads.run_campaign(start, 3, plan)
         assert [r.stop_reason for r in result.records] == [FAILED_REASON] * 3
@@ -595,13 +625,13 @@ class TestOpportunisticPoll:
             monitors.append(monitor)
             return full_eval(config, monitor)
 
-        plan.full_eval = watched
+        plan = replace(plan, full_eval=watched)
         mads.run_campaign(start, 10**6, plan)
         assert monitors and all(isinstance(m, StoppingMonitor) and m.mode == "none" for m in monitors)
 
     def test_an_unknown_stop_mode_raises(self):
         _, start, plan = self.quadratic(max_iterations=1)
-        plan.stop_mode = "bogus"
+        plan = replace(plan, stop_mode="bogus")
         with pytest.raises(ValueError, match="unknown stopping mode"):
             mads.run_campaign(start, 3, plan)
 
@@ -614,7 +644,7 @@ class TestOpportunisticPoll:
             calls.append(config)
             return replace(evaluate(config, monitor), stop_reason=reason)
 
-        plan.full_eval = full_eval
+        plan = replace(plan, full_eval=full_eval)
         with pytest.raises(ValueError, match="stop_reason holds a"):
             mads.run_campaign(start, 10**6, plan)
         assert len(calls) == 1

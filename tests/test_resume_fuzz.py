@@ -59,7 +59,7 @@ def test_a_cut_campaign_resumes_to_the_uncut_ledger(case, tmp_path):
     full = CampaignSettings(out_dir=tmp_path / "full", **values)
     run(full)
     full_bytes = (tmp_path / "full" / LEDGER_NAME).read_bytes()
-    header, records = read_checked_ledger(tmp_path / "full" / LEDGER_NAME)
+    header, records, _ = read_checked_ledger(tmp_path / "full" / LEDGER_NAME)
     cut = rng.randint(0, len(records))
     cut_dir = tmp_path / "cut"
     cut_dir.mkdir()

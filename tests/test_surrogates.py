@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -153,7 +154,7 @@ class TestEstimate:
         bounds = frozen_bounds()
         center = to_vector(make_config((), (), **QUAD_CENTER), bounds)
         plan = quadratic_plan(bounds, center, 0, max_iterations=5, surrogate="r4")
-        plan.fidelity_eval = lambda config, epochs, fraction: score
+        plan = replace(plan, fidelity_eval=lambda config, epochs, fraction: score)
         start = make_config((), (), **QUAD_START)
         result = run_campaign(start, 100, plan)
         write_ledger(tmp_path / "ledger.csv", result.records, {})
@@ -169,7 +170,7 @@ class TestEstimate:
         settings = CampaignSettings(preset="p1", bbe_budget=60, seed=0, surrogate="r4", out_dir=tmp_path)
         plan = build_plan(settings)
         fidelity_eval = plan.fidelity_eval
-        plan.fidelity_eval = lambda config, epochs: fidelity_eval(config, epochs, 1.0)
+        plan = replace(plan, fidelity_eval=lambda config, epochs: fidelity_eval(config, epochs, 1.0))
         with pytest.raises(TypeError):
             run_campaign(preset_config("p1"), 60, plan)
 
