@@ -368,7 +368,10 @@ def resume(settings: CampaignSettings) -> mads.CampaignState:
 
 def _continue(settings: CampaignSettings, path: Path | None) -> mads.CampaignState:
     """Run the campaign on the tape of the ledger at ``path``, on none if it is None,
-    and persist it.  The plan is built first, so that a refused setting raises before any read."""
+    and persist it.  The plan is built first, so that a refused setting raises
+    before any read.  A header equal to ``settings_header(settings)`` records
+    that plan's settings; only one that differs is read, to refuse what export
+    refuses before the values that differ are named."""
     started = time.monotonic()
     plan = build_plan(settings)
     records = []
@@ -376,10 +379,13 @@ def _continue(settings: CampaignSettings, path: Path | None) -> mads.CampaignSta
         if settings.backend != "simulated":
             raise ValueError("resume is only supported for the simulated backend")
         header, records = read_ledger(path)
-        header_settings(header, path)  # refuses the header that export refuses
-        mismatched = sorted(key for key, value in settings_header(settings).items() if header.get(key) != value)
-        if mismatched:
-            raise ValueError(f"ledger settings do not match: {', '.join(mismatched)}")
+        given = settings_header(settings)
+        if header != given:
+            header_settings(header, path)  # refuses the header that export refuses
+            raise ValueError("ledger settings do not match: " + "; ".join(
+                f"{key} {header[key]!r} in the ledger, {given[key]!r} given" if key in header
+                else f"{key} missing from the ledger, {given[key]!r} given"
+                for key in sorted(given) if header.get(key) != given[key]))
     state = mads.continue_campaign(_rebuild_state(settings, plan, records, path), settings.bbe_budget, plan)
     _persist(settings, state, wall_seconds=time.monotonic() - started)
     return state

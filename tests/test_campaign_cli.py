@@ -712,8 +712,8 @@ class TestCli:
 
     @pytest.mark.parametrize("flag,value,error", [
         ("--rank", "10,0.5,nan", "error: rank: cost_ratio must lie in [0, 1]"),
-        ("--margins", "0.5,nan,0.7,0.8,0.85,0.9,0.95", "error: margins must lie in (0, 1]"),
-        ("--milestones", "0,10,25,50,100,125,150", "error: milestones must be epochs >= 1"),
+        ("--margins", "0.5,nan,0.7,0.8,0.85,0.9,0.95,0.98", "error: margins must lie in (0, 1]"),
+        ("--milestones", "0,10,25,50,100,125,150,160", "error: milestones must be epochs >= 1"),
         ("--max-iterations", "-1", "error: max_iterations must be >= 0"),
         ("--min-mesh-index", "1", "error: min_mesh_index must be <= 0"),
         ("--budget", "0", "error: budget must be positive"),
@@ -754,7 +754,8 @@ class TestCli:
         series = ["--ledger", str(ledger), "--out", str(tmp_path / "series.csv")]
         assert main([command, *(series if command == "export" else argv)]) == 1
         error = {"export": f"{ledger}: record 0: config {records[0].config!r}, expected {preset_config('p2').key!r}",
-                 "resume": "ledger settings do not match: initial"}[command]
+                 "resume": f"ledger settings do not match: initial {preset_config('p2').key!r} in the ledger, "
+                           f"{records[0].config!r} given"}[command]
         assert capsys.readouterr().err == f"error: {error}\n"
         assert ledger.read_bytes() == before
 
@@ -1008,8 +1009,9 @@ class TestCli:
         before = ledger.read_bytes()
         series = ["--ledger", str(ledger), "--out", str(tmp_path / "series.csv")]
         assert main([command, *(series if command == "export" else argv)]) == 1
-        mismatched = {"estimates-without-a-surrogate": "surrogate", "uncharged-ranking-header": "charge_ranking",
-                      "capped-epochs-header": "max_epochs"}
+        mismatched = {"estimates-without-a-surrogate": "surrogate 'none' in the ledger, 'r4' given",
+                      "uncharged-ranking-header": "charge_ranking '0' in the ledger, '1' given",
+                      "capped-epochs-header": "max_epochs '50' in the ledger, '200' given"}
         if command == "resume" and edit in mismatched:
             error = f"ledger settings do not match: {mismatched[edit]}"
         else:
@@ -1093,6 +1095,51 @@ class TestCli:
         monkeypatch.setattr(campaign, "build_plan", counted)
         assert main(["export", "--ledger", str(out / LEDGER_NAME), "--out", str(tmp_path / "series.csv")]) == 0
         assert len(calls) == 1
+
+    def test_resume_builds_one_plan(self, tmp_path, monkeypatch):
+        # the header records the settings given, so their plan is the header's
+        out = tmp_path / "out"
+        argv = ["--budget", "10", "--rank", "20,0.5,0.1", "--out", str(out)]
+        assert main(["run", *argv]) == 0
+        calls = []
+
+        def counted(settings):
+            calls.append(settings)
+            return build_plan(settings)
+
+        monkeypatch.setattr(campaign, "build_plan", counted)
+        assert main(["resume", *argv]) == 0
+        assert len(calls) == 1
+
+    def test_a_mismatched_resume_names_each_value_and_resumes_with_them(self, tmp_path, capsys):
+        # a ledger of other milestones and margins, as one written under older defaults
+        out = tmp_path / "out"
+        argv = ["--budget", "10", "--seed", "7", "--out", str(out)]
+        envelope = ["--milestones", "5,10,25,50,100,125,150", "--margins", "0.5,0.6,0.7,0.8,0.85,0.9,0.95"]
+        assert main(["run", *argv, *envelope]) == 0
+        ledger = out / LEDGER_NAME
+        before = ledger.read_bytes()
+        header, records = read_ledger(ledger)
+        write_ledger(ledger, records[:14], header)
+        cut = ledger.read_bytes()
+        capsys.readouterr()
+        assert main(["resume", *argv]) == 1
+        assert capsys.readouterr().err == (
+            "error: ledger settings do not match: "
+            "margins '0.5 0.6 0.7 0.8 0.85 0.9 0.95' in the ledger, '0.5 0.6 0.7 0.8 0.85 0.9 0.95 0.98' given; "
+            "milestones '5 10 25 50 100 125 150' in the ledger, '5 10 25 50 100 125 150 160' given\n")
+        assert ledger.read_bytes() == cut
+        # a key the header lacks is named too
+        write_ledger(ledger, records[:14], {k: v for k, v in header.items() if k != "noise_sigma"})
+        missing = ledger.read_bytes()
+        assert main(["resume", *argv, *envelope]) == 1
+        assert capsys.readouterr().err == (
+            "error: ledger settings do not match: noise_sigma missing from the ledger, '0.0001' given\n")
+        assert ledger.read_bytes() == missing
+        write_ledger(ledger, records[:14], header)
+        # the values the error names, in the blank-separated form the header writes, resume it
+        assert main(["resume", *argv, "--milestones", header["milestones"], "--margins", header["margins"]]) == 0
+        assert ledger.read_bytes() == before
 
     def test_truncated_surrogate_header_is_a_clean_error(self, tmp_path, capsys):
         out = tmp_path / "out"

@@ -1,11 +1,13 @@
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from madshpo import mads
 from madshpo.blackbox import EvaluationResult
+from madshpo.campaign import CampaignSettings, build_plan
 from madshpo.early_stop import (
     DEFAULT_MARGINS,
     DEFAULT_MILESTONES,
@@ -19,6 +21,7 @@ from madshpo.early_stop import (
 )
 from madshpo.space import default_bounds, preset_config
 from madshpo.surrogates import surrogate_by_name
+from tests.test_golden import LEGACY_ENVELOPE
 
 
 def flat_history(epochs, acc=0.10, loss=2.3, lr=0.01):
@@ -228,11 +231,26 @@ class TestEnvelope:
             BaselineEnvelope(None, (5, 10), (0.5, 1.2))
         # a NaN between increasing margins would leave its milestone unable to stop a training
         with pytest.raises(ValueError, match=re.escape("margins must lie in (0, 1]")):
-            BaselineEnvelope(None, DEFAULT_MILESTONES, (0.5, math.nan, 0.7, 0.8, 0.85, 0.9, 0.95))
+            BaselineEnvelope(None, DEFAULT_MILESTONES, (0.5, math.nan, *DEFAULT_MARGINS[2:]))
         # check_envelope runs from epoch 1 on, so a milestone at 0 or below is never reached
         for milestones in ((0, 10), (-5, 10)):
             with pytest.raises(ValueError, match=re.escape("milestones must be epochs >= 1")):
                 BaselineEnvelope(None, milestones, (0.99, 1.0))
+
+    @pytest.mark.parametrize("ratio, stops", [(0.975, [(160, "envelope-breach")]), (0.985, [])])
+    def test_the_last_default_milestone_stops_a_candidate_under_its_margin(self, ratio, stops):
+        # a flat candidate clears 0.95 x baseline at epoch 150; at epoch 160 it
+        # must reach 0.98 x baseline, or the envelope stops it there
+        envelope = BaselineEnvelope(flat_history(200, acc=0.90))
+        history = TrainingHistory()
+        verdicts = []
+        for epoch in range(1, 201):
+            history.append(epoch, ratio * 0.90, 1.0, 0.01)
+            verdict = check_envelope(history, envelope)
+            if verdict.stop:
+                verdicts.append((epoch, verdict.reason))
+                break
+        assert verdicts == stops
 
     def test_empty_history_refused(self):
         with pytest.raises(ValueError, match="history is empty"):
@@ -482,3 +500,27 @@ def test_mode_resource_ordering_on_simulated_corpus():
         means[mode] = float(np.mean(epochs))
     for mode in ("last-success", "scheduler", "scheduler+baseline"):
         assert means[mode] < means["default"], means
+
+
+@pytest.mark.parametrize("preset", ["p1", "p3"])
+@pytest.mark.parametrize("surrogate", ["none", "r4"])
+def test_the_milestone_at_epoch_160_moves_no_incumbent(preset, surrogate):
+    # a training the tail milestone cuts never becomes the incumbent, and BBE
+    # charges do not depend on epochs, so the search takes the same path: only
+    # the cut rows differ, each stopped at 160 instead of running to 200
+    cut = 0
+    for seed in range(5):
+        default, legacy = (
+            mads.run_campaign(preset_config(preset), 100, build_plan(CampaignSettings(
+                preset=preset, seed=seed, surrogate=surrogate, bbe_budget=100, **envelope))).records
+            for envelope in ({}, LEGACY_ENVELOPE))
+        assert len(default) == len(legacy)
+        assert [r for r in default if r.incumbent] == [r for r in legacy if r.incumbent]
+        for new, old in zip(default, legacy):
+            if new != old:
+                cut += 1
+                assert (new.epochs_used, new.stop_reason) == (160, "envelope-breach")
+                # the best epoch of the first 160 scores no higher than that of all 200
+                assert new.score <= old.score
+                assert replace(new, epochs_used=200, stop_reason=REASON_NONE, score=old.score) == old
+    assert cut

@@ -29,6 +29,12 @@ The best point of the coarse-lattice sweep is hashed for two seeds,
 recorded before configurations derived their layer counts and canonical
 text; it guards the simulated trainer's per-config path that a batched
 trainer would replace.
+
+The ledger, settings, summary and external campaigns above were recorded
+under the envelope defaults from before the milestone at epoch 160, and run
+under that ``LEGACY_ENVELOPE``, so their hashes show that adding the
+milestone changed only the defaults.  A few campaigns of each kind are
+hashed under the current defaults too.
 """
 
 import hashlib
@@ -42,6 +48,7 @@ from madshpo import blackbox, mads
 from madshpo.blackbox import SimulatedBlackbox, curve_arrays
 from madshpo.campaign import LEDGER_NAME, SUMMARY_NAME, CampaignSettings, read_checked_ledger, run
 from madshpo.cli import main
+from madshpo.early_stop import DEFAULT_MARGINS, DEFAULT_MILESTONES
 from madshpo.ledger import KIND_FULL, KIND_SURROGATE
 from madshpo.space import ConvLayerHP, default_bounds, make_config, neighbors, preset_config, serialize, to_vector
 from tests.lattice import lattice_sweep
@@ -50,7 +57,10 @@ from tests.test_mads import QUAD_CENTER, QUAD_START, frozen_bounds, quadratic_pl
 
 GOLDEN_BUDGET = 60
 
-# (preset, stop mode, surrogate, seed) -> SHA-256 of ledger.csv at GOLDEN_BUDGET BBE
+# the envelope defaults before the milestone at epoch 160, as campaign settings
+LEGACY_ENVELOPE = dict(milestones=(5, 10, 25, 50, 100, 125, 150), margins=(0.5, 0.6, 0.7, 0.8, 0.85, 0.9, 0.95))
+
+# (preset, stop mode, surrogate, seed) -> SHA-256 of ledger.csv at GOLDEN_BUDGET BBE under LEGACY_ENVELOPE
 LEDGER_SHA256 = {
     ("p1", "none", "none", 0): "0526ab2878f8b40ace7d38f7113d16e0dfd8310a127695748b16a9a9cfa40a8c",
     ("p1", "none", "none", 1): "d6888b7b4dc917d624baa3c92a4c27dbdbf8cf1c5390bfc08ff2f31be6b2bfac",
@@ -81,7 +91,15 @@ LEDGER_SHA256 = {
     ("p3", "scheduler+baseline", "r4", 1): "95890e5aacc30782d0a8527ecbfd499fcf25e1c761f1f7015f73194a15d962a1",
 }
 
-# case -> (settings, SHA-256 of ledger.csv) for p1, seed 0, GOLDEN_BUDGET BBE
+# the same under the default envelope, recorded when its milestone at epoch 160 was added
+DEFAULT_LEDGER_SHA256 = {
+    ("p1", "scheduler+baseline", "none", 0): "bc6f00ff88b642d80f90fcd7649be6493180c193e2f53f2098fd01c753f0fbdd",
+    ("p1", "scheduler+baseline", "r4", 0): "db091f0f5160b62caaaf97dea9f157f20a8dac582ce6fc329367b723b62a59a4",
+    ("p3", "scheduler+baseline", "none", 0): "f19e32ad664f76c431904036bdd591015122ad3abf5a815d60ffcee28bf3cff6",
+    ("p3", "scheduler+baseline", "r4", 0): "d3f6bef0c7be12c59220c526dba6794f8f9b606e9a3c5f243c838c28a1cd50ca",
+}
+
+# case -> (settings, SHA-256 of ledger.csv) for p1, seed 0, GOLDEN_BUDGET BBE, LEGACY_ENVELOPE
 SETTINGS_LEDGER_SHA256 = {
     "r4-uncharged": (
         dict(surrogate="r4", charge_ranking=False),
@@ -190,16 +208,25 @@ def assert_reads_back(path, result):
     assert records == list(result.records)
 
 
-@pytest.mark.parametrize("case", sorted(LEDGER_SHA256), ids=_case_id)
-def test_ledger_bytes_unchanged(case, tmp_path):
+def assert_ledger_bytes(case, envelope, expected, tmp_path):
     preset, stop_mode, surrogate, seed = case
     result = run(CampaignSettings(
         preset=preset, bbe_budget=GOLDEN_BUDGET, seed=seed, stop_mode=stop_mode,
-        surrogate=surrogate, out_dir=tmp_path,
+        surrogate=surrogate, out_dir=tmp_path, **envelope,
     ))
     digest = hashlib.sha256((tmp_path / LEDGER_NAME).read_bytes()).hexdigest()
-    assert digest == LEDGER_SHA256[case]
+    assert digest == expected
     assert_reads_back(tmp_path / LEDGER_NAME, result)
+
+
+@pytest.mark.parametrize("case", sorted(LEDGER_SHA256), ids=_case_id)
+def test_ledger_bytes_unchanged(case, tmp_path):
+    assert_ledger_bytes(case, LEGACY_ENVELOPE, LEDGER_SHA256[case], tmp_path)
+
+
+@pytest.mark.parametrize("case", sorted(DEFAULT_LEDGER_SHA256), ids=_case_id)
+def test_default_envelope_ledger_bytes_unchanged(case, tmp_path):
+    assert_ledger_bytes(case, {}, DEFAULT_LEDGER_SHA256[case], tmp_path)
 
 
 # SHA-256 of the series.csv that `madshpo export` writes for the
@@ -223,15 +250,18 @@ def test_export_series_bytes_unchanged(tmp_path):
 @pytest.mark.parametrize("case", sorted(SETTINGS_LEDGER_SHA256))
 def test_settings_ledger_bytes_unchanged(case, tmp_path):
     overrides, expected = SETTINGS_LEDGER_SHA256[case]
-    result = run(CampaignSettings(preset="p1", bbe_budget=GOLDEN_BUDGET, seed=0, out_dir=tmp_path, **overrides))
+    result = run(CampaignSettings(preset="p1", bbe_budget=GOLDEN_BUDGET, seed=0, out_dir=tmp_path, **LEGACY_ENVELOPE,
+                                  **overrides))
     assert hashlib.sha256((tmp_path / LEDGER_NAME).read_bytes()).hexdigest() == expected
     assert_reads_back(tmp_path / LEDGER_NAME, result)
 
 
 # case -> (settings, SHA-256 of summary.json without its wall_seconds line),
 # recorded before the campaign loop returned its own state.  The settings
-# are p1's at seed 0 and GOLDEN_BUDGET BBE unless a case says otherwise;
-# the failed-start cases search the space that failing_start_point patches in.
+# are p1's at seed 0, GOLDEN_BUDGET BBE and LEGACY_ENVELOPE unless a case says
+# otherwise; the failed-start cases search the space that failing_start_point
+# patches in.  The "default-envelope" case, recorded when the milestone at
+# epoch 160 was added, runs under the default envelope.
 SUMMARY_SHA256 = {
     "p1-r4": (
         dict(surrogate="r4"),
@@ -257,6 +287,10 @@ SUMMARY_SHA256 = {
         dict(surrogate="none", seed=1, max_iterations=0),
         "b7353755340551263a25db05ef4b7a975230debdf53ebf29004e7bc5930fffa8",
     ),
+    "p1-r4-default-envelope": (
+        dict(surrogate="r4", milestones=DEFAULT_MILESTONES, margins=DEFAULT_MARGINS),
+        "a4c265a378206da4fbc257ab0aedc94030de77da52e84b0943824e3f7c462491",
+    ),
 }
 
 
@@ -271,7 +305,8 @@ def summary_digest(out_dir):
 @pytest.mark.parametrize("case", sorted(SUMMARY_SHA256))
 def test_summary_bytes_unchanged(case, tmp_path, monkeypatch):
     overrides, expected = SUMMARY_SHA256[case]
-    settings = {"preset": "p1", "bbe_budget": GOLDEN_BUDGET, "seed": 0, "out_dir": tmp_path, **overrides}
+    settings = {"preset": "p1", "bbe_budget": GOLDEN_BUDGET, "seed": 0, "out_dir": tmp_path, **LEGACY_ENVELOPE,
+                **overrides}
     if case.startswith("failed-start"):
         settings["initial"] = failing_start_point(monkeypatch)
     run(CampaignSettings(**settings))
@@ -422,7 +457,8 @@ print("DONE", flush=True)
 EXTERNAL_BUDGET = 6
 
 # surrogate -> SHA-256 of (ledger.csv, trainer transcript) of a p1, seed-0,
-# scheduler+baseline campaign at EXTERNAL_BUDGET BBE on GOLDEN_TRAINER
+# scheduler+baseline campaign at EXTERNAL_BUDGET BBE on GOLDEN_TRAINER under
+# LEGACY_ENVELOPE
 EXTERNAL_SHA256 = {
     "none": (
         "283c2002e9bb167a4b787ba57745432a514b049a35c6584f523112d26eadae6d",
@@ -434,16 +470,27 @@ EXTERNAL_SHA256 = {
     ),
 }
 
+# the same under the default envelope, recorded when its milestone at epoch 160 was added
+DEFAULT_EXTERNAL_SHA256 = {
+    "none": (
+        "ad14dac663f3410fc6558590e7793002553567a75334a7f8d4d572801cbaac74",
+        "2bc0405a981fbe1f8dc89f1428f111f8686be273f534a1bbaaecb1a80eacbd7c",
+    ),
+    "r2": (
+        "3a96b06f98924eb1151988efb0bc011ffda7b9f1305e008f7b674a8d6b2a824b",
+        "d6c34d8d949f6476d24cf5bf0785db09e5978138da3e1127bc28697357e2e1ad",
+    ),
+}
 
-@pytest.mark.parametrize("surrogate", sorted(EXTERNAL_SHA256))
-def test_external_ledger_and_transcript_unchanged(surrogate, tmp_path):
+
+def assert_external_bytes(surrogate, envelope, expected, tmp_path):
     trainer = tmp_path / "trainer.py"
     trainer.write_text(GOLDEN_TRAINER)
     transcript = tmp_path / "transcript.txt"
     command = shlex.join([sys.executable, "-S", "-u", str(trainer), str(transcript)])
     result = run(CampaignSettings(
         preset="p1", bbe_budget=EXTERNAL_BUDGET, seed=0, stop_mode="scheduler+baseline",
-        surrogate=surrogate, backend="external", external_command=command, out_dir=tmp_path / "out",
+        surrogate=surrogate, backend="external", external_command=command, out_dir=tmp_path / "out", **envelope,
     ))
     if surrogate == "none":
         # a full training stopped at the envelope, another ended before EPOCHS n
@@ -456,5 +503,15 @@ def test_external_ledger_and_transcript_unchanged(surrogate, tmp_path):
     # the header names the trainer by its path, which differs between runs
     ledger = (tmp_path / "out" / LEDGER_NAME).read_text().replace(command, "TRAINER")
     digests = tuple(hashlib.sha256(text.encode()).hexdigest() for text in (ledger, transcript.read_text()))
-    assert digests == EXTERNAL_SHA256[surrogate]
+    assert digests == expected
     assert_reads_back(tmp_path / "out" / LEDGER_NAME, result)
+
+
+@pytest.mark.parametrize("surrogate", sorted(EXTERNAL_SHA256))
+def test_external_ledger_and_transcript_unchanged(surrogate, tmp_path):
+    assert_external_bytes(surrogate, LEGACY_ENVELOPE, EXTERNAL_SHA256[surrogate], tmp_path)
+
+
+@pytest.mark.parametrize("surrogate", sorted(DEFAULT_EXTERNAL_SHA256))
+def test_default_envelope_external_ledger_and_transcript_unchanged(surrogate, tmp_path):
+    assert_external_bytes(surrogate, {}, DEFAULT_EXTERNAL_SHA256[surrogate], tmp_path)

@@ -132,10 +132,12 @@ def test_a_charge_or_estimate_epochs_the_header_rules_out_is_refused(tmp_path, c
     assert ledger.read_bytes() == before
 
 
-# p1 unranked at seed 3 under scheduler+baseline: record 1 trains 200 epochs
-# with stop reason none, records 2 and 3 are envelope breaches at epochs 125
-# and 50, and the campaign runs past record 3's iteration
-UNRANKED = ["--preset", "p1", "--rank", "none", "--seed", "3", "--budget", "30"]
+# p1 unranked at seed 3 under scheduler+baseline and the envelope defaults
+# before the milestone at epoch 160: record 1 trains 200 epochs with stop
+# reason none, records 2 and 3 are envelope breaches at epochs 125 and 50, and
+# the campaign runs past record 3's iteration
+UNRANKED = ["--preset", "p1", "--rank", "none", "--seed", "3", "--budget", "30",
+            "--milestones", "5,10,25,50,100,125,150", "--margins", "0.5,0.6,0.7,0.8,0.85,0.9,0.95"]
 
 
 @pytest.fixture(scope="module")
@@ -185,7 +187,9 @@ def test_a_header_without_a_setting_holds_the_rows_to_its_default(tmp_path, caps
     ledger.write_text("".join(lines))
     refused = _export(capsys, ledger)
     assert refused[0] == 1
-    ledger.write_text("".join(line for line in lines if not line.startswith(f"# {key} = ")))
+    # the envelope's lengths must match, so its margins go with its milestones
+    dropped = tuple(f"# {k} = " for k in ((key, "margins") if key == "milestones" else (key,)))
+    ledger.write_text("".join(line for line in lines if not line.startswith(dropped)))
     # the run's training settings are the defaults, so the same row is
     # refused; a loop bound's default lies beyond every row
     assert _export(capsys, ledger) == ((0, "") if record is None else refused)
