@@ -253,13 +253,13 @@ def _persist(settings: CampaignSettings, state: mads.CampaignState, wall_seconds
     (out / SUMMARY_NAME).write_text(json.dumps(summary, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
-def header_settings(header: Mapping[str, str], path: Path) -> tuple[CampaignSettings, mads.RunPlan]:
-    """The settings a ledger header records, and the plan ``build_plan``
-    makes of them.  Each key is read by its field's parser, ``initial`` as a
-    configuration's text, and a missing key is the default.  A key that no
-    setting owns, a ``format`` other than ``FORMAT_VERSION``, a value that
-    does not parse and settings that ``build_plan`` refuses are errors
-    naming ``path`` and, where one key is at fault, the key."""
+def header_settings(header: Mapping[str, str], path: Path) -> CampaignSettings:
+    """The settings a ledger header records: the one reader of a header.
+    Each key is read by its field's parser, ``initial`` as a configuration's
+    text, and a missing key is the default.  A key that no setting owns, a
+    ``format`` other than ``FORMAT_VERSION`` and a value that does not parse
+    or that the settings refuse are errors naming ``path`` and, where one
+    key is at fault, the key."""
     parsers = {f.name: f.metadata["parse"] for f in fields(CampaignSettings) if f.metadata["header"]}
     parsers["initial"] = deserialize
     parsed = {}
@@ -273,8 +273,7 @@ def header_settings(header: Mapping[str, str], path: Path) -> tuple[CampaignSett
         except ValueError as exc:
             raise ValueError(f"{path}: header {key} {text!r}: {exc}") from None
     try:
-        settings = CampaignSettings(**parsed)
-        return settings, build_plan(settings)
+        return CampaignSettings(**parsed)
     except ValueError as exc:
         raise ValueError(f"{path}: header: {exc}") from None
 
@@ -313,7 +312,11 @@ def read_checked_ledger(path: Path) -> tuple[dict[str, str], list[LedgerRecord],
     settings its header records against them until they run out, and the
     plan of those settings: what export reads."""
     header, records = read_ledger(path)
-    settings, plan = header_settings(header, path)
+    settings = header_settings(header, path)
+    try:
+        plan = build_plan(settings)
+    except ValueError as exc:
+        raise ValueError(f"{path}: header: {exc}") from None
     try:
         mads.continue_campaign(_rebuild_state(settings, plan, records, path, train_on=False), settings.bbe_budget,
                                plan)
@@ -369,9 +372,8 @@ def resume(settings: CampaignSettings) -> mads.CampaignState:
 def _continue(settings: CampaignSettings, path: Path | None) -> mads.CampaignState:
     """Run the campaign on the tape of the ledger at ``path``, on none if it is None,
     and persist it.  The plan is built first, so that a refused setting raises
-    before any read.  A header equal to ``settings_header(settings)`` records
-    that plan's settings; only one that differs is read, to refuse what export
-    refuses before the values that differ are named."""
+    before any read; the settings the header records, read as export reads
+    them, must then equal ``settings`` in the form ``settings_header`` writes."""
     started = time.monotonic()
     plan = build_plan(settings)
     records = []
@@ -379,13 +381,11 @@ def _continue(settings: CampaignSettings, path: Path | None) -> mads.CampaignSta
         if settings.backend != "simulated":
             raise ValueError("resume is only supported for the simulated backend")
         header, records = read_ledger(path)
-        given = settings_header(settings)
-        if header != given:
-            header_settings(header, path)  # refuses the header that export refuses
+        given, recorded = settings_header(settings), settings_header(header_settings(header, path))
+        if recorded != given:
             raise ValueError("ledger settings do not match: " + "; ".join(
-                f"{key} {header[key]!r} in the ledger, {given[key]!r} given" if key in header
-                else f"{key} missing from the ledger, {given[key]!r} given"
-                for key in sorted(given) if header.get(key) != given[key]))
+                f"{key} {recorded[key]!r} in the ledger, {given[key]!r} given"
+                for key in sorted(given) if recorded[key] != given[key]))
     state = mads.continue_campaign(_rebuild_state(settings, plan, records, path), settings.bbe_budget, plan)
     _persist(settings, state, wall_seconds=time.monotonic() - started)
     return state

@@ -120,7 +120,7 @@ class TestSettings:
         assert (s.milestones, s.margins, s.external_command) == ((5, 10, 25), (0.5, 0.6, 0.7), None)
         header = settings_header(s)
         assert header["milestones"] == "5 10 25" and header["external_command"] == "-"
-        assert campaign.header_settings(header, tmp_path / LEDGER_NAME)[0] == replace(s, initial=preset_config("p1"))
+        assert campaign.header_settings(header, tmp_path / LEDGER_NAME) == replace(s, initial=preset_config("p1"))
         with pytest.raises(ValueError, match="^milestones: invalid literal for int"):
             CampaignSettings.from_text({"milestones": "5,,10"})
 
@@ -1009,9 +1009,14 @@ class TestCli:
         before = ledger.read_bytes()
         series = ["--ledger", str(ledger), "--out", str(tmp_path / "series.csv")]
         assert main([command, *(series if command == "export" else argv)]) == 1
+        # settings that only build_plan refuses are read, and differ from the ones given
         mismatched = {"estimates-without-a-surrogate": "surrogate 'none' in the ledger, 'r4' given",
                       "uncharged-ranking-header": "charge_ranking '0' in the ledger, '1' given",
-                      "capped-epochs-header": "max_epochs '50' in the ledger, '200' given"}
+                      "capped-epochs-header": "max_epochs '50' in the ledger, '200' given",
+                      "negative-noise-header": "noise_sigma '-1.0' in the ledger, '0.0001' given",
+                      "short-margins-header": "margins '0.5 0.6' in the ledger, '0.5 0.6 0.7 0.8 0.85 0.9 0.95 0.98' "
+                                              "given",
+                      "simulated-command-header": "external_command 'python3 train.py' in the ledger, '-' given"}
         if command == "resume" and edit in mismatched:
             error = f"ledger settings do not match: {mismatched[edit]}"
         else:
@@ -1024,22 +1029,26 @@ class TestCli:
         ("max_epochs", {"epochs_used": 7}, "epochs_used 7, expected 200"),
         ("surrogate", {"charged_cost": 0.0}, "charged_cost 0.0, expected 0.1"),
     ], ids=["charge_ranking", "max_epochs", "surrogate"])
-    def test_a_header_without_a_setting_holds_the_rows_to_its_default(self, tmp_path, capsys, key, edit, error):
-        # the run's settings are the defaults, so its rows pass and the edited one is refused
+    @pytest.mark.parametrize("command", ["export", "resume"])
+    def test_a_header_without_a_setting_holds_the_rows_to_its_default(self, tmp_path, capsys, command, key, edit,
+                                                                       error):
+        # the run's settings are the defaults, so its rows pass and the edited one is refused; export and
+        # resume read the header alike, so resume given the defaults finds that it records them
         out = tmp_path / "out"
         ledger = out / LEDGER_NAME
         assert main(["run", "--budget", "10", "--out", str(out)]) == 0
         header, records = read_ledger(ledger)
         del header[key]
         assert records[1].kind == KIND_SURROGATE
-        series = ["export", "--ledger", str(ledger), "--out", str(tmp_path / "series.csv")]
+        argv = {"export": ["export", "--ledger", str(ledger), "--out", str(tmp_path / "series.csv")],
+                "resume": ["resume", "--budget", "10", "--out", str(out)]}[command]
         write_ledger(ledger, records, header)
-        assert main(series) == 0
+        assert main(argv) == 0, capsys.readouterr().err
         records[1] = replace(records[1], **edit)
         write_ledger(ledger, _resequenced(records), header)
         before = ledger.read_bytes()
         capsys.readouterr()
-        assert main(series) == 1
+        assert main(argv) == 1
         assert capsys.readouterr().err == f"error: {ledger}: record 1: {error}\n"
         assert ledger.read_bytes() == before
 
@@ -1110,6 +1119,10 @@ class TestCli:
         monkeypatch.setattr(campaign, "build_plan", counted)
         assert main(["resume", *argv]) == 0
         assert len(calls) == 1
+        # a refused resume builds only the plan of the settings given, not one of the header's
+        calls.clear()
+        assert main(["resume", *argv, "--seed", "1"]) == 1
+        assert len(calls) == 1
 
     def test_a_mismatched_resume_names_each_value_and_resumes_with_them(self, tmp_path, capsys):
         # a ledger of other milestones and margins, as one written under older defaults
@@ -1129,16 +1142,18 @@ class TestCli:
             "margins '0.5 0.6 0.7 0.8 0.85 0.9 0.95' in the ledger, '0.5 0.6 0.7 0.8 0.85 0.9 0.95 0.98' given; "
             "milestones '5 10 25 50 100 125 150' in the ledger, '5 10 25 50 100 125 150 160' given\n")
         assert ledger.read_bytes() == cut
-        # a key the header lacks is named too
-        write_ledger(ledger, records[:14], {k: v for k, v in header.items() if k != "noise_sigma"})
-        missing = ledger.read_bytes()
-        assert main(["resume", *argv, *envelope]) == 1
-        assert capsys.readouterr().err == (
-            "error: ledger settings do not match: noise_sigma missing from the ledger, '0.0001' given\n")
-        assert ledger.read_bytes() == missing
-        write_ledger(ledger, records[:14], header)
         # the values the error names, in the blank-separated form the header writes, resume it
         assert main(["resume", *argv, "--milestones", header["milestones"], "--margins", header["margins"]]) == 0
+        assert ledger.read_bytes() == before
+        # a key the header lacks is its default, as export reads it: a header without its default
+        # noise_sigma is refused given another noise_sigma, and resumes to the uncut bytes given the default
+        write_ledger(ledger, records[:14], {k: v for k, v in header.items() if k != "noise_sigma"})
+        missing = ledger.read_bytes()
+        assert main(["resume", *argv, *envelope, "--noise-sigma", "0.001"]) == 1
+        assert capsys.readouterr().err == (
+            "error: ledger settings do not match: noise_sigma '0.0001' in the ledger, '0.001' given\n")
+        assert ledger.read_bytes() == missing
+        assert main(["resume", *argv, *envelope]) == 0, capsys.readouterr().err
         assert ledger.read_bytes() == before
 
     def test_truncated_surrogate_header_is_a_clean_error(self, tmp_path, capsys):

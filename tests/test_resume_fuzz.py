@@ -8,6 +8,13 @@ margins.  It runs the campaign, whose ledger every check that export makes
 must pass, cuts the ledger after a random row (none included) and resumes
 it.  The resumed ledger must be byte-identical to the uncut one, and its
 summary equal but for ``wall_seconds``.
+
+Each case also fuzzes the header codec.  The header must read back, through
+``header_settings``, to the settings it was written from.  A second copy of
+the cut ledger drops every header line that holds its setting's default and
+respells some of the others with an equal value; it reads back to the same
+settings and resumes to the same bytes, because a missing key is its
+default and settings are compared as values.
 """
 
 import json
@@ -15,12 +22,42 @@ import random
 
 import pytest
 
-from madshpo.campaign import LEDGER_NAME, SUMMARY_NAME, CampaignSettings, read_checked_ledger, resume, run
+from madshpo.campaign import (
+    LEDGER_NAME,
+    SUMMARY_NAME,
+    CampaignSettings,
+    header_settings,
+    read_checked_ledger,
+    resume,
+    run,
+    settings_header,
+)
 from madshpo.early_stop import MODES
 from madshpo.ledger import write_ledger
 from madshpo.surrogates import SURROGATE_TABLE
 
 CASES = 60
+# the header text of every default but the preset's start point
+DEFAULTS = {key: text for key, text in settings_header(CampaignSettings()).items() if key not in ("format", "initial")}
+
+
+def _zero_padded(text: str) -> str:
+    return text.replace("-", "-0") if text.startswith("-") else "0" + text
+
+
+# an equal value spelled as a settings file may spell it, by header key
+RESPELLINGS = {
+    "seed": _zero_padded,
+    "bbe_budget": _zero_padded,
+    "max_epochs": _zero_padded,
+    "min_mesh_index": _zero_padded,
+    "max_iterations": _zero_padded,
+    "charge_ranking": lambda text: {"1": "yes", "0": "off"}[text],
+    "surrogate": str.upper,
+    "milestones": lambda text: text.replace(" ", ", "),
+    "margins": lambda text: text.replace(" ", ","),
+    "noise_sigma": lambda text: f"{float(text):.17e}",
+}
 
 
 def draw_settings(rng: random.Random) -> dict:
@@ -64,6 +101,16 @@ def test_a_cut_campaign_resumes_to_the_uncut_ledger(case, tmp_path):
     cut_dir = tmp_path / "cut"
     cut_dir.mkdir()
     write_ledger(cut_dir / LEDGER_NAME, records[:cut], header)
+    assert settings_header(header_settings(header, cut_dir / LEDGER_NAME)) == header, values
     resume(CampaignSettings(out_dir=cut_dir, **values))
     assert (cut_dir / LEDGER_NAME).read_bytes() == full_bytes, (values, cut)
     assert summary_without_time(cut_dir) == summary_without_time(tmp_path / "full"), (values, cut)
+    # drawn after the cut, so that each case keeps the settings and cut it had before this draw
+    sparse = {key: RESPELLINGS[key](text) if key in RESPELLINGS and rng.random() < 0.5 else text
+              for key, text in header.items() if DEFAULTS.get(key) != text}
+    sparse_dir = tmp_path / "sparse"
+    sparse_dir.mkdir()
+    write_ledger(sparse_dir / LEDGER_NAME, records[:cut], sparse)
+    assert settings_header(header_settings(sparse, sparse_dir / LEDGER_NAME)) == header, (values, sparse)
+    resume(CampaignSettings(out_dir=sparse_dir, **values))
+    assert (sparse_dir / LEDGER_NAME).read_bytes() == full_bytes, (values, cut, sparse)
