@@ -348,7 +348,7 @@ def _rebuild_state(settings: CampaignSettings, plan: mads.RunPlan, records: list
                 return simulate_curve(simulator.model_for(config, settings.seed), epochs)
 
         tape = mads.Tape(records, path, curve, train_on)
-    return mads.CampaignState(incumbent=initial_config(settings), envelope=plan.envelope, tape=tape)
+    return mads.CampaignState(incumbent=initial_config(settings), tape=tape)
 
 
 def run(settings: CampaignSettings) -> mads.CampaignState:

@@ -5,16 +5,16 @@ basis scaled by the poll size, snaps every point to the mesh, appends the
 categorical neighbors projected to the same mesh, optionally sorts the
 candidates with a low-fidelity surrogate, and evaluates them
 opportunistically (stop at the first improvement).  ``Mesh`` is the only
-code that knows the mesh geometry; ``update_mesh`` coarsens it after a
-success (up to ``MAX_MESH_INDEX``) and refines it after a failure.
-``CampaignState`` makes every ledger row and owns the end of an
-iteration.  ``continue_campaign`` is the one campaign loop: ``run_campaign``
-enters it with a fresh state.  A fresh state that carries a ``Tape`` of a
-ledger's rows runs the loop against them, which is how ``campaign`` checks
-a ledger for export and continues it for resume.  ``_full_evaluation``
-owns the incumbent rule, and it is the only place a candidate's failure is
-handled: one of ``blackbox.TRAINER_FAULTS`` from ``full_eval`` becomes a
-charged failure row, and any other error ends the campaign.
+code that knows the mesh geometry.  ``CampaignState`` makes every ledger
+row and owns the end of an iteration, where a success coarsens the mesh
+(up to ``MAX_MESH_INDEX``) and a failure refines it.  ``continue_campaign``
+is the one campaign loop: ``run_campaign`` enters it with a fresh state,
+its start point.  A fresh state that carries a ``Tape`` of a ledger's rows
+runs the loop against them, which is how ``campaign`` checks a ledger for
+export and continues it for resume.  ``_full_evaluation`` owns the
+incumbent rule, and it is the only place a candidate's failure is handled:
+one of ``blackbox.TRAINER_FAULTS`` from ``full_eval`` becomes a charged
+failure row, and any other error ends the campaign.
 """
 
 from __future__ import annotations
@@ -140,8 +140,7 @@ def poll_directions(n: int, seed: int) -> np.ndarray:
     signs = np.sign(np.diag(r))
     signs[signs == 0] = 1.0
     q = q * signs
-    if n > 1:
-        q = q / np.abs(q).max(axis=0, keepdims=True)
+    q = q / np.abs(q).max(axis=0, keepdims=True)
     return np.hstack([q, -q])
 
 
@@ -176,13 +175,6 @@ def generate_poll(incumbent: Configuration, mesh: Mesh, seed: int, bounds: Space
     for neighbor in neighbors(incumbent, bounds):
         add(mesh.project(neighbor, bounds))
     return PollSet(tuple(candidates), directions)
-
-
-def update_mesh(mesh: Mesh, success: bool) -> Mesh:
-    """Coarsen after a success (capped at ``MAX_MESH_INDEX``), refine after a failure."""
-    if success:
-        return Mesh(min(mesh.index + 1, MAX_MESH_INDEX))
-    return Mesh(mesh.index - 1)
 
 
 # -- campaign loop -----------------------------------------------------------
@@ -303,15 +295,16 @@ class Tape:
 @dataclass
 class CampaignState:
     """The campaign loop's state, and what the loop returns when it stops:
-    the rows so far, the BBE charged, the incumbent and its score, the mesh,
+    the incumbent and its score, the rows so far, the BBE charged, the mesh,
     the next iteration to run and, once the loop has stopped, why.  A fresh
-    state may carry a ``tape`` that the loop runs against."""
+    state is its start point, and the loop gives it the plan's envelope; it
+    may carry a ``tape`` that the loop runs against."""
 
+    incumbent: Configuration
     records: list[LedgerRecord] = field(default_factory=list)
     cumulative: float = 0.0
-    incumbent: Configuration | None = None
     best_score: float = -math.inf
-    envelope: BaselineEnvelope | None = None
+    envelope: BaselineEnvelope | None = field(default=None, init=False)
     mesh: Mesh = field(default_factory=Mesh)
     next_iteration: int = 0
     termination: str | None = None  # "budget", "mesh" or "iterations"
@@ -342,10 +335,9 @@ class CampaignState:
         self.records.append(row if self.tape is None else self.tape.check(row))
 
     def close_iteration(self, success: bool) -> None:
-        """End iteration ``next_iteration``: the mesh coarsens after a success
-        and refines after a failure, except after iteration 0, the start point."""
-        if self.next_iteration >= 1:
-            self.mesh = update_mesh(self.mesh, success)
+        """End poll iteration ``next_iteration``: the mesh coarsens after a
+        success (capped at ``MAX_MESH_INDEX``) and refines after a failure."""
+        self.mesh = Mesh(min(self.mesh.index + 1, MAX_MESH_INDEX) if success else self.mesh.index - 1)
         self.next_iteration += 1
 
 
@@ -375,31 +367,32 @@ def _full_evaluation(state: CampaignState, plan: RunPlan, config: Configuration)
 
 def run_campaign(initial: Configuration, budget_bbe: int, plan: RunPlan) -> CampaignState:
     """Full campaign from ``initial``: ``continue_campaign`` of a fresh state."""
-    state = CampaignState(incumbent=initial, envelope=plan.envelope)
-    return continue_campaign(state, budget_bbe, plan)
+    return continue_campaign(CampaignState(incumbent=initial), budget_bbe, plan)
 
 
 def continue_campaign(state: CampaignState, budget_bbe: float, plan: RunPlan) -> CampaignState:
     """The campaign loop.
 
     The state's incumbent is validated once, here; the poll keeps every
-    later one in bounds.  Before iteration 0, it is the start point: it is
-    evaluated, and iteration 0 ends.  Then poll iterations run until the
-    budget runs out, the mesh bottoms out, or the iteration cap is hit, and
-    the state, with its ``termination`` set, is returned.  If the state
-    carries a tape, the plan's evaluators answer from it (``Tape.play``),
-    and a row left over at the end raises ``ValueError``.
+    later one in bounds.  Before iteration 0, it is the start point: the
+    state takes the plan's envelope, the start point is trained, and
+    iteration 0 ends on the mesh it began on.  Poll iterations then run
+    until the budget runs out, the mesh bottoms out, or the iteration cap
+    is hit, and the state, with its ``termination`` set, is returned.  If
+    the state carries a tape, the plan's evaluators answer from it
+    (``Tape.play``), and a row left over at the end raises ``ValueError``.
     """
-    if not budget_bbe > 0:
-        raise ValueError("budget must be positive")
+    if not budget_bbe >= 1.0:
+        raise ValueError("budget must be at least 1 BBE, the start point's training")
     problems = validate(state.incumbent, plan.bounds)
     if problems:
         raise ValueError("invalid incumbent configuration: " + "; ".join(problems))
     if state.tape is not None:
         plan = state.tape.play(plan, state.records)
     if state.next_iteration == 0:
+        state.envelope = plan.envelope
         _full_evaluation(state, plan, state.incumbent)
-        state.close_iteration(False)
+        state.next_iteration = 1
     while True:
         if state.mesh.index < plan.min_mesh_index:
             state.termination = "mesh"

@@ -84,12 +84,13 @@ class TestSettings:
         with pytest.raises(ValueError, match=f"min_mesh_index must be <= {mads.MAX_MESH_INDEX}"):
             build_plan(settings(tmp_path, min_mesh_index=mads.MAX_MESH_INDEX + 1))
         build_plan(settings(tmp_path, max_iterations=0, min_mesh_index=mads.MAX_MESH_INDEX))
-        # the campaign loop refuses the budget, and the start point's
-        # evaluation the stop mode and the preset, before any row is written
-        with pytest.raises(ValueError, match="budget must be positive"):
-            mads.run_campaign(preset_config("p1"), 0, build_plan(settings(tmp_path)))
+        # the campaign loop refuses a budget that cannot pay for the start
+        # point's training, and the start point's evaluation the stop mode
+        # and the preset, before any row is written
+        with pytest.raises(ValueError, match="budget must be at least 1 BBE, the start point's training"):
+            mads.run_campaign(preset_config("p1"), 0.5, build_plan(settings(tmp_path)))
         out = tmp_path / "out"
-        for overrides, error in [(dict(bbe_budget=0), "budget must be positive"),
+        for overrides, error in [(dict(bbe_budget=0), "budget must be at least 1 BBE"),
                                  (dict(stop_mode="bogus"), "unknown stopping mode 'bogus'"),
                                  (dict(preset="p9"), "unknown preset 'p9'")]:
             with pytest.raises(ValueError, match=error):
@@ -716,7 +717,7 @@ class TestCli:
         ("--milestones", "0,10,25,50,100,125,150,160", "error: milestones must be epochs >= 1"),
         ("--max-iterations", "-1", "error: max_iterations must be >= 0"),
         ("--min-mesh-index", "1", "error: min_mesh_index must be <= 0"),
-        ("--budget", "0", "error: budget must be positive"),
+        ("--budget", "0", "error: budget must be at least 1 BBE, the start point's training"),
         # only the name none trains zero epochs
         ("--rank", "0,1.0,0.0", "error: rank: epoch_budget must be >= 1"),
         ("--rank", "custom 0 1.0 0.0", "error: rank: epoch_budget must be >= 1"),

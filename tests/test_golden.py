@@ -322,7 +322,7 @@ def test_quadratic_records_unchanged(seed):
     digest = hashlib.sha256(repr(tuple(result.records)).encode()).hexdigest()
     assert digest == QUADRATIC_RECORDS_SHA256[seed]
     plan = quadratic_plan(bounds, center, seed)
-    fresh = mads.CampaignState(incumbent=start, envelope=plan.envelope, tape=mads.Tape(result.records, "quadratic"))
+    fresh = mads.CampaignState(incumbent=start, tape=mads.Tape(result.records, "quadratic"))
     taped = mads.continue_campaign(fresh, 10**9, plan)
     assert (taped.records, taped.termination) == (result.records, result.termination)
 

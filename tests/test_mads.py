@@ -17,7 +17,6 @@ from madshpo.mads import (
     generate_poll,
     poll_directions,
     snap_array,
-    update_mesh,
 )
 from madshpo.space import (
     SlotSpec,
@@ -74,7 +73,10 @@ class TestMesh:
         [(-3, True, -2), (0, True, 0), (-3, False, -4), (0, False, -1)],
     )
     def test_update(self, index, success, expected):
-        assert update_mesh(Mesh(index), success).index == expected
+        # the end of a poll iteration is the one place its outcome moves the mesh
+        state = mads.CampaignState(incumbent=preset_config("p1"), mesh=Mesh(index), next_iteration=3)
+        state.close_iteration(success)
+        assert (state.mesh.index, state.next_iteration) == (expected, 4)
 
     @pytest.mark.parametrize("index", [0, -7])
     def test_project_snaps_a_one_column_matrix(self, bounds, index):
@@ -284,8 +286,8 @@ class TestRunCampaign:
         plan = quadratic_plan(b, to_vector(make_config((), (), **QUAD_CENTER), b), 0)
         state = mads.run_campaign(start, 20, plan)
         rows = len(state.records)
-        for budget in (0, -1.0, math.nan):
-            with pytest.raises(ValueError, match="budget must be positive"):
+        for budget in (0, 0.5, -1.0, math.nan):
+            with pytest.raises(ValueError, match="^budget must be at least 1 BBE, the start point's training$"):
                 mads.continue_campaign(state, budget, plan)
         assert len(state.records) == rows
 
@@ -337,16 +339,36 @@ class TestRunCampaign:
 
         counted = replace(plan, full_eval=full_eval)
         for _ in range(2):
-            fresh = mads.CampaignState(incumbent=start, envelope=plan.envelope, tape=tape)
+            fresh = mads.CampaignState(incumbent=start, tape=tape)
             assert mads.continue_campaign(fresh, 11, counted).records == result.records
         assert not calls
         with pytest.raises(FrozenInstanceError):
             tape.rows = []
         # a third run whose poll differs makes a row the tape does not hold
-        fresh = mads.CampaignState(incumbent=start, envelope=plan.envelope, tape=tape)
+        fresh = mads.CampaignState(incumbent=start, tape=tape)
         with pytest.raises(ValueError, match="^quadratic: record 1: config "):
             mads.continue_campaign(fresh, 11, replace(counted, seed=1))
         assert not calls
+
+    def test_a_fresh_state_is_its_start_point(self):
+        # the p1 defaults at 20 BBE: the loop gives a state of only its
+        # start point the plan's envelope, so it writes run_campaign's rows
+        p1, plan = preset_config("p1"), build_plan(CampaignSettings())
+        rows = mads.run_campaign(p1, 20, plan).records
+        assert len(rows) == 120
+        assert mads.continue_campaign(mads.CampaignState(incumbent=p1), 20, plan).records == rows
+        # a fresh state given only a tape of those rows checks them without training
+        calls = []
+        untrained = replace(plan, full_eval=lambda config, monitor: calls.append(config),
+                            fidelity_eval=lambda config, epochs, fraction: calls.append(config))
+        taped = mads.CampaignState(incumbent=p1, tape=mads.Tape(rows, "p1"))
+        assert mads.continue_campaign(taped, 20, untrained).records == rows
+        assert not calls
+        # the start point is the one required field, and the envelope is the loop's
+        with pytest.raises(TypeError):
+            mads.CampaignState()
+        with pytest.raises(TypeError):
+            mads.CampaignState(incumbent=p1, envelope=plan.envelope)
 
     def test_deterministic_records(self):
         b = frozen_bounds()
@@ -487,7 +509,7 @@ class TestRunCampaign:
         assert estimates and all(r.charged_cost == plan.surrogate.cost_ratio for r in estimates)
 
     def test_record_stamps_the_state_and_defaults_to_a_ranking_pass(self):
-        state = mads.CampaignState(cumulative=2.0, mesh=Mesh(-3), next_iteration=4)
+        state = mads.CampaignState(incumbent=preset_config("p1"), cumulative=2.0, mesh=Mesh(-3), next_iteration=4)
         state.record(KIND_RANKING, "a=1", 0.5)
         state.record(KIND_FULL, "a=2", 0.75, epochs=9, reason="last-success", charge=1.0, incumbent=True)
         assert [(r.record_index, r.kind, r.epochs_used, r.stop_reason, r.charged_cost, r.cumulative_cost,

@@ -159,7 +159,7 @@ class TestEstimate:
         result = run_campaign(start, 100, plan)
         write_ledger(tmp_path / "ledger.csv", result.records, {})
         _, records = read_ledger(tmp_path / "ledger.csv")
-        fresh = CampaignState(incumbent=start, envelope=plan.envelope, tape=Tape(records, "ledger"))
+        fresh = CampaignState(incumbent=start, tape=Tape(records, "ledger"))
         assert continue_campaign(fresh, 100, plan).records == records
         estimates = [r.score for r in records if r.kind == KIND_SURROGATE]
         assert len(estimates) > 50 and set(estimates) == {0.0}
