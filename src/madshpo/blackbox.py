@@ -48,6 +48,7 @@ WORST_SCORE = 0.0  # score of a failed training or estimate
 FAILED_REASON = "evaluation-failed"
 # What a training that could not run raises; mads and surrogates catch it too.
 TRAINER_FAULTS = (OSError, RuntimeError, ValueError, ArithmeticError, MemoryError, subprocess.SubprocessError)
+MAX_LINE_BYTES = 65536  # the longest line that an external trainer may send
 
 # Simulated-trainer constants, the same for every campaign.
 ACCURACY_QUANTUM = 1e-4  # reported accuracies are rounded to this step
@@ -335,9 +336,9 @@ class ProcessAdapter:
         line per epoch.  Sent a rate, the source answers ``CONTINUE``; sent
         ``None``, it answers ``STOP`` and the child must reply ``DONE``.  A
         child may also end early with ``DONE``.  A failed launch, a broken
-        pipe, a timeout, a malformed line or a missing ``DONE`` raises.  A
-        child that said ``DONE`` gets a grace period to exit; any other is
-        killed at once.
+        pipe, a timeout, a malformed or overlong line or a missing ``DONE``
+        raises.  A child that said ``DONE`` gets a grace period to exit; any
+        other is killed at once.
 
         The calling thread reads the child's output itself: ``select`` waits
         on the pipe (so this runs on POSIX systems only) until a whole line
@@ -377,10 +378,12 @@ def _write(proc: subprocess.Popen, line: str) -> None:
 
 def _read_line(fd: int, buffer: bytearray, timeout: float) -> str:
     """The next line of ``fd``, taken from the front of ``buffer``, which keeps
-    what was read past it; raises once ``timeout`` seconds pass or the child
-    closes its output.  A last line may lack its ``\n``."""
+    what was read past it; raises once ``timeout`` seconds pass, the child
+    closes its output or the line passes ``MAX_LINE_BYTES``; a last one may lack its ``\n``."""
     deadline = time.monotonic() + timeout
-    while (end := buffer.find(b"\n")) < 0:
+    while (end := buffer.find(b"\n", 0, MAX_LINE_BYTES + 1)) < 0:
+        if len(buffer) > MAX_LINE_BYTES:
+            raise ValueError(f"a line of more than {MAX_LINE_BYTES} bytes")
         if not select.select([fd], [], [], max(deadline - time.monotonic(), 0.0))[0]:
             raise TimeoutError(f"no line within {timeout} s")
         chunk = os.read(fd, 65536)

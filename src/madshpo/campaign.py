@@ -278,11 +278,11 @@ def header_settings(header: Mapping[str, str], path: Path) -> CampaignSettings:
         raise ValueError(f"{path}: header: {exc}") from None
 
 
-def _row_rule(settings: CampaignSettings, plan: mads.RunPlan, rec: LedgerRecord) -> str | None:
-    """What rules out ``rec`` as an output of the trainer of ``settings`` and
-    their ``plan``, which a tape of it feeds the loop, or None.  Every row
-    scores in [0, 1].  A full training's stop reason is ``none``, a failure
-    or one that its stop mode gives.  A failure trains 0 epochs and scores
+def _row_rule(settings: CampaignSettings, rec: LedgerRecord) -> str | None:
+    """What rules out ``rec`` as an output of the trainer of ``settings``,
+    which a tape of it feeds the loop, or None.  Every row scores in [0, 1].
+    A full training's stop reason is ``none``, a failure or one that its
+    stop mode gives.  A failure trains 0 epochs and scores
     ``WORST_SCORE``, any other training 1 to ``max_epochs``.  The envelope
     stops a training only at a milestone, and a simulated training that
     nothing stopped runs ``max_epochs``."""
@@ -290,7 +290,7 @@ def _row_rule(settings: CampaignSettings, plan: mads.RunPlan, rec: LedgerRecord)
         return f"score {rec.score!r} outside [0, 1]"
     if rec.kind != KIND_FULL:
         return None
-    reasons = (REASON_NONE, FAILED_REASON, *stop_reasons(plan.stop_mode))
+    reasons = (REASON_NONE, FAILED_REASON, *stop_reasons(settings.stop_mode))
     reason, epochs = rec.stop_reason, rec.epochs_used
     if reason not in reasons:
         return f"stop_reason {reason!r}, expected one of {reasons}"
@@ -300,7 +300,7 @@ def _row_rule(settings: CampaignSettings, plan: mads.RunPlan, rec: LedgerRecord)
         return None if rec.score == WORST_SCORE else f"score {rec.score!r}, expected {WORST_SCORE!r}"
     if not 1 <= epochs <= settings.max_epochs:
         return f"epochs_used {epochs} outside [1, {settings.max_epochs}]"
-    if reason == REASON_ENVELOPE and epochs not in plan.milestones:
+    if reason == REASON_ENVELOPE and epochs not in settings.milestones:
         return f"stop_reason {reason!r} at epoch {epochs}, not a milestone"
     if settings.backend == "simulated" and reason == REASON_NONE and epochs != settings.max_epochs:
         return f"epochs_used {epochs}, expected {settings.max_epochs}"
@@ -318,26 +318,24 @@ def read_checked_ledger(path: Path) -> tuple[dict[str, str], list[LedgerRecord],
     except ValueError as exc:
         raise ValueError(f"{path}: header: {exc}") from None
     try:
-        mads.continue_campaign(_rebuild_state(settings, plan, records, path, train_on=False), settings.bbe_budget,
-                               plan)
+        mads.continue_campaign(_rebuild_state(settings, records, path, train_on=False), settings.bbe_budget, plan)
     except mads.EndOfTape:
         pass
     return header, records, plan
 
 
-def _rebuild_state(settings: CampaignSettings, plan: mads.RunPlan, records: list[LedgerRecord],
-                   path: Path | None, train_on: bool = True) -> mads.CampaignState:
-    """The fresh state that the loop runs the campaign of ``settings`` and
-    ``plan`` from, with a tape of the ``records`` of the ledger at ``path``
-    (``mads.Tape``, which trains on past them if ``train_on``), each held to
-    ``_row_rule``, unless ``path`` is None.  The tape regenerates curves with
-    the simulator the campaign trained with (not an external trainer's),
-    without their learning-rate column, which envelope comparisons do not
-    read."""
+def _rebuild_state(settings: CampaignSettings, records: list[LedgerRecord], path: Path | None,
+                   train_on: bool = True) -> mads.CampaignState:
+    """The fresh state that the loop runs the campaign of ``settings`` from,
+    with a tape of the ``records`` of the ledger at ``path`` (``mads.Tape``,
+    which trains on past them if ``train_on``), each held to ``_row_rule``,
+    unless ``path`` is None.  The tape regenerates curves with the simulator
+    the campaign trained with (not an external trainer's), without their
+    learning-rate column, which envelope comparisons do not read."""
     tape = None
     if path is not None:
         for rec in records:
-            problem = _row_rule(settings, plan, rec)
+            problem = _row_rule(settings, rec)
             if problem is not None:
                 raise ValueError(f"{path}: record {rec.record_index}: {problem}")
         curve = None
@@ -386,6 +384,6 @@ def _continue(settings: CampaignSettings, path: Path | None) -> mads.CampaignSta
             raise ValueError("ledger settings do not match: " + "; ".join(
                 f"{key} {recorded[key]!r} in the ledger, {given[key]!r} given"
                 for key in sorted(given) if recorded[key] != given[key]))
-    state = mads.continue_campaign(_rebuild_state(settings, plan, records, path), settings.bbe_budget, plan)
+    state = mads.continue_campaign(_rebuild_state(settings, records, path), settings.bbe_budget, plan)
     _persist(settings, state, wall_seconds=time.monotonic() - started)
     return state

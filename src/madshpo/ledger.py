@@ -40,42 +40,31 @@ class LedgerRecord:
     mesh_index: int
 
     def row(self) -> list[str]:
-        return [
-            str(self.record_index),
-            self.kind,
-            self.config,
-            repr(self.score),
-            str(self.epochs_used),
-            self.stop_reason,
-            repr(self.charged_cost),
-            repr(self.cumulative_cost),
-            "1" if self.incumbent else "0",
-            str(self.iteration),
-            str(self.mesh_index),
-        ]
+        return [spell(getattr(self, name)) for name, spell in zip(COLUMNS, _SPELLS)]
 
     @classmethod
     def from_row(cls, row: list[str]) -> "LedgerRecord":
         if row[1] not in (KIND_FULL, KIND_SURROGATE, KIND_RANKING):
             raise ValueError(f"unknown kind {row[1]!r}")
-        if row[8] not in ("0", "1"):
-            raise ValueError(f"incumbent must be 0 or 1, found {row[8]!r}")
-        return cls(
-            record_index=int(row[0]),
-            kind=row[1],
-            config=row[2],
-            score=float(row[3]),
-            epochs_used=int(row[4]),
-            stop_reason=row[5],
-            charged_cost=float(row[6]),
-            cumulative_cost=float(row[7]),
-            incumbent=row[8] == "1",
-            iteration=int(row[9]),
-            mesh_index=int(row[10]),
-        )
+        return cls(*[read(text) for read, text in zip(_READS, row)])
+
+
+def _codec(field) -> tuple:
+    """How the column of ``field`` is spelled in a row and read back, by its type:
+    a float by ``repr``, so it reads back bit-exact, and a bool as 1 or 0."""
+    if field.type != "bool":
+        return {"int": (str, int), "float": (repr, float), "str": (str, str)}[field.type]
+
+    def read(text: str) -> bool:
+        if text not in ("0", "1"):
+            raise ValueError(f"{field.name} must be 0 or 1, found {text!r}")
+        return text == "1"
+
+    return (lambda value: "1" if value else "0"), read
 
 
 COLUMNS = tuple(field.name for field in fields(LedgerRecord))
+_SPELLS, _READS = zip(*map(_codec, fields(LedgerRecord)))
 # positions of the text columns, whose values repeat from row to row
 _TEXT_COLUMNS = tuple(i for i, field in enumerate(fields(LedgerRecord)) if field.type == "str")
 

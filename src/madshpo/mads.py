@@ -296,18 +296,18 @@ class Tape:
 class CampaignState:
     """The campaign loop's state, and what the loop returns when it stops:
     the incumbent and its score, the rows so far, the BBE charged, the mesh,
-    the next iteration to run and, once the loop has stopped, why.  A fresh
-    state is its start point, and the loop gives it the plan's envelope; it
-    may carry a ``tape`` that the loop runs against."""
+    the next iteration to run and, once the loop has stopped, why.  A state
+    is built from its start point and, optionally, a ``tape`` that the loop
+    runs against; every other field is the loop's to set."""
 
     incumbent: Configuration
-    records: list[LedgerRecord] = field(default_factory=list)
-    cumulative: float = 0.0
-    best_score: float = -math.inf
+    records: list[LedgerRecord] = field(default_factory=list, init=False)
+    cumulative: float = field(default=0.0, init=False)
+    best_score: float = field(default=-math.inf, init=False)
     envelope: BaselineEnvelope | None = field(default=None, init=False)
-    mesh: Mesh = field(default_factory=Mesh)
-    next_iteration: int = 0
-    termination: str | None = None  # "budget", "mesh" or "iterations"
+    mesh: Mesh = field(default_factory=Mesh, init=False)
+    next_iteration: int = field(default=0, init=False)
+    termination: str | None = field(default=None, init=False)  # "budget", "mesh" or "iterations"
     tape: Tape | None = None
 
     def record(self, kind: str, key: str, score: float, *, epochs: int = 0, reason: str = REASON_NONE,

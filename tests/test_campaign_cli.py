@@ -309,7 +309,7 @@ class TestResume:
         path = s.out_dir / LEDGER_NAME
         _, records = read_ledger(path)
         plan = build_plan(s)
-        rebuilt = mads.continue_campaign(campaign._rebuild_state(s, plan, records, path), s.bbe_budget, plan)
+        rebuilt = mads.continue_campaign(campaign._rebuild_state(s, records, path), s.bbe_budget, plan)
         assert (rebuilt.incumbent.key, rebuilt.best_score) == (end.incumbent.key, end.best_score)
         assert (rebuilt.mesh, rebuilt.next_iteration, rebuilt.termination) == (
             end.mesh, end.next_iteration, end.termination)
@@ -605,6 +605,15 @@ MISPLACED_REASONS = {
     "repeated-ranking-pass": "kind 'ranking-pass', expected 'surrogate-eval'",
 }
 
+# A field of record 117 that its column's type does not read: the column, the
+# text written there and the error that names it.
+UNREADABLE_FIELDS = {
+    "incumbent-two": ("incumbent", "2", "incumbent must be 0 or 1, found '2'"),
+    "unknown-kind": ("kind", "final-eval", "unknown kind 'final-eval'"),
+    "score-not-a-number": ("score", "x", "could not convert string to float: 'x'"),
+    "fractional-epochs": ("epochs_used", "1.5", "invalid literal for int() with base 10: '1.5'"),
+}
+
 
 class TestCli:
     def test_run_happy_path(self, tmp_path, capsys):
@@ -846,7 +855,7 @@ class TestCli:
 
     @pytest.mark.parametrize("edit", [
         "deleted-row", "edited-cumulative", "negative-epochs", "header-after-columns",
-        "repeated-header-key", "header-without-value",
+        "repeated-header-key", "header-without-value", *UNREADABLE_FIELDS,
     ])
     @pytest.mark.parametrize("command", ["export", "resume"])
     def test_rows_that_disagree_are_a_clean_error(self, tmp_path, capsys, command, edit):
@@ -866,6 +875,10 @@ class TestCli:
         elif edit == "edited-cumulative":
             cum = COLUMNS.index("cumulative_cost")
             fields[cum] = repr(float(fields[cum]) + 0.5)
+            lines[at] = encode_row(fields)
+        elif edit in UNREADABLE_FIELDS:
+            column, text, _ = UNREADABLE_FIELDS[edit]
+            fields[COLUMNS.index(column)] = text
             lines[at] = encode_row(fields)
         elif edit == "negative-epochs":
             # export's epochs axis would start at -200
@@ -890,6 +903,8 @@ class TestCli:
         assert main([command, *(series if command == "export" else argv)]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {ledger}:{at + 1}: ") and err.count("\n") == 1
+        if edit in UNREADABLE_FIELDS:
+            assert err == f"error: {ledger}:{at + 1}: {UNREADABLE_FIELDS[edit][2]}\n"
 
     @pytest.mark.parametrize("command", ["export", "resume"])
     @pytest.mark.parametrize("edit,first", [

@@ -150,7 +150,15 @@ class TestExternalEvaluate:
                 sys.stdin.readline()
             print("DONE", flush=True)
         """, "missing DONE after STOP, got 'EPOCH 2 ACC 0.5 LOSS 1.0 LR 0.01'"),
-    ], ids=["malformed-epoch-line", "epoch-after-stop"])
+        # refused at MAX_LINE_BYTES, well before the 20 s line timeout
+        ("""
+            import time
+            sys.stdin.readline()
+            sys.stdout.write("x" * 2**20)
+            sys.stdout.flush()
+            time.sleep(30)
+        """, "a line of more than 65536 bytes"),
+    ], ids=["malformed-epoch-line", "epoch-after-stop", "line-without-end"])
     def test_protocol_violation_fails_by_name(self, tmp_path, caplog, body, message):
         adapter = make_stub(tmp_path, body)
         result = external_evaluate(EvaluationRequest(preset_config("p1"), 1, 1.0, 0), adapter)

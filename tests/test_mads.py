@@ -1,4 +1,5 @@
 import importlib.util
+import inspect
 import logging
 import math
 from dataclasses import FrozenInstanceError, fields, replace
@@ -74,7 +75,8 @@ class TestMesh:
     )
     def test_update(self, index, success, expected):
         # the end of a poll iteration is the one place its outcome moves the mesh
-        state = mads.CampaignState(incumbent=preset_config("p1"), mesh=Mesh(index), next_iteration=3)
+        state = mads.CampaignState(incumbent=preset_config("p1"))
+        state.mesh, state.next_iteration = Mesh(index), 3
         state.close_iteration(success)
         assert (state.mesh.index, state.next_iteration) == (expected, 4)
 
@@ -364,11 +366,14 @@ class TestRunCampaign:
         taped = mads.CampaignState(incumbent=p1, tape=mads.Tape(rows, "p1"))
         assert mads.continue_campaign(taped, 20, untrained).records == rows
         assert not calls
-        # the start point is the one required field, and the envelope is the loop's
+        # a state is built from its start point and a tape alone: every other field is the loop's
+        assert list(inspect.signature(mads.CampaignState).parameters) == ["incumbent", "tape"]
         with pytest.raises(TypeError):
             mads.CampaignState()
-        with pytest.raises(TypeError):
-            mads.CampaignState(incumbent=p1, envelope=plan.envelope)
+        for loop_field in ({"envelope": plan.envelope}, {"next_iteration": 1}, {"cumulative": 3.0},
+                           {"records": rows}, {"best_score": 0.5}, {"mesh": Mesh(-1)}, {"termination": "budget"}):
+            with pytest.raises(TypeError):
+                mads.CampaignState(incumbent=p1, **loop_field)
 
     def test_deterministic_records(self):
         b = frozen_bounds()
@@ -509,7 +514,8 @@ class TestRunCampaign:
         assert estimates and all(r.charged_cost == plan.surrogate.cost_ratio for r in estimates)
 
     def test_record_stamps_the_state_and_defaults_to_a_ranking_pass(self):
-        state = mads.CampaignState(incumbent=preset_config("p1"), cumulative=2.0, mesh=Mesh(-3), next_iteration=4)
+        state = mads.CampaignState(incumbent=preset_config("p1"))
+        state.cumulative, state.mesh, state.next_iteration = 2.0, Mesh(-3), 4
         state.record(KIND_RANKING, "a=1", 0.5)
         state.record(KIND_FULL, "a=2", 0.75, epochs=9, reason="last-success", charge=1.0, incumbent=True)
         assert [(r.record_index, r.kind, r.epochs_used, r.stop_reason, r.charged_cost, r.cumulative_cost,
