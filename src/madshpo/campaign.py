@@ -8,8 +8,8 @@ it.
 A campaign writes ``ledger.csv`` (with its settings as header comments)
 and ``summary.json`` into its output directory.  Export and resume check
 a ledger by running the campaign loop of its header's settings against
-its rows (``mads.Tape``), which must write the same rows.  Export stops
-where the rows end; resume trains on from there, and because every
+its rows (``mads.Tape``), which must write the same rows.  Export trains
+nothing past the rows; resume trains on from there, and because every
 source of randomness is derived from the seed, the final file is
 byte-identical to an uninterrupted run.
 """
@@ -76,14 +76,10 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"expected a boolean, got {text!r}")
 
 
-def _parse_cap(text: str) -> int | None:
-    """An iteration cap, None for ``-`` (how the header writes no cap) or blank text."""
-    return None if text in ("", "-") else int(text)
-
-
-def _parse_command(text: str) -> str | None:
-    """A trainer command, None for ``-`` (how the header writes no command)."""
-    return None if text == "-" else text
+def _optional(kind: Callable[[str], object]) -> Callable[[str], object]:
+    """A setting that may be unset: None for ``-`` (how the header writes None)
+    or blank text, and any other text read by ``kind``."""
+    return lambda text: None if text.strip() in ("", "-") else kind(text)
 
 
 def _parse_stop_mode(text: str) -> str:
@@ -113,12 +109,12 @@ class CampaignSettings:
     out_dir: Path = _setting(Path("campaign-out"), Path, key="out", header=False,
                              help="output directory (ledger + summary)")
     backend: str = _setting("simulated", str, choices=BACKENDS, help="trainer backend")
-    external_command: str | None = _setting(None, _parse_command, key="backend_cmd", help="external trainer command")
+    external_command: str | None = _setting(None, _optional(str), key="backend_cmd", help="external trainer command")
     charge_ranking: bool = _setting(mads.RunPlan.charge_ranking, _parse_bool, flag="--no-charge-ranking",
                                     action="store_const", const="0",
                                     help="do not charge ranking passes against the budget")
     min_mesh_index: int = _setting(mads.RunPlan.min_mesh_index, int, help="stop once the mesh index falls below this")
-    max_iterations: int | None = _setting(None, _parse_cap, help="iteration cap")
+    max_iterations: int | None = _setting(None, _optional(int), help="iteration cap")
     milestones: tuple[int, ...] = _setting(
         DEFAULT_MILESTONES, _comma_list(int), help="comma-separated milestone epochs")
     margins: tuple[float, ...] = _setting(
@@ -307,46 +303,52 @@ def _row_rule(settings: CampaignSettings, rec: LedgerRecord) -> str | None:
     return None
 
 
+class _PastTheRows(Exception):
+    """What export's full training past a ledger's rows raises."""
+
+
+def _past_the_rows(config: Configuration, monitor) -> None:
+    raise _PastTheRows
+
+
 def read_checked_ledger(path: Path) -> tuple[dict[str, str], list[LedgerRecord], mads.RunPlan]:
     """The ledger at ``path``, its rows checked by running the loop of the
     settings its header records against them until they run out, and the
-    plan of those settings: what export reads."""
+    plan of those settings: what export reads.  Past the rows the loop
+    trains nothing: an estimate scores ``WORST_SCORE``, and a full training
+    ends the check."""
     header, records = read_ledger(path)
     settings = header_settings(header, path)
     try:
         plan = build_plan(settings)
     except ValueError as exc:
         raise ValueError(f"{path}: header: {exc}") from None
+    untrained = replace(plan, full_eval=_past_the_rows, fidelity_eval=lambda config, epochs, fraction: WORST_SCORE)
     try:
-        mads.continue_campaign(_rebuild_state(settings, records, path, train_on=False), settings.bbe_budget, plan)
-    except mads.EndOfTape:
+        mads.continue_campaign(_rebuild_state(settings, records, path), settings.bbe_budget, untrained)
+    except _PastTheRows:
         pass
     return header, records, plan
 
 
-def _rebuild_state(settings: CampaignSettings, records: list[LedgerRecord], path: Path | None,
-                   train_on: bool = True) -> mads.CampaignState:
+def _rebuild_state(settings: CampaignSettings, records: list[LedgerRecord], path: Path | None) -> mads.CampaignState:
     """The fresh state that the loop runs the campaign of ``settings`` from,
-    with a tape of the ``records`` of the ledger at ``path`` (``mads.Tape``,
-    which trains on past them if ``train_on``), each held to ``_row_rule``,
-    unless ``path`` is None.  The tape regenerates curves with the simulator
-    the campaign trained with (not an external trainer's), without their
-    learning-rate column, which envelope comparisons do not read."""
-    tape = None
-    if path is not None:
-        for rec in records:
-            problem = _row_rule(settings, rec)
-            if problem is not None:
-                raise ValueError(f"{path}: record {rec.record_index}: {problem}")
-        curve = None
-        if settings.backend == "simulated":
-            simulator = _simulator(settings)
+    with a tape of the ``records`` of the ledger at ``path`` (``mads.Tape``),
+    each held to ``_row_rule``.  The tape regenerates curves with the
+    simulator the campaign trained with (not an external trainer's), without
+    their learning-rate column, which envelope comparisons do not read."""
+    for rec in records:
+        problem = _row_rule(settings, rec)
+        if problem is not None:
+            raise ValueError(f"{path}: record {rec.record_index}: {problem}")
+    curve = None
+    if settings.backend == "simulated":
+        simulator = _simulator(settings)
 
-            def curve(config: Configuration, epochs: int):
-                return simulate_curve(simulator.model_for(config, settings.seed), epochs)
+        def curve(config: Configuration, epochs: int):
+            return simulate_curve(simulator.model_for(config, settings.seed), epochs)
 
-        tape = mads.Tape(records, path, curve, train_on)
-    return mads.CampaignState(incumbent=initial_config(settings), tape=tape)
+    return mads.CampaignState(incumbent=initial_config(settings), tape=mads.Tape(records, path, curve))
 
 
 def run(settings: CampaignSettings) -> mads.CampaignState:
@@ -368,8 +370,8 @@ def resume(settings: CampaignSettings) -> mads.CampaignState:
 
 
 def _continue(settings: CampaignSettings, path: Path | None) -> mads.CampaignState:
-    """Run the campaign on the tape of the ledger at ``path``, on none if it is None,
-    and persist it.  The plan is built first, so that a refused setting raises
+    """Run the campaign on the tape of the ledger at ``path``, of no rows if it is
+    None, and persist it.  The plan is built first, so that a refused setting raises
     before any read; the settings the header records, read as export reads
     them, must then equal ``settings`` in the form ``settings_header`` writes."""
     started = time.monotonic()

@@ -9,12 +9,14 @@ code that knows the mesh geometry.  ``CampaignState`` makes every ledger
 row and owns the end of an iteration, where a success coarsens the mesh
 (up to ``MAX_MESH_INDEX``) and a failure refines it.  ``continue_campaign``
 is the one campaign loop: ``run_campaign`` enters it with a fresh state,
-its start point.  A fresh state that carries a ``Tape`` of a ledger's rows
-runs the loop against them, which is how ``campaign`` checks a ledger for
-export and continues it for resume.  ``_full_evaluation`` owns the
-incumbent rule, and it is the only place a candidate's failure is handled:
-one of ``blackbox.TRAINER_FAULTS`` from ``full_eval`` becomes a charged
-failure row, and any other error ends the campaign.
+its start point.  The loop runs every state against its ``Tape``, by
+default one of no rows; a tape of a ledger's rows is how ``campaign``
+checks a ledger for export and continues it for resume.
+``_full_evaluation`` owns the incumbent rule: one of
+``blackbox.TRAINER_FAULTS`` from ``full_eval`` becomes a charged failure
+row, and any other error ends the campaign.  ``blackbox.train`` and
+``surrogates.estimate`` also turn such a fault into a failed result or a
+worst score.
 """
 
 from __future__ import annotations
@@ -213,10 +215,6 @@ class RunPlan:
         return self.surrogate.cost_ratio if self.surrogate is not None and self.charge_ranking else 0.0
 
 
-class EndOfTape(Exception):
-    """What a full evaluation past the rows of a tape that does not train on raises."""
-
-
 @dataclass(frozen=True)
 class Tape:
     """A ledger's rows, which the campaign loop runs against in place of its
@@ -231,16 +229,13 @@ class Tape:
     loop goes on with.  An estimate answers with the score of its
     configuration's row in the block of estimate rows at the head, or
     ``WORST_SCORE``, which no row then matches.  Past the rows, and for an
-    estimate that a block ending the rows lacks, a tape that trains on
-    hands over to the plan's own evaluators; one that does not scores such
-    an estimate ``WORST_SCORE`` and raises ``EndOfTape`` at the first full
-    evaluation.
+    estimate that a block ending the rows lacks, it hands over to the
+    evaluators of the plan it plays.
     """
 
     rows: list[LedgerRecord]
     source: object  # what an error names, such as the ledger's path
     curve: Callable[[Configuration, int], TrainingHistory] | None = None
-    train_on: bool = True
 
     def check(self, row: LedgerRecord) -> LedgerRecord:
         """The row of index ``row.record_index``, which must equal ``row``, or
@@ -273,8 +268,6 @@ class Tape:
 
         def full_eval(config: Configuration, monitor: StoppingMonitor) -> EvaluationResult:
             if len(made) >= len(rows):
-                if not self.train_on:
-                    raise EndOfTape
                 return plan.full_eval(config, monitor)
             row = rows[len(made)]
             taped = EvaluationResult(TrainingHistory(), row.score, row.epochs_used, row.stop_reason, 0.0)
@@ -285,7 +278,7 @@ class Tape:
 
         def fidelity_eval(config: Configuration, epochs: int, fraction: float) -> float:
             scores = blocks.get(len(made), {})
-            if config.key in scores or not self.train_on or len(made) + len(scores) < len(rows):
+            if config.key in scores or len(made) + len(scores) < len(rows):
                 return scores.get(config.key, WORST_SCORE)
             return plan.fidelity_eval(config, epochs, fraction)
 
@@ -297,8 +290,9 @@ class CampaignState:
     """The campaign loop's state, and what the loop returns when it stops:
     the incumbent and its score, the rows so far, the BBE charged, the mesh,
     the next iteration to run and, once the loop has stopped, why.  A state
-    is built from its start point and, optionally, a ``tape`` that the loop
-    runs against; every other field is the loop's to set."""
+    is built from its start point and the ``tape`` that the loop runs
+    against, by default one of no rows; every other field is the loop's to
+    set."""
 
     incumbent: Configuration
     records: list[LedgerRecord] = field(default_factory=list, init=False)
@@ -308,7 +302,7 @@ class CampaignState:
     mesh: Mesh = field(default_factory=Mesh, init=False)
     next_iteration: int = field(default=0, init=False)
     termination: str | None = field(default=None, init=False)  # "budget", "mesh" or "iterations"
-    tape: Tape | None = None
+    tape: Tape = field(default_factory=lambda: Tape([], None))
 
     def record(self, kind: str, key: str, score: float, *, epochs: int = 0, reason: str = REASON_NONE,
                charge: float = 0.0, incumbent: bool = False) -> None:
@@ -332,7 +326,7 @@ class CampaignState:
             iteration=self.next_iteration,
             mesh_index=self.mesh.index,
         )
-        self.records.append(row if self.tape is None else self.tape.check(row))
+        self.records.append(self.tape.check(row))
 
     def close_iteration(self, success: bool) -> None:
         """End poll iteration ``next_iteration``: the mesh coarsens after a
@@ -378,17 +372,16 @@ def continue_campaign(state: CampaignState, budget_bbe: float, plan: RunPlan) ->
     state takes the plan's envelope, the start point is trained, and
     iteration 0 ends on the mesh it began on.  Poll iterations then run
     until the budget runs out, the mesh bottoms out, or the iteration cap
-    is hit, and the state, with its ``termination`` set, is returned.  If
-    the state carries a tape, the plan's evaluators answer from it
-    (``Tape.play``), and a row left over at the end raises ``ValueError``.
+    is hit, and the state, with its ``termination`` set, is returned.  The
+    plan's evaluators answer from the state's tape (``Tape.play``), and a
+    row of it left over at the end raises ``ValueError``.
     """
     if not budget_bbe >= 1.0:
         raise ValueError("budget must be at least 1 BBE, the start point's training")
     problems = validate(state.incumbent, plan.bounds)
     if problems:
         raise ValueError("invalid incumbent configuration: " + "; ".join(problems))
-    if state.tape is not None:
-        plan = state.tape.play(plan, state.records)
+    plan = state.tape.play(plan, state.records)
     if state.next_iteration == 0:
         state.envelope = plan.envelope
         _full_evaluation(state, plan, state.incumbent)
@@ -406,7 +399,7 @@ def continue_campaign(state: CampaignState, budget_bbe: float, plan: RunPlan) ->
             state.termination = "budget"
             break
         state.close_iteration(_poll_step(state, plan, poll, budget_bbe))
-    if state.tape is not None and len(state.records) < len(state.tape.rows):
+    if len(state.records) < len(state.tape.rows):
         raise ValueError(f"{state.tape.source}: record {len(state.records)}: after the loop stopped "
                          f"({state.termination})")
     return state

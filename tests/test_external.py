@@ -7,6 +7,7 @@ import sys
 import textwrap
 import threading
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -14,7 +15,7 @@ from madshpo.blackbox import FAILED_REASON, EvaluationRequest, ProcessAdapter, e
 from madshpo.campaign import LEDGER_NAME, CampaignSettings, read_checked_ledger, run
 from madshpo.cli import main
 from madshpo.early_stop import BaselineEnvelope, StoppingMonitor, TrainingHistory
-from madshpo.ledger import read_ledger
+from madshpo.ledger import KIND_FULL, KIND_SURROGATE, read_ledger, write_ledger
 from madshpo.space import preset_config
 
 
@@ -315,3 +316,44 @@ def test_epoch_that_is_not_finite_is_a_failed_row(tmp_path, line):
                          external_command=shlex.join(stub.command), out_dir=tmp_path / "out"))
     _, records = read_ledger(tmp_path / "out" / LEDGER_NAME)
     assert [(r.stop_reason, r.incumbent) for r in records] == [(FAILED_REASON, False)]
+
+
+# a trainer that logs each start to the file its argument names, and whose curve rises to a level set by its header
+LOGGED_STUB = """
+    import zlib
+    with open(sys.argv[1], "a") as log:
+        print("start", file=log)
+    header = sys.stdin.readline().split()
+    top = 0.3 + 0.6 * zlib.crc32(" ".join(header).encode()) / 2**32
+    for e in range(1, int(header[header.index("EPOCHS") + 1]) + 1):
+        print(f"EPOCH {e} ACC {top * e / (e + 3)} LOSS 1.0 LR 0.01", flush=True)
+        if sys.stdin.readline().strip() == "STOP":
+            break
+    print("DONE", flush=True)
+"""
+
+
+def test_export_of_a_cut_ranked_ledger_starts_no_trainer(tmp_path):
+    log = tmp_path / "starts.log"
+    command = shlex.join((*make_stub(tmp_path, LOGGED_STUB).command, str(log)))
+    run(CampaignSettings(bbe_budget=8, surrogate="r2", max_epochs=20, backend="external",
+                         external_command=command, out_dir=tmp_path / "out"))
+    header, records = read_ledger(tmp_path / "out" / LEDGER_NAME)
+    kinds = [r.kind for r in records]
+    first_estimate = kinds.index(KIND_SURROGATE)
+    first_full = kinds.index(KIND_FULL, first_estimate)
+    starts = log.read_text()
+    # inside the first estimate block, and after the first full row of its poll
+    cuts = (first_estimate + 2, first_full + 1)
+    assert kinds[cuts[0]] == KIND_SURROGATE and cuts[1] < len(records)
+    cut = tmp_path / "cut.csv"
+    for n in cuts:
+        write_ledger(cut, records[:n], header)
+        assert read_checked_ledger(cut)[1] == records[:n]
+        assert log.read_text() == starts
+    # the rows a cut ledger keeps are still compared with those the loop makes
+    edited = replace(records[first_estimate + 1], epochs_used=11)
+    write_ledger(cut, [*records[:first_estimate + 1], edited], header)
+    with pytest.raises(ValueError, match=f": record {first_estimate + 1}: epochs_used 11, expected 10$"):
+        read_checked_ledger(cut)
+    assert log.read_text() == starts

@@ -7,7 +7,9 @@ a noise level up to 0.05 and, in half the cases, random milestones and
 margins.  It runs the campaign, whose ledger every check that export makes
 must pass, cuts the ledger after a random row (none included) and resumes
 it.  The resumed ledger must be byte-identical to the uncut one, and its
-summary equal but for ``wall_seconds``.
+summary equal but for ``wall_seconds``.  Before the resume, export must
+check the cut ledger with a simulated trainer that raises at any training
+or estimate: export trains nothing past the rows.
 
 Each case also fuzzes the header codec.  The header must read back, through
 ``header_settings``, to the settings it was written from.  A second copy of
@@ -22,6 +24,7 @@ import random
 
 import pytest
 
+from madshpo.blackbox import SimulatedBlackbox
 from madshpo.campaign import (
     LEDGER_NAME,
     SUMMARY_NAME,
@@ -83,6 +86,10 @@ def draw_settings(rng: random.Random) -> dict:
     return values
 
 
+def _trains(*args, **kwargs):
+    raise AssertionError("export trained past the rows")
+
+
 def summary_without_time(out_dir) -> dict:
     summary = json.loads((out_dir / SUMMARY_NAME).read_text())
     del summary["wall_seconds"]
@@ -90,7 +97,7 @@ def summary_without_time(out_dir) -> dict:
 
 
 @pytest.mark.parametrize("case", range(CASES))
-def test_a_cut_campaign_resumes_to_the_uncut_ledger(case, tmp_path):
+def test_a_cut_campaign_resumes_to_the_uncut_ledger(case, tmp_path, monkeypatch):
     rng = random.Random(case)
     values = draw_settings(rng)
     full = CampaignSettings(out_dir=tmp_path / "full", **values)
@@ -102,9 +109,6 @@ def test_a_cut_campaign_resumes_to_the_uncut_ledger(case, tmp_path):
     cut_dir.mkdir()
     write_ledger(cut_dir / LEDGER_NAME, records[:cut], header)
     assert settings_header(header_settings(header, cut_dir / LEDGER_NAME)) == header, values
-    resume(CampaignSettings(out_dir=cut_dir, **values))
-    assert (cut_dir / LEDGER_NAME).read_bytes() == full_bytes, (values, cut)
-    assert summary_without_time(cut_dir) == summary_without_time(tmp_path / "full"), (values, cut)
     # drawn after the cut, so that each case keeps the settings and cut it had before this draw
     sparse = {key: RESPELLINGS[key](text) if key in RESPELLINGS and rng.random() < 0.5 else text
               for key, text in header.items() if DEFAULTS.get(key) != text}
@@ -112,5 +116,13 @@ def test_a_cut_campaign_resumes_to_the_uncut_ledger(case, tmp_path):
     sparse_dir.mkdir()
     write_ledger(sparse_dir / LEDGER_NAME, records[:cut], sparse)
     assert settings_header(header_settings(sparse, sparse_dir / LEDGER_NAME)) == header, (values, sparse)
+    # export trains nothing past the rows: an AssertionError is no trainer fault, so no layer turns it into a row
+    with monkeypatch.context() as patched:
+        for name in ("evaluate", "final_accuracy"):
+            patched.setattr(SimulatedBlackbox, name, _trains)
+        assert all(read_checked_ledger(d / LEDGER_NAME)[1] == records[:cut] for d in (cut_dir, sparse_dir)), values
+    resume(CampaignSettings(out_dir=cut_dir, **values))
+    assert (cut_dir / LEDGER_NAME).read_bytes() == full_bytes, (values, cut)
+    assert summary_without_time(cut_dir) == summary_without_time(tmp_path / "full"), (values, cut)
     resume(CampaignSettings(out_dir=sparse_dir, **values))
     assert (sparse_dir / LEDGER_NAME).read_bytes() == full_bytes, (values, cut, sparse)
