@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 DEFAULT_MILESTONES = (5, 10, 25, 50, 100, 125, 150, 160)
-DEFAULT_MARGINS = (0.5, 0.6, 0.7, 0.8, 0.85, 0.9, 0.95, 0.98)
+DEFAULT_MARGINS = (0.5, 0.6, 0.7, 0.85, 0.93, 0.955, 0.957, 0.98)
 
 # Stopping-rule parameters, the same for every campaign.
 PATIENCE = 25  # flat epochs before the scheduler cuts the learning rate

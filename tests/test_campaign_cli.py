@@ -270,6 +270,43 @@ class TestResume:
         assert calls == [(simulator.model_for(deserialize(records[i].config), s.seed), records[i].epochs_used)
                          for i in (polled, last)]
 
+    def test_a_cut_training_that_beats_the_incumbent_is_the_incumbent_and_its_cut_curve_the_baseline(
+            self, tmp_path, monkeypatch):
+        # p1 unranked at noise 0.005, seed 4: the envelope stops record 97 at epoch 160 with
+        # a best epoch above the incumbent's score, so it becomes the incumbent, and the
+        # trainings after it are held to its 160-epoch curve
+        baselines = []
+        evaluate = SimulatedBlackbox.evaluate
+        monkeypatch.setattr(SimulatedBlackbox, "evaluate", lambda self, request: baselines.append(
+            request.monitor.envelope.baseline_curve) or evaluate(self, request))
+        s, path, full_bytes = self.run_full(tmp_path, surrogate="none", seed=4, noise_sigma=0.005, bbe_budget=100)
+        monkeypatch.undo()
+        header, records = read_ledger(path)
+        polled, last = [i for i, r in enumerate(records) if r.incumbent][-2:]
+        assert last == 97 and records[98].kind == KIND_FULL
+        assert (records[last].stop_reason, records[last].epochs_used) == ("envelope-breach", 160)
+        assert records[last].score > records[polled].score
+        model = SimulatedBlackbox(noise_sigma=s.noise_sigma).model_for(deserialize(records[last].config), s.seed)
+        assert baselines[98].val_accuracy == simulate_curve(model, 160).val_accuracy
+        # cut just after it, the ledger resumes and exports as the uncut one does: the
+        # tape regenerates the short curve as the baseline the loop goes on with
+        out = tmp_path / "cut"
+        out.mkdir()
+        write_ledger(out / LEDGER_NAME, records[:last + 1], header)
+        series = {}
+        for name, ledger in (("full", path), ("cut", out / LEDGER_NAME)):
+            assert main(["export", "--ledger", str(ledger), "--out", str(tmp_path / f"{name}.csv")]) == 0
+            series[name] = (tmp_path / f"{name}.csv").read_bytes()
+        assert series["full"].startswith(series["cut"]) and series["full"] != series["cut"]
+        calls = []
+        monkeypatch.setattr(campaign, "simulate_curve", lambda *args: calls.append(args) or simulate_curve(*args))
+        resume(replace(s, out_dir=out))
+        assert calls == [(SimulatedBlackbox(noise_sigma=s.noise_sigma).model_for(
+            deserialize(records[polled].config), s.seed), records[polled].epochs_used), (model, 160)]
+        assert (out / LEDGER_NAME).read_bytes() == full_bytes
+        assert main(["export", "--ledger", str(out / LEDGER_NAME), "--out", str(tmp_path / "resumed.csv")]) == 0
+        assert (tmp_path / "resumed.csv").read_bytes() == series["full"]
+
     def test_resuming_a_finished_campaign_trains_nothing(self, tmp_path, monkeypatch):
         s, path, full_bytes = self.run_full(tmp_path, surrogate="r4")
         summary = (tmp_path / "full" / SUMMARY_NAME).read_text()
@@ -1030,8 +1067,8 @@ class TestCli:
                       "uncharged-ranking-header": "charge_ranking '0' in the ledger, '1' given",
                       "capped-epochs-header": "max_epochs '50' in the ledger, '200' given",
                       "negative-noise-header": "noise_sigma '-1.0' in the ledger, '0.0001' given",
-                      "short-margins-header": "margins '0.5 0.6' in the ledger, '0.5 0.6 0.7 0.8 0.85 0.9 0.95 0.98' "
-                                              "given",
+                      "short-margins-header": "margins '0.5 0.6' in the ledger, "
+                                              "'0.5 0.6 0.7 0.85 0.93 0.955 0.957 0.98' given",
                       "simulated-command-header": "external_command 'python3 train.py' in the ledger, '-' given"}
         if command == "resume" and edit in mismatched:
             error = f"ledger settings do not match: {mismatched[edit]}"
@@ -1140,11 +1177,19 @@ class TestCli:
         assert main(["resume", *argv, "--seed", "1"]) == 1
         assert len(calls) == 1
 
-    def test_a_mismatched_resume_names_each_value_and_resumes_with_them(self, tmp_path, capsys):
+    @pytest.mark.parametrize("milestones, margins, mismatch", [
+        ("5,10,25,50,100,125,150", "0.5,0.6,0.7,0.8,0.85,0.9,0.95",
+         "margins '0.5 0.6 0.7 0.8 0.85 0.9 0.95' in the ledger, '0.5 0.6 0.7 0.85 0.93 0.955 0.957 0.98' given; "
+         "milestones '5 10 25 50 100 125 150' in the ledger, '5 10 25 50 100 125 150 160' given"),
+        ("5,10,25,50,100,125,150,160", "0.5,0.6,0.7,0.8,0.85,0.9,0.95,0.98",
+         "margins '0.5 0.6 0.7 0.8 0.85 0.9 0.95 0.98' in the ledger, '0.5 0.6 0.7 0.85 0.93 0.955 0.957 0.98' given"),
+    ], ids=["seven-pairs", "tail"])
+    def test_a_mismatched_resume_names_each_value_and_resumes_with_them(self, tmp_path, capsys, milestones, margins,
+                                                                         mismatch):
         # a ledger of other milestones and margins, as one written under older defaults
         out = tmp_path / "out"
         argv = ["--budget", "10", "--seed", "7", "--out", str(out)]
-        envelope = ["--milestones", "5,10,25,50,100,125,150", "--margins", "0.5,0.6,0.7,0.8,0.85,0.9,0.95"]
+        envelope = ["--milestones", milestones, "--margins", margins]
         assert main(["run", *argv, *envelope]) == 0
         ledger = out / LEDGER_NAME
         before = ledger.read_bytes()
@@ -1153,10 +1198,7 @@ class TestCli:
         cut = ledger.read_bytes()
         capsys.readouterr()
         assert main(["resume", *argv]) == 1
-        assert capsys.readouterr().err == (
-            "error: ledger settings do not match: "
-            "margins '0.5 0.6 0.7 0.8 0.85 0.9 0.95' in the ledger, '0.5 0.6 0.7 0.8 0.85 0.9 0.95 0.98' given; "
-            "milestones '5 10 25 50 100 125 150' in the ledger, '5 10 25 50 100 125 150 160' given\n")
+        assert capsys.readouterr().err == f"error: ledger settings do not match: {mismatch}\n"
         assert ledger.read_bytes() == cut
         # the values the error names, in the blank-separated form the header writes, resume it
         assert main(["resume", *argv, "--milestones", header["milestones"], "--margins", header["margins"]]) == 0

@@ -1,3 +1,4 @@
+import functools
 import math
 import re
 from dataclasses import replace
@@ -6,12 +7,14 @@ import numpy as np
 import pytest
 
 from madshpo import mads
-from madshpo.blackbox import EvaluationResult
+from madshpo.blackbox import EvaluationResult, SimulatedBlackbox
 from madshpo.campaign import CampaignSettings, build_plan
 from madshpo.early_stop import (
+    CHANCE_LEVEL,
     DEFAULT_MARGINS,
     DEFAULT_MILESTONES,
     MODES,
+    REASON_ENVELOPE,
     REASON_NONE,
     STOP_REASONS,
     BaselineEnvelope,
@@ -19,9 +22,10 @@ from madshpo.early_stop import (
     TrainingHistory,
     check_envelope,
 )
+from madshpo.ledger import KIND_FULL
 from madshpo.space import default_bounds, preset_config
 from madshpo.surrogates import surrogate_by_name
-from tests.test_golden import LEGACY_ENVELOPE
+from tests.test_golden import LEGACY_ENVELOPE, TAIL_ENVELOPE
 
 
 def flat_history(epochs, acc=0.10, loss=2.3, lr=0.01):
@@ -420,7 +424,8 @@ VERDICT_TABLE = [
     ("scheduler+baseline", "walk", 2, 0.01, None, 10, "envelope-breach"),
     ("scheduler+baseline", "walk", 0, 0.01, None, 25, "envelope-breach"),
     ("scheduler+baseline", "walk", 4, 1e-6, None, 136, "scheduler-lr-floor"),
-    ("scheduler+baseline", "walk", 5, 0.01, None, None, "none"),
+    ("scheduler+baseline", "walk", 5, 0.01, None, 50, "envelope-breach"),
+    ("scheduler+baseline", "walk", 9, 0.01, None, None, "none"),
 ]
 
 
@@ -502,25 +507,82 @@ def test_mode_resource_ordering_on_simulated_corpus():
         assert means[mode] < means["default"], means
 
 
-@pytest.mark.parametrize("preset", ["p1", "p3"])
-@pytest.mark.parametrize("surrogate", ["none", "r4"])
-def test_the_milestone_at_epoch_160_moves_no_incumbent(preset, surrogate):
-    # a training the tail milestone cuts never becomes the incumbent, and BBE
-    # charges do not depend on epochs, so the search takes the same path: only
-    # the cut rows differ, each stopped at 160 instead of running to 200
-    cut = 0
-    for seed in range(5):
-        default, legacy = (
-            mads.run_campaign(preset_config(preset), 100, build_plan(CampaignSettings(
-                preset=preset, seed=seed, surrogate=surrogate, bbe_budget=100, **envelope))).records
-            for envelope in ({}, LEGACY_ENVELOPE))
-        assert len(default) == len(legacy)
-        assert [r for r in default if r.incumbent] == [r for r in legacy if r.incumbent]
-        for new, old in zip(default, legacy):
+# The grid on which the default envelope is held to the ones before it:
+# (preset, ranking, seed) campaigns at GRID_BUDGET BBE, run at each noise level.
+GRID = [(preset, surrogate, seed) for preset in ("p1", "p3") for surrogate in ("none", "r4") for seed in range(5)]
+GRID_BUDGET = 100
+NOISE_LEVELS = (SimulatedBlackbox.noise_sigma, 0.005)
+# envelope name -> (milestones, margins)
+ENVELOPES = {
+    "default": (DEFAULT_MILESTONES, DEFAULT_MARGINS),
+    "seven-pairs": (LEGACY_ENVELOPE["milestones"], LEGACY_ENVELOPE["margins"]),
+    "tail": (TAIL_ENVELOPE["milestones"], TAIL_ENVELOPE["margins"]),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def grid_campaign(preset, surrogate, seed, sigma, envelope):
+    """The records of one grid campaign under the named envelope, and the
+    headroom of each training that became the incumbent: at each milestone
+    it reached, its accuracy over that of the baseline it replaced, read as
+    ``check_envelope`` reads it (a baseline at chance level checks nothing)."""
+    milestones, margins = ENVELOPES[envelope]
+    plan = build_plan(CampaignSettings(preset=preset, seed=seed, surrogate=surrogate, bbe_budget=GRID_BUDGET,
+                                       noise_sigma=sigma, milestones=milestones, margins=margins))
+    ratios = []
+
+    def full_eval(config, monitor):
+        ratios.append({})
+        result = plan.full_eval(config, monitor)
+        baseline = monitor.envelope.baseline_curve
+        for m in milestones:
+            if baseline is not None and len(result.history) >= m:
+                reference = baseline.val_accuracy[min(m, len(baseline)) - 1]
+                if reference > CHANCE_LEVEL:
+                    ratios[-1][m] = result.history.val_accuracy[m - 1] / reference
+        return result
+
+    records = mads.run_campaign(preset_config(preset), GRID_BUDGET, replace(plan, full_eval=full_eval)).records
+    full = [r for r in records if r.kind == KIND_FULL]
+    assert len(full) == len(ratios)
+    return records, [ratio for r, ratio in zip(full, ratios) if r.incumbent]
+
+
+@pytest.mark.parametrize("sigma", NOISE_LEVELS)
+@pytest.mark.parametrize("reference", ["seven-pairs", "tail"])
+def test_the_default_envelope_moves_no_incumbent(reference, sigma):
+    # a training that only the default envelope cuts never becomes the incumbent, and
+    # BBE charges do not depend on epochs, so the search takes the same path: only the
+    # cut rows differ, each stopped earlier at a milestone where the default is stricter
+    older = dict(zip(*ENVELOPES[reference]))
+    stricter = {m for m, margin in zip(DEFAULT_MILESTONES, DEFAULT_MARGINS) if older.get(m, 0.0) < margin}
+    moved, cut = set(), 0
+    for case in GRID:
+        default, _ = grid_campaign(*case, sigma, "default")
+        before, _ = grid_campaign(*case, sigma, reference)
+        if len(default) != len(before) or [r for r in default if r.incumbent] != [r for r in before if r.incumbent]:
+            moved.add(case)
+            continue
+        for new, old in zip(default, before):
             if new != old:
                 cut += 1
-                assert (new.epochs_used, new.stop_reason) == (160, "envelope-breach")
-                # the best epoch of the first 160 scores no higher than that of all 200
+                assert (new.stop_reason, new.epochs_used in stricter) == (REASON_ENVELOPE, True)
+                assert new.epochs_used < old.epochs_used
+                # the best epoch of the shorter training scores no higher than that of the longer one
                 assert new.score <= old.score
-                assert replace(new, epochs_used=200, stop_reason=REASON_NONE, score=old.score) == old
+                assert replace(new, epochs_used=old.epochs_used, stop_reason=old.stop_reason, score=old.score) == old
+    # under noise the milestone at epoch 160 takes two unranked p1 campaigns another
+    # way than the seven pairs do, as it did when it was added; the margins since add none
+    assert moved == ({("p1", "none", 0), ("p1", "none", 4)} if (reference, sigma) == ("seven-pairs", 0.005) else set())
     assert cut
+
+
+def test_the_default_margins_sit_below_the_headroom_of_every_new_incumbent():
+    # the margins at epochs 50 to 150 were raised to 0.01 below the smallest
+    # headroom of a new incumbent, measured under the lower margins before;
+    # a margin raised past it would have cut one of these incumbents
+    for m in (50, 100, 125, 150):
+        headroom = [ratios[m] for case in GRID for sigma in NOISE_LEVELS
+                    for ratios in grid_campaign(*case, sigma, "tail")[1] if m in ratios]
+        assert len(headroom) > 100
+        assert DEFAULT_MARGINS[DEFAULT_MILESTONES.index(m)] <= min(headroom) - 0.01, (m, min(headroom))

@@ -34,7 +34,8 @@ The ledger, settings, summary and external campaigns above were recorded
 under the envelope defaults from before the milestone at epoch 160, and run
 under that ``LEGACY_ENVELOPE``, so their hashes show that adding the
 milestone changed only the defaults.  A few campaigns of each kind are
-hashed under the current defaults too.
+hashed under the current defaults too, recorded when the margins at epochs
+50 to 150 were raised to the measured headroom of new incumbents.
 """
 
 import hashlib
@@ -59,6 +60,9 @@ GOLDEN_BUDGET = 60
 
 # the envelope defaults before the milestone at epoch 160, as campaign settings
 LEGACY_ENVELOPE = dict(milestones=(5, 10, 25, 50, 100, 125, 150), margins=(0.5, 0.6, 0.7, 0.8, 0.85, 0.9, 0.95))
+# the defaults from the milestone at epoch 160 on, before the margins at epochs 50 to 150 were raised
+TAIL_ENVELOPE = dict(milestones=(5, 10, 25, 50, 100, 125, 150, 160),
+                     margins=(0.5, 0.6, 0.7, 0.8, 0.85, 0.9, 0.95, 0.98))
 
 # (preset, stop mode, surrogate, seed) -> SHA-256 of ledger.csv at GOLDEN_BUDGET BBE under LEGACY_ENVELOPE
 LEDGER_SHA256 = {
@@ -91,12 +95,12 @@ LEDGER_SHA256 = {
     ("p3", "scheduler+baseline", "r4", 1): "95890e5aacc30782d0a8527ecbfd499fcf25e1c761f1f7015f73194a15d962a1",
 }
 
-# the same under the default envelope, recorded when its milestone at epoch 160 was added
+# the same under the default envelope, recorded when its margins at epochs 50 to 150 were raised
 DEFAULT_LEDGER_SHA256 = {
-    ("p1", "scheduler+baseline", "none", 0): "bc6f00ff88b642d80f90fcd7649be6493180c193e2f53f2098fd01c753f0fbdd",
-    ("p1", "scheduler+baseline", "r4", 0): "db091f0f5160b62caaaf97dea9f157f20a8dac582ce6fc329367b723b62a59a4",
-    ("p3", "scheduler+baseline", "none", 0): "f19e32ad664f76c431904036bdd591015122ad3abf5a815d60ffcee28bf3cff6",
-    ("p3", "scheduler+baseline", "r4", 0): "d3f6bef0c7be12c59220c526dba6794f8f9b606e9a3c5f243c838c28a1cd50ca",
+    ("p1", "scheduler+baseline", "none", 0): "9530142df68b29a57cd3db7ee892a045837eb3b53392732fc08e5123473f0cd0",
+    ("p1", "scheduler+baseline", "r4", 0): "7a89041bed246db2719798cf1038f641a56790b906e45a0c3464260bf707a80b",
+    ("p3", "scheduler+baseline", "none", 0): "c9fb930da6f6dd7bba2368956bbeebe754ca3acadc35dc484989a15241151401",
+    ("p3", "scheduler+baseline", "r4", 0): "7393202a01d12d0781c7557e339a2e42e6d14f4df3274f46b5566f80c202cfa0",
 }
 
 # case -> (settings, SHA-256 of ledger.csv) for p1, seed 0, GOLDEN_BUDGET BBE, LEGACY_ENVELOPE
@@ -260,8 +264,8 @@ def test_settings_ledger_bytes_unchanged(case, tmp_path):
 # recorded before the campaign loop returned its own state.  The settings
 # are p1's at seed 0, GOLDEN_BUDGET BBE and LEGACY_ENVELOPE unless a case says
 # otherwise; the failed-start cases search the space that failing_start_point
-# patches in.  The "default-envelope" case, recorded when the milestone at
-# epoch 160 was added, runs under the default envelope.
+# patches in.  The "default-envelope" case, recorded when the margins at
+# epochs 50 to 150 were raised, runs under the default envelope.
 SUMMARY_SHA256 = {
     "p1-r4": (
         dict(surrogate="r4"),
@@ -289,7 +293,7 @@ SUMMARY_SHA256 = {
     ),
     "p1-r4-default-envelope": (
         dict(surrogate="r4", milestones=DEFAULT_MILESTONES, margins=DEFAULT_MARGINS),
-        "a4c265a378206da4fbc257ab0aedc94030de77da52e84b0943824e3f7c462491",
+        "21c01c5bfb85d264b6000f4b26628b200c962b5db238eab3a84015eed991db62",
     ),
 }
 
@@ -470,14 +474,14 @@ EXTERNAL_SHA256 = {
     ),
 }
 
-# the same under the default envelope, recorded when its milestone at epoch 160 was added
+# the same under the default envelope, recorded when its margins at epochs 50 to 150 were raised
 DEFAULT_EXTERNAL_SHA256 = {
     "none": (
-        "ad14dac663f3410fc6558590e7793002553567a75334a7f8d4d572801cbaac74",
-        "2bc0405a981fbe1f8dc89f1428f111f8686be273f534a1bbaaecb1a80eacbd7c",
+        "dcd309fde673fb200a3589f59e7ccc705cf9e648d1456a11aadd3cb57621c3be",
+        "102b832450d6f198f690c7bbc676e1e9c7360ec9703d8ba7a05a791225df2c96",
     ),
     "r2": (
-        "3a96b06f98924eb1151988efb0bc011ffda7b9f1305e008f7b674a8d6b2a824b",
+        "d1becf084ade815e8dd7bc4dfe93405d4c44cfb10ccda8f56e4c2dbaa003b74e",
         "d6c34d8d949f6476d24cf5bf0785db09e5978138da3e1127bc28697357e2e1ad",
     ),
 }
@@ -493,10 +497,12 @@ def assert_external_bytes(surrogate, envelope, expected, tmp_path):
         surrogate=surrogate, backend="external", external_command=command, out_dir=tmp_path / "out", **envelope,
     ))
     if surrogate == "none":
-        # a full training stopped at the envelope, another ended before EPOCHS n
+        # a full training stopped at the envelope; under LEGACY_ENVELOPE another ended
+        # before EPOCHS n, after 67 epochs, which the default margin at epoch 50 cuts first
         full = [r for r in result.records if r.kind == KIND_FULL]
         assert any(r.stop_reason == "envelope-breach" for r in full)
-        assert any(r.stop_reason == "none" and r.epochs_used < 200 for r in full)
+        early = [r.epochs_used for r in full if r.stop_reason == "none" and r.epochs_used < 200]
+        assert early == ([67] if envelope == LEGACY_ENVELOPE else [])
     else:
         # the estimates ran over the protocol too
         assert any(r.kind == KIND_SURROGATE for r in result.records)
